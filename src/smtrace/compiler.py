@@ -60,6 +60,7 @@ STAT_KEYS = (
     "bool_props",
     "theory_props",
     "theory_checks",
+    "theory_witness_hits",
     "conflicts",
     "learned",
     "components",
@@ -76,7 +77,8 @@ class CompileStats:
     decisions: int = 0
     bool_props: int = 0
     theory_props: int = 0
-    theory_checks: int = 0  # feasibility computations (memoized queries excluded)
+    theory_checks: int = 0  # feasibility computations (memo and witness hits excluded)
+    theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
     conflicts: int = 0
     learned: int = 0
     components: int = 0
@@ -422,7 +424,7 @@ class _Search:
         self.engine = WatchedClauses(db.clauses)
         self.learned: list[tuple[int, ...]] = []
         self._learned_keys: set[frozenset[int]] = set()
-        self.theory_on = cfg.mode == "lazy"
+        self.theory_on = cfg.mode == "lazy" and bool(amap.linear_vars())
         self.theory = lra.TheoryState(amap) if self.theory_on else None
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
@@ -651,6 +653,7 @@ def compile(db: ClauseDb, amap: AtomMap, cfg: CompileConfig | None = None) -> Dd
     stats = search.stats
     if search.theory is not None:
         stats.theory_checks = search.theory.checks
+        stats.theory_witness_hits = search.theory.witness_hits
     stats.nodes = len(graph)
     stats.edges = graph.edge_count
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

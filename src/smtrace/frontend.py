@@ -490,6 +490,8 @@ class _Parser:
         if not isinstance(expr, list) or not expr:
             raise SmtSyntaxError(f"expected a command, got {expr!r}")
         head = expr[0]
+        if not isinstance(head, str):
+            raise SmtSyntaxError(f"command head must be a symbol, got {head!r}")
         if head in _IGNORED_COMMANDS:
             return
         if head == "set-logic":

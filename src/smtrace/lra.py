@@ -1,7 +1,10 @@
 """Exact theory solver for conjunctions of linear rational arithmetic literals.
 
-Feasibility is decided by Fourier-Motzkin elimination over exact rationals,
-eliminating variables in ascending id order.  Equalities are split into two
+Feasibility is decided by Fourier-Motzkin elimination, eliminating variables
+in ascending id order.  Elimination runs on Python ints: each row is scaled
+to integer coefficients, and every derived row is divided, together with its
+combination vector, by the gcd of all their entries.  Rationals appear only
+when the witness is back-substituted.  Equalities are split into two
 inequalities.  A disequality t != 0 is handled after the relaxed polyhedron P
 is known feasible: the system is infeasible iff P is contained in the
 hyperplane t = 0, which is checked as infeasibility of both P and t < 0 and
@@ -9,14 +12,15 @@ P and t > 0 (sound by convexity: a convex set not contained in any of
 finitely many hyperplanes contains a point avoiding all of them).
 
 Every answer carries evidence.  SAT results return a rational witness that
-satisfies each asserted literal exactly; UNSAT results return nonnegative
-multipliers deriving a contradiction (0 < 0 or c <= 0 with c > 0), or, for
-the disequality case, a pair of such certificates showing containment.  Both
-are re-verified mechanically before being returned.
+satisfies each asserted literal exactly; UNSAT results return positive
+integer multipliers deriving a contradiction (0 < 0 or c <= 0 with c > 0),
+or, for the disequality case, a pair of such certificates showing
+containment.  Both are re-verified mechanically before being returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -117,16 +121,28 @@ def _contradictory(const: Fraction, strict: bool) -> bool:
     return const > 0 or (strict and const == 0)
 
 
+def _integer_row(term: LinTerm) -> tuple[dict[int, int], int, int]:
+    """(coeffs, const, scale) of ``scale * term``, the least positive integer
+    multiple of ``term`` whose entries are all integers."""
+    scale = math.lcm(term.const.denominator, *(c.denominator for _, c in term.coeffs))
+    coeffs = {v: c.numerator * (scale // c.denominator) for v, c in term.coeffs}
+    return coeffs, term.const.numerator * (scale // term.const.denominator), scale
+
+
 def _fourier_motzkin(rows: Sequence[_Row]):
     """Decide a pure inequality system.
 
-    Returns ("unsat", comb) with comb mapping row index -> positive multiplier,
-    or ("sat", witness) with a full rational point.
+    Rows are eliminated over Python ints: each derived row is kept with its
+    combination vector (``row == sum(comb[i] * rows[i])``) and both are divided
+    by the gcd of all their entries.  Returns ("unsat", comb) with comb mapping
+    row index -> positive integer multiplier, or ("sat", witness) with a full
+    rational point found by back-substitution.
     """
-    # live rows: (coeffs dict, const, strict, comb dict)
+    # live rows: (coeffs dict, const, strict, comb dict), all integers
     live = []
     for i, row in enumerate(rows):
-        live.append((row.term.as_dict(), row.term.const, row.strict, {i: Fraction(1)}))
+        coeffs, const, scale = _integer_row(row.term)
+        live.append((coeffs, const, row.strict, {i: scale}))
 
     variables = sorted({v for coeffs, _, _, _ in live for v in coeffs})
     stages = []
@@ -147,23 +163,27 @@ def _fourier_motzkin(rows: Sequence[_Row]):
             for lc, lk, ls, lcomb in lowers:
                 mu = -lc[var]  # positive
                 ml = uc[var]  # positive
-                coeffs: dict[int, Fraction] = {}
-                for v, c in uc.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + mu * c
+                g = math.gcd(mu, ml)
+                mu //= g
+                ml //= g
+                coeffs: dict[int, int] = {v: mu * c for v, c in uc.items()}
                 for v, c in lc.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + ml * c
+                    coeffs[v] = coeffs.get(v, 0) + ml * c
                 coeffs = {v: c for v, c in coeffs.items() if c != 0}
                 const = mu * uk + ml * lk
                 strict = us or ls
-                comb: dict[int, Fraction] = {}
-                for i, m in ucomb.items():
-                    comb[i] = comb.get(i, Fraction(0)) + mu * m
+                comb: dict[int, int] = {i: mu * m for i, m in ucomb.items()}
                 for i, m in lcomb.items():
-                    comb[i] = comb.get(i, Fraction(0)) + ml * m
+                    comb[i] = comb.get(i, 0) + ml * m
                 if not coeffs:
                     if _contradictory(const, strict):
                         return "unsat", comb
                     continue
+                g = math.gcd(const, *coeffs.values(), *comb.values())
+                if g > 1:
+                    coeffs = {v: c // g for v, c in coeffs.items()}
+                    const //= g
+                    comb = {i: m // g for i, m in comb.items()}
                 live.append((coeffs, const, strict, comb))
 
     for coeffs, const, strict, comb in live:
@@ -181,7 +201,7 @@ def _fourier_motzkin(rows: Sequence[_Row]):
             for v, cv in coeffs.items():
                 if v != var:
                     rest_val += cv * witness[v]
-            bound = -rest_val / c
+            bound = Fraction(-rest_val, c)
             if c > 0:  # x <= bound
                 if hi is None or bound < hi[0] or (bound == hi[0] and strict):
                     hi = (bound, strict)
@@ -203,9 +223,9 @@ def _fourier_motzkin(rows: Sequence[_Row]):
     return "sat", witness
 
 
-def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, Fraction]) -> Certificate:
+def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, int]) -> Certificate:
     entries = tuple(
-        FarkasEntry(m, rows[i].term, rows[i].strict, rows[i].source)
+        FarkasEntry(Fraction(m), rows[i].term, rows[i].strict, rows[i].source)
         for i, m in sorted(comb.items())
         if m > 0
     )
@@ -355,16 +375,22 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 class TheoryState:
     """Assertion trail of theory literals with decision levels.
 
-    Single-owner: one search uses one state.  Feasibility over the trail is
-    recomputed on demand and memoized per literal set, which makes push/pop
-    exact by construction.
+    Single-owner: one search uses one state.  Next to each trail entry sits an
+    audited rational point satisfying every literal up to and including that
+    entry.  A query is answered first at the top point: a literal that holds
+    there extends the trail with the same point, and a literal whose negation
+    holds there is not entailed.  Only the other queries run Fourier-Motzkin,
+    memoized per literal set.  Points are never mutated (entries share them),
+    so popping the trail pops the points and push/pop stays exact.
     """
 
     def __init__(self, table) -> None:
         self.table = table
         self.trail: list[tuple[Literal, int]] = []
+        self._points: list[Mapping[int, Fraction]] = [{}]  # _points[i] satisfies trail[:i]
         self._memo: dict[frozenset[Literal], FeasibilityResult] = {}
         self.checks = 0
+        self.witness_hits = 0
 
     def literals(self) -> list[Literal]:
         return [lit for lit, _ in self.trail]
@@ -372,6 +398,11 @@ class TheoryState:
     @property
     def top_level(self) -> int:
         return self.trail[-1][1] if self.trail else 0
+
+    @property
+    def point(self) -> Mapping[int, Fraction]:
+        """The audited point satisfying every trail literal (read-only)."""
+        return self._points[-1]
 
     def _check(self, lits: frozenset[Literal]) -> FeasibilityResult:
         cached = self._memo.get(lits)
@@ -381,29 +412,45 @@ class TheoryState:
             self.checks += 1
         return cached
 
+    def _holds_at_top(self, lit: Literal) -> bool:
+        """Whether ``lit`` holds at the top point, which then witnesses the
+        trail extended by ``lit``."""
+        if witness_satisfies(self.table, (lit,), self.point):
+            self.witness_hits += 1
+            return True
+        return False
+
     def assert_literal(self, lit: Literal, level: int) -> Conflict | None:
         atom = self.table.atom(lit.atom)
         if not atom.is_linear:
             raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
         if level < self.top_level:
             raise ValueError(f"level {level} below current top {self.top_level}")
-        result = self._check(frozenset(self.literals()) | {lit})
-        if result.sat:
-            self.trail.append((lit, level))
-            return None
-        core = result.core
-        if lit not in core:  # certificates of a newly infeasible system use lit
-            core = core | {lit}
-        return Conflict(core)
+        if self._holds_at_top(lit):
+            point = self.point
+        else:
+            result = self._check(frozenset(self.literals()) | {lit})
+            if not result.sat:
+                core = result.core
+                if lit not in core:  # certificates of a newly infeasible system use lit
+                    core = core | {lit}
+                return Conflict(core)
+            point = result.witness
+        self.trail.append((lit, level))
+        self._points.append(point)
+        return None
 
     def pop_to_level(self, level: int) -> None:
         while self.trail and self.trail[-1][1] > level:
             self.trail.pop()
+            self._points.pop()
 
     def entails(self, lit: Literal) -> bool:
         atom = self.table.atom(lit.atom)
         if not atom.is_linear:
             raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
+        if self._holds_at_top(lit.negated()):
+            return False
         return not self._check(frozenset(self.literals()) | {lit.negated()}).sat
 
 

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smtrace
 from smtrace.cli import run
 from conftest import GAP_XY_SMT2, GAP01_SMT2
 
@@ -83,6 +87,7 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "bool_props",
         "theory_props",
         "theory_checks",
+        "theory_witness_hits",
         "conflicts",
         "learned",
         "components",
@@ -142,3 +147,20 @@ def test_parse_and_format_errors(tmp_path, capsys):
     atoms.write_text("")
     assert run(["check", "--nnf", str(nnf), "--atoms", str(atoms)]) == 2
     capsys.readouterr()
+
+
+def test_malformed_command_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.smt2"
+    bad.write_text("(())")
+    assert run(["count", str(bad)]) == 2
+    assert "command head" in capsys.readouterr().err
+
+    src = str(Path(smtrace.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from smtrace.cli import main; main()", "count", str(bad)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")

@@ -223,9 +223,22 @@ def test_theory_propagation_tags():
     agn, aware = st.brute_counts(f)
     assert st.count(g) == aware
     assert g.stats.theory_props > 0
+    assert g.stats.theory_witness_hits > 0
     assert any(n.kind == "L" and n.implied for n in g.nodes)
     condensed = st.condense(g)
     assert not any(n.kind == "L" and n.implied for n in condensed.nodes)
+
+
+def test_pure_boolean_input_runs_no_theory(monkeypatch):
+    def no_theory(*args):
+        raise AssertionError("theory work on a formula without linear atoms")
+
+    monkeypatch.setattr(st.compiler.lra, "TheoryState", no_theory)
+    monkeypatch.setattr(st.compiler._Search, "_theory_candidates", no_theory)
+    f = st.parse_smt2("(declare-const A Bool)(declare-const B Bool)(assert (or A B))")
+    g, _, _ = pipeline(f)
+    assert st.count(g) == 3
+    assert g.stats.theory_checks == g.stats.theory_witness_hits == 0
 
 
 def test_cache_reuse_is_sound():

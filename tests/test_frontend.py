@@ -77,6 +77,12 @@ def test_parse_errors():
         st.parse_smt2("(declare-const x Real)(assert (/ x 0))")
 
 
+@pytest.mark.parametrize("text", ["(())", "((assert true))", "(() true)", "((declare-const x Real))"])
+def test_parse_non_symbol_command_head(text):
+    with pytest.raises(st.SmtSyntaxError, match="command head"):
+        st.parse_smt2(text)
+
+
 def test_parse_rational_and_decimal_literals():
     f = st.parse_smt2("(declare-const x Real)(assert (<= (* 2 x) 0.5))")
     (atom,) = st.atoms_of(f)

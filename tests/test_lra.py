@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 import smtrace as st
-from smtrace.frontend import AtomTable, LinTerm, Literal, normalize_comparison
+from smtrace.frontend import EQ, LEQ, AtomTable, LinTerm, Literal, normalize_comparison
 from smtrace.lra import (
     NonTheoryLiteralError,
     NotInfeasibleError,
@@ -94,6 +94,71 @@ def test_check_feasible_sum_bound(env):
     # multipliers 1,1,1 after integer scaling
     mults = sorted(e.mult for e in res.certificate.entries)
     assert mults == [1, 1, 1]
+
+
+def test_check_feasible_fractional_terms(env):
+    """Hand-built atoms with rational coefficients give audited answers, and
+    certificate multipliers stay integral."""
+    table, _ = env
+    x, y = 0, 1
+
+    def atom(kind, coeffs, const=0):
+        return Literal(table.intern_linear(kind, LinTerm.make(coeffs, const)), True)
+
+    x_le = atom(LEQ, {x: Fraction(1, 3)}, Fraction(-1, 2))  # x <= 3/2
+    x_ge = atom(LEQ, {x: Fraction(-1, 2)}, Fraction(3, 4))  # x >= 3/2
+    link = atom(EQ, {x: Fraction(2, 5), y: Fraction(-1, 7)})  # y = 14x/5
+
+    lits = [x_le, x_ge, link]
+    res = check_feasible(table, lits)
+    assert res.sat and witness_satisfies(table, lits, res.witness)
+    assert res.witness == {x: Fraction(3, 2), y: Fraction(21, 5)}
+
+    strict = [x_le.negated(), x_ge.negated()]  # x > 3/2 and x < 3/2
+    res = check_feasible(table, strict)
+    assert not res.sat and res.core == frozenset(strict)
+    assert verify_certificate(table, strict, res.certificate)
+    assert all(e.mult.denominator == 1 for e in res.certificate.entries)
+
+    ne = link.negated()  # y != 14x/5 against y = 14x/5
+    res = check_feasible(table, [link, ne])
+    assert not res.sat and res.certificate.diseq == ne
+    assert verify_certificate(table, [link, ne], res.certificate)
+    for half in (res.certificate.below, res.certificate.above):
+        assert all(e.mult.denominator == 1 for e in half.entries)
+
+
+def test_assert_decided_at_point_runs_no_check(env):
+    table, cmp = env
+    s = TheoryState(table)
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1), 1) is None
+    ge0, ge7 = cmp(">=", {"x": 1}, 0), cmp(">=", {"x": 1}, 7)
+    assert witness_satisfies(table, [ge0], s.point)
+    assert not witness_satisfies(table, [ge7], s.point)
+    checks, hits = s.checks, s.witness_hits
+
+    assert s.assert_literal(ge0, 2) is None
+    assert (s.checks, s.witness_hits) == (checks, hits + 1)
+    assert witness_satisfies(table, s.literals(), s.point)
+
+    assert s.assert_literal(ge7, 3) is None  # violated at the point: one check
+    assert (s.checks, s.witness_hits) == (checks + 1, hits + 1)
+    assert witness_satisfies(table, s.literals(), s.point)
+
+    s.pop_to_level(2)
+    assert not witness_satisfies(table, [ge7], s.point)
+    assert witness_satisfies(table, s.literals(), s.point)
+
+
+def test_entails_decided_at_point_runs_no_check(env):
+    table, cmp = env
+    s = TheoryState(table)
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1), 1) is None
+    probe = cmp(">=", {"x": 1}, 9)
+    assert witness_satisfies(table, [probe.negated()], s.point)
+    checks, hits = s.checks, s.witness_hits
+    assert not s.entails(probe)
+    assert (s.checks, s.witness_hits) == (checks, hits + 1)
 
 
 def test_check_feasible_empty(env):
@@ -276,12 +341,14 @@ def test_push_pop_differential(seed):
                 shadow.append((lit, level))
             else:
                 assert not fresh.sat
+                assert conflict.core == fresh.core
         else:
             target = rng.randint(0, level)
             state.pop_to_level(target)
             shadow = [(l, lv) for l, lv in shadow if lv <= target]
             level = target
         assert state.literals() == [l for l, _ in shadow]
+        assert witness_satisfies(table, state.literals(), state.point)
         probe = rng.choice(pool)
         rebuilt = TheoryState(table)
         for i, (l, lv) in enumerate(shadow):
