@@ -80,6 +80,8 @@ class AtomMap:
 
     atoms: dict[int, Atom]
     real_names: list[str]
+    # per-literal rows built once by the theory solver
+    theory_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_atom_vars(self) -> int:

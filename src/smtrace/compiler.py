@@ -7,9 +7,13 @@ minimized cores learned as globally scoped clauses.  Residual subproblems are
 decomposed at the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
 co-occurring in asserted trail atoms.  Component results are cached under a
-key that includes the trail literals projected onto the component's (closed)
-real-variable scope, since the same residual clauses compile differently
-under different entangling decisions.
+key that includes the theory context, since the same residual clauses
+compile differently under different entangling decisions.  That context is
+the trail polyhedron projected by Fourier-Motzkin onto the reals of the
+component's own atoms, in canonical form: two trails with equal projections
+admit the same assignments to those atoms.  A disequality on the trail makes
+the polyhedron non-convex; the key then holds the trail literals touching
+the component's real-variable scope instead.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ STAT_KEYS = (
     "components",
     "cache_hits",
     "cache_misses",
+    "cache_fallbacks",
     "nodes",
     "edges",
     "wall_ms",
@@ -84,6 +89,7 @@ class CompileStats:
     components: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    cache_fallbacks: int = 0  # lookups keyed on trail literals: a disequality touched the component
     nodes: int = 0
     edges: int = 0
     wall_ms: float = 0.0
@@ -97,17 +103,17 @@ class Component:
     """A residual subproblem: clauses plus the unassigned variables they own.
 
     ``residual`` holds the live-literal view of each member clause under the
-    current assignment.  ``reals`` is the real-variable scope closed under
-    trail entanglement; ``projected`` are the trail literals touching it,
-    which is exactly the theory context a cache entry must match.
+    current assignment.  ``projected`` are the trail literals touching the
+    component's real-variable scope, closed under trail entanglement.
+    ``polyhedron`` is what those literals say about the reals of the
+    component's own atoms (``lra.project_trail``), or None when one of them
+    is a disequality; it is ``()`` when there are no such literals.
     """
 
-    clauses: tuple[int, ...]
     residual: tuple[tuple[int, ...], ...]
     scope: tuple[int, ...]
-    reals: frozenset[int]
-    trail_links: tuple[int, ...]
     projected: tuple[tuple[int, bool], ...]
+    polyhedron: tuple | None
 
 
 @dataclass(frozen=True)
@@ -304,70 +310,55 @@ def split_components(
         for l in live[1:]:
             union(("b", first), ("b", abs(l)))
 
-    def project(reals: frozenset[int]) -> tuple[tuple[int, ...], tuple[tuple[int, bool], ...]]:
-        links = []
-        keys = []
-        for idx, lit in enumerate(trail):
-            if amap.atom(lit.atom).term.real_vars & reals:
-                links.append(idx)
-                keys.append((lit.atom, lit.positive))
-        return tuple(links), tuple(sorted(keys))
+    def component(views, variables, reals: frozenset[int]) -> Component:
+        lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
+        polyhedron = ()
+        if lits:  # never without a theory: its trail is empty
+            own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+            polyhedron = lra.project_trail(amap, lits, own)
+        return Component(
+            residual=tuple(views),
+            scope=tuple(variables),
+            projected=tuple(sorted((lit.atom, lit.positive) for lit in lits)),
+            polyhedron=polyhedron,
+        )
 
     if not cfg.components:
-        reals = frozenset(seen_reals)
-        links, keys = project(reals)
         if not scope_vars and not residuals:
             return []
-        return [
-            Component(
-                clauses=tuple(ci for ci, _ in residuals),
-                residual=tuple(view for _, view in residuals),
-                scope=tuple(scope_vars),
-                reals=reals,
-                trail_links=links,
-                projected=keys,
-            )
-        ]
+        return [component([view for _, view in residuals], scope_vars, frozenset(seen_reals))]
 
     groups: dict[object, dict] = {}
     for v in scope_vars:
         root = find(("b", v))
-        groups.setdefault(root, {"vars": [], "clauses": [], "views": [], "reals": set()})
+        groups.setdefault(root, {"vars": [], "views": [], "reals": set()})
         groups[root]["vars"].append(v)
-    for (ci, view) in residuals:
-        root = find(("b", abs(view[0])))
-        groups[root]["clauses"].append(ci)
-        groups[root]["views"].append(view)
+    for _, view in residuals:
+        groups[find(("b", abs(view[0])))]["views"].append(view)
     for r in seen_reals:
         root = find(("r", r))
         if root in groups:
             groups[root]["reals"].add(r)
 
-    out = []
-    for info in sorted(groups.values(), key=lambda g: g["vars"][0]):
-        reals = frozenset(info["reals"])
-        links, keys = project(reals)
-        out.append(
-            Component(
-                clauses=tuple(info["clauses"]),
-                residual=tuple(info["views"]),
-                scope=tuple(info["vars"]),
-                reals=reals,
-                trail_links=links,
-                projected=keys,
-            )
-        )
-    return out
+    return [
+        component(info["views"], info["vars"], frozenset(info["reals"]))
+        for info in sorted(groups.values(), key=lambda g: g["vars"][0])
+    ]
 
 
 def cache_key(component: Component) -> tuple:
-    """Identity of a residual subproblem: residual clauses, scope and the
-    syntactic projection of the theory trail onto the component's reals."""
-    return (
-        tuple(sorted(component.residual)),
-        component.scope,
-        component.projected,
-    )
+    """Identity of a residual subproblem: residual clauses, scope and theory
+    context.
+
+    The context is the canonical projection of the trail polyhedron onto the
+    reals of the component's atoms.  When a disequality makes that undefined,
+    it is the trail literals touching the component's closed real scope.
+    The two forms never collide: canonical rows are triples and literals are
+    pairs, and both are ``()`` only when the trail puts no constraint on the
+    component.
+    """
+    context = component.projected if component.polyhedron is None else component.polyhedron
+    return (tuple(sorted(component.residual)), component.scope, context)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +568,8 @@ class _Search:
 
     def _compile_component(self, comp: Component) -> int:
         if self.cfg.cache:
+            if comp.polyhedron is None:
+                self.stats.cache_fallbacks += 1
             key = cache_key(comp)
             hit = self.cache.get(key)
             if hit is not None:

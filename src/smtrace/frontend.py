@@ -80,10 +80,11 @@ class LinTerm:
     def neg(self) -> "LinTerm":
         return self.scale(-1)
 
-    def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
+    def evaluate(self, point: Mapping[int, Fraction | int]) -> Fraction:
+        """Exact value at a point of Fraction or int values (absent: 0)."""
         total = self.const
         for v, c in self.coeffs:
-            total += c * Fraction(point.get(v, 0))
+            total += c * point.get(v, 0)
         return total
 
     @property
@@ -149,6 +150,7 @@ class AtomTable:
         self._ids: dict[object, int] = {}
         self.real_names: list[str] = []
         self._real_ids: dict[str, int] = {}
+        self.theory_rows: dict = {}  # per-literal rows built once by the theory solver
 
     def __len__(self) -> int:
         return len(self.atoms)

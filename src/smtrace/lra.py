@@ -9,7 +9,9 @@ inequalities.  A disequality t != 0 is handled after the relaxed polyhedron P
 is known feasible: the system is infeasible iff P is contained in the
 hyperplane t = 0, which is checked as infeasibility of both P and t < 0 and
 P and t > 0 (sound by convexity: a convex set not contained in any of
-finitely many hyperplanes contains a point avoiding all of them).
+finitely many hyperplanes contains a point avoiding all of them).  The same
+elimination step projects a conjunction onto some of its variables, which
+the compiler's component cache keys on (``project_trail``).
 
 Every answer carries evidence.  SAT results return a rational witness that
 satisfies each asserted literal exactly; UNSAT results return positive
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .frontend import EQ, LEQ, Atom, LinTerm, Literal, literal_holds
 
@@ -92,29 +94,32 @@ class Conflict:
 # ---------------------------------------------------------------------------
 # constraint assembly
 
-def _ineq_rows(atom: Atom, positive: bool) -> list[tuple[LinTerm, bool]]:
-    """Inequality rows (term, strict) entailed by a non-diseq literal."""
+def _literal_terms(atom: Atom, positive: bool) -> list[tuple[LinTerm, bool]]:
+    """Rows (term, strict) of a literal: the inequalities it entails or, for a
+    disequality t != 0, the two strict sides t < 0 and -t < 0 that a
+    certificate may cite."""
+    term = atom.term
     if atom.kind == LEQ:
-        if positive:
-            return [(atom.term, False)]
-        return [(atom.term.neg(), True)]  # not(t <= 0)  ==  -t < 0
-    if atom.kind == EQ and positive:
-        return [(atom.term, False), (atom.term.neg(), False)]
-    raise ValueError("disequalities have no direct inequality form")
-
-
-def _allowed_rows(atom: Atom, positive: bool) -> list[tuple[LinTerm, bool]]:
-    """Rows a certificate entry may legitimately cite for this literal."""
-    if atom.kind == EQ and not positive:
-        return [(atom.term, True), (atom.term.neg(), True)]
-    return _ineq_rows(atom, positive)
+        return [(term, False)] if positive else [(term.neg(), True)]  # not(t <= 0)  ==  -t < 0
+    if positive:
+        return [(term, False), (term.neg(), False)]
+    return [(term, True), (term.neg(), True)]
 
 
 @dataclass(frozen=True)
 class _Row:
+    """``term < 0`` if strict, else ``term <= 0``, cited for ``source``.
+
+    ``coeffs`` and ``const`` are those of ``scale * term``, the least positive
+    integer multiple of ``term``.
+    """
+
     term: LinTerm
     strict: bool
     source: Literal
+    coeffs: Mapping[int, int]
+    const: int
+    scale: int
 
 
 def _contradictory(const: Fraction, strict: bool) -> bool:
@@ -129,6 +134,76 @@ def _integer_row(term: LinTerm) -> tuple[dict[int, int], int, int]:
     return coeffs, term.const.numerator * (scale // term.const.denominator), scale
 
 
+def _literal_rows(table, lit: Literal) -> tuple[bool, tuple[_Row, ...]]:
+    """(is_disequality, rows) of a linear literal, built once per table.
+
+    The rows are those of ``_literal_terms`` in the same order, so every
+    feasibility check sees the rows it would build afresh.  They are shared
+    between calls and never mutated.
+    """
+    entry = table.theory_rows.get(lit)
+    if entry is None:
+        atom = table.atom(lit.atom)
+        if not atom.is_linear:
+            raise NonTheoryLiteralError(f"literal over propositional atom {lit.atom}")
+        rows = tuple(
+            _Row(term, strict, lit, *_integer_row(term))
+            for term, strict in _literal_terms(atom, lit.positive)
+        )
+        entry = (atom.kind == EQ and not lit.positive, rows)
+        table.theory_rows[lit] = entry
+    return entry
+
+
+def _eliminate(live: list, var: int):
+    """One Fourier-Motzkin step over integer rows ``(coeffs, const, strict, comb)``.
+
+    Returns ``(uppers, lowers, rest, bad)``.  ``uppers`` and ``lowers`` are the
+    rows with a positive and a negative coefficient on ``var``.  ``rest`` holds
+    the rows without ``var``, then each upper/lower combination that keeps a
+    variable, divided together with its combination vector (``comb``, row
+    index -> multiplier) by the gcd of all their entries.  ``bad`` is the
+    combination vector of the first contradictory constant combination, which
+    ends the step, or None.
+    """
+    uppers, lowers, rest = [], [], []
+    for entry in live:
+        c = entry[0].get(var)
+        if c is None or c == 0:
+            rest.append(entry)
+        elif c > 0:
+            uppers.append(entry)
+        else:
+            lowers.append(entry)
+    for uc, uk, us, ucomb in uppers:
+        for lc, lk, ls, lcomb in lowers:
+            mu = -lc[var]  # positive
+            ml = uc[var]  # positive
+            g = math.gcd(mu, ml)
+            mu //= g
+            ml //= g
+            coeffs: dict[int, int] = {v: mu * c for v, c in uc.items()}
+            for v, c in lc.items():
+                coeffs[v] = coeffs.get(v, 0) + ml * c
+            coeffs = {v: c for v, c in coeffs.items() if c != 0}
+            const = mu * uk + ml * lk
+            strict = us or ls
+            comb: dict[int, int] = {i: mu * m for i, m in ucomb.items()}
+            for i, m in lcomb.items():
+                comb[i] = comb.get(i, 0) + ml * m
+            if not coeffs:
+                if _contradictory(const, strict):
+                    return uppers, lowers, rest, comb
+                continue
+            g = math.gcd(const, *coeffs.values(), *comb.values())
+            if g > 1:
+                coeffs = {v: c // g for v, c in coeffs.items()}
+                const //= g
+                comb = {i: m // g for i, m in comb.items()}
+            rest.append((coeffs, const, strict, comb))
+    return uppers, lowers, rest, None
+
+
 def _fourier_motzkin(rows: Sequence[_Row]):
     """Decide a pure inequality system.
 
@@ -139,52 +214,14 @@ def _fourier_motzkin(rows: Sequence[_Row]):
     rational point found by back-substitution.
     """
     # live rows: (coeffs dict, const, strict, comb dict), all integers
-    live = []
-    for i, row in enumerate(rows):
-        coeffs, const, scale = _integer_row(row.term)
-        live.append((coeffs, const, row.strict, {i: scale}))
-
-    variables = sorted({v for coeffs, _, _, _ in live for v in coeffs})
+    live = [(row.coeffs, row.const, row.strict, {i: row.scale}) for i, row in enumerate(rows)]
+    variables = sorted({v for row in rows for v in row.coeffs})
     stages = []
-
     for var in variables:
-        uppers, lowers, rest = [], [], []
-        for entry in live:
-            c = entry[0].get(var)
-            if c is None or c == 0:
-                rest.append(entry)
-            elif c > 0:
-                uppers.append(entry)
-            else:
-                lowers.append(entry)
+        uppers, lowers, live, bad = _eliminate(live, var)
+        if bad is not None:
+            return "unsat", bad
         stages.append((var, uppers, lowers))
-        live = rest
-        for uc, uk, us, ucomb in uppers:
-            for lc, lk, ls, lcomb in lowers:
-                mu = -lc[var]  # positive
-                ml = uc[var]  # positive
-                g = math.gcd(mu, ml)
-                mu //= g
-                ml //= g
-                coeffs: dict[int, int] = {v: mu * c for v, c in uc.items()}
-                for v, c in lc.items():
-                    coeffs[v] = coeffs.get(v, 0) + ml * c
-                coeffs = {v: c for v, c in coeffs.items() if c != 0}
-                const = mu * uk + ml * lk
-                strict = us or ls
-                comb: dict[int, int] = {i: mu * m for i, m in ucomb.items()}
-                for i, m in lcomb.items():
-                    comb[i] = comb.get(i, 0) + ml * m
-                if not coeffs:
-                    if _contradictory(const, strict):
-                        return "unsat", comb
-                    continue
-                g = math.gcd(const, *coeffs.values(), *comb.values())
-                if g > 1:
-                    coeffs = {v: c // g for v, c in coeffs.items()}
-                    const //= g
-                    comb = {i: m // g for i, m in comb.items()}
-                live.append((coeffs, const, strict, comb))
 
     for coeffs, const, strict, comb in live:
         # everything left is constant
@@ -257,13 +294,10 @@ def _verify_plain(table, lits, cert: Certificate, diseq: Literal | None) -> bool
     for e in cert.entries:
         if e.mult <= 0:
             return False
-        if e.source == diseq:
-            allowed = _allowed_rows(table.atom(e.source.atom), e.source.positive)
-        elif e.source in lits:
-            allowed = _allowed_rows(table.atom(e.source.atom), e.source.positive)
-        else:
+        if e.source != diseq and e.source not in lits:
             return False
-        if (e.term, e.strict) not in allowed:
+        _, allowed = _literal_rows(table, e.source)
+        if not any(row.term == e.term and row.strict == e.strict for row in allowed):
             return False
         total = total.add(e.term.scale(e.mult))
         strict = strict or e.strict
@@ -275,23 +309,22 @@ def witness_satisfies(table, literals: Iterable[Literal], witness: Mapping[int, 
 
 
 def _split_literals(table, literals: Sequence[Literal]):
+    """Inequality rows of the literals, and the (below, above) strict side
+    rows of each disequality."""
     rows: list[_Row] = []
-    diseqs: list[tuple[LinTerm, Literal]] = []
+    diseqs: list[tuple[_Row, _Row]] = []
     for lit in literals:
-        atom = table.atom(lit.atom)
-        if not atom.is_linear:
-            raise NonTheoryLiteralError(f"literal over propositional atom {lit.atom}")
-        if atom.kind == EQ and not lit.positive:
-            diseqs.append((atom.term, lit))
+        diseq, lit_rows = _literal_rows(table, lit)
+        if diseq:
+            diseqs.append(lit_rows)
         else:
-            for term, strict in _ineq_rows(atom, lit.positive):
-                rows.append(_Row(term, strict, lit))
+            rows.extend(lit_rows)
     return rows, diseqs
 
 
 def _avoid_hyperplanes(
     witness: dict[int, Fraction],
-    diseqs: Sequence[tuple[LinTerm, Literal]],
+    diseqs: Sequence[tuple[_Row, _Row]],
     side_points: Sequence[dict[int, Fraction]],
 ) -> dict[int, Fraction]:
     """Move the witness inside the polyhedron off every diseq hyperplane.
@@ -301,7 +334,8 @@ def _avoid_hyperplanes(
     fixed disequalities admit at most one bad step size each.
     """
     point = dict(witness)
-    for j, (term, _) in enumerate(diseqs):
+    terms = [below.term for below, _ in diseqs]
+    for j, term in enumerate(terms):
         if term.evaluate(point) != 0:
             continue
         target = side_points[j]
@@ -312,7 +346,7 @@ def _avoid_hyperplanes(
                 v: (1 - lam) * point.get(v, Fraction(0)) + lam * Fraction(target.get(v, 0))
                 for v in keys
             }
-            if all(t.evaluate(cand) != 0 for t, _ in diseqs[: j + 1]):
+            if all(t.evaluate(cand) != 0 for t in terms[: j + 1]):
                 point = cand
                 break
         else:  # pragma: no cover - impossible by the counting argument
@@ -332,19 +366,19 @@ def check_feasible(table, literals: Iterable[Literal]) -> FeasibilityResult:
 
     witness: dict[int, Fraction] = payload
     side_points: list[dict[int, Fraction]] = []
-    for term, lit in diseqs:
-        aug_lo = list(rows) + [_Row(term, True, lit)]
+    for below, above in diseqs:
+        aug_lo = rows + [below]
         lo_status, lo_payload = _fourier_motzkin(aug_lo)
         if lo_status == "sat":
             side_points.append(lo_payload)
             continue
-        aug_hi = list(rows) + [_Row(term.neg(), True, lit)]
+        aug_hi = rows + [above]
         hi_status, hi_payload = _fourier_motzkin(aug_hi)
         if hi_status == "sat":
             side_points.append(hi_payload)
             continue
         cert = Certificate(
-            diseq=lit,
+            diseq=below.source,
             below=_certificate_from(aug_lo, lo_payload),
             above=_certificate_from(aug_hi, hi_payload),
         )
@@ -366,6 +400,57 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
     else:
         if not verify_certificate(table, lits, result.certificate):
             raise AssertionError(f"certificate audit failed for {lits}")
+
+
+# ---------------------------------------------------------------------------
+# projection
+
+
+def project_trail(table, literals: Iterable[Literal], keep: AbstractSet[int]) -> tuple | None:
+    """Canonical rows of the polyhedron of ``literals`` projected onto the
+    real variables in ``keep``; None if a literal is a disequality, since the
+    set is then not convex.
+
+    The other variables are eliminated by Fourier-Motzkin in ascending id
+    order; none is eliminated if all are kept.  Each remaining row is
+    ``(coeffs, const, strict)`` for ``sum(c * x) + const < 0`` (``<=`` if not
+    strict) with primitive integer entries.  Of parallel rows only the
+    tightest is kept, and the rows are sorted.  Equal results are equal
+    projections, so for any literal set L over ``keep`` they make
+    ``literals`` plus L equally feasible.  Redundant rows are kept, so equal
+    projections may still give different results.
+    """
+    live = []
+    drop: set[int] = set()
+    for lit in literals:
+        diseq, rows = _literal_rows(table, lit)
+        if diseq:
+            return None
+        for row in rows:
+            live.append((row.coeffs, row.const, row.strict, {}))
+            drop.update(row.coeffs.keys() - keep)
+    for var in sorted(drop):
+        _, _, live, bad = _eliminate(live, var)
+        if bad is not None:  # infeasible literals: there is nothing to project
+            return None
+    # primitive direction -> (num, den, strict): the row direction + num/den REL 0
+    tightest: dict[tuple[tuple[int, int], ...], tuple[int, int, bool]] = {}
+    for coeffs, const, strict, _ in live:
+        if not coeffs:
+            continue  # a constant row of feasible literals holds
+        g = math.gcd(*coeffs.values())
+        r = math.gcd(const, g)
+        num, den = const // r, g // r
+        direction = tuple(sorted((v, c // g) for v, c in coeffs.items()))
+        old = tightest.get(direction)
+        # a larger constant, then strictness, is tighter
+        if old is None or (num * old[1], strict) > (old[0] * den, old[2]):
+            tightest[direction] = (num, den, strict)
+    rows = [
+        (tuple((v, c * den) for v, c in direction), num, strict)
+        for direction, (num, den, strict) in tightest.items()
+    ]
+    return tuple(sorted(rows))
 
 
 # ---------------------------------------------------------------------------

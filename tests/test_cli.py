@@ -93,6 +93,7 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "components",
         "cache_hits",
         "cache_misses",
+        "cache_fallbacks",
         "nodes",
         "edges",
         "wall_ms",

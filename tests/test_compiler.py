@@ -43,12 +43,10 @@ def test_unit_propagate_under_assignment():
 
 def _component(residual, scope):
     return Component(
-        clauses=tuple(range(len(residual))),
         residual=tuple(tuple(c) for c in residual),
         scope=tuple(scope),
-        reals=frozenset(),
-        trail_links=(),
         projected=(),
+        polyhedron=(),
     )
 
 
@@ -92,7 +90,9 @@ def test_split_independent_and_entangled():
     assert len(comps) == 1
     assert comps[0].scope == (1, 2, 3, 4)
     assert comps[0].projected == ((xy.atom, xy.positive),)
-    assert comps[0].trail_links == (0,)
+    # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
+    x, y = sorted(amap.real_vars_of(xy.atom))
+    assert comps[0].polyhedron == ((((x, 1), (y, 1)), -5, True),)
 
 
 def test_split_propositional():
@@ -153,6 +153,70 @@ def test_cache_key_identity_and_projection():
     base = split_components(db2, amap2, assign2, [], st.CompileConfig())
     with_extra = split_components(db2, amap2, assign2, [extra], st.CompileConfig())
     assert [cache_key(c) for c in base] == [cache_key(c) for c in with_extra]
+
+
+def test_cache_key_on_projection_and_disequality_fallback():
+    pair, lits = entangled_setup()
+    table = pair.table
+    from smtrace.frontend import LinTerm, normalize_comparison
+
+    x, y = table.real_var("x"), table.real_var("y")
+    ne = normalize_comparison(table, "!=", LinTerm.make({x: 1}), LinTerm.make({y: 1}))
+    prop, amap = st.boolean_abstract(pair)
+    db = st.to_cnf(prop)
+    xy = lits["xy"]
+
+    # with the x + y atom assigned, the component's own atoms mention x and y
+    # separately; a disequality on the trail falls back to the literals
+    assignment = {ne.atom: ne.positive, xy.atom: xy.positive}
+    (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
+    assert comp.polyhedron is None
+    assert comp.projected == tuple(sorted([(ne.atom, ne.positive), (xy.atom, xy.positive)]))
+    assert cache_key(comp) == (tuple(sorted(comp.residual)), comp.scope, comp.projected)
+
+    assignment[ne.atom] = not ne.positive
+    (convex,) = split_components(db, amap, assignment, [ne.negated(), xy], st.CompileConfig())
+    assert convex.polyhedron is not None and cache_key(convex)[2] == convex.polyhedron
+
+
+def test_disequality_fallback_counts_and_stays_sound():
+    text = """
+    (declare-const x Real)(declare-const y Real)
+    (assert (or (distinct x y) (< x 0)))
+    (assert (or (< y 3) (> y 5)))
+    (assert (or (< x 3) (> x 5)))
+    """
+    f = st.parse_smt2(text)
+    g, _, _ = pipeline(f)
+    assert g.stats.cache_fallbacks > 0
+    assert st.count(g) == st.brute_counts(f)[1]
+
+
+def _real_chain(n):
+    decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
+    return decls + "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
+
+
+def test_real_chain_hits_the_projected_cache():
+    f = st.parse_smt2(_real_chain(6))
+    g, _, _ = pipeline(f)
+    assert g.stats.cache_hits > 0
+    assert g.stats.decisions < 147  # the syntactic key's figure
+    assert g.stats.cache_fallbacks == 0
+    assert st.count(g) == 144 == st.brute_counts(f)[1]
+    assert st.validate(g, level="theory", table=f.table).ok
+
+
+def test_no_projection_without_theory(monkeypatch, gap_xy):
+    def no_projection(*args):
+        raise AssertionError("projection without a theory in the search")
+
+    monkeypatch.setattr(st.compiler.lra, "project_trail", no_projection)
+    for mode in ("eager", "agnostic"):
+        g, _, _ = pipeline(gap_xy, mode=mode)
+        assert g.stats.cache_misses > 0 and g.stats.cache_fallbacks == 0
+    f = st.parse_smt2("(declare-const A Bool)(declare-const B Bool)(assert (or A B))")
+    assert st.count(pipeline(f)[0]) == 3
 
 
 # ---------------------------------------------------------------------------

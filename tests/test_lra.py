@@ -12,6 +12,7 @@ from smtrace.lra import (
     TheoryState,
     check_feasible,
     minimize_core,
+    project_trail,
     propagate_candidates,
     verify_certificate,
     witness_satisfies,
@@ -281,6 +282,77 @@ def test_equality_and_disequality(env):
     ne_y = cmp("!=", {"y": 1})
     res = check_feasible(table, [cmp(">=", {"x": 1}), cmp(">=", {"y": 1}), ne, ne_y])
     assert res.sat and res.witness[0] > 0 and res.witness[1] > 0
+
+
+# ---------------------------------------------------------------------------
+# projection
+
+
+def test_project_trail_eliminates_to_the_same_key(env):
+    table, cmp = env
+    x, z = 0, 2
+    chain = [cmp("<=", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]  # x <= y <= z
+    direct = [cmp("<=", {"x": 1, "z": -1})]  # x <= z
+    assert project_trail(table, chain, {x, z}) == project_trail(table, direct, {x, z})
+    assert project_trail(table, direct, {x, z}) == ((((x, 1), (z, -1)), 0, False),)
+
+
+def test_project_trail_keeps_strictness(env):
+    table, cmp = env
+    strict = [cmp("<", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]  # x < y <= z
+    direct = [cmp("<=", {"x": 1, "z": -1})]
+    assert project_trail(table, strict, {0, 2}) != project_trail(table, direct, {0, 2})
+    assert project_trail(table, strict, {0, 2}) == ((((0, 1), (2, -1)), 0, True),)
+
+
+def test_project_trail_tightens_parallel_rows(env):
+    table, cmp = env
+    x, y = 0, 1
+    rows = [
+        cmp("<=", {"x": 1, "y": -1}),  # x - y <= 0
+        cmp("<", {"x": 3, "y": -3}),  # 3x - 3y < 0
+        cmp("<=", {"x": 2, "y": -2}, -1),  # 2x - 2y + 1 <= 0, the tightest
+    ]
+    assert project_trail(table, rows, {x, y}) == ((((x, 2), (y, -2)), 1, False),)
+    # at an equal bound the strict row is the tighter one
+    assert project_trail(table, rows[:2], {x, y}) == ((((x, 1), (y, -1)), 0, True),)
+    # rows without a kept variable project to nothing
+    assert project_trail(table, rows, set()) == ()
+
+
+def test_project_trail_disequality_is_not_convex(env):
+    table, cmp = env
+    lits = [cmp("<=", {"x": 1}), cmp("!=", {"y": 1})]
+    assert project_trail(table, lits, {0}) is None
+    assert project_trail(table, lits[:1], {0}) == ((((0, 1),), 0, False),)
+
+
+def _row_literal(table, row):
+    """A literal that holds exactly where a projected row does."""
+    coeffs, const, strict = row
+    term = LinTerm.make(dict(coeffs), const)
+    if strict:  # term < 0  ==  not(-term <= 0)
+        return Literal(table.intern_linear(LEQ, term.neg()), False)
+    return Literal(table.intern_linear(LEQ, term), True)
+
+
+@given(hst.integers(0, 400))
+def test_project_trail_preserves_feasibility(seed):
+    """For literals L over the kept reals, trail + L and projection + L are
+    equally feasible."""
+    rng = random.Random(seed)
+    table = AtomTable()
+    ids = [table.real_var(n) for n in ("x", "y", "z")]
+    trail = [l for l in _random_literals(rng, table, ids, 5) if table.atom(l.atom).kind == LEQ]
+    if not check_feasible(table, trail).sat:
+        return
+    keep = set(ids[:2])
+    rows = project_trail(table, trail, keep)
+    shadow = [_row_literal(table, row) for row in rows]
+    probes = _random_literals(rng, table, ids[:2], 3)
+    for k in range(len(probes) + 1):
+        extra = probes[:k]
+        assert check_feasible(table, trail + extra).sat == check_feasible(table, shadow + extra).sat
 
 
 # ---------------------------------------------------------------------------
