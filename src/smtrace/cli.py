@@ -38,7 +38,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-learning", action="store_true")
     p.add_argument("--heuristic", choices=("dlcs", "fixed"), default="dlcs")
     p.add_argument("--prop-budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stats", choices=("text", "json"), default="text")
     p.add_argument("--condense", action="store_true", help="condense exported graph")
 
@@ -86,7 +85,6 @@ def _config(args) -> CompileConfig:
         propagation_budget=args.prop_budget,
         decision_heuristic="fixed_order" if args.heuristic == "fixed" else "dlcs",
         condense_output=args.condense,
-        random_seed=args.seed,
     )
 
 

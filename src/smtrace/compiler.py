@@ -50,7 +50,6 @@ class CompileConfig:
     propagation_budget: int | None = None  # None: 2 x unassigned candidate atoms
     decision_heuristic: str = "dlcs"
     condense_output: bool = False  # applied at export time only
-    random_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -107,7 +106,8 @@ class Component:
     component's real-variable scope, closed under trail entanglement.
     ``polyhedron`` is what those literals say about the reals of the
     component's own atoms (``lra.project_trail``), or None when one of them
-    is a disequality; it is ``()`` when there are no such literals.
+    is a disequality or the cache is off; it is ``()`` when there are no
+    such literals.
     """
 
     residual: tuple[tuple[int, ...], ...]
@@ -314,8 +314,10 @@ def split_components(
         lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
         polyhedron = ()
         if lits:  # never without a theory: its trail is empty
-            own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
-            polyhedron = lra.project_trail(amap, lits, own)
+            polyhedron = None  # without the cache nothing reads it
+            if cfg.cache:
+                own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+                polyhedron = lra.project_trail(amap, lits, own)
         return Component(
             residual=tuple(views),
             scope=tuple(variables),
@@ -365,12 +367,11 @@ def cache_key(component: Component) -> tuple:
 # branching and clause learning
 
 
-def decide(component: Component, heuristic: str = "dlcs", seed: int = 0) -> int:
+def decide(component: Component, heuristic: str = "dlcs") -> int:
     """Pick the decision literal for a component.
 
     dlcs: positive literal of the variable occurring most often in the
     residual clauses (ties: lowest id).  fixed_order: lowest unassigned id.
-    Both are deterministic; the seed is reserved for randomized heuristics.
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
@@ -576,7 +577,7 @@ class _Search:
                 self.stats.cache_hits += 1
                 return hit
             self.stats.cache_misses += 1
-        lit = decide(comp, self.cfg.decision_heuristic, self.cfg.random_seed)
+        lit = decide(comp, self.cfg.decision_heuristic)
         self.stats.decisions += 1
         hi = self._branch(comp, lit)
         lo = self._branch(comp, -lit)

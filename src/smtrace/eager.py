@@ -1,35 +1,120 @@
 """Eager strategy: block theory-infeasible literal combinations up front.
 
 Minimal infeasible cores over the linear atoms (one literal per atom, both
-polarities considered) are enumerated by increasing size with superset
-pruning, then negated into blocking clauses.  The scheme adds clauses but no
-variables; with k equal to the number of linear atoms it is complete, so a
-purely propositional compile of the result is theory-sound.
+polarities considered) are enumerated by increasing size, then by atom
+combination, then by polarity, with superset pruning, and negated into
+blocking clauses.  The scheme adds clauses but no variables; with k equal to
+the number of linear atoms it is complete, so a purely propositional compile
+of the result is theory-sound.
+
+Three exact bounds skip candidates that cannot be minimal cores, so the
+cores and their order are those of trying every combination:
+
+- Connectivity.  A minimal core's atoms are connected through shared real
+  variables: parts over disjoint reals are each feasible (every proper
+  subset of a minimal core is), so their points combine into one for the
+  union.
+- Convexity.  A minimal core holds at most one negated equality.  Without
+  its disequalities the core is a proper subset, so a nonempty convex set;
+  it lies in the union of their hyperplanes, and a convex set inside
+  finitely many hyperplanes lies in one of them, so that disequality alone
+  already makes it infeasible.
+- Helly's theorem.  With d the number of reals a candidate mentions, a core
+  without a disequality is a family of convex sets in R^d, so it has at most
+  d + 1 members.  In a core ``C + {t != 0}``, C is feasible and ``C + {t > 0}``
+  is not, so by Helly at most d members of C entail ``t <= 0``; likewise
+  for ``t >= 0``, so the core has at most 2d + 1 members.
+
+Feasible candidates are mostly decided without Fourier-Motzkin: the audited
+point of every feasible candidate of the previous size is kept (that size
+only, to bound memory; the empty set starts with the origin), and a set S is
+feasible if for some literal l in S the point of S - {l} satisfies l.  That
+point satisfies every literal of S - {l}, so evaluating l completes its
+audit for S.  Every other candidate runs ``check_feasible``, whose witness
+or certificate is audited there.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 from .abstraction import AtomMap, ClauseDb
 from .compiler import learn_theory_clause
-from .frontend import Literal
+from .frontend import EQ, Literal, literal_holds
 from .lra import check_feasible
+
+
+def _connected(masks: list[int]) -> bool:
+    """Whether atoms with these real-variable bit masks are connected through
+    shared reals."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        near = [m for m in rest if m & reach]
+        if not near:
+            return False
+        rest = [m for m in rest if not m & reach]
+        for m in near:
+            reach |= m
+    return True
+
+
+def _reused_entry(table, points, lits: frozenset[Literal]):
+    """The entry of a stored set ``lits - {l}`` whose point satisfies l, if any.
+
+    Each entry caches the truth of the atoms evaluated at its point."""
+    for lit in lits:
+        entry = points.get(lits - {lit})
+        if entry is None:
+            continue
+        point, truth = entry
+        value = truth.get(lit.atom)
+        if value is None:
+            value = truth[lit.atom] = literal_holds(table, Literal(lit.atom, True), point)
+        if value == lit.positive:
+            return entry
+    return None
 
 
 def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[Literal]]:
     """All minimal theory-infeasible literal sets of size <= k over the atoms."""
     atoms = sorted(atom_ids)
-    cores: list[frozenset[Literal]] = []
-    for size in range(1, min(k, len(atoms)) + 1):
+    masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
+    choices = {a: (Literal(a, True), Literal(a, False)) for a in atoms}
+    is_eq = {a: table.atom(a).kind == EQ for a in atoms}
+    top = min(k, len(atoms), 2 * reduce(or_, masks.values(), 0).bit_count() + 1)
+    cores: list[tuple[frozenset[Literal], frozenset[int]]] = []  # (core, its atoms)
+    # feasible sets of the previous size -> (audited point, atom truths there);
+    # a set decided by reuse shares its subset's entry
+    points = {frozenset(): ({}, {})}
+    for size in range(1, top + 1):
+        found = {}
         for combo in combinations(atoms, size):
-            for pols in product((True, False), repeat=size):
-                lits = frozenset(Literal(a, p) for a, p in zip(combo, pols))
-                if any(core <= lits for core in cores):
+            combo_masks = [masks[a] for a in combo]
+            d = reduce(or_, combo_masks).bit_count()
+            if size > 2 * d + 1 or not _connected(combo_masks):
+                continue
+            within = frozenset(combo)
+            prior = [core for core, core_atoms in cores if core_atoms <= within]
+            eqs = [i for i, a in enumerate(combo) if is_eq[a]]
+            for choice in product(*(choices[a] for a in combo)):
+                negated_eqs = sum(1 for i in eqs if not choice[i].positive)
+                if negated_eqs > 1 or (negated_eqs == 0 and size > d + 1):
                     continue
-                if not check_feasible(table, lits).sat:
-                    cores.append(lits)
-    return cores
+                lits = frozenset(choice)
+                if any(core <= lits for core in prior):
+                    continue
+                entry = _reused_entry(table, points, lits)
+                if entry is None:
+                    result = check_feasible(table, lits)
+                    if not result.sat:
+                        cores.append((lits, within))
+                        continue
+                    entry = (result.witness, {})
+                found[lits] = entry
+        points = found
+    return [core for core, _ in cores]
 
 
 def eager_encode(db: ClauseDb, amap: AtomMap, k: int | None = None) -> ClauseDb:

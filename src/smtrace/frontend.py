@@ -11,6 +11,7 @@ two constants fold onto the reserved top/bottom atoms instead of erroring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
@@ -87,7 +88,7 @@ class LinTerm:
             total += c * point.get(v, 0)
         return total
 
-    @property
+    @cached_property
     def real_vars(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.coeffs)
 
@@ -431,44 +432,31 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _read_sexprs(tokens: list[str]):
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SmtSyntaxError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    exprs: list = []
+    open_lists: list[list] = []  # explicit stack, so nesting depth costs no recursion
+    for tok in tokens:
         if tok == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise SmtSyntaxError("unbalanced parenthesis")
-                if tokens[pos] == ")":
-                    pos += 1
-                    return items
-                items.append(read())
+            open_lists.append([])
+            continue
         if tok == ")":
-            raise SmtSyntaxError("unexpected ')'")
-        return tok
-
-    exprs = []
-    while pos < len(tokens):
-        exprs.append(read())
+            if not open_lists:
+                raise SmtSyntaxError("unexpected ')'")
+            tok = open_lists.pop()
+        (open_lists[-1] if open_lists else exprs).append(tok)
+    if open_lists:
+        raise SmtSyntaxError("unbalanced parenthesis")
     return exprs
 
 
 def _numeral(tok: str) -> Fraction | None:
     body = tok[1:] if tok.startswith("-") else tok
-    if not body:
+    a, _, b = body.partition(".")
+    if not (a.isdigit() and (b.isdigit() or body == a)):
         return None
-    if body.isdigit():
+    try:
         return Fraction(tok)
-    if body.count(".") == 1:
-        a, b = body.split(".")
-        if a.isdigit() and b.isdigit():
-            return Fraction(tok)
-    return None
+    except ValueError as exc:  # digits Fraction does not read, or too many for int()
+        raise SmtSyntaxError(f"bad numeral {tok[:40]!r}") from exc
 
 
 class _Parser:
@@ -478,8 +466,11 @@ class _Parser:
         self.asserts: list[FNode] = []
 
     def run(self, text: str) -> Formula:
-        for expr in _read_sexprs(_tokenize(text)):
-            self.command(expr)
+        try:
+            for expr in _read_sexprs(_tokenize(text)):
+                self.command(expr)
+        except RecursionError:  # term conversion recurses once per nesting level
+            raise UnsupportedFeatureError("terms nested too deeply") from None
         if not self.asserts:
             root: FNode = FTrue()
         elif len(self.asserts) == 1:

@@ -1,10 +1,34 @@
 from fractions import Fraction
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as hst
 
 import smtrace as st
+from smtrace import eager
 from smtrace.frontend import AtomTable, LinTerm, Literal, normalize_comparison
 from conftest import pipeline
+
+
+def reference_cores(table, atom_ids, k):
+    """Every literal set up to size k, by size, combination and polarity,
+    with superset pruning: the enumerator before its bounds."""
+    atoms = sorted(atom_ids)
+    cores = []
+    for size in range(1, min(k, len(atoms)) + 1):
+        for combo in combinations(atoms, size):
+            for pols in product((True, False), repeat=size):
+                lits = frozenset(Literal(a, p) for a, p in zip(combo, pols))
+                if any(core <= lits for core in cores):
+                    continue
+                if not eager.check_feasible(table, lits).sat:
+                    cores.append(lits)
+    return cores
+
+
+def _cmp(table, op, coeffs, rhs=0):
+    lhs = LinTerm.make({table.real_var(v): c for v, c in coeffs.items()})
+    return normalize_comparison(table, op, lhs, LinTerm.constant(rhs))
 
 
 def _triangle_table():
@@ -91,3 +115,81 @@ def test_eager_k_monotone_and_bounded(seed):
             assert c <= prev  # monotone in k
         prev = c
     assert prev == aware  # complete at k = number of linear atoms
+
+
+def _linear(formula):
+    _, amap = st.boolean_abstract(formula)
+    return amap, amap.linear_vars()
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [st.random_formula(s) for s in range(0, 40, 3)]
+    + [st.random_nested_formula(s) for s in range(0, 40, 3)]
+    + [st.random_formula(s, max_atoms=9) for s in range(1000, 1008)],
+)
+def test_cores_match_reference(formula):
+    amap, linear = _linear(formula)
+    for k in (len(linear), 2):
+        assert st.enumerate_infeasible_cores(amap, linear, k) == reference_cores(amap, linear, k)
+
+
+@settings(max_examples=20)
+@given(hst.integers(0, 10_000), hst.booleans())
+def test_cores_match_reference_random(seed, nested):
+    formula = st.random_nested_formula(seed) if nested else st.random_formula(seed, max_atoms=9)
+    amap, linear = _linear(formula)
+    assert st.enumerate_infeasible_cores(amap, linear, len(linear)) == reference_cores(amap, linear, len(linear))
+
+
+def test_core_at_helly_limit():
+    # d = 3 reals, d + 1 = 4 members, every 3 of them feasible
+    table = AtomTable()
+    lits = [
+        _cmp(table, ">=", {"x": 1}),
+        _cmp(table, ">=", {"y": 1}),
+        _cmp(table, ">=", {"z": 1}),
+        _cmp(table, "<", {"x": 1, "y": 1, "z": 1}),
+    ]
+    atoms = [l.atom for l in lits]
+    cores = st.enumerate_infeasible_cores(table, atoms, k=4)
+    assert frozenset(lits) in cores
+    assert cores == reference_cores(table, atoms, 4)
+    assert frozenset(lits) not in st.enumerate_infeasible_cores(table, atoms, k=3)
+
+
+def test_core_at_disequality_limit():
+    # d = 1 real, 2d + 1 = 3 members: x <= 0 and x >= 0 entail x = 0
+    table = AtomTable()
+    lits = [_cmp(table, "<=", {"x": 1}), _cmp(table, ">=", {"x": 1}), _cmp(table, "distinct", {"x": 1})]
+    atoms = [l.atom for l in lits]
+    cores = st.enumerate_infeasible_cores(table, atoms, k=3)
+    assert cores == reference_cores(table, atoms, 3)
+    assert frozenset(lits) in cores
+
+
+def test_disconnected_parts_give_separate_cores():
+    table = AtomTable()
+    x_part = [_cmp(table, "<=", {"x": 1}), _cmp(table, ">=", {"x": 1}, 1)]
+    y_part = [_cmp(table, "<=", {"y": 1}), _cmp(table, ">=", {"y": 1}, 1)]
+    atoms = [l.atom for l in x_part + y_part]
+    cores = st.enumerate_infeasible_cores(table, atoms, k=4)
+    assert cores == [frozenset(x_part), frozenset(y_part)] == reference_cores(table, atoms, 4)
+
+
+def test_bounds_save_feasibility_checks(monkeypatch):
+    amap, linear = _linear(st.random_formula(27))  # a sweep instance with 7 linear atoms
+    assert len(linear) >= 7
+    calls = 0
+    original = eager.check_feasible
+
+    def counting(table, lits):
+        nonlocal calls
+        calls += 1
+        return original(table, lits)
+
+    monkeypatch.setattr(eager, "check_feasible", counting)
+    ref = reference_cores(amap, linear, len(linear))
+    ref_calls, calls = calls, 0
+    assert st.enumerate_infeasible_cores(amap, linear, len(linear)) == ref
+    assert 0 < calls < ref_calls
