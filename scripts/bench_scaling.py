@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time compile and capped enumeration on the Boolean chain as it grows.
+
+For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, then
+compiles it in lazy mode with components on and off.  A first, untimed
+compile counts the ``split_components`` calls; the timed repeats compile
+and then ``enumerate_models(cap=1000)`` without that counter, and the
+median repeat is reported with the graph's decisions, nodes and edges.  A
+run that raises ``RecursionError``, or whose compile takes longer than
+``--budget`` seconds, is recorded as a failure and the script goes on:
+without components the chain's search grows about 3x for every 4 more
+variables, and its component cache with it.  Results go to a JSON file
+together with the git SHA of the checkout that holds the imported
+``smtrace`` and the Python version.
+
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 --repeats 3 --budget 10
+
+To measure another checkout, point PYTHONPATH at its src/ directory.
+"""
+
+import argparse
+import json
+import platform
+import signal
+import statistics
+import time
+from pathlib import Path
+
+import smtrace as st
+from smtrace import compiler
+
+from bench_eager import git_sha
+
+CAP = 1000
+
+
+class OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise OverBudget
+
+
+def capped(fn, budget: float):
+    """fn(), interrupted by OverBudget after ``budget`` seconds."""
+    signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, budget)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def bool_chain(n: int):
+    decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
+    f = st.parse_smt2(decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n)))
+    prop, amap = st.boolean_abstract(f)
+    return st.to_cnf(prop), amap
+
+
+def split_calls(db, amap, cfg) -> int:
+    calls = 0
+    original = compiler.split_components
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    compiler.split_components = counting
+    try:
+        st.compile(db, amap, cfg)
+    finally:
+        compiler.split_components = original
+    return calls
+
+
+def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
+    db, amap = bool_chain(n)
+    cfg = st.CompileConfig(components=components)
+    row = {"n": n, "components": components}
+    try:
+        row["split_calls"] = capped(lambda: split_calls(db, amap, cfg), budget)
+        runs = []
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            graph = capped(lambda: st.compile(db, amap, cfg), budget)
+            t1 = time.perf_counter()
+            models = st.enumerate_models(graph, cap=CAP)
+            runs.append((t1 - t0, time.perf_counter() - t1))
+    except RecursionError as exc:
+        row["failure"] = f"RecursionError: {exc}"
+        return row
+    except OverBudget:
+        row["failure"] = f"compile took longer than {budget:g} s"
+        return row
+    row.update(
+        compile_s_median=statistics.median(c for c, _ in runs),
+        enumerate_s_median=statistics.median(e for _, e in runs),
+        compile_s_runs=[c for c, _ in runs],
+        enumerate_s_runs=[e for _, e in runs],
+        models=len(models),
+        decisions=graph.stats.decisions,
+        nodes=graph.stats.nodes,
+        edges=graph.stats.edges,
+    )
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800])
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
+    ap.add_argument("--out", default="BENCH_scaling.json")
+    args = ap.parse_args()
+
+    rows = [
+        measure(n, components, args.repeats, args.budget)
+        for n in args.sizes
+        for components in (True, False)
+    ]
+    result = {
+        "git_sha": git_sha(Path(st.__file__).resolve().parent),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cap": CAP,
+        "repeats": max(1, args.repeats),
+        "budget_s": args.budget,
+        "runs": rows,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    print(f"git_sha {result['git_sha']}  python {result['python']}")
+    for row in rows:
+        head = f"n={row['n']:<5} components={'on ' if row['components'] else 'off'}"
+        if "failure" in row:
+            print(f"{head} failed: {row['failure']}")
+        else:
+            print(
+                f"{head} compile {row['compile_s_median']:.3f} s  enumerate {row['enumerate_s_median']:.4f} s"
+                f"  decisions {row['decisions']}  split calls {row['split_calls']}"
+            )
+
+
+if __name__ == "__main__":
+    main()

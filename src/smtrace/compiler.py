@@ -13,7 +13,10 @@ the trail polyhedron projected by Fourier-Motzkin onto the reals of the
 component's own atoms, in canonical form: two trails with equal projections
 admit the same assignments to those atoms.  A disequality on the trail makes
 the polyhedron non-convex; the key then holds the trail literals touching
-the component's real-variable scope instead.
+the component's real-variable scope instead.  Splitting and theory-candidate
+collection read the clauses through a per-variable occurrence index built
+once per compile (``ClauseIndex``), so they touch only the clauses of the
+component at hand.
 """
 
 from __future__ import annotations
@@ -231,6 +234,32 @@ def unit_propagate(db: ClauseDb, assignment: Mapping[int, bool]):
 # component splitting
 
 
+def _lit_order(lit: int) -> tuple[int, bool]:
+    return (abs(lit), lit < 0)
+
+
+class ClauseIndex:
+    """The clause list of one compile, indexed by variable.
+
+    Each clause is kept sorted by variable, positive literal first, so its
+    live view under an assignment is a filtered copy.  ``occurs[v]`` lists,
+    ascending, the clauses variable v occurs in, so a split over a scope
+    touches only the clauses of that scope.  ``reals[v]`` holds the real
+    variables of each linear atom variable v; it is empty without a theory.
+    """
+
+    def __init__(self, db: ClauseDb, amap: AtomMap) -> None:
+        self.clauses = [tuple(sorted(cl, key=_lit_order)) for cl in db.clauses]
+        self.occurs: list[list[int]] = [[] for _ in range(db.num_vars + 1)]
+        for ci, cl in enumerate(self.clauses):
+            for l in cl:
+                self.occurs[abs(l)].append(ci)
+        self.reals = {v: a.term.real_vars for v, a in amap.atoms.items() if a.is_linear}
+
+    def satisfied(self, ci: int, values) -> bool:
+        return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
+
+
 def split_components(
     db: ClauseDb,
     amap: AtomMap,
@@ -238,6 +267,7 @@ def split_components(
     trail: Sequence[Literal],
     cfg: CompileConfig | None = None,
     scope=None,
+    index: ClauseIndex | None = None,
 ) -> list[Component]:
     """Partition the residual problem at the variable level.
 
@@ -246,9 +276,12 @@ def split_components(
     trail atom (which is what entangles otherwise independent clause sets).
     Unassigned atoms outside all residual clauses still form components, so
     totality branching stays scoped.  With components disabled, a single
-    component holding everything is returned.
+    component holding everything is returned.  ``index`` is the compile's
+    ``ClauseIndex`` of ``db``; with a scope, only the clauses that mention
+    the scope's variables are visited.
     """
     cfg = cfg or CompileConfig()
+    index = index or ClauseIndex(db, amap)
     if isinstance(assignment, Mapping):
         values: list[bool | None] = [None] * (db.num_vars + 1)
         for var, val in assignment.items():
@@ -258,39 +291,41 @@ def split_components(
 
     if scope is None:
         scope_vars = [v for v in range(1, db.num_vars + 1) if values[v] is None]
+        visit = range(len(index.clauses))
     else:
         scope_vars = sorted(v for v in scope if values[v] is None)
+        occurs = index.occurs
+        visit = sorted({ci for v in scope_vars for ci in occurs[v]})
     scope_set = set(scope_vars)
 
-    residuals: list[tuple[int, tuple[int, ...]]] = []
-    for ci, cl in enumerate(db.clauses):
+    clauses = index.clauses
+    residuals: list[tuple[int, ...]] = []
+    for ci in visit:
         live: list[int] = []
-        satisfied = False
-        for l in cl:
+        for l in clauses[ci]:
             val = values[abs(l)]
             if val is None:
+                if abs(l) not in scope_set:
+                    break  # residual clause of a sibling component
                 live.append(l)
             elif val == (l > 0):
-                satisfied = True
                 break
-        if satisfied or not live:
-            continue
-        if any(abs(l) not in scope_set for l in live):
-            continue  # residual clause of a sibling component
-        residuals.append((ci, tuple(sorted(live, key=lambda l: (abs(l), l < 0)))))
+        else:
+            if live:
+                residuals.append(tuple(live))
 
-    parent: dict[object, object] = {}
+    # union-find over Boolean variables v and real variables r (as -1 - r)
+    parent: dict[int, int] = {}
 
-    def find(x):
-        parent.setdefault(x, x)
+    def find(x: int) -> int:
         root = x
-        while parent[root] != root:
+        while root in parent:
             root = parent[root]
-        while parent[x] != root:
+        while x != root:
             parent[x], x = root, parent[x]
         return root
 
-    def union(a, b):
+    def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -300,15 +335,16 @@ def split_components(
         reals = sorted(amap.atom(lit.atom).term.real_vars)
         seen_reals.update(reals)
         for r in reals[1:]:
-            union(("r", reals[0]), ("r", r))
-    for v in scope_vars:
-        for r in amap.real_vars_of(v):
-            seen_reals.add(r)
-            union(("b", v), ("r", r))
-    for _, live in residuals:
+            union(-1 - reals[0], -1 - r)
+    if index.reals:
+        for v in scope_vars:
+            for r in index.reals.get(v, ()):
+                seen_reals.add(r)
+                union(v, -1 - r)
+    for live in residuals:
         first = abs(live[0])
         for l in live[1:]:
-            union(("b", first), ("b", abs(l)))
+            union(first, abs(l))
 
     def component(views, variables, reals: frozenset[int]) -> Component:
         lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
@@ -328,23 +364,27 @@ def split_components(
     if not cfg.components:
         if not scope_vars and not residuals:
             return []
-        return [component([view for _, view in residuals], scope_vars, frozenset(seen_reals))]
+        return [component(residuals, scope_vars, frozenset(seen_reals))]
 
-    groups: dict[object, dict] = {}
+    # root -> (variables, residual views, reals); variables arrive ascending
+    groups: dict[int, tuple[list[int], list, set[int]]] = {}
+    group_of = {}
     for v in scope_vars:
-        root = find(("b", v))
-        groups.setdefault(root, {"vars": [], "views": [], "reals": set()})
-        groups[root]["vars"].append(v)
-    for _, view in residuals:
-        groups[find(("b", abs(view[0])))]["views"].append(view)
+        root = find(v)
+        if root not in groups:
+            groups[root] = ([], [], set())
+        group_of[v] = group = groups[root]
+        group[0].append(v)
+    for view in residuals:
+        group_of[abs(view[0])][1].append(view)
     for r in seen_reals:
-        root = find(("r", r))
+        root = find(-1 - r)
         if root in groups:
-            groups[root]["reals"].add(r)
+            groups[root][2].add(r)
 
     return [
-        component(info["views"], info["vars"], frozenset(info["reals"]))
-        for info in sorted(groups.values(), key=lambda g: g["vars"][0])
+        component(views, variables, frozenset(reals))
+        for variables, views, reals in sorted(groups.values(), key=lambda g: g[0][0])
     ]
 
 
@@ -398,7 +438,7 @@ def learn_theory_clause(core) -> tuple[int, ...]:
     for lit in core:
         signed = lit.atom if lit.positive else -lit.atom
         lits.append(-signed)
-    return tuple(sorted(lits, key=lambda l: (abs(l), l < 0)))
+    return tuple(sorted(lits, key=_lit_order))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +454,7 @@ class _Search:
         self.trail: list[int] = []
         self.tags: list[bool] = []
         self.engine = WatchedClauses(db.clauses)
+        self.index = ClauseIndex(db, amap)
         self.learned: list[tuple[int, ...]] = []
         self._learned_keys: set[frozenset[int]] = set()
         self.theory_on = cfg.mode == "lazy" and bool(amap.linear_vars())
@@ -491,25 +532,14 @@ class _Search:
         return True
 
     def _theory_candidates(self, scope_set) -> list[int]:
-        cand: set[int] = set()
-        for cl in self.db.clauses:
-            live: list[int] = []
-            satisfied = False
-            for l in cl:
-                val = self.values[abs(l)]
-                if val is None:
-                    live.append(l)
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            for l in live:
-                var = abs(l)
-                if scope_set is not None and var not in scope_set:
-                    continue
-                if var <= self.db.num_atom_vars and self.amap.is_linear_var(var):
-                    cand.add(var)
+        """Unassigned linear atoms of the scope that occur in an unsatisfied
+        clause."""
+        index, values = self.index, self.values
+        cand = []
+        for var in index.reals if scope_set is None else scope_set:
+            if var <= self.db.num_atom_vars and var in index.reals and values[var] is None:
+                if not all(index.satisfied(ci, values) for ci in index.occurs[var]):
+                    cand.append(var)
         return sorted(cand)
 
     def _fixpoint(self, scope_set, queue: list[int]) -> bool:
@@ -555,7 +585,7 @@ class _Search:
 
     def _compile_children(self, scope) -> list[int] | None:
         comps = split_components(
-            self.db, self.amap, self.values, self._trail_literals(), self.cfg, scope=scope
+            self.db, self.amap, self.values, self._trail_literals(), self.cfg, scope, self.index
         )
         if len(comps) > 1:
             self.stats.components += len(comps)

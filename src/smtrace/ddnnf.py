@@ -4,15 +4,17 @@ Nodes are stored in topological order (children precede parents).  Or nodes
 are binary decision nodes carrying the decision variable.  Literal nodes can
 be tagged as theory-implied, which drives the condensed export.  Counting and
 enumeration range over non-auxiliary atom variables only; Tseitin auxiliaries
-are functionally determined and contribute factor one.
+are functionally determined and contribute factor one.  Every query loops
+over the node list or an explicit stack, so graph depth costs no recursion.
+Enumeration returns read-only ``Model`` mappings that share one variable
+index.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .abstraction import AtomMap
 from .frontend import (
@@ -266,25 +268,11 @@ def validate(
         if any(c >= nid for c in node.children):
             report.violations.append(Violation("dag", nid, message="child after parent"))
             return report
-        if node.kind == KAND:
-            seen: frozenset[int] = frozenset()
-            for c in node.children:
-                if seen & scopes[c]:
-                    report.violations.append(
-                        Violation(
-                            "decomposability",
-                            nid,
-                            message=f"And children share atoms {sorted(seen & scopes[c])}",
-                        )
-                    )
-                    break
-                seen = seen | scopes[c]
-        elif node.kind == KOR:
+        if node.kind == KOR:
             _check_or(g, nid, node, report)
-            if len(node.children) == 2 and scopes[node.children[0]] != scopes[node.children[1]]:
-                report.violations.append(
-                    Violation("totality", nid, message="Or children have unequal atom scopes")
-                )
+        violation = _scope_violation(scopes, nid, node)
+        if violation is not None:
+            report.violations.append(violation)
 
     if level == "theory" and not any(v.kind in ("totality", "decomposability") for v in report.violations):
         if table is None:
@@ -311,18 +299,30 @@ def validate(
     return report
 
 
+def _scope_violation(scopes: list[frozenset[int]], nid: int, node: Node) -> Violation | None:
+    """Decomposability of an And node or totality of a binary Or node."""
+    if node.kind == KAND:
+        seen: frozenset[int] = frozenset()
+        for c in node.children:
+            if seen & scopes[c]:
+                return Violation(
+                    "decomposability", nid, message=f"And children share atoms {sorted(seen & scopes[c])}"
+                )
+            seen = seen | scopes[c]
+    elif node.kind == KOR and len(node.children) == 2:
+        if scopes[node.children[0]] != scopes[node.children[1]]:
+            return Violation("totality", nid, message="Or children have unequal atom scopes")
+    return None
+
+
 def _totality_gate(g: DdnnfGraph) -> None:
     scopes = g.scopes()
     for nid, node in enumerate(g.nodes):
-        if node.kind == KOR:
-            if len(node.children) != 2 or scopes[node.children[0]] != scopes[node.children[1]]:
-                raise NotTotalError(f"Or node {nid} has unequal children scopes")
-        elif node.kind == KAND:
-            seen: frozenset[int] = frozenset()
-            for c in node.children:
-                if seen & scopes[c]:
-                    raise NotTotalError(f"And node {nid} has overlapping children scopes")
-                seen = seen | scopes[c]
+        if node.kind == KOR and len(node.children) != 2:
+            raise NotTotalError(f"Or node {nid} has {len(node.children)} children")
+        violation = _scope_violation(scopes, nid, node)
+        if violation is not None:
+            raise NotTotalError(f"node {nid}: {violation.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,40 +394,74 @@ def weighted_count(g: DdnnfGraph, w: WeightMap) -> Fraction:
     return memo[g.root]
 
 
-def enumerate_models(g: DdnnfGraph, cap: int | None = None) -> list[dict[int, bool]]:
-    """Distinct total assignments over atom variables captured by g."""
+class Model(Mapping):
+    """One captured assignment, read-only: atom variable -> truth value.
+
+    The models of one enumeration share ``index`` (variable -> position, in
+    ascending variable order) and each keeps only its own values, one byte a
+    variable.
+    """
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: dict[int, int], values: bytes) -> None:
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, var: int) -> bool:
+        return self._values[self._index[var]] == 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"Model({dict(self)!r})"
+
+
+def enumerate_models(g: DdnnfGraph, cap: int | None = None) -> list[Model]:
+    """Distinct total assignments over atom variables captured by g.
+
+    A depth-first walk with explicit stacks: ``todo`` is the work pending on
+    the current path, a linked list of (node, rest); an And puts its children
+    on it in order, and an Or leaves its second child with the pending work
+    on ``choices`` for later.  So an Or yields its first child's models
+    before its second's, and an And's last child varies fastest.  Totality
+    makes every completed path assign exactly the root scope, so one value
+    buffer serves every path and each model is a copy of it.
+    """
     _totality_gate(g)
-
-    def gen(nid: int) -> Iterator[dict[int, bool]]:
-        node = g.nodes[nid]
-        if node.kind == KTRUE:
-            yield {}
-        elif node.kind == KFALSE:
-            return
-        elif node.kind == KLIT:
-            var = abs(node.lit)
-            yield {var: node.lit > 0} if var <= g.num_atom_vars else {}
-        elif node.kind == KOR:
-            for c in node.children:
-                yield from gen(c)
-        else:
-
-            def product(children: tuple[int, ...]) -> Iterator[dict[int, bool]]:
-                if not children:
-                    yield {}
-                    return
-                for head in gen(children[0]):
-                    for rest in product(children[1:]):
-                        merged = dict(head)
-                        merged.update(rest)
-                        yield merged
-
-            yield from product(node.children)
-
-    it = gen(g.root)
-    if cap is not None:
-        it = itertools.islice(it, cap)
-    return list(it)
+    nodes, num_atom_vars = g.nodes, g.num_atom_vars
+    index = {var: pos for pos, var in enumerate(sorted(g.scopes()[g.root]))}
+    values = bytearray(len(index))
+    models: list[Model] = []
+    choices: list[tuple[int, tuple | None]] = [(g.root, None)]
+    while choices and (cap is None or len(models) < cap):
+        nid, todo = choices.pop()
+        while True:
+            node = nodes[nid]
+            kind = node.kind
+            if kind == KOR:
+                choices.append((node.children[1], todo))
+                nid = node.children[0]
+                continue
+            if kind == KAND:
+                children = node.children
+                for c in children[:0:-1]:
+                    todo = (c, todo)
+                nid = children[0]
+                continue
+            if kind == KFALSE:
+                break
+            if kind == KLIT and abs(node.lit) <= num_atom_vars:
+                values[index[abs(node.lit)]] = node.lit > 0
+            if todo is None:
+                models.append(Model(index, bytes(values)))
+                break
+            nid, todo = todo
+    return models
 
 
 # ---------------------------------------------------------------------------

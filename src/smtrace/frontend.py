@@ -459,6 +459,34 @@ def _numeral(tok: str) -> Fraction | None:
         raise SmtSyntaxError(f"bad numeral {tok[:40]!r}") from exc
 
 
+_END = object()
+
+
+def _show(expr, limit: int = 40) -> str:
+    """An s-expression or token written back as text, cut after ``limit``
+    characters, for error messages.  It reads no more of ``expr`` than it
+    shows, so neither size nor depth costs time or recursion."""
+    parts: list[str] = []
+    size = 0
+    stack = [iter((expr,))]
+    while stack and size <= limit:
+        item = next(stack[-1], _END)
+        if item is _END:
+            stack.pop()
+            text = ")" if stack else ""
+        elif isinstance(item, list):
+            stack.append(iter(item))
+            text = "("
+        else:
+            text = str(item)
+        if parts and text not in ("", ")") and not parts[-1].endswith("("):
+            text = " " + text
+        parts.append(text)
+        size += len(text)
+    out = "".join(parts)
+    return out if not stack and size <= limit else out[:limit] + "..."
+
+
 class _Parser:
     def __init__(self) -> None:
         self.table = AtomTable()
@@ -481,15 +509,15 @@ class _Parser:
 
     def command(self, expr) -> None:
         if not isinstance(expr, list) or not expr:
-            raise SmtSyntaxError(f"expected a command, got {expr!r}")
+            raise SmtSyntaxError(f"expected a command, got {_show(expr)!r}")
         head = expr[0]
         if not isinstance(head, str):
-            raise SmtSyntaxError(f"command head must be a symbol, got {head!r}")
+            raise SmtSyntaxError(f"command head must be a symbol, got {_show(head)!r}")
         if head in _IGNORED_COMMANDS:
             return
         if head == "set-logic":
             if len(expr) != 2 or expr[1] != "QF_LRA":
-                raise UnsupportedFeatureError(f"logic {expr[1:]} is not QF_LRA")
+                raise UnsupportedFeatureError(f"logic {_show(expr[1:])} is not QF_LRA")
             return
         if head == "declare-const":
             if len(expr) != 3:
@@ -508,15 +536,15 @@ class _Parser:
                 raise SmtSyntaxError("assert expects exactly one term")
             self.asserts.append(self.bool_term(expr[1]))
             return
-        raise UnsupportedFeatureError(f"unsupported command {head}")
+        raise UnsupportedFeatureError(f"unsupported command {_show(head)}")
 
     def declare(self, name, sort) -> None:
         if not isinstance(name, str) or isinstance(name, list):
-            raise SmtSyntaxError(f"bad symbol {name!r}")
+            raise SmtSyntaxError(f"bad symbol {_show(name)!r}")
         if sort not in ("Real", "Bool"):
-            raise UnsupportedFeatureError(f"sort {sort} (only Real and Bool)")
+            raise UnsupportedFeatureError(f"sort {_show(sort)} (only Real and Bool)")
         if name in self.sorts:
-            raise SmtSyntaxError(f"symbol {name} declared twice")
+            raise SmtSyntaxError(f"symbol {_show(name)} declared twice")
         self.sorts[name] = sort
 
     def bool_term(self, expr) -> FNode:
@@ -528,17 +556,19 @@ class _Parser:
             sort = self.sorts.get(expr)
             if sort is None:
                 if _numeral(expr) is not None:
-                    raise SmtSyntaxError(f"number {expr} where a Boolean term is expected")
-                raise UndeclaredSymbolError(f"undeclared symbol {expr!r}")
+                    raise SmtSyntaxError(f"number {_show(expr)} where a Boolean term is expected")
+                raise UndeclaredSymbolError(f"undeclared symbol {_show(expr)!r}")
             if sort != "Bool":
-                raise SmtSyntaxError(f"{expr} is Real, expected a Boolean term")
+                raise SmtSyntaxError(f"{_show(expr)} is Real, expected a Boolean term")
             return FLit(Literal(self.table.intern_bool(expr), True))
         if not expr:
             raise SmtSyntaxError("empty application")
         head = expr[0]
         args = expr[1:]
+        if not isinstance(head, str):
+            raise SmtSyntaxError(f"term head must be a symbol, got {_show(head)!r}")
         if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedFeatureError(f"unsupported construct {head!r}")
+            raise UnsupportedFeatureError(f"unsupported construct {_show(head)!r}")
         if head == "and" or head == "or":
             if not args:
                 raise SmtSyntaxError(f"{head} expects at least one argument")
@@ -566,7 +596,7 @@ class _Parser:
         if head in ("+", "-", "*", "/"):
             self.real_term(expr)  # raises on nonlinearity first
             raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")
-        raise UndeclaredSymbolError(f"undeclared symbol {head!r}")
+        raise UndeclaredSymbolError(f"undeclared symbol {_show(head)!r}")
 
     def is_bool_expr(self, expr) -> bool:
         if isinstance(expr, str):
@@ -580,16 +610,18 @@ class _Parser:
                 return LinTerm.constant(num)
             sort = self.sorts.get(expr)
             if sort is None:
-                raise UndeclaredSymbolError(f"undeclared symbol {expr!r}")
+                raise UndeclaredSymbolError(f"undeclared symbol {_show(expr)!r}")
             if sort != "Real":
-                raise SmtSyntaxError(f"{expr} is Bool, expected a Real term")
+                raise SmtSyntaxError(f"{_show(expr)} is Bool, expected a Real term")
             return LinTerm.make({self.table.real_var(expr): Fraction(1)})
         if not expr:
             raise SmtSyntaxError("empty application")
         head = expr[0]
         args = expr[1:]
+        if not isinstance(head, str):
+            raise SmtSyntaxError(f"term head must be a symbol, got {_show(head)!r}")
         if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedFeatureError(f"unsupported construct {head!r}")
+            raise UnsupportedFeatureError(f"unsupported construct {_show(head)!r}")
         if head == "+":
             if not args:
                 raise SmtSyntaxError("+ expects at least one argument")
@@ -628,7 +660,7 @@ class _Parser:
             if den.const == 0:
                 raise SmtSyntaxError("division by zero")
             return num.scale(Fraction(1) / den.const)
-        raise SmtSyntaxError(f"{head} is not a Real operator")
+        raise SmtSyntaxError(f"{_show(head)} is not a Real operator")
 
 
 def parse_smt2(text: str) -> Formula:

@@ -46,6 +46,14 @@ def pipeline(formula, mode="lazy", eager_k=None, **cfg_kwargs):
     return st.compile(db, amap, cfg), db, amap
 
 
+def bool_chain(n):
+    """(db, amap) of the Boolean chain ``A_i or A_{i+1}``, i = 1..n-1."""
+    decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
+    f = st.parse_smt2(decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n)))
+    prop, amap = st.boolean_abstract(f)
+    return st.to_cnf(prop), amap
+
+
 def entangled_setup():
     """The two-clause interval formula with an extra entangling sum atom.
 

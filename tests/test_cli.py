@@ -155,6 +155,10 @@ def test_malformed_command_exit_code(tmp_path, capsys):
     bad.write_text("(())")
     assert run(["count", str(bad)]) == 2
     assert "command head" in capsys.readouterr().err
+    deep = tmp_path / "deep.smt2"
+    deep.write_text("(" * 400 + ")" * 400)
+    assert run(["count", str(deep)]) == 2
+    assert len(capsys.readouterr().err) < 100
 
     src = str(Path(smtrace.__file__).resolve().parents[1])
     proc = subprocess.run(

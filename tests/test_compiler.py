@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -15,7 +16,7 @@ from smtrace.compiler import (
     unit_propagate,
 )
 from smtrace.frontend import Literal
-from conftest import entangled_setup, pipeline
+from conftest import bool_chain, entangled_setup, pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,140 @@ def test_split_free_atom_joins_entangled_component():
     # the free x+y atom (var 5) bridges the x-side and the y-side
     assert len(comps) == 1
     assert comps[0].scope == (1, 2, 3, 4, 5)
+
+
+def reference_split(db, amap, assignment, trail, cfg, scope=None):
+    """Every clause rescanned and sorted on every call, union-find on tagged
+    tuples: the splitter before its clause index."""
+    values = [None] * (db.num_vars + 1)
+    for var, val in assignment.items():
+        values[var] = val
+    if scope is None:
+        scope_vars = [v for v in range(1, db.num_vars + 1) if values[v] is None]
+    else:
+        scope_vars = sorted(v for v in scope if values[v] is None)
+    scope_set = set(scope_vars)
+    residuals = []
+    for cl in db.clauses:
+        if any(values[abs(l)] == (l > 0) for l in cl):
+            continue
+        live = [l for l in cl if values[abs(l)] is None]
+        if live and all(abs(l) in scope_set for l in live):
+            residuals.append(tuple(sorted(live, key=lambda l: (abs(l), l < 0))))
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    seen_reals = set()
+    for lit in trail:
+        reals = sorted(amap.atom(lit.atom).term.real_vars)
+        seen_reals.update(reals)
+        for r in reals[1:]:
+            union(("r", reals[0]), ("r", r))
+    for v in scope_vars:
+        for r in amap.real_vars_of(v):
+            seen_reals.add(r)
+            union(("b", v), ("r", r))
+    for live in residuals:
+        for l in live[1:]:
+            union(("b", abs(live[0])), ("b", abs(l)))
+
+    def component(views, variables, reals):
+        lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
+        polyhedron = ()
+        if lits:
+            polyhedron = None
+            if cfg.cache:
+                own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+                polyhedron = st.lra.project_trail(amap, lits, own)
+        return Component(
+            tuple(views), tuple(variables), tuple(sorted((l.atom, l.positive) for l in lits)), polyhedron
+        )
+
+    if not cfg.components:
+        if not scope_vars and not residuals:
+            return []
+        return [component(residuals, scope_vars, frozenset(seen_reals))]
+    groups = {}
+    for v in scope_vars:
+        groups.setdefault(find(("b", v)), ([], [], set()))[0].append(v)
+    for view in residuals:
+        groups[find(("b", abs(view[0])))][1].append(view)
+    for r in seen_reals:
+        if find(("r", r)) in groups:
+            groups[find(("r", r))][2].add(r)
+    return [
+        component(views, variables, frozenset(reals))
+        for variables, views, reals in sorted(groups.values(), key=lambda g: g[0][0])
+    ]
+
+
+def _split_cases():
+    for seed in range(0, 40, 3):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            prop, amap = st.boolean_abstract(f)
+            yield f"sweep{seed}", st.to_cnf(prop), amap
+    for n in (12, 40):
+        yield f"chain{n}", *bool_chain(n)
+        prop, amap = st.boolean_abstract(st.parse_smt2(_real_chain(n)))
+        yield f"real_chain{n}", st.to_cnf(prop), amap
+
+
+def test_split_matches_reference_on_random_partial_assignments():
+    rng = random.Random(5)
+    configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
+    for name, db, amap in _split_cases():
+        index = st.compiler.ClauseIndex(db, amap)
+        for _ in range(6):
+            assigned = rng.sample(range(1, db.num_vars + 1), rng.randint(0, db.num_vars))
+            assignment = {v: rng.random() < 0.5 for v in assigned}
+            trail = [Literal(v, val) for v, val in assignment.items() if amap.is_linear_var(v)]
+            trail = rng.sample(trail, rng.randint(0, min(len(trail), 4)))
+            free = [v for v in range(1, db.num_vars + 1) if v not in assignment]
+            for scope in (None, free, rng.sample(free, len(free) // 2)):
+                for cfg in configs:
+                    want = reference_split(db, amap, assignment, trail, cfg, scope)
+                    assert split_components(db, amap, assignment, trail, cfg, scope) == want, name
+                    assert split_components(db, amap, assignment, trail, cfg, scope, index) == want, name
+
+
+def test_theory_candidates_match_a_full_scan(monkeypatch):
+    original = st.compiler._Search._theory_candidates
+    calls = 0
+
+    def checked(self, scope_set):
+        nonlocal calls
+        calls += 1
+        values, db = self.values, self.db
+        want = {
+            abs(l)
+            for cl in db.clauses
+            if not any(values[abs(l)] == (l > 0) for l in cl)
+            for l in cl
+            if values[abs(l)] is None
+            and (scope_set is None or abs(l) in scope_set)
+            and abs(l) <= db.num_atom_vars
+            and self.amap.is_linear_var(abs(l))
+        }
+        got = original(self, scope_set)
+        assert got == sorted(want)
+        return got
+
+    monkeypatch.setattr(st.compiler._Search, "_theory_candidates", checked)
+    for seed in range(0, 30, 3):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            pipeline(f)
+    pipeline(st.parse_smt2(_real_chain(6)))
+    assert calls > 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
 import smtrace as st
-from smtrace.ddnnf import GraphBuilder
-from conftest import pipeline
+from smtrace.ddnnf import KAND, KFALSE, KLIT, KOR, KTRUE, GraphBuilder
+from conftest import bool_chain, pipeline
 
 
 def or_both(builder, var):
@@ -113,6 +115,111 @@ def test_enumerate_matches_count(gap_xy, gap01):
             models = st.enumerate_models(g)
             assert len(models) == st.count(g)
             assert len({tuple(sorted(m.items())) for m in models}) == len(models)
+
+
+def reference_models(g, cap=None):
+    """Recursive generators that merge a dict at every And level: the
+    enumerator before its explicit stacks."""
+    st.count(g)  # the same totality gate
+
+    def gen(nid):
+        node = g.nodes[nid]
+        if node.kind == KTRUE:
+            yield {}
+        elif node.kind == KLIT:
+            var = abs(node.lit)
+            yield {var: node.lit > 0} if var <= g.num_atom_vars else {}
+        elif node.kind == KOR:
+            for c in node.children:
+                yield from gen(c)
+        elif node.kind == KAND:
+
+            def product(children):
+                if not children:
+                    yield {}
+                    return
+                for head in gen(children[0]):
+                    for rest in product(children[1:]):
+                        merged = dict(head)
+                        merged.update(rest)
+                        yield merged
+
+            yield from product(node.children)
+        else:
+            assert node.kind == KFALSE
+
+    it = gen(g.root)
+    if cap is not None:
+        it = itertools.islice(it, cap)
+    return list(it)
+
+
+def _sweep_graphs():
+    for seed in (0, 3, 7, 11, 19, 42):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            for mode in ("lazy", "agnostic"):
+                yield pipeline(f, mode=mode)[0]
+
+
+def test_enumerate_matches_reference_on_sweep():
+    for g in _sweep_graphs():
+        for cap in (None, 1, 7):
+            models = st.enumerate_models(g, cap=cap)
+            assert [dict(m) for m in models] == reference_models(g, cap)
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_enumerate_matches_reference_on_chain(n):
+    db, amap = bool_chain(n)
+    g = st.compile(db, amap, st.CompileConfig())
+    # the chain has Fibonacci-many models, so every call is capped
+    for cap in (1, 7, 1000):
+        models = st.enumerate_models(g, cap=cap)
+        assert len(models) == cap
+        assert [dict(m) for m in models] == reference_models(g, cap)
+
+
+def test_enumerate_deep_chain_within_recursion_limit():
+    db, amap = bool_chain(400)
+    g = st.compile(db, amap, st.CompileConfig())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        models = st.enumerate_models(g, cap=1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(models) == 1000
+    assert len({tuple(m.values()) for m in models}) == 1000
+    for m in models:
+        assert sorted(m) == list(range(1, 401))
+        assert all(m[i] or m[i + 1] for i in range(1, 400))
+
+
+def test_model_is_a_read_only_mapping(gap01):
+    g, _, _ = pipeline(gap01)
+    models = st.enumerate_models(g)
+    assert len(models) == st.count(g) == 3
+    atoms = list(range(1, g.num_atom_vars + 1))
+    missing = g.num_atom_vars + 1
+    for m in models:
+        d = dict(m)
+        assert m == d and d == m
+        assert len(m) == len(d) == len(atoms)
+        assert sorted(m) == atoms
+        assert sorted(m.items()) == sorted(d.items())
+        assert all(m[v] is d[v] and isinstance(m[v], bool) for v in d)
+        assert missing not in m and m.get(missing) is None
+        with pytest.raises(KeyError):
+            m[missing]
+        with pytest.raises(TypeError):
+            m[1] = True
+    assert models[0] != models[1]
+
+
+def test_enumerate_true_and_cap_zero(single_or):
+    b = GraphBuilder(0, 0)
+    assert [dict(m) for m in st.enumerate_models(b.finish(b.true_id, None, False))] == [{}]
+    assert st.enumerate_models(single_or, cap=0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,38 @@ def test_parse_non_symbol_command_head(text):
         st.parse_smt2(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 400 + ")" * 400,
+        "(" * 5000 + ")" * 5000,
+        "(set-logic " + "(a " * 300 + ")" * 300 + ")",
+        "(declare-const (" + "a " * 1000 + ") Bool)",
+        "(declare-const x Real)(assert " + "x" * 10_000 + ")",
+        "(declare-const " + "q" * 10_000 + " Real)(assert " + "q" * 10_000 + ")",
+    ],
+    ids=["brackets400", "brackets5000", "logic", "symbol_list", "long_undeclared", "long_real_symbol"],
+)
+def test_parse_error_messages_are_bounded(text):
+    with pytest.raises(st.SmtError) as info:
+        st.parse_smt2(text)
+    assert len(str(info.value)) <= 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(assert ((A)))",
+        "(declare-const A Bool)(assert (and ((A)) A))",
+        "(declare-const x Real)(assert (<= ((x)) 0))",
+    ],
+    ids=["assert", "bool_arg", "real_arg"],
+)
+def test_parse_non_symbol_term_head(text):
+    with pytest.raises(st.SmtSyntaxError, match="term head must be a symbol"):
+        st.parse_smt2(text)
+
+
 def test_parse_rational_and_decimal_literals():
     f = st.parse_smt2("(declare-const x Real)(assert (<= (* 2 x) 0.5))")
     (atom,) = st.atoms_of(f)
