@@ -20,7 +20,7 @@ from .frontend import (
     normalize_comparison,
     parse_smt2,
 )
-from .abstraction import AtomMap, ClauseDb, PropFormula, boolean_abstract, to_cnf, to_dimacs
+from .abstraction import ClauseDb, PropFormula, boolean_abstract, to_cnf, to_dimacs
 from .lra import (
     Certificate,
     Conflict,
@@ -35,7 +35,6 @@ from .lra import (
     witness_satisfies,
 )
 from .compiler import (
-    BoolConflict,
     CompileConfig,
     CompileStats,
     Component,
@@ -45,7 +44,6 @@ from .compiler import (
     decide,
     learn_theory_clause,
     split_components,
-    unit_propagate,
 )
 from .ddnnf import (
     DdnnfGraph,

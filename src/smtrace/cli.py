@@ -84,7 +84,6 @@ def _config(args) -> CompileConfig:
         learning=not args.no_learning,
         propagation_budget=args.prop_budget,
         decision_heuristic="fixed_order" if args.heuristic == "fixed" else "dlcs",
-        condense_output=args.condense,
     )
 
 
@@ -107,20 +106,25 @@ def _emit_stats(stats, fmt: str) -> None:
             print(f"{key} {record[key]}")
 
 
-def _load_weights(path: str) -> WeightMap:
+def _load_weights(path: str, num_atom_vars: int) -> WeightMap:
     wmap = WeightMap()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         parts = line.split()
         if len(parts) != 2:
-            raise DdnnfError(f"{path}:{lineno}: expected '<signed-var> <p/q>'")
+            raise DdnnfError(f"{where}: expected '<signed-var> <p/q>'")
         try:
             signed = int(parts[0])
             value = Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
-            raise DdnnfError(f"{path}:{lineno}: {exc}") from exc
+            raise DdnnfError(f"{where}: {exc}") from exc
+        if not 1 <= abs(signed) <= num_atom_vars:
+            raise DdnnfError(f"{where}: {signed} is not a literal of atom variables 1..{num_atom_vars}")
+        if value < 0:
+            raise DdnnfError(f"{where}: weight {value} is negative")
         wmap.set(abs(signed), signed > 0, value)
     return wmap
 
@@ -137,7 +141,7 @@ def _fmt_fraction(value: Fraction) -> str:
 def _cmd_compile(args) -> int:
     cfg = _config(args)
     graph, amap = _pipeline(args.input, cfg, args.eager_k)
-    out_graph = condense(graph) if cfg.condense_output else graph
+    out_graph = condense(graph) if args.condense else graph
     nnf_text, atoms_text = export_nnf(out_graph, amap)
     out = Path(args.output)
     out.write_text(nnf_text)
@@ -156,7 +160,8 @@ def _cmd_count(args) -> int:
     else:
         raise _UsageError("count needs an .smt2 input or --nnf/--atoms")
     if args.weights:
-        print(_fmt_fraction(ddnnf.weighted_count(graph, _load_weights(args.weights))))
+        weights = _load_weights(args.weights, graph.num_atom_vars)
+        print(_fmt_fraction(ddnnf.weighted_count(graph, weights)))
     else:
         print(ddnnf.count(graph))
     return 0

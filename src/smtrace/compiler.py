@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import lra
-from .abstraction import AtomMap, ClauseDb
+from .abstraction import ClauseDb
 from .ddnnf import DdnnfGraph, GraphBuilder
-from .frontend import Literal
+from .frontend import AtomTable, Literal
 
 
 class CompileError(Exception):
@@ -52,7 +52,6 @@ class CompileConfig:
     learning: bool = True
     propagation_budget: int | None = None  # None: 2 x unassigned candidate atoms
     decision_heuristic: str = "dlcs"
-    condense_output: bool = False  # applied at export time only
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -117,11 +116,6 @@ class Component:
     scope: tuple[int, ...]
     projected: tuple[tuple[int, bool], ...]
     polyhedron: tuple | None
-
-
-@dataclass(frozen=True)
-class BoolConflict:
-    clause: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -196,40 +190,6 @@ class WatchedClauses:
         return None
 
 
-def unit_propagate(db: ClauseDb, assignment: Mapping[int, bool]):
-    """Fixpoint of unit clause implications under the given assignment.
-
-    Returns the list of implied literals in propagation order, or a
-    BoolConflict holding the falsified clause.
-    """
-    values: list[bool | None] = [None] * (db.num_vars + 1)
-    for var, val in assignment.items():
-        values[var] = val
-    engine = WatchedClauses(db.clauses)
-    if engine.has_empty:
-        return BoolConflict(())
-    implied: list[int] = []
-
-    def assign(lit: int) -> None:
-        values[abs(lit)] = lit > 0
-        implied.append(lit)
-
-    queue: list[int] = []
-    for u in engine.units:
-        uval = values[abs(u)]
-        if uval is None:
-            assign(u)
-            queue.append(u)
-        elif uval != (u > 0):
-            return BoolConflict((u,))
-    for var in sorted(assignment):
-        queue.append(var if assignment[var] else -var)
-    conflict = engine.propagate(values, assign, queue)
-    if conflict is not None:
-        return BoolConflict(conflict)
-    return implied
-
-
 # ---------------------------------------------------------------------------
 # component splitting
 
@@ -248,13 +208,13 @@ class ClauseIndex:
     variables of each linear atom variable v; it is empty without a theory.
     """
 
-    def __init__(self, db: ClauseDb, amap: AtomMap) -> None:
+    def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
         self.clauses = [tuple(sorted(cl, key=_lit_order)) for cl in db.clauses]
         self.occurs: list[list[int]] = [[] for _ in range(db.num_vars + 1)]
         for ci, cl in enumerate(self.clauses):
             for l in cl:
                 self.occurs[abs(l)].append(ci)
-        self.reals = {v: a.term.real_vars for v, a in amap.atoms.items() if a.is_linear}
+        self.reals = {a.id: a.term.real_vars for a in amap.atoms if a.is_linear}
 
     def satisfied(self, ci: int, values) -> bool:
         return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
@@ -262,7 +222,7 @@ class ClauseIndex:
 
 def split_components(
     db: ClauseDb,
-    amap: AtomMap,
+    amap: AtomTable,
     assignment,
     trail: Sequence[Literal],
     cfg: CompileConfig | None = None,
@@ -446,7 +406,7 @@ def learn_theory_clause(core) -> tuple[int, ...]:
 
 
 class _Search:
-    def __init__(self, db: ClauseDb, amap: AtomMap, cfg: CompileConfig):
+    def __init__(self, db: ClauseDb, amap: AtomTable, cfg: CompileConfig):
         self.db = db
         self.amap = amap
         self.cfg = cfg
@@ -660,7 +620,7 @@ class _Search:
         return self.builder.and_node(parts + children)
 
 
-def compile(db: ClauseDb, amap: AtomMap, cfg: CompileConfig | None = None) -> DdnnfGraph:
+def compile(db: ClauseDb, amap: AtomTable, cfg: CompileConfig | None = None) -> DdnnfGraph:
     """Compile a CNF with its atom map into a d-DNNF graph.
 
     In lazy mode the theory solver prunes and propagates during search, so

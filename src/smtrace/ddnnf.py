@@ -16,12 +16,10 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .abstraction import AtomMap
 from .frontend import (
     BOOL,
     EQ,
     LEQ,
-    Atom,
     AtomTable,
     LinTerm,
     Literal,
@@ -71,7 +69,7 @@ class DdnnfGraph:
     root: int
     num_vars: int
     num_atom_vars: int
-    amap: AtomMap | None = None
+    amap: AtomTable | None = None
     has_tags: bool = False
     stats: object | None = None
     _scopes: list[frozenset[int]] | None = None
@@ -153,7 +151,7 @@ class GraphBuilder:
         self.nodes.append(Node(KOR, children=(hi, lo), decision=decision))
         return nid
 
-    def finish(self, root: int, amap: AtomMap | None, has_tags: bool) -> DdnnfGraph:
+    def finish(self, root: int, amap: AtomTable | None, has_tags: bool) -> DdnnfGraph:
         """Extract the subgraph reachable from the root, renumbered."""
         reachable = [False] * len(self.nodes)
         stack = [root]
@@ -277,17 +275,13 @@ def validate(
     if level == "theory" and not any(v.kind in ("totality", "decomposability") for v in report.violations):
         if table is None:
             if g.amap is None:
-                raise ValueError("theory validation needs an atom map")
+                raise ValueError("theory validation needs an atom table")
             table = g.amap
         n = count(g)
         if n > enum_bound:
             raise DdnnfError(f"count {n} exceeds enumeration bound {enum_bound}")
         for assignment in enumerate_models(g):
-            lits = [
-                Literal(var, val)
-                for var, val in sorted(assignment.items())
-                if table.atom(var).is_linear
-            ]
+            lits = [Literal(var, val) for var, val in sorted(assignment.items()) if table.is_linear_var(var)]
             if lits and not lra.check_feasible(table, lits).sat:
                 report.violations.append(
                     Violation(
@@ -507,7 +501,7 @@ def condense(g: DdnnfGraph) -> DdnnfGraph:
 # c2d-compatible file format
 
 
-def export_nnf(g: DdnnfGraph, amap: AtomMap | None = None) -> tuple[str, str]:
+def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
     """Serialize to (nnf text, atom sidecar text).
 
     nnf: header ``nnf V E n``, then one node per line in topological order:
@@ -542,8 +536,8 @@ def export_nnf(g: DdnnfGraph, amap: AtomMap | None = None) -> tuple[str, str]:
 
     atom_lines = []
     for var in range(1, g.num_atom_vars + 1):
-        if amap is not None and var in amap.atoms:
-            atom_lines.append(f"{var} {atom_to_str(amap.atoms[var], amap.real_names)}")
+        if amap is not None and var <= len(amap):
+            atom_lines.append(f"{var} {atom_to_str(amap.atom(var), amap.real_names)}")
         else:
             atom_lines.append(f"{var} bool v{var}")
     if g.has_tags:
@@ -554,19 +548,16 @@ def export_nnf(g: DdnnfGraph, amap: AtomMap | None = None) -> tuple[str, str]:
     return nnf_text, atoms_text
 
 
-def _parse_atom_line(line: str, table: AtomTable) -> tuple[int, Atom]:
+def _intern_atom_line(line: str, table: AtomTable) -> int:
+    """Intern the atom of a ``<var> <atom>`` sidecar line; returns its id."""
     parts = line.split()
     if len(parts) < 3:
         raise FormatError(f"bad atom line: {line!r}")
-    try:
-        var = int(parts[0])
-    except ValueError as exc:
-        raise FormatError(f"bad atom line: {line!r}") from exc
     kind = parts[1]
     if kind == BOOL:
         if len(parts) != 3:
             raise FormatError(f"bad bool atom line: {line!r}")
-        return var, table.atoms[table.intern_bool(parts[2]) - 1]
+        return table.intern_bool(parts[2])
     if kind not in (LEQ, EQ):
         raise FormatError(f"unknown atom kind {kind!r}")
     coeffs: dict[int, Fraction] = {}
@@ -582,16 +573,18 @@ def _parse_atom_line(line: str, table: AtomTable) -> tuple[int, Atom]:
         const = Fraction(int(parts[-1]))
     except ValueError as exc:
         raise FormatError(f"bad constant in {line!r}") from exc
-    term = LinTerm.make(coeffs, const)
-    return var, table.atoms[table.intern_linear(kind, term) - 1]
+    return table.intern_linear(kind, LinTerm.make(coeffs, const))
 
 
-def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomMap]:
-    """Inverse of export_nnf, up to node reordering; counts are preserved."""
+def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
+    """Inverse of export_nnf, up to node reordering; counts are preserved.
+
+    Sidecar atoms are interned in variable order, so atom id i is variable i;
+    two variables with the same atom are a format error.
+    """
     implied_file_idx: set[int] = set()
     tagged = False
-    table = AtomTable()
-    atoms: dict[int, Atom] = {}
+    atom_lines: dict[int, str] = {}
     for raw in atoms_text.splitlines():
         line = raw.strip()
         if not line:
@@ -606,12 +599,20 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomMap]:
                 except ValueError as exc:
                     raise FormatError(f"bad implied tag: {line!r}") from exc
             continue
-        var, atom = _parse_atom_line(line, table)
-        if var in atoms:
+        try:
+            var = int(line.split()[0])
+        except ValueError as exc:
+            raise FormatError(f"bad atom line: {line!r}") from exc
+        if var in atom_lines:
             raise FormatError(f"variable {var} mapped twice")
-        atoms[var] = atom
-    if atoms and sorted(atoms) != list(range(1, len(atoms) + 1)):
+        atom_lines[var] = line
+    if sorted(atom_lines) != list(range(1, len(atom_lines) + 1)):
         raise FormatError("atom variables are not contiguous from 1")
+    table = AtomTable()
+    for var in range(1, len(atom_lines) + 1):
+        aid = _intern_atom_line(atom_lines[var], table)
+        if aid != var:
+            raise FormatError(f"variable {var} has the atom of variable {aid}")
 
     lines = [l.strip() for l in nnf_text.splitlines() if l.strip()]
     if not lines:
@@ -626,7 +627,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomMap]:
     if len(lines) - 1 != v_decl:
         raise FormatError(f"header declares {v_decl} nodes, found {len(lines) - 1}")
 
-    num_atom_vars = len(atoms) if atoms else n_vars
+    num_atom_vars = len(table) or n_vars
     builder = GraphBuilder(n_vars, num_atom_vars)
     ids: list[int] = []
 
@@ -675,6 +676,5 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomMap]:
 
     if not ids:
         raise FormatError("nnf file has no nodes")
-    amap = AtomMap(atoms=atoms, real_names=list(table.real_names))
-    graph = builder.finish(ids[-1], amap, has_tags=tagged or bool(implied_file_idx))
-    return graph, amap
+    graph = builder.finish(ids[-1], table, has_tags=tagged or bool(implied_file_idx))
+    return graph, table

@@ -40,9 +40,9 @@ from functools import reduce
 from itertools import combinations, product
 from operator import or_
 
-from .abstraction import AtomMap, ClauseDb
+from .abstraction import ClauseDb
 from .compiler import learn_theory_clause
-from .frontend import EQ, Literal, literal_holds
+from .frontend import EQ, AtomTable, Literal, literal_holds
 from .lra import check_feasible
 
 
@@ -117,7 +117,7 @@ def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[Litera
     return [core for core, _ in cores]
 
 
-def eager_encode(db: ClauseDb, amap: AtomMap, k: int | None = None) -> ClauseDb:
+def eager_encode(db: ClauseDb, amap: AtomTable, k: int | None = None) -> ClauseDb:
     """Augment the CNF with one blocking clause per infeasible core."""
     linear = amap.linear_vars()
     if k is None:

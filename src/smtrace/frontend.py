@@ -174,6 +174,16 @@ class AtomTable:
             return BOT_ATOM
         return self.atoms[aid - 1]
 
+    def is_linear_var(self, var: int) -> bool:
+        """Is var a linear atom?  Ids without an atom count as propositional."""
+        return 1 <= var <= len(self.atoms) and self.atoms[var - 1].is_linear
+
+    def linear_vars(self) -> list[int]:
+        return [a.id for a in self.atoms if a.is_linear]
+
+    def real_vars_of(self, var: int) -> frozenset[int]:
+        return self.atoms[var - 1].term.real_vars if self.is_linear_var(var) else frozenset()
+
     def intern_bool(self, name: str) -> int:
         return self._intern((BOOL, name), lambda aid: Atom(aid, BOOL, name=name))
 

@@ -1,48 +1,56 @@
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, strategies as hst
 
 import smtrace as st
-from smtrace.abstraction import (
-    PAnd,
-    PFalse,
-    PImplies,
-    PLit,
-    PNot,
-    POr,
-    PTrue,
-    PropFormula,
-    to_cnf,
-    to_dimacs,
+from smtrace.abstraction import PropFormula, to_cnf, to_dimacs
+from smtrace.frontend import (
+    FAnd,
+    FFalse,
+    FImplies,
+    FLit,
+    FNot,
+    FOr,
+    FTrue,
+    Literal,
+    evaluate_formula,
 )
+
+
+def lit(signed):
+    return FLit(Literal(abs(signed), signed > 0))
 
 
 def test_abstract_gap01(gap01):
     prop, amap = st.boolean_abstract(gap01)
-    assert isinstance(prop.root, PAnd) and len(prop.root.children) == 2
+    assert prop.root is gap01.root and amap is gap01.table
+    assert isinstance(prop.root, FAnd) and len(prop.root.children) == 2
     left = prop.root.children[0]
-    assert isinstance(left, POr) and left.children == (PLit(1), PLit(2))
-    assert amap.num_atom_vars == 3
+    assert isinstance(left, FOr) and left.children == (lit(1), lit(2))
+    assert len(amap) == 3
     assert amap.atom(1).kind == "leq" and amap.atom(3).name == "A"
 
 
 def test_abstract_pure_propositional():
     f = st.parse_smt2("(declare-const A Bool)(declare-const B Bool)(assert (or A (not B)))")
     prop, amap = st.boolean_abstract(f)
-    assert prop.root == POr((PLit(1), PNot(PLit(2))))
-    assert {v: a.name for v, a in amap.atoms.items()} == {1: "A", 2: "B"}
+    assert prop.root == FOr((lit(1), FNot(lit(2))))
+    assert {a.id: a.name for a in amap.atoms} == {1: "A", 2: "B"}
 
 
 def test_abstract_gap_xy(gap_xy):
     prop, amap = st.boolean_abstract(gap_xy)
     assert prop.num_vars == 3
-    assert amap.num_atom_vars == 3
+    assert len(amap) == 3
     assert all(amap.is_linear_var(v) for v in (1, 2, 3))
+    assert amap.linear_vars() == [1, 2, 3]
+    assert not amap.is_linear_var(0) and not amap.is_linear_var(4)
 
 
 def test_cnf_already_clausal():
-    p = PropFormula(PAnd((POr((PLit(1), PLit(-2))), PLit(3))), 3)
+    p = PropFormula(FAnd((FOr((lit(1), lit(-2))), lit(3))), 3)
     db = to_cnf(p)
     assert {frozenset(c) for c in db.clauses} == {frozenset({1, -2}), frozenset({3})}
     assert db.num_vars == 3 and list(db.aux_vars) == []
@@ -50,7 +58,7 @@ def test_cnf_already_clausal():
 
 def test_cnf_tseitin():
     # (A and B) or C: one auxiliary defining the conjunction
-    p = PropFormula(POr((PAnd((PLit(1), PLit(2))), PLit(3))), 3)
+    p = PropFormula(FOr((FAnd((lit(1), lit(2))), lit(3))), 3)
     db = to_cnf(p)
     assert db.num_vars == 4 and list(db.aux_vars) == [4]
     expected = {
@@ -63,19 +71,201 @@ def test_cnf_tseitin():
 
 
 def test_cnf_false():
-    db = to_cnf(PropFormula(PFalse(), 2))
+    db = to_cnf(PropFormula(FFalse(), 2))
     assert db.clauses == [()]
 
 
 def test_cnf_true():
-    db = to_cnf(PropFormula(PTrue(), 2))
+    db = to_cnf(PropFormula(FTrue(), 2))
     assert db.clauses == []
 
 
 def test_cnf_constant_folding():
-    p = PropFormula(PAnd((POr((PTrue(), PLit(1))), PLit(2))), 2)
+    p = PropFormula(FAnd((FOr((FTrue(), lit(1))), lit(2))), 2)
     db = to_cnf(p)
     assert {frozenset(c) for c in db.clauses} == {frozenset({2})}
+
+
+# ---------------------------------------------------------------------------
+# reference: the earlier pipeline, which copied the formula tree into a
+# propositional tree of its own before negation normal form and Tseitin
+
+
+class PNode:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class PTrue(PNode):
+    pass
+
+
+@dataclass(frozen=True)
+class PFalse(PNode):
+    pass
+
+
+@dataclass(frozen=True)
+class PLit(PNode):
+    lit: int
+
+
+@dataclass(frozen=True)
+class PNot(PNode):
+    child: PNode
+
+
+@dataclass(frozen=True)
+class PAnd(PNode):
+    children: tuple
+
+
+@dataclass(frozen=True)
+class POr(PNode):
+    children: tuple
+
+
+@dataclass(frozen=True)
+class PImplies(PNode):
+    left: PNode
+    right: PNode
+
+
+def _walk(node):
+    if isinstance(node, FTrue):
+        return PTrue()
+    if isinstance(node, FFalse):
+        return PFalse()
+    if isinstance(node, FLit):
+        var = node.lit.atom
+        return PLit(var if node.lit.positive else -var)
+    if isinstance(node, FNot):
+        return PNot(_walk(node.child))
+    if isinstance(node, FAnd):
+        return PAnd(tuple(_walk(c) for c in node.children))
+    if isinstance(node, FOr):
+        return POr(tuple(_walk(c) for c in node.children))
+    if isinstance(node, FImplies):
+        return PImplies(_walk(node.left), _walk(node.right))
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _reference_nnf(node, neg):
+    if isinstance(node, PTrue):
+        return PFalse() if neg else PTrue()
+    if isinstance(node, PFalse):
+        return PTrue() if neg else PFalse()
+    if isinstance(node, PLit):
+        return PLit(-node.lit) if neg else node
+    if isinstance(node, PNot):
+        return _reference_nnf(node.child, not neg)
+    if isinstance(node, PImplies):
+        return _reference_nnf(POr((PNot(node.left), node.right)), neg)
+    conj = isinstance(node, PAnd) ^ neg
+    gathered = []
+    seen = set()
+    for child in node.children:
+        sub = _reference_nnf(child, neg)
+        if isinstance(sub, PTrue):
+            if not conj:
+                return PTrue()
+            continue
+        if isinstance(sub, PFalse):
+            if conj:
+                return PFalse()
+            continue
+        subs = sub.children if isinstance(sub, PAnd if conj else POr) else (sub,)
+        for s in subs:
+            if s not in seen:
+                seen.add(s)
+                gathered.append(s)
+    if not gathered:
+        return PTrue() if conj else PFalse()
+    if len(gathered) == 1:
+        return gathered[0]
+    return PAnd(tuple(gathered)) if conj else POr(tuple(gathered))
+
+
+def reference_cnf(root, num_vars):
+    """CNF of a formula tree as the earlier copying pipeline built it."""
+    root = _reference_nnf(_walk(root), False)
+    clauses = []
+    defs = {}
+    next_var = num_vars
+
+    def add_clause(lits):
+        seen = []
+        for l in lits:
+            if -l in seen:
+                return
+            if l not in seen:
+                seen.append(l)
+        clauses.append(tuple(sorted(seen, key=lambda l: (abs(l), l < 0))))
+
+    def define(node):
+        nonlocal next_var
+        cached = defs.get(node)
+        if cached is not None:
+            return cached
+        reps = [rep(c) for c in node.children]
+        next_var += 1
+        v = next_var
+        defs[node] = v
+        if isinstance(node, PAnd):
+            for r in reps:
+                add_clause([-v, r])
+            add_clause([v] + [-r for r in reps])
+        else:
+            add_clause([-v] + reps)
+            for r in reps:
+                add_clause([v, -r])
+        return v
+
+    def rep(node):
+        return node.lit if isinstance(node, PLit) else define(node)
+
+    def emit_clause(or_node):
+        add_clause([rep(c) for c in or_node.children])
+
+    if isinstance(root, PFalse):
+        clauses.append(())
+    elif isinstance(root, PTrue):
+        pass
+    elif isinstance(root, PLit):
+        add_clause([root.lit])
+    elif isinstance(root, POr):
+        emit_clause(root)
+    else:
+        for child in root.children:
+            if isinstance(child, PLit):
+                add_clause([child.lit])
+            else:
+                emit_clause(child)
+    return st.ClauseDb(num_vars=next_var, num_atom_vars=num_vars, clauses=clauses)
+
+
+def _shape(db):
+    return db.num_vars, db.num_atom_vars, db.clauses
+
+
+def _chain_texts():
+    for n in (6, 8, 10):
+        decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
+        yield decls + "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
+    for n in (100, 200, 400):
+        decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
+        yield decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n))
+
+
+def test_cnf_matches_reference_pipeline():
+    formulas = [st.random_formula(seed) for seed in range(205)]
+    formulas += [st.random_nested_formula(seed, depth=4) for seed in range(205)]
+    formulas += [st.parse_smt2(text) for text in _chain_texts()]
+    assert len(formulas) == 416
+    for f in formulas:
+        prop, amap = st.boolean_abstract(f)
+        assert amap is f.table
+        assert _shape(to_cnf(prop)) == _shape(reference_cnf(f.root, len(f.table)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,30 +273,11 @@ def test_cnf_constant_folding():
 
 
 def _models(node, n):
-    out = set()
-    for bits in product((False, True), repeat=n):
-
-        def ev(nd):
-            if isinstance(nd, PTrue):
-                return True
-            if isinstance(nd, PFalse):
-                return False
-            if isinstance(nd, PLit):
-                v = bits[abs(nd.lit) - 1]
-                return v if nd.lit > 0 else not v
-            if isinstance(nd, PNot):
-                return not ev(nd.child)
-            if isinstance(nd, PAnd):
-                return all(ev(c) for c in nd.children)
-            if isinstance(nd, POr):
-                return any(ev(c) for c in nd.children)
-            if isinstance(nd, PImplies):
-                return (not ev(nd.left)) or ev(nd.right)
-            raise TypeError(nd)
-
-        if ev(node):
-            out.add(bits)
-    return out
+    return {
+        bits
+        for bits in product((False, True), repeat=n)
+        if evaluate_formula(node, dict(enumerate(bits, 1)))
+    }
 
 
 def _cnf_models(db):
@@ -123,33 +294,34 @@ def _cnf_models(db):
 
 
 @hst.composite
-def pnodes(draw, depth=3, n_vars=4):
+def fnodes(draw, depth=3, n_vars=4):
     if depth == 0:
-        return PLit(draw(hst.integers(1, n_vars)) * draw(hst.sampled_from((1, -1))))
+        return lit(draw(hst.integers(1, n_vars)) * draw(hst.sampled_from((1, -1))))
     kind = draw(hst.sampled_from(("lit", "and", "or", "not", "implies", "const")))
     if kind == "lit":
-        return PLit(draw(hst.integers(1, n_vars)) * draw(hst.sampled_from((1, -1))))
+        return lit(draw(hst.integers(1, n_vars)) * draw(hst.sampled_from((1, -1))))
     if kind == "const":
-        return draw(hst.sampled_from((PTrue(), PFalse())))
+        return draw(hst.sampled_from((FTrue(), FFalse())))
     if kind == "not":
-        return PNot(draw(pnodes(depth=depth - 1, n_vars=n_vars)))
+        return FNot(draw(fnodes(depth=depth - 1, n_vars=n_vars)))
     if kind == "implies":
-        return PImplies(
-            draw(pnodes(depth=depth - 1, n_vars=n_vars)),
-            draw(pnodes(depth=depth - 1, n_vars=n_vars)),
+        return FImplies(
+            draw(fnodes(depth=depth - 1, n_vars=n_vars)),
+            draw(fnodes(depth=depth - 1, n_vars=n_vars)),
         )
     children = tuple(
-        draw(pnodes(depth=depth - 1, n_vars=n_vars))
+        draw(fnodes(depth=depth - 1, n_vars=n_vars))
         for _ in range(draw(hst.integers(1, 3)))
     )
-    return PAnd(children) if kind == "and" else POr(children)
+    return FAnd(children) if kind == "and" else FOr(children)
 
 
-@given(pnodes())
+@given(fnodes())
 def test_tseitin_preserves_projected_models(root):
     n = 4
     p = PropFormula(root, n)
     db = to_cnf(p)
+    assert _shape(db) == _shape(reference_cnf(root, n))
     assume(db.num_vars <= 12)  # keep the truth-table check tractable
     direct = _models(root, n)
     cnf_models = _cnf_models(db)

@@ -45,6 +45,27 @@ def test_count_weights(gap_xy_path, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3/2"
 
 
+@pytest.mark.parametrize("line", ["1 -1/2", "0 1/2", "7 1/3"])
+def test_count_rejects_bad_weight_lines(line, tmp_path, capsys):
+    src = tmp_path / "ab.smt2"
+    src.write_text("(declare-const A Bool)(declare-const B Bool)(assert (or A B))")
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"2 1/2\n{line}\n")
+    assert run(["count", str(src), "--weights", str(weights)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {weights}:2: ")
+
+
+def test_check_theory_without_atoms(tmp_path, capsys):
+    # a variable the sidecar gives no atom counts as propositional
+    nnf = tmp_path / "f.nnf"
+    atoms = tmp_path / "f.atoms"
+    nnf.write_text("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n")
+    atoms.write_text("")
+    assert run(["check", "--nnf", str(nnf), "--atoms", str(atoms), "--theory"]) == 0
+    assert capsys.readouterr().out == "0 violations\n"
+
+
 def test_check_theory(gap_xy_path, tmp_path, capsys):
     out = tmp_path / "f.nnf"
     run(["compile", str(gap_xy_path), "-o", str(out)])

@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as hst
 
 import smtrace as st
 from smtrace.compiler import (
-    BoolConflict,
     Component,
     NoUnassignedError,
+    WatchedClauses,
     cache_key,
     decide,
     learn_theory_clause,
     split_components,
-    unit_propagate,
 )
-from smtrace.frontend import Literal
+from smtrace.frontend import AtomTable, Literal
 from conftest import bool_chain, entangled_setup, pipeline
 
 
@@ -23,19 +22,43 @@ from conftest import bool_chain, entangled_setup, pipeline
 # unit propagation
 
 
+def unit_propagate(db, assignment):
+    """(implied literals in order, falsified clause or None) of the watched
+    engine, with its unit clauses asserted first as the search does."""
+    values = [None] * (db.num_vars + 1)
+    for var, val in assignment.items():
+        values[var] = val
+    engine = WatchedClauses(db.clauses)
+    implied = []
+
+    def assign(lit):
+        values[abs(lit)] = lit > 0
+        implied.append(lit)
+
+    queue = []
+    for u in engine.units:
+        if values[abs(u)] is None:
+            assign(u)
+            queue.append(u)
+        elif values[abs(u)] != (u > 0):
+            return implied, (u,)
+    queue += [var if val else -var for var, val in sorted(assignment.items())]
+    return implied, engine.propagate(values, assign, queue)
+
+
 def test_unit_propagate_chain():
     db = st.ClauseDb(2, 2, [(1,), (-1, 2)])
-    assert unit_propagate(db, {}) == [1, 2]
+    assert unit_propagate(db, {}) == ([1, 2], None)
 
 
 def test_unit_propagate_conflict():
     db = st.ClauseDb(1, 1, [(1,), (-1,)])
-    assert isinstance(unit_propagate(db, {}), BoolConflict)
+    assert unit_propagate(db, {})[1] == (-1,)
 
 
 def test_unit_propagate_under_assignment():
     db = st.ClauseDb(2, 2, [(1, 2)])
-    assert unit_propagate(db, {1: False}) == [2]
+    assert unit_propagate(db, {1: False}) == ([2], None)
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +121,14 @@ def test_split_independent_and_entangled():
 
 def test_split_propositional():
     db = st.ClauseDb(4, 4, [(1, 2), (3, 4)])
-    amap = st.AtomMap(atoms={}, real_names=[])
+    amap = AtomTable()
     comps = split_components(db, amap, {}, [], st.CompileConfig())
     assert len(comps) == 2
 
 
 def test_split_components_off():
     db = st.ClauseDb(4, 4, [(1, 2), (3, 4)])
-    amap = st.AtomMap(atoms={}, real_names=[])
+    amap = AtomTable()
     comps = split_components(db, amap, {}, [], st.CompileConfig(components=False))
     assert len(comps) == 1 and comps[0].scope == (1, 2, 3, 4)
 

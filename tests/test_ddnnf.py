@@ -354,10 +354,10 @@ def test_roundtrip_gap_xy(gap_xy):
     g2, amap2 = st.import_nnf(nnf, atoms)
     assert st.count(g2) == 3
     assert g2.has_tags == g.has_tags
-    assert amap2.num_atom_vars == amap.num_atom_vars
-    assert {v: st.frontend.atom_to_str(a, amap2.real_names) for v, a in amap2.atoms.items()} == {
-        v: st.frontend.atom_to_str(a, amap.real_names) for v, a in amap.atoms.items()
-    }
+    assert len(amap2) == len(amap)
+    assert [st.frontend.atom_to_str(a, amap2.real_names) for a in amap2.atoms] == [
+        st.frontend.atom_to_str(a, amap.real_names) for a in amap.atoms
+    ]
     nnf2, atoms2 = st.export_nnf(g2, amap2)
     assert nnf2 == nnf and atoms2 == atoms
 
@@ -382,6 +382,24 @@ def test_import_format_errors():
         st.import_nnf("nnf 1 0 1\nL 1\n", "1 frobnicate a\n")
     with pytest.raises(st.FormatError):
         st.import_nnf("nnf 1 0 1\nL 1\n", "2 bool a\n")  # non-contiguous vars
+
+
+def test_import_rejects_a_duplicated_atom_line():
+    nnf = "nnf 3 2 2\nL 1\nL 2\nA 2 0 1\n"
+    with pytest.raises(st.FormatError, match="variable 2 has the atom of variable 1"):
+        st.import_nnf(nnf, "1 bool a\n2 bool a\n")
+    with pytest.raises(st.FormatError):
+        st.import_nnf(nnf, "1 leq 1*x 0\n2 leq 1*x 0\n")
+
+
+def test_import_interns_sidecar_lines_in_variable_order():
+    nnf = "nnf 3 2 2\nL 1\nL -2\nA 2 0 1\n"
+    g, amap = st.import_nnf(nnf, "2 leq 1*y -3\n1 bool a\n")
+    assert [a.id for a in amap.atoms] == [1, 2]
+    assert amap.atom(1).name == "a" and not amap.is_linear_var(1)
+    assert amap.is_linear_var(2) and amap.real_names == ["y"]
+    assert st.export_nnf(g, amap)[1] == "1 bool a\n2 leq 1*y -3\n"
+    assert st.validate(g, level="theory").ok
 
 
 def test_import_c2d_constants():

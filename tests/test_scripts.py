@@ -1,0 +1,51 @@
+"""The scripts under scripts/ run to completion on small arguments."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("sweep.py", ["--instances", "3"]),
+        ("component_growth.py", ["--copies", "1"]),
+    ],
+)
+def test_script_runs(script, args, tmp_path):
+    proc = _run(script, *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("bench_eager.py", ["--instances", "2", "--repeats", "1"]),
+        ("bench_scaling.py", ["--sizes", "20", "--repeats", "1", "--budget", "5"]),
+    ],
+)
+def test_bench_script_writes_json(script, args, tmp_path):
+    out = tmp_path / "bench.json"
+    proc = _run(script, *args, "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())
