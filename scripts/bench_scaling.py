@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time compile and capped enumeration on the Boolean chain as it grows.
+"""Time compile and capped enumeration on the Boolean chain, and compile on
+the real chain, as they grow.
 
 For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, then
 compiles it in lazy mode with components on and off.  A first, untimed
@@ -9,11 +10,16 @@ median repeat is reported with the graph's decisions, nodes and edges.  A
 run that raises ``RecursionError``, or whose compile takes longer than
 ``--budget`` seconds, is recorded as a failure and the script goes on:
 without components the chain's search grows about 3x for every 4 more
-variables, and its component cache with it.  Results go to a JSON file
-together with the git SHA of the checkout that holds the imported
+variables, and its component cache with it.
+
+For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
+(i = 1..n-1) is compiled in lazy mode with the default settings, under the
+same budget; the median repeat is reported with the graph's decisions,
+theory checks, skipped propagation candidates and edges.  Results go to a
+JSON file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 --real-sizes 6 8 10 12 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -56,6 +62,13 @@ def bool_chain(n: int):
     decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
     f = st.parse_smt2(decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n)))
     prop, amap = st.boolean_abstract(f)
+    return st.to_cnf(prop), amap
+
+
+def real_chain(n: int):
+    decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
+    body = "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
+    prop, amap = st.boolean_abstract(st.parse_smt2(decls + body))
     return st.to_cnf(prop), amap
 
 
@@ -108,9 +121,34 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
     return row
 
 
+def measure_real(n: int, repeats: int, budget: float) -> dict:
+    db, amap = real_chain(n)
+    row = {"n": n}
+    runs = []
+    try:
+        for _ in range(max(1, repeats)):
+            t0 = time.perf_counter()
+            graph = capped(lambda: st.compile(db, amap), budget)
+            runs.append(time.perf_counter() - t0)
+    except OverBudget:
+        row["failure"] = f"compile took longer than {budget:g} s"
+        return row
+    stats = graph.stats
+    row.update(
+        compile_s_median=statistics.median(runs),
+        compile_s_runs=runs,
+        decisions=stats.decisions,
+        theory_checks=stats.theory_checks,
+        theory_skips=stats.theory_skips,
+        edges=stats.edges,
+    )
+    return row
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800])
+    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
     ap.add_argument("--out", default="BENCH_scaling.json")
@@ -121,6 +159,7 @@ def main() -> None:
         for n in args.sizes
         for components in (True, False)
     ]
+    real_rows = [measure_real(n, args.repeats, args.budget) for n in args.real_sizes]
     result = {
         "git_sha": git_sha(Path(st.__file__).resolve().parent),
         "python": platform.python_version(),
@@ -129,6 +168,7 @@ def main() -> None:
         "repeats": max(1, args.repeats),
         "budget_s": args.budget,
         "runs": rows,
+        "real_chain": real_rows,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(f"git_sha {result['git_sha']}  python {result['python']}")
@@ -140,6 +180,15 @@ def main() -> None:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  enumerate {row['enumerate_s_median']:.4f} s"
                 f"  decisions {row['decisions']}  split calls {row['split_calls']}"
+            )
+    for row in real_rows:
+        head = f"real chain n={row['n']:<3}"
+        if "failure" in row:
+            print(f"{head} failed: {row['failure']}")
+        else:
+            print(
+                f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
+                f"  theory checks {row['theory_checks']}  skips {row['theory_skips']}  edges {row['edges']}"
             )
 
 

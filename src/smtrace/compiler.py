@@ -66,6 +66,7 @@ STAT_KEYS = (
     "theory_props",
     "theory_checks",
     "theory_witness_hits",
+    "theory_skips",
     "conflicts",
     "learned",
     "components",
@@ -85,6 +86,7 @@ class CompileStats:
     theory_props: int = 0
     theory_checks: int = 0  # feasibility computations (memo and witness hits excluded)
     theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
+    theory_skips: int = 0  # propagation candidates skipped for a real the trail leaves free
     conflicts: int = 0
     learned: int = 0
     components: int = 0
@@ -638,6 +640,7 @@ def compile(db: ClauseDb, amap: AtomTable, cfg: CompileConfig | None = None) -> 
     if search.theory is not None:
         stats.theory_checks = search.theory.checks
         stats.theory_witness_hits = search.theory.witness_hits
+        stats.theory_skips = search.theory.skips
     stats.nodes = len(graph)
     stats.edges = graph.edge_count
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

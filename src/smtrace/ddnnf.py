@@ -73,6 +73,7 @@ class DdnnfGraph:
     has_tags: bool = False
     stats: object | None = None
     _scopes: list[frozenset[int]] | None = None
+    _total: bool = False  # the totality gate passed; a failing graph is checked again
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -310,6 +311,8 @@ def _scope_violation(scopes: list[frozenset[int]], nid: int, node: Node) -> Viol
 
 
 def _totality_gate(g: DdnnfGraph) -> None:
+    if g._total:
+        return
     scopes = g.scopes()
     for nid, node in enumerate(g.nodes):
         if node.kind == KOR and len(node.children) != 2:
@@ -317,6 +320,7 @@ def _totality_gate(g: DdnnfGraph) -> None:
         violation = _scope_violation(scopes, nid, node)
         if violation is not None:
             raise NotTotalError(f"node {nid}: {violation.message}")
+    g._total = True
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from operator import or_
 
 from .abstraction import ClauseDb
 from .compiler import learn_theory_clause
-from .frontend import EQ, AtomTable, Literal, literal_holds
-from .lra import check_feasible
+from .frontend import EQ, AtomTable, Literal
+from .lra import Point, check_feasible, literal_holds
 
 
 def _connected(masks: list[int]) -> bool:
@@ -87,7 +87,7 @@ def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[Litera
     cores: list[tuple[frozenset[Literal], frozenset[int]]] = []  # (core, its atoms)
     # feasible sets of the previous size -> (audited point, atom truths there);
     # a set decided by reuse shares its subset's entry
-    points = {frozenset(): ({}, {})}
+    points = {frozenset(): (Point(), {})}
     for size in range(1, top + 1):
         found = {}
         for combo in combinations(atoms, size):

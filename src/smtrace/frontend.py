@@ -81,13 +81,6 @@ class LinTerm:
     def neg(self) -> "LinTerm":
         return self.scale(-1)
 
-    def evaluate(self, point: Mapping[int, Fraction | int]) -> Fraction:
-        """Exact value at a point of Fraction or int values (absent: 0)."""
-        total = self.const
-        for v, c in self.coeffs:
-            total += c * point.get(v, 0)
-        return total
-
     @cached_property
     def real_vars(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.coeffs)
@@ -273,22 +266,6 @@ def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) 
         truth = canon if positive else not canon
         return TRUE_LIT if truth else FALSE_LIT
     return Literal(table.intern_linear(kind, canon), positive)
-
-
-def literal_holds(table: AtomTable, lit: Literal, point: Mapping[int, Fraction]) -> bool:
-    """Truth of a linear or constant literal at a rational point."""
-    if lit.atom == TOP_ATOM_ID:
-        return lit.positive
-    if lit.atom == BOT_ATOM_ID:
-        return not lit.positive
-    atom = table.atom(lit.atom)
-    if atom.kind == LEQ:
-        value = atom.term.evaluate(point) <= 0
-    elif atom.kind == EQ:
-        value = atom.term.evaluate(point) == 0
-    else:
-        raise ValueError(f"literal over non-linear atom {lit.atom}")
-    return value if lit.positive else not value
 
 
 def atom_to_str(atom: Atom, real_names: list[str]) -> str:

@@ -3,10 +3,14 @@
 Feasibility is decided by Fourier-Motzkin elimination, eliminating variables
 in ascending id order.  Elimination runs on Python ints: each row is scaled
 to integer coefficients, and every derived row is divided, together with its
-combination vector, by the gcd of all their entries.  Rationals appear only
-when the witness is back-substituted.  Equalities are split into two
-inequalities.  A disequality t != 0 is handled after the relaxed polyhedron P
-is known feasible: the system is infeasible iff P is contained in the
+combination vector, by the gcd of all their entries.  Points are integers
+too: a ``Point`` holds integer numerators over one positive denominator, and
+a literal holds at it when its integer rows have the right sign there
+(``literal_holds``, the one evaluator).  ``Fraction``s appear only when a
+caller reads a coordinate of a point, and in certificates, which cite the
+literals' rational terms.  Equalities are split into two inequalities.  A
+disequality t != 0 is handled after the relaxed polyhedron P is known
+feasible: the system is infeasible iff P is contained in the
 hyperplane t = 0, which is checked as infeasibility of both P and t < 0 and
 P and t > 0 (sound by convexity: a convex set not contained in any of
 finitely many hyperplanes contains a point avoiding all of them).  The same
@@ -23,11 +27,12 @@ containment.  Both are re-verified mechanically before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
-from .frontend import EQ, LEQ, Atom, LinTerm, Literal, literal_holds
+from .frontend import EQ, LEQ, Atom, LinTerm, Literal
 
 
 class TheoryError(Exception):
@@ -40,6 +45,36 @@ class NonTheoryLiteralError(TheoryError):
 
 class NotInfeasibleError(TheoryError):
     """minimize_core was called on a feasible literal set."""
+
+
+class Point(Mapping):
+    """An immutable rational point: integer numerators ``nums`` (real id ->
+    int) over one positive denominator ``den``, the least one.
+
+    It reads as a mapping of real ids to ``Fraction``s, made only when a
+    coordinate is read; the solver reads ``nums`` and ``den``.  The
+    constructor takes ownership of ``nums``.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: dict[int, int] | None = None, den: int = 1) -> None:
+        nums = {} if nums is None else nums
+        g = math.gcd(den, *nums.values())
+        if g > 1:
+            nums = {v: n // g for v, n in nums.items()}
+            den //= g
+        self.nums = nums
+        self.den = den
+
+    def __getitem__(self, var: int) -> Fraction:
+        return Fraction(self.nums[var], self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
 
 @dataclass(frozen=True)
@@ -76,7 +111,7 @@ class Certificate:
 @dataclass
 class FeasibilityResult:
     sat: bool
-    witness: dict[int, Fraction] | None = None
+    witness: Point | None = None
     certificate: Certificate | None = None
 
     @property
@@ -211,7 +246,7 @@ def _fourier_motzkin(rows: Sequence[_Row]):
     combination vector (``row == sum(comb[i] * rows[i])``) and both are divided
     by the gcd of all their entries.  Returns ("unsat", comb) with comb mapping
     row index -> positive integer multiplier, or ("sat", witness) with a full
-    rational point found by back-substitution.
+    ``Point`` found by back-substitution.
     """
     # live rows: (coeffs dict, const, strict, comb dict), all integers
     live = [(row.coeffs, row.const, row.strict, {i: row.scale}) for i, row in enumerate(rows)]
@@ -228,36 +263,46 @@ def _fourier_motzkin(rows: Sequence[_Row]):
         if _contradictory(const, strict):
             return "unsat", comb
 
-    witness: dict[int, Fraction] = {}
+    # back-substitution over ints: the point is nums / den, and a bound
+    # (p, q, strict) is p / q with q > 0, compared by cross-multiplying
+    nums: dict[int, int] = {}
+    den = 1
     for var, uppers, lowers in reversed(stages):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
+        lo = hi = None
         for coeffs, const, strict, _ in uppers + lowers:
             c = coeffs[var]
-            rest_val = const
+            rest = const * den  # den * (the row's value at the point, var left out)
             for v, cv in coeffs.items():
                 if v != var:
-                    rest_val += cv * witness[v]
-            bound = Fraction(-rest_val, c)
-            if c > 0:  # x <= bound
-                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
-                    hi = (bound, strict)
-            else:  # x >= bound
-                if lo is None or bound > lo[0] or (bound == lo[0] and strict):
-                    lo = (bound, strict)
+                    rest += cv * nums[v]
+            if c > 0:  # x <= -rest / (c * den)
+                p, q = -rest, c * den
+                if hi is None or p * hi[1] < hi[0] * q or (p * hi[1] == hi[0] * q and strict):
+                    hi = (p, q, strict)
+            else:  # x >= rest / (-c * den)
+                p, q = rest, -c * den
+                if lo is None or p * lo[1] > lo[0] * q or (p * lo[1] == lo[0] * q and strict):
+                    lo = (p, q, strict)
         if lo is None and hi is None:
-            value = Fraction(0)
+            p, q = 0, 1
         elif lo is None:
-            value = hi[0] - 1 if hi[1] else hi[0]
+            p, q = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
         elif hi is None:
-            value = lo[0] + 1 if lo[1] else lo[0]
-        elif lo[0] < hi[0]:
-            value = (lo[0] + hi[0]) / 2
+            p, q = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
+        elif lo[0] * hi[1] < hi[0] * lo[1]:  # the midpoint
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
         else:
             # feasible elimination guarantees lo == hi with both non-strict
-            value = lo[0]
-        witness[var] = value
-    return "sat", witness
+            p, q = lo[0], lo[1]
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if den % q:
+            scale = q // math.gcd(den, q)
+            for v in nums:
+                nums[v] *= scale
+            den *= scale
+        nums[var] = p * (den // q)
+    return "sat", Point(nums, den)
 
 
 def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, int]) -> Certificate:
@@ -304,7 +349,22 @@ def _verify_plain(table, lits, cert: Certificate, diseq: Literal | None) -> bool
     return total.is_constant and _contradictory(total.const, strict)
 
 
-def witness_satisfies(table, literals: Iterable[Literal], witness: Mapping[int, Fraction]) -> bool:
+def literal_holds(table, lit: Literal, point: Point) -> bool:
+    """Truth of a linear or constant literal at a point: the sign of its
+    integer rows there.  A disequality holds where one of its strict sides
+    does, any other literal where all its rows do."""
+    diseq, rows = _literal_rows(table, lit)
+    nums, den = point.nums, point.den
+    for row in rows:
+        value = row.const * den  # den * row.scale * (the term at the point)
+        for v, c in row.coeffs.items():
+            value += c * nums.get(v, 0)
+        if (value < 0 or (value == 0 and not row.strict)) == diseq:
+            return diseq
+    return not diseq
+
+
+def witness_satisfies(table, literals: Iterable[Literal], witness: Point) -> bool:
     return all(literal_holds(table, lit, witness) for lit in literals)
 
 
@@ -323,30 +383,31 @@ def _split_literals(table, literals: Sequence[Literal]):
 
 
 def _avoid_hyperplanes(
-    witness: dict[int, Fraction],
+    table,
+    point: Point,
     diseqs: Sequence[tuple[_Row, _Row]],
-    side_points: Sequence[dict[int, Fraction]],
-) -> dict[int, Fraction]:
+    side_points: Sequence[Point],
+) -> Point:
     """Move the witness inside the polyhedron off every diseq hyperplane.
 
     Each step walks along the segment towards a point strictly off one
     hyperplane; by convexity the segment stays feasible, and all previously
     fixed disequalities admit at most one bad step size each.
     """
-    point = dict(witness)
-    terms = [below.term for below, _ in diseqs]
-    for j, term in enumerate(terms):
-        if term.evaluate(point) != 0:
+    lits = [below.source for below, _ in diseqs]
+    for j, lit in enumerate(lits):
+        if literal_holds(table, lit, point):
             continue
         target = side_points[j]
-        keys = set(point) | set(target)
+        keys = point.nums.keys() | target.nums.keys()
         for k in range(1, len(diseqs) + 3):
-            lam = Fraction(1, k)
-            cand = {
-                v: (1 - lam) * point.get(v, Fraction(0)) + lam * Fraction(target.get(v, 0))
-                for v in keys
-            }
-            if all(t.evaluate(cand) != 0 for t in terms[: j + 1]):
+            # (1 - 1/k) * point + (1/k) * target, over k * point.den * target.den
+            a, b = (k - 1) * target.den, point.den
+            cand = Point(
+                {v: a * point.nums.get(v, 0) + b * target.nums.get(v, 0) for v in keys},
+                k * point.den * target.den,
+            )
+            if all(literal_holds(table, l, cand) for l in lits[: j + 1]):
                 point = cand
                 break
         else:  # pragma: no cover - impossible by the counting argument
@@ -364,8 +425,8 @@ def check_feasible(table, literals: Iterable[Literal]) -> FeasibilityResult:
         _audit(table, lits, result)
         return result
 
-    witness: dict[int, Fraction] = payload
-    side_points: list[dict[int, Fraction]] = []
+    witness: Point = payload
+    side_points: list[Point] = []
     for below, above in diseqs:
         aug_lo = rows + [below]
         lo_status, lo_payload = _fourier_motzkin(aug_lo)
@@ -387,7 +448,7 @@ def check_feasible(table, literals: Iterable[Literal]) -> FeasibilityResult:
         return result
 
     if diseqs:
-        witness = _avoid_hyperplanes(witness, diseqs, side_points)
+        witness = _avoid_hyperplanes(table, witness, diseqs, side_points)
     result = FeasibilityResult(True, witness=witness)
     _audit(table, lits, result)
     return result
@@ -461,21 +522,24 @@ class TheoryState:
     """Assertion trail of theory literals with decision levels.
 
     Single-owner: one search uses one state.  Next to each trail entry sits an
-    audited rational point satisfying every literal up to and including that
-    entry.  A query is answered first at the top point: a literal that holds
-    there extends the trail with the same point, and a literal whose negation
-    holds there is not entailed.  Only the other queries run Fourier-Motzkin,
-    memoized per literal set.  Points are never mutated (entries share them),
-    so popping the trail pops the points and push/pop stays exact.
+    audited point satisfying every literal up to and including that entry,
+    and the set of reals the trail mentions up to there.  A query is answered
+    first at the top point: a literal that holds there extends the trail with
+    the same point, and a literal whose negation holds there is not entailed.
+    Only the other queries run Fourier-Motzkin, memoized per literal set.
+    Points are never mutated (entries share them), so popping the trail pops
+    the points and push/pop stays exact.
     """
 
     def __init__(self, table) -> None:
         self.table = table
         self.trail: list[tuple[Literal, int]] = []
-        self._points: list[Mapping[int, Fraction]] = [{}]  # _points[i] satisfies trail[:i]
+        self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
+        self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
         self._memo: dict[frozenset[Literal], FeasibilityResult] = {}
         self.checks = 0
         self.witness_hits = 0
+        self.skips = 0  # propagation candidates skipped for a real the trail leaves free
 
     def literals(self) -> list[Literal]:
         return [lit for lit, _ in self.trail]
@@ -485,9 +549,14 @@ class TheoryState:
         return self.trail[-1][1] if self.trail else 0
 
     @property
-    def point(self) -> Mapping[int, Fraction]:
-        """The audited point satisfying every trail literal (read-only)."""
+    def point(self) -> Point:
+        """The audited point satisfying every trail literal."""
         return self._points[-1]
+
+    @property
+    def reals(self) -> frozenset[int]:
+        """The real variables some trail literal mentions."""
+        return self._reals[-1]
 
     def _check(self, lits: frozenset[Literal]) -> FeasibilityResult:
         cached = self._memo.get(lits)
@@ -523,12 +592,14 @@ class TheoryState:
             point = result.witness
         self.trail.append((lit, level))
         self._points.append(point)
+        self._reals.append(self.reals | atom.term.real_vars)
         return None
 
     def pop_to_level(self, level: int) -> None:
         while self.trail and self.trail[-1][1] > level:
             self.trail.pop()
             self._points.pop()
+            self._reals.pop()
 
     def entails(self, lit: Literal) -> bool:
         atom = self.table.atom(lit.atom)
@@ -563,13 +634,22 @@ def propagate_candidates(
     """Trail-entailed literals over the given atoms, within a check budget.
 
     Sound but deliberately incomplete: at most ``budget`` entailment checks
-    are spent, two per atom at worst.
+    are spent, two per atom at worst.  An atom with a real that no trail
+    literal mentions is skipped without a check: the trail is feasible and
+    leaves that real free, so the atom's term takes every value on the
+    trail's polyhedron and neither polarity is entailed.  A skipped atom is
+    charged its two checks, so a budget reaches the same atoms as without
+    the skip.
     """
     out: list[Literal] = []
     used = 0
     for aid in atoms:
         if used >= budget:
             break
+        if not state.table.atom(aid).term.real_vars <= state.reals:
+            state.skips += 1
+            used += 2
+            continue
         pos = Literal(aid, True)
         used += 1
         if state.entails(pos):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import settings
 
 import smtrace as st
 from smtrace.frontend import AtomTable, FAnd, FLit, FOr, Formula, LinTerm, normalize_comparison
+from smtrace.lra import Point
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -34,6 +36,17 @@ def gap_xy():
 @pytest.fixture
 def gap01():
     return st.parse_smt2(GAP01_SMT2)
+
+
+def evaluate(term, point):
+    """The exact value of a ``LinTerm`` at a point of rationals (absent: 0)."""
+    return term.const + sum(c * Fraction(point.get(v, 0)) for v, c in term.coeffs)
+
+
+def point_of(values):
+    """The ``lra.Point`` of a mapping of real ids to rationals."""
+    den = math.lcm(*(Fraction(x).denominator for x in values.values()))
+    return Point({v: int(Fraction(x) * den) for v, x in values.items()}, den)
 
 
 def pipeline(formula, mode="lazy", eager_k=None, **cfg_kwargs):

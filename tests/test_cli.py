@@ -109,6 +109,7 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "theory_props",
         "theory_checks",
         "theory_witness_hits",
+        "theory_skips",
         "conflicts",
         "learned",
         "components",

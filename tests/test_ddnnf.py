@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import smtrace as st
+from smtrace import ddnnf
 from smtrace.ddnnf import KAND, KFALSE, KLIT, KOR, KTRUE, GraphBuilder
 from conftest import bool_chain, pipeline
 
@@ -43,6 +44,40 @@ def test_count_rejects_non_total():
     g = b.finish(b.or_node(1, b.lit(1), b.and_node([b.lit(-1), b.lit(2)])), None, False)
     with pytest.raises(st.NotTotalError):
         st.count(g)
+
+
+QUERIES = (
+    ("count", st.count),
+    ("weighted_count", lambda g: st.weighted_count(g, st.WeightMap())),
+    ("enumerate_models", st.enumerate_models),
+)
+
+
+@pytest.mark.parametrize("name, query", QUERIES)
+def test_totality_gate_runs_once_per_graph(name, query, gap_xy, monkeypatch):
+    g, _, _ = pipeline(gap_xy)
+    calls = []
+    original = ddnnf._scope_violation
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(ddnnf, "_scope_violation", counted)
+    first = query(g)
+    assert len(calls) == len(g.nodes)
+    for _ in range(2):
+        assert query(g) == first
+    assert len(calls) == len(g.nodes)
+
+
+@pytest.mark.parametrize("name, query", QUERIES)
+def test_non_total_graph_raises_on_every_query(name, query):
+    b = GraphBuilder(2, 2)
+    g = b.finish(b.or_node(1, b.lit(1), b.and_node([b.lit(-1), b.lit(2)])), None, False)
+    for _ in range(3):
+        with pytest.raises(st.NotTotalError):
+            query(g)
 
 
 def test_count_ignores_auxiliaries():

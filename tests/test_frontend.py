@@ -18,10 +18,10 @@ from smtrace.frontend import (
     Literal,
     canonical_eq,
     canonical_leq,
-    literal_holds,
     normalize_comparison,
 )
-from conftest import GAP_XY_SMT2, GAP01_SMT2
+from smtrace.lra import literal_holds
+from conftest import GAP_XY_SMT2, GAP01_SMT2, evaluate, point_of
 
 
 def term(table, coeffs, const=0):
@@ -230,8 +230,8 @@ def test_semantic_preservation_sweep():
         lhs, rhs = rand_term(), rand_term()
         lit = normalize_comparison(table, op, lhs, rhs)
         for _ in range(100):
-            point = {v: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for v in range(3)}
-            lv, rv = lhs.evaluate(point), rhs.evaluate(point)
+            point = point_of({v: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for v in range(3)})
+            lv, rv = evaluate(lhs, point), evaluate(rhs, point)
             expected = {
                 "<": lv < rv,
                 ">": lv > rv,

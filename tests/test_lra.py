@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,18 +6,22 @@ import pytest
 from hypothesis import given, strategies as hst
 
 import smtrace as st
+from smtrace import lra
 from smtrace.frontend import EQ, LEQ, AtomTable, LinTerm, Literal, normalize_comparison
 from smtrace.lra import (
     NonTheoryLiteralError,
     NotInfeasibleError,
+    Point,
     TheoryState,
     check_feasible,
+    literal_holds,
     minimize_core,
     project_trail,
     propagate_candidates,
     verify_certificate,
     witness_satisfies,
 )
+from conftest import evaluate, point_of
 
 
 @pytest.fixture
@@ -421,8 +426,180 @@ def test_push_pop_differential(seed):
             level = target
         assert state.literals() == [l for l, _ in shadow]
         assert witness_satisfies(table, state.literals(), state.point)
+        assert state.reals == frozenset().union(
+            *(table.atom(l.atom).term.real_vars for l, _ in shadow)
+        )
         probe = rng.choice(pool)
         rebuilt = TheoryState(table)
         for i, (l, lv) in enumerate(shadow):
             assert rebuilt.assert_literal(l, lv) is None
         assert state.entails(probe) == rebuilt.entails(probe)
+
+
+# ---------------------------------------------------------------------------
+# integer points and free-real pruning
+
+
+def test_point_keeps_the_least_denominator():
+    p = Point({0: 2, 1: -4, 2: 0}, 6)
+    assert (p.nums, p.den) == ({0: 1, 1: -2, 2: 0}, 3)
+    assert p == {0: Fraction(1, 3), 1: Fraction(-2, 3), 2: Fraction(0)}
+    assert p[1] == Fraction(-2, 3) and p.get(7) is None and len(p) == 3
+    assert Point({}, 5).den == 1 and Point() == {}
+
+
+@hst.composite
+def lra_literals(draw, reals=3, max_size=5):
+    """(table, literals) over ``reals`` real variables with small coefficients."""
+    table = AtomTable()
+    ids = [table.real_var(f"r{i}") for i in range(reals)]
+    lits = []
+    for _ in range(draw(hst.integers(0, max_size))):
+        coeffs = {
+            v: Fraction(draw(hst.integers(-3, 3)), draw(hst.integers(1, 3)))
+            for v in ids
+            if draw(hst.booleans())
+        }
+        op = draw(hst.sampled_from(("<", ">", "<=", ">=", "=", "!=")))
+        rhs = Fraction(draw(hst.integers(-4, 4)), draw(hst.integers(1, 2)))
+        lit = normalize_comparison(table, op, LinTerm.make(coeffs), LinTerm.constant(rhs))
+        if lit.atom > 0:
+            lits.append(lit)
+    return table, lits
+
+
+rationals = hst.builds(Fraction, hst.integers(-9, 9), hst.integers(1, 6))
+
+
+def _reference_holds(table, lit, point):
+    """Truth of a literal at a point of Fractions, by evaluating its term."""
+    atom = table.atom(lit.atom)
+    value = evaluate(atom.term, point)
+    holds = value <= 0 if atom.kind == LEQ else value == 0
+    return holds == lit.positive
+
+
+@given(lra_literals(), hst.lists(rationals, min_size=3, max_size=3))
+def test_literal_holds_matches_the_fraction_reference(case, coords):
+    table, lits = case
+    values = dict(enumerate(coords))
+    point = point_of(values)
+    for lit in lits:
+        for probe in (lit, lit.negated()):
+            assert literal_holds(table, probe, point) == _reference_holds(table, probe, values)
+
+
+@given(lra_literals(max_size=6))
+def test_an_atom_with_a_free_real_is_not_entailed(case):
+    """A feasible trail entails neither polarity of an atom with a real the
+    trail does not mention, and propagation skips that atom without a check."""
+    table, lits = case
+    for k in range(len(lits)):
+        trail = lits[:k]
+        if not check_feasible(table, trail).sat:
+            break
+        mentioned = frozenset().union(*(table.atom(l.atom).term.real_vars for l in trail))
+        for lit in lits[k:]:
+            if table.atom(lit.atom).term.real_vars <= mentioned:
+                continue
+            for extended in (lit, lit.negated()):
+                assert check_feasible(table, trail + [extended]).sat
+            state = TheoryState(table)
+            for level, t in enumerate(trail, 1):
+                assert state.assert_literal(t, level) is None
+            checks = state.checks
+            assert propagate_candidates(state, [lit.atom], budget=2) == []
+            assert (state.skips, state.checks) == (1, checks)
+
+
+def test_propagation_charges_a_skipped_atom_its_two_checks(env):
+    table, cmp = env
+    s = TheoryState(table)
+    s.assert_literal(cmp(">=", {"x": 1}, 1), 1)
+    free = cmp("<=", {"x": 1, "y": 1}, 0)  # y is free on the trail
+    le0 = cmp("<=", {"x": 1}, 0)
+    assert propagate_candidates(s, [free.atom, le0.atom], budget=2) == []
+    assert propagate_candidates(s, [free.atom, le0.atom], budget=4) == [le0.negated()]
+    assert s.skips == 2
+
+
+def _reference_fm_witness(rows):
+    """Fourier-Motzkin with back-substitution over Fractions: the witness
+    the solver found before its points became integer, or None if the rows
+    are infeasible."""
+    live = [(row.coeffs, row.const, row.strict, {i: row.scale}) for i, row in enumerate(rows)]
+    stages = []
+    for var in sorted({v for row in rows for v in row.coeffs}):
+        uppers, lowers, live, bad = lra._eliminate(live, var)
+        if bad is not None:
+            return None
+        stages.append((var, uppers, lowers))
+    if any(lra._contradictory(const, strict) for _, const, strict, _ in live):
+        return None
+    witness = {}
+    for var, uppers, lowers in reversed(stages):
+        lo = hi = None
+        for coeffs, const, strict, _ in uppers + lowers:
+            c = coeffs[var]
+            rest_val = const
+            for v, cv in coeffs.items():
+                if v != var:
+                    rest_val += cv * witness[v]
+            bound = Fraction(-rest_val, c)
+            if c > 0:
+                if hi is None or bound < hi[0] or (bound == hi[0] and strict):
+                    hi = (bound, strict)
+            elif lo is None or bound > lo[0] or (bound == lo[0] and strict):
+                lo = (bound, strict)
+        if lo is None and hi is None:
+            value = Fraction(0)
+        elif lo is None:
+            value = hi[0] - 1 if hi[1] else hi[0]
+        elif hi is None:
+            value = lo[0] + 1 if lo[1] else lo[0]
+        elif lo[0] < hi[0]:
+            value = (lo[0] + hi[0]) / 2
+        else:
+            value = lo[0]
+        witness[var] = value
+    return witness
+
+
+def _reference_witness(table, lits):
+    """The Fraction witness of a feasible literal set, disequalities
+    avoided by the same walk as the solver's; None if infeasible."""
+    rows, diseqs = lra._split_literals(table, sorted(set(lits)))
+    point = _reference_fm_witness(rows)
+    if point is None:
+        return None
+    sides = []
+    for below, above in diseqs:
+        side = _reference_fm_witness(rows + [below])
+        if side is None:
+            side = _reference_fm_witness(rows + [above])
+        if side is None:
+            return None
+        sides.append(side)
+    terms = [below.term for below, _ in diseqs]
+    for j, term in enumerate(terms):
+        if evaluate(term, point) != 0:
+            continue
+        keys = set(point) | set(sides[j])
+        for k in range(1, len(diseqs) + 3):
+            lam = Fraction(1, k)
+            cand = {v: (1 - lam) * point.get(v, 0) + lam * sides[j].get(v, 0) for v in keys}
+            if all(evaluate(t, cand) != 0 for t in terms[: j + 1]):
+                point = cand
+                break
+    return point
+
+
+@given(lra_literals(max_size=6))
+def test_witnesses_match_the_fraction_back_substitution(case):
+    table, lits = case
+    res = check_feasible(table, lits)
+    ref = _reference_witness(table, lits)
+    assert res.sat == (ref is not None)
+    if res.sat:
+        assert dict(res.witness) == ref
+        assert res.witness.den == math.lcm(*(x.denominator for x in ref.values()))

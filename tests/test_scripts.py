@@ -41,7 +41,7 @@ def test_script_runs(script, args, tmp_path):
     "script, args",
     [
         ("bench_eager.py", ["--instances", "2", "--repeats", "1"]),
-        ("bench_scaling.py", ["--sizes", "20", "--repeats", "1", "--budget", "5"]),
+        ("bench_scaling.py", ["--sizes", "20", "--real-sizes", "6", "--repeats", "1", "--budget", "5"]),
     ],
 )
 def test_bench_script_writes_json(script, args, tmp_path):
