@@ -30,14 +30,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("lazy", "eager", "agnostic"), default="lazy")
-    p.add_argument("--eager-k", type=int, default=None, help="max core size for eager mode")
+    p.add_argument("--eager-k", type=_nonnegative, default=None, help="max core size for eager mode")
     p.add_argument("--no-components", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-learning", action="store_true")
     p.add_argument("--heuristic", choices=("dlcs", "fixed"), default="dlcs")
-    p.add_argument("--prop-budget", type=int, default=None)
+    p.add_argument("--prop-budget", type=_nonnegative, default=None)
     p.add_argument("--stats", choices=("text", "json"), default="text")
     p.add_argument("--condense", action="store_true", help="condense exported graph")
 
@@ -60,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="enumerate captured assignments")
     p.add_argument("input")
-    p.add_argument("--max", type=int, default=4096, dest="cap")
+    p.add_argument("--max", type=_nonnegative, default=4096, dest="cap")
     _add_shared(p)
 
     p = sub.add_parser("check", help="run the d-DNNF validators on a compiled graph")

@@ -16,7 +16,10 @@ the polyhedron non-convex; the key then holds the trail literals touching
 the component's real-variable scope instead.  Splitting and theory-candidate
 collection read the clauses through a per-variable occurrence index built
 once per compile (``ClauseIndex``), so they touch only the clauses of the
-component at hand.
+component at hand.  The default order is DLCS, except that a linear atom in
+no residual clause that shares a real with the component's trail context is
+decided first: leaving it open would keep that real apart in the cache keys
+of otherwise equal subproblems.
 """
 
 from __future__ import annotations
@@ -369,11 +372,22 @@ def cache_key(component: Component) -> tuple:
 # branching and clause learning
 
 
-def decide(component: Component, heuristic: str = "dlcs") -> int:
+def decide(
+    component: Component,
+    heuristic: str = "dlcs",
+    reals: Mapping[int, frozenset[int]] | None = None,
+) -> int:
     """Pick the decision literal for a component.
 
-    dlcs: positive literal of the variable occurring most often in the
-    residual clauses (ties: lowest id).  fixed_order: lowest unassigned id.
+    dlcs: positive literal of the lowest-id *pinned* variable if there is
+    one, else of the variable occurring most often in the residual clauses
+    (ties: lowest id).  A variable is pinned when it occurs in no residual
+    clause and is a linear atom sharing a real with one of the component's
+    ``projected`` trail literals; ``reals`` maps each linear atom variable to
+    its reals (``ClauseIndex.reals``).  Deciding pinned atoms first settles
+    the reals that keep the projected cache keys of otherwise equal
+    subproblems apart.  With an empty trail nothing is pinned and the choice
+    is plain DLCS.  fixed_order: lowest unassigned id.
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
@@ -385,6 +399,11 @@ def decide(component: Component, heuristic: str = "dlcs") -> int:
     for view in component.residual:
         for l in view:
             counts[abs(l)] = counts.get(abs(l), 0) + 1
+    if component.projected and reals:
+        pinned = frozenset().union(*(reals[a] for a, _ in component.projected))
+        for v in component.scope:
+            if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
+                return v
     if not counts:
         return component.scope[0]
     return min(counts, key=lambda v: (-counts[v], v))
@@ -569,7 +588,7 @@ class _Search:
                 self.stats.cache_hits += 1
                 return hit
             self.stats.cache_misses += 1
-        lit = decide(comp, self.cfg.decision_heuristic)
+        lit = decide(comp, self.cfg.decision_heuristic, self.index.reals)
         self.stats.decisions += 1
         hi = self._branch(comp, lit)
         lo = self._branch(comp, -lit)

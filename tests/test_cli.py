@@ -159,6 +159,35 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "{path}", "--max", "-1"],
+        ["enumerate", "{path}", "--max=-2"],
+        ["count", "{path}", "--prop-budget", "-1"],
+        ["count", "{path}", "--mode", "eager", "--eager-k", "-1"],
+        ["compile", "{path}", "-o", "{out}", "--eager-k", "-5"],
+        ["count", "{path}", "--prop-budget", "two"],
+    ],
+)
+def test_negative_or_non_integer_counts_are_usage_errors(argv, gap_xy_path, tmp_path, capsys):
+    out = tmp_path / "out.nnf"
+    assert run([a.format(path=gap_xy_path, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a non-negative integer" in captured.err
+    assert not out.exists()
+
+
+def test_zero_counts_are_accepted(gap_xy_path, capsys):
+    assert run(["enumerate", str(gap_xy_path), "--max", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["count", str(gap_xy_path), "--prop-budget", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert run(["count", str(gap_xy_path), "--mode", "eager", "--eager-k", "0"]) == 0
+    capsys.readouterr()
+
+
 def test_parse_and_format_errors(tmp_path, capsys):
     bad = tmp_path / "bad.smt2"
     bad.write_text("(assert (* x y))")

@@ -94,6 +94,69 @@ def test_decide_no_unassigned():
         decide(_component([], []), "dlcs")
 
 
+def reference_decide(component, heuristic="dlcs"):
+    """``decide`` before pinned atoms went first: plain DLCS."""
+    if not component.scope:
+        raise NoUnassignedError("component has no unassigned variables")
+    if heuristic == "fixed_order":
+        return component.scope[0]
+    counts = {}
+    for view in component.residual:
+        for l in view:
+            counts[abs(l)] = counts.get(abs(l), 0) + 1
+    if not counts:
+        return component.scope[0]
+    return min(counts, key=lambda v: (-counts[v], v))
+
+
+# linear atoms 4-7 over reals 0-2; 1-3 are Boolean; trail atom 9 pins real 0
+_REALS = {
+    4: frozenset({2}),
+    5: frozenset({1, 2}),
+    6: frozenset({0, 2}),
+    7: frozenset({0}),
+    9: frozenset({0, 1}),
+}
+
+
+def test_decide_picks_pinned_atom_before_dlcs():
+    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), ((9, False),), ())
+    assert reference_decide(comp) == 1
+    # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
+    assert decide(comp, "dlcs", _REALS) == 5
+    pinned_by_real_0 = Component(comp.residual, (1, 2, 3, 4, 6, 7), comp.projected, ())
+    assert decide(pinned_by_real_0, "dlcs", _REALS) == 6
+    assert decide(comp, "fixed_order", _REALS) == 1
+
+
+def test_decide_without_pinned_atoms_is_dlcs():
+    # atom 4 shares no real with the trail atom, and Boolean 3 has none
+    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), ((7, True),), ())
+    assert decide(no_share, "dlcs", _REALS) == reference_decide(no_share) == 1
+    # a pinned-looking atom in a residual clause is left to DLCS
+    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), ((9, True),), ())
+    assert decide(in_clause, "dlcs", _REALS) == reference_decide(in_clause) == 1
+    # without the real map, or with an empty trail, the rule is off
+    comp = Component(((1, 2),), (1, 2, 7), ((9, True),), ())
+    assert decide(comp, "dlcs") == decide(comp, "dlcs", {}) == 1
+    assert decide(Component(comp.residual, comp.scope, (), ()), "dlcs", _REALS) == 1
+    assert decide(comp, "dlcs", _REALS) == 7
+
+
+@settings(max_examples=200)
+@given(hst.data())
+def test_decide_with_empty_trail_matches_reference(data):
+    """With no trail context nothing is pinned, whatever the real map says."""
+    n = data.draw(hst.integers(1, 8))
+    scope = sorted(data.draw(hst.sets(hst.integers(1, n), min_size=1)))
+    lit = hst.sampled_from(scope).flatmap(lambda v: hst.sampled_from((v, -v)))
+    residual = data.draw(hst.lists(hst.lists(lit, min_size=1, max_size=3), max_size=5))
+    reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
+    comp = _component(residual, scope)
+    for heuristic in ("dlcs", "fixed_order"):
+        assert decide(comp, heuristic, reals) == reference_decide(comp, heuristic)
+
+
 # ---------------------------------------------------------------------------
 # component splitting and trail entanglement
 
@@ -363,6 +426,49 @@ def test_real_chain_hits_the_projected_cache():
     assert g.stats.cache_fallbacks == 0
     assert st.count(g) == 144 == st.brute_counts(f)[1]
     assert st.validate(g, level="theory", table=f.table).ok
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_real_chain_decides_linearly():
+    """Pinned atoms first: the chain compiles in 3n - 4 decisions, and its
+    count is F(2n).  Sizes go up in one test, so that an order that lets the
+    search grow exponentially fails at n = 6 rather than running for minutes
+    at n = 20."""
+    for n in range(6, 21):
+        g, _, _ = pipeline(st.parse_smt2(_real_chain(n)))
+        assert g.stats.decisions <= 3 * n, n
+        assert st.count(g) == _fibonacci(2 * n), n
+
+
+def _trace(graph):
+    stats = graph.stats.as_dict()
+    del stats["wall_ms"]
+    return graph.root, graph.nodes, stats
+
+
+def test_empty_trail_graphs_match_reference_decide(monkeypatch):
+    """Eager and agnostic mode and pure-Boolean input have no trail, so
+    their graphs and stats are the plain-DLCS ones; lazy counts agree."""
+    formulas = [gen(seed) for seed in range(8) for gen in (st.random_formula, st.random_nested_formula)]
+    runs = [(f, mode) for f in formulas for mode in ("eager", "agnostic", "lazy")]
+
+    def graphs():
+        return [pipeline(f, mode=mode)[0] for f, mode in runs] + [st.compile(*bool_chain(40))]
+
+    new = graphs()
+    monkeypatch.setattr(st.compiler, "decide", lambda comp, heuristic, reals: reference_decide(comp, heuristic))
+    old = graphs()
+    runs.append((None, "bool-chain"))
+    for (f, mode), a, b in zip(runs, new, old):
+        assert st.count(a) == st.count(b)
+        if mode != "lazy" or not f.table.linear_vars():
+            assert _trace(a) == _trace(b), mode
 
 
 def test_no_projection_without_theory(monkeypatch, gap_xy):
