@@ -48,7 +48,6 @@ from .compiler import (
 from .ddnnf import (
     DdnnfGraph,
     FormatError,
-    MissingWeightError,
     NotTaggedError,
     NotTotalError,
     Report,

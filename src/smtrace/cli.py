@@ -43,7 +43,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-learning", action="store_true")
     p.add_argument("--heuristic", choices=("dlcs", "fixed"), default="dlcs")
-    p.add_argument("--prop-budget", type=_nonnegative, default=None)
     p.add_argument("--stats", choices=("text", "json"), default="text")
     p.add_argument("--condense", action="store_true", help="condense exported graph")
 
@@ -88,7 +87,6 @@ def _config(args) -> CompileConfig:
         components=not args.no_components,
         cache=not args.no_cache,
         learning=not args.no_learning,
-        propagation_budget=args.prop_budget,
         decision_heuristic="fixed_order" if args.heuristic == "fixed" else "dlcs",
     )
 
@@ -131,6 +129,8 @@ def _load_weights(path: str, num_atom_vars: int) -> WeightMap:
             raise DdnnfError(f"{where}: {signed} is not a literal of atom variables 1..{num_atom_vars}")
         if value < 0:
             raise DdnnfError(f"{where}: weight {value} is negative")
+        if signed in wmap.weights:
+            raise DdnnfError(f"{where}: a second weight for literal {signed}")
         wmap.set(abs(signed), signed > 0, value)
     return wmap
 

@@ -53,7 +53,6 @@ class CompileConfig:
     components: bool = True
     cache: bool = True
     learning: bool = True
-    propagation_budget: int | None = None  # None: 2 x unassigned candidate atoms
     decision_heuristic: str = "dlcs"
 
     def __post_init__(self) -> None:
@@ -128,29 +127,43 @@ class Component:
 
 
 class WatchedClauses:
-    """Two-watched-literal bookkeeping over a fixed clause list.
+    """Two-watched-literal bookkeeping over a growing clause list.
 
-    Watches never need undoing on backtrack.  Unit and empty clauses are
-    recorded at construction for the caller to bootstrap with.
+    Watches never need undoing on backtrack.  Unit and empty input clauses
+    are recorded at construction for the caller to bootstrap with; every
+    other clause is watched on its first two literals.
     """
 
     def __init__(self, clauses: Sequence[tuple[int, ...]]) -> None:
-        self.clauses = [tuple(c) for c in clauses]
+        self.clauses: list[tuple[int, ...]] = []
         self.watches: dict[int, list[int]] = defaultdict(list)
         self.pairs: list[list[int]] = []
         self.units: list[int] = []
         self.has_empty = False
-        for i, cl in enumerate(self.clauses):
-            if len(cl) == 0:
-                self.has_empty = True
-                self.pairs.append([])
-            elif len(cl) == 1:
+        for cl in clauses:
+            if len(cl) > 1:
+                self.add(cl)
+            elif cl:
                 self.units.append(cl[0])
-                self.pairs.append([])
             else:
-                self.pairs.append([cl[0], cl[1]])
-                self.watches[cl[0]].append(i)
-                self.watches[cl[1]].append(i)
+                self.has_empty = True
+
+    def add(self, clause: Sequence[int]) -> None:
+        """Watch a clause of at least two literals from now on.
+
+        The search adds each learned theory clause here: the negation of a
+        minimal infeasible core, which always has two literals or more,
+        since constant comparisons fold at parse time and one non-constant
+        linear literal is always feasible.  The watches are the first two
+        literals, as for input clauses, so a learned clause that a backtrack
+        leaves unit with one watch still false is not propagated; the theory
+        solver still rejects every assignment the clause excludes.
+        """
+        ci = len(self.clauses)
+        self.clauses.append(tuple(clause))
+        self.pairs.append([clause[0], clause[1]])
+        self.watches[clause[0]].append(ci)
+        self.watches[clause[1]].append(ci)
 
     def propagate(self, values, assign, queue: list[int]):
         """Run to fixpoint from the literals in queue; returns the falsified
@@ -436,7 +449,6 @@ class _Search:
         self.tags: list[bool] = []
         self.engine = WatchedClauses(db.clauses)
         self.index = ClauseIndex(db, amap)
-        self.learned: list[tuple[int, ...]] = []
         self._learned_keys: set[frozenset[int]] = set()
         self.theory_on = cfg.mode == "lazy" and bool(amap.linear_vars())
         self.theory = lra.TheoryState(amap) if self.theory_on else None
@@ -462,36 +474,6 @@ class _Search:
 
     # -- propagation
 
-    def _scan_learned(self, scope_set, queue: list[int]):
-        fired = False
-        for cl in self.learned:
-            unassigned = None
-            satisfied = False
-            dead = True
-            for l in cl:
-                val = self.values[abs(l)]
-                if val is None:
-                    if unassigned is None:
-                        unassigned = l
-                        dead = False
-                    else:
-                        dead = False
-                        unassigned = "many"
-                elif val == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if dead:
-                return fired, True  # theory-entailed clause fully falsified
-            if unassigned != "many" and unassigned is not None:
-                if scope_set is None or abs(unassigned) in scope_set:
-                    self._assign(unassigned)
-                    self.stats.bool_props += 1
-                    queue.append(unassigned)
-                    fired = True
-        return fired, False
-
     def _theory_sync(self) -> bool:
         while self._theory_seen < len(self.trail):
             lit = self.trail[self._theory_seen]
@@ -507,7 +489,7 @@ class _Search:
                         key = frozenset(clause)
                         if key not in self._learned_keys:
                             self._learned_keys.add(key)
-                            self.learned.append(clause)
+                            self.engine.add(clause)
                             self.stats.learned += 1
                     return False
         return True
@@ -533,28 +515,18 @@ class _Search:
             if conflict is not None:
                 self.stats.conflicts += 1
                 return False
-            fired, dead = self._scan_learned(scope_set, queue)
-            if dead:
-                self.stats.conflicts += 1
-                return False
-            if fired:
-                continue
             if self.theory_on:
                 if not self._theory_sync():
                     return False
                 cand = self._theory_candidates(scope_set)
-                if cand:
-                    budget = self.cfg.propagation_budget
-                    if budget is None:
-                        budget = 2 * len(cand)
-                    props = lra.propagate_candidates(self.theory, cand, budget)
-                    if props:
-                        self.stats.theory_props += len(props)
-                        for tl in props:
-                            signed = tl.atom if tl.positive else -tl.atom
-                            self._assign(signed, tag=True)
-                            queue.append(signed)
-                        continue
+                props = lra.propagate_candidates(self.theory, cand) if cand else []
+                if props:
+                    self.stats.theory_props += len(props)
+                    for tl in props:
+                        signed = tl.atom if tl.positive else -tl.atom
+                        self._assign(signed, tag=True)
+                        queue.append(signed)
+                    continue
             return True
 
     # -- trace construction

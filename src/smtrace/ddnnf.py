@@ -4,14 +4,15 @@ Nodes are stored in topological order (children precede parents).  Or nodes
 are binary decision nodes carrying the decision variable.  Literal nodes can
 be tagged as theory-implied, which drives the condensed export.  Counting and
 enumeration range over non-auxiliary atom variables only; Tseitin auxiliaries
-are functionally determined and contribute factor one.  Every query loops
-over the node list or an explicit stack, so graph depth costs no recursion.
-Enumeration returns read-only ``Model`` mappings that share one variable
-index.
+are functionally determined and contribute factor one.  Count and weighted
+count are one integer pass over the node list, and enumeration walks an
+explicit stack, so graph depth costs no recursion.  Enumeration returns
+read-only ``Model`` mappings that share one variable index.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,10 +41,6 @@ class DdnnfError(Exception):
 
 class NotTotalError(DdnnfError):
     """The graph does not assign every scope atom on every accepted path."""
-
-
-class MissingWeightError(DdnnfError):
-    pass
 
 
 class NotTaggedError(DdnnfError):
@@ -327,69 +324,63 @@ def _totality_gate(g: DdnnfGraph) -> None:
 # queries
 
 
-def count(g: DdnnfGraph) -> int:
-    """Number of total truth assignments over atom variables captured by g."""
+def _fold(g: DdnnfGraph, weights: Mapping[int, int]) -> int:
+    """The one bottom-up pass behind the counting queries: a literal weighs
+    ``weights[lit]`` (absent: 1), an And multiplies and an Or adds."""
     _totality_gate(g)
     memo: list[int] = []
     for node in g.nodes:
-        if node.kind == KTRUE or node.kind == KLIT:
-            memo.append(1)
-        elif node.kind == KFALSE:
-            memo.append(0)
-        elif node.kind == KAND:
+        kind = node.kind
+        if kind == KLIT:
+            memo.append(weights.get(node.lit, 1))
+        elif kind == KAND:
             value = 1
             for c in node.children:
                 value *= memo[c]
             memo.append(value)
+        elif kind == KOR:
+            hi, lo = node.children  # the gate admits binary Or nodes only
+            memo.append(memo[hi] + memo[lo])
         else:
-            memo.append(sum(memo[c] for c in node.children))
+            memo.append(1 if kind == KTRUE else 0)
     return memo[g.root]
+
+
+def count(g: DdnnfGraph) -> int:
+    """Number of total truth assignments over atom variables captured by g."""
+    return _fold(g, {})
 
 
 @dataclass
 class WeightMap:
-    """Nonnegative rational weight per literal; unspecified default to 1."""
+    """Nonnegative rational weight per signed literal; unspecified weigh 1."""
 
-    weights: dict[tuple[int, bool], Fraction] = field(default_factory=dict)
-    default_one: bool = True
+    weights: dict[int, Fraction] = field(default_factory=dict)
 
     def set(self, var: int, positive: bool, value: Fraction | int) -> None:
         value = Fraction(value)
         if value < 0:
             raise ValueError("weights must be nonnegative")
-        self.weights[(var, positive)] = value
-
-    def get(self, var: int, positive: bool) -> Fraction:
-        w = self.weights.get((var, positive))
-        if w is not None:
-            return w
-        if self.default_one:
-            return Fraction(1)
-        raise MissingWeightError(f"no weight for {'+' if positive else '-'}{var}")
+        self.weights[var if positive else -var] = value
 
 
 def weighted_count(g: DdnnfGraph, w: WeightMap) -> Fraction:
-    _totality_gate(g)
-    memo: list[Fraction] = []
-    for node in g.nodes:
-        if node.kind == KTRUE:
-            memo.append(Fraction(1))
-        elif node.kind == KFALSE:
-            memo.append(Fraction(0))
-        elif node.kind == KLIT:
-            var = abs(node.lit)
-            if var <= g.num_atom_vars:
-                memo.append(w.get(var, node.lit > 0))
-            else:
-                memo.append(Fraction(1))  # auxiliaries carry no weight
-        elif node.kind == KAND:
-            value = Fraction(1)
-            for c in node.children:
-                value *= memo[c]
-            memo.append(value)
-        else:
-            memo.append(sum((memo[c] for c in node.children), Fraction(0)))
-    return memo[g.root]
+    """Sum over the captured assignments of the product of their atom
+    literals' weights; auxiliaries weigh 1.
+
+    The pass runs on integers: each atom literal of the root scope weighs
+    its weight times D, the lcm of the weight denominators.  Totality makes
+    every assignment set each root-scope variable exactly once, so the
+    integer result is the weighted count times D to the scope's size.
+    """
+    scope = g.scopes()[g.root]
+    den = math.lcm(*(value.denominator for value in w.weights.values()))
+    scaled = {}
+    for var in scope:
+        for lit in (var, -var):
+            value = w.weights.get(lit, 1)
+            scaled[lit] = value.numerator * (den // value.denominator)
+    return Fraction(_fold(g, scaled), den ** len(scope))
 
 
 class Model(Mapping):

@@ -628,36 +628,23 @@ def minimize_core(
     return current
 
 
-def propagate_candidates(
-    state: TheoryState, atoms: Sequence[int], budget: int
-) -> list[Literal]:
-    """Trail-entailed literals over the given atoms, within a check budget.
+def propagate_candidates(state: TheoryState, atoms: Sequence[int]) -> list[Literal]:
+    """Trail-entailed literals over the given atoms.
 
-    Sound but deliberately incomplete: at most ``budget`` entailment checks
-    are spent, two per atom at worst.  An atom with a real that no trail
-    literal mentions is skipped without a check: the trail is feasible and
-    leaves that real free, so the atom's term takes every value on the
-    trail's polyhedron and neither polarity is entailed.  A skipped atom is
-    charged its two checks, so a budget reaches the same atoms as without
-    the skip.
+    Each atom costs at most two entailment checks, one per polarity.  An
+    atom with a real that no trail literal mentions is skipped without a
+    check: the trail is feasible and leaves that real free, so the atom's
+    term takes every value on the trail's polyhedron and neither polarity is
+    entailed.
     """
     out: list[Literal] = []
-    used = 0
     for aid in atoms:
-        if used >= budget:
-            break
         if not state.table.atom(aid).term.real_vars <= state.reals:
             state.skips += 1
-            used += 2
             continue
         pos = Literal(aid, True)
-        used += 1
         if state.entails(pos):
             out.append(pos)
-            continue
-        if used >= budget:
-            break
-        used += 1
-        if state.entails(pos.negated()):
+        elif state.entails(pos.negated()):
             out.append(pos.negated())
     return out

@@ -46,6 +46,29 @@ def unit_propagate(db, assignment):
     return implied, engine.propagate(values, assign, queue)
 
 
+@pytest.mark.parametrize("added", [False, True])
+def test_added_clause_propagates_and_conflicts_like_an_initial_one(added):
+    clause = (1, 2, 3)
+
+    def engine():
+        e = WatchedClauses([(4,), (5, 6)] if added else [(4,), (5, 6), clause])
+        if added:
+            e.add(clause)
+        return e
+
+    values = [None, False, False, None, None, None, None]
+    implied = []
+
+    def assign(lit):
+        values[abs(lit)] = lit > 0
+        implied.append(lit)
+
+    assert engine().propagate(values, assign, [-1, -2]) is None
+    assert implied == [3]
+    values = [None, False, False, False, None, None, None]
+    assert engine().propagate(values, assign, [-1, -2, -3]) == clause
+
+
 def test_unit_propagate_chain():
     db = st.ClauseDb(2, 2, [(1,), (-1, 2)])
     assert unit_propagate(db, {}) == ([1, 2], None)
@@ -500,6 +523,26 @@ def test_learning_is_exercised_and_invariant(gap01):
     g_off, _, _ = pipeline(gap01, learning=False)
     assert g_on.stats.learned > 0
     assert st.count(g_on) == st.count(g_off) == 3
+
+
+def test_learned_clauses_join_the_watched_engine():
+    """Each learned clause is watched from then on, so the search meets
+    fewer theory conflicts with learning on, and counts do not move."""
+    conflicts = {True: 0, False: 0}
+    for seed in range(50):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            prop, amap = st.boolean_abstract(f)
+            db = st.to_cnf(prop)
+            watched = sum(len(cl) > 1 for cl in db.clauses)
+            counts = []
+            for learning in (True, False):
+                search = st.compiler._Search(db, amap, st.CompileConfig(learning=learning))
+                root = search.run()
+                counts.append(st.count(search.builder.finish(root, amap, has_tags=True)))
+                assert len(search.engine.clauses) == watched + search.stats.learned
+                conflicts[learning] += search.stats.conflicts
+            assert counts[0] == counts[1]
+    assert conflicts[True] < conflicts[False]
 
 
 # ---------------------------------------------------------------------------

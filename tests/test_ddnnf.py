@@ -114,11 +114,48 @@ def test_weighted_product():
     assert st.weighted_count(g, w) == 6
 
 
-def test_weighted_missing_weight(single_or):
-    w = st.WeightMap(default_one=False)
-    w.set(1, True, 1)
-    with pytest.raises(st.MissingWeightError):
-        st.weighted_count(single_or, w)
+# mixed denominators; the positive literals of variables 6, 12, ... weigh 0,
+# and the negative literals of variables 3, 7, 11, ... have no weight
+WEIGHTS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(3, 10))
+
+
+def mixed_weights(num_vars):
+    w = st.WeightMap()
+    for v in range(1, num_vars + 1):
+        w.set(v, True, WEIGHTS[v % len(WEIGHTS)])
+        if v % 4 != 3:
+            w.set(v, False, WEIGHTS[1 + v % (len(WEIGHTS) - 1)])
+    return w
+
+
+@pytest.fixture(scope="module")
+def sweep_with_models():
+    """(graph, brute-force models) for lazy and eager graphs of sweep seeds
+    0-49 of both generators."""
+    out = []
+    for seed in range(50):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            models = st.brute_enumerate(f)
+            for mode in ("lazy", "eager"):
+                out.append((pipeline(f, mode=mode)[0], models))
+    return out
+
+
+def test_weighted_count_equals_brute_force_sum(sweep_with_models):
+    for g, models in sweep_with_models:
+        w = mixed_weights(g.num_atom_vars)
+        expected = Fraction(0)
+        for model in models:
+            term = Fraction(1)
+            for var, val in model.items():
+                term *= w.weights.get(var if val else -var, 1)
+            expected += term
+        assert st.weighted_count(g, w) == expected
+
+
+def test_unit_weights_equal_count(sweep_with_models):
+    for g, models in sweep_with_models:
+        assert st.weighted_count(g, st.WeightMap()) == st.count(g) == len(models)
 
 
 # ---------------------------------------------------------------------------

@@ -235,17 +235,14 @@ def test_propagate_candidates(env):
     s = TheoryState(table)
     s.assert_literal(cmp(">=", {"x": 1}, 1), 1)
     le0 = cmp("<=", {"x": 1}, 0)
-    out = propagate_candidates(s, [le0.atom], budget=4)
+    out = propagate_candidates(s, [le0.atom])
     assert out == [le0.negated()]
-
-    s2 = TheoryState(table)
-    assert propagate_candidates(s2, [le0.atom], budget=0) == []
 
     s3 = TheoryState(table)
     s3.assert_literal(cmp("<", {"x": 1, "y": 1}, 5), 1)
     s3.assert_literal(cmp(">", {"x": 1}, 5), 2)
     y_neg = cmp("<", {"y": 1}, 0)
-    out = propagate_candidates(s3, [y_neg.atom], budget=4)
+    out = propagate_candidates(s3, [y_neg.atom])
     assert out == [y_neg]
 
 
@@ -508,19 +505,8 @@ def test_an_atom_with_a_free_real_is_not_entailed(case):
             for level, t in enumerate(trail, 1):
                 assert state.assert_literal(t, level) is None
             checks = state.checks
-            assert propagate_candidates(state, [lit.atom], budget=2) == []
+            assert propagate_candidates(state, [lit.atom]) == []
             assert (state.skips, state.checks) == (1, checks)
-
-
-def test_propagation_charges_a_skipped_atom_its_two_checks(env):
-    table, cmp = env
-    s = TheoryState(table)
-    s.assert_literal(cmp(">=", {"x": 1}, 1), 1)
-    free = cmp("<=", {"x": 1, "y": 1}, 0)  # y is free on the trail
-    le0 = cmp("<=", {"x": 1}, 0)
-    assert propagate_candidates(s, [free.atom, le0.atom], budget=2) == []
-    assert propagate_candidates(s, [free.atom, le0.atom], budget=4) == [le0.negated()]
-    assert s.skips == 2
 
 
 def _reference_fm_witness(rows):

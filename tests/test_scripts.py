@@ -49,3 +49,25 @@ def test_bench_script_writes_json(script, args, tmp_path):
     proc = _run(script, *args, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())
+
+
+def test_differential_dumps_and_compares(tmp_path):
+    out = tmp_path / "a.json"
+    args = ["--seeds", "2", "--eager-seeds", "1", "--real-sizes", "6", "--bool-sizes", "20"]
+    proc = _run("differential.py", *args, "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    dump = json.loads(out.read_text())
+    assert len(dump) == 2 * 2 * 7 + 2 + 2  # sweep configs, eager, chains
+    assert dump["bool chain/20"]["count"] == 17711  # Fibonacci F(22)
+    assert dump["real chain/6"]["count"] == 144
+    assert dump["eager/f0"]["count"] == dump["lazy/f0"]["count"]
+    assert "wall_ms" not in dump["lazy/n1"]
+
+    same = _run("differential.py", "--compare", str(out), str(out), cwd=tmp_path)
+    assert same.returncode == 0, same.stderr
+    changed = tmp_path / "b.json"
+    dump["lazy/n1"]["edges"] += 1
+    changed.write_text(json.dumps(dump))
+    differ = _run("differential.py", "--compare", str(out), str(changed), cwd=tmp_path)
+    assert differ.returncode == 1
+    assert [line.split()[:2] for line in differ.stdout.splitlines()[:-1]] == [["edges", "lazy"]]
