@@ -172,8 +172,10 @@ def test_usage_errors(capsys, tmp_path):
     [
         ["enumerate", "{path}", "--max", "-1"],
         ["enumerate", "{path}", "--max=-2"],
+        ["enumerate", "{path}", "--max", "two"],
         ["count", "{path}", "--mode", "eager", "--eager-k", "-1"],
         ["compile", "{path}", "-o", "{out}", "--eager-k", "-5"],
+        ["count", "{path}", "--mode", "eager", "--eager-k", "two"],
     ],
 )
 def test_negative_or_non_integer_counts_are_usage_errors(argv, gap_xy_path, tmp_path, capsys):
