@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import ddnnf, oracle
 from .abstraction import boolean_abstract, to_cnf
-from .compiler import CompileConfig, STAT_KEYS, compile as compile_cnf
+from .compiler import MODES, CompileConfig, STAT_KEYS, compile as compile_cnf
 from .ddnnf import DdnnfError, WeightMap, condense, export_nnf, import_nnf, validate
 from .eager import eager_encode
 from .frontend import SmtError, parse_smt2
@@ -37,12 +37,11 @@ def _nonnegative(text: str) -> int:
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("lazy", "eager", "agnostic"), default="lazy")
+    p.add_argument("--mode", choices=MODES, default="lazy")
     p.add_argument("--eager-k", type=_nonnegative, default=None, help="max core size for eager mode")
     p.add_argument("--no-components", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-learning", action="store_true")
-    p.add_argument("--heuristic", choices=("dlcs", "fixed"), default="dlcs")
     p.add_argument("--stats", choices=("text", "json"), default="text")
     p.add_argument("--condense", action="store_true", help="condense exported graph")
 
@@ -87,7 +86,6 @@ def _config(args) -> CompileConfig:
         components=not args.no_components,
         cache=not args.no_cache,
         learning=not args.no_learning,
-        decision_heuristic="fixed_order" if args.heuristic == "fixed" else "dlcs",
     )
 
 

@@ -2,7 +2,10 @@
 
 The search branches on every variable (totality: after all clauses are
 satisfied, remaining atoms are still branched under theory pruning, so counts
-need no smoothing).  Backtracking is chronological; theory conflicts yield
+need no smoothing).  It is one loop over an explicit stack of generator
+frames: the root is an ordinary branch that asserts the input's unit
+clauses, and each branch pops the Boolean and theory trails back to the
+sizes it found them at.  Backtracking is chronological; theory conflicts yield
 minimized cores learned as globally scoped clauses.  Residual subproblems are
 decomposed at the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
@@ -16,7 +19,7 @@ the polyhedron non-convex; the key then holds the trail literals touching
 the component's real-variable scope instead.  Splitting and theory-candidate
 collection read the clauses through a per-variable occurrence index built
 once per compile (``ClauseIndex``), so they touch only the clauses of the
-component at hand.  The default order is DLCS, except that a linear atom in
+component at hand.  The decision order is DLCS, except that a linear atom in
 no residual clause that shares a real with the component's trail context is
 decided first: leaving it open would keep that real apart in the cache keys
 of otherwise equal subproblems.
@@ -44,7 +47,6 @@ class NoUnassignedError(CompileError):
 
 
 MODES = ("lazy", "eager", "agnostic")
-HEURISTICS = ("dlcs", "fixed_order")
 
 
 @dataclass
@@ -53,13 +55,10 @@ class CompileConfig:
     components: bool = True
     cache: bool = True
     learning: bool = True
-    decision_heuristic: str = "dlcs"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.decision_heuristic not in HEURISTICS:
-            raise ValueError(f"heuristic must be one of {HEURISTICS}")
 
 
 STAT_KEYS = (
@@ -254,9 +253,9 @@ def split_components(
     trail atom (which is what entangles otherwise independent clause sets).
     Unassigned atoms outside all residual clauses still form components, so
     totality branching stays scoped.  With components disabled, a single
-    component holding everything is returned.  ``index`` is the compile's
-    ``ClauseIndex`` of ``db``; with a scope, only the clauses that mention
-    the scope's variables are visited.
+    component holding everything is returned.  ``scope`` defaults to every
+    variable; ``index`` is the compile's ``ClauseIndex`` of ``db``, through
+    which only the clauses that mention the scope's variables are visited.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
@@ -268,12 +267,10 @@ def split_components(
         values = assignment
 
     if scope is None:
-        scope_vars = [v for v in range(1, db.num_vars + 1) if values[v] is None]
-        visit = range(len(index.clauses))
-    else:
-        scope_vars = sorted(v for v in scope if values[v] is None)
-        occurs = index.occurs
-        visit = sorted({ci for v in scope_vars for ci in occurs[v]})
+        scope = range(1, db.num_vars + 1)
+    scope_vars = sorted(v for v in scope if values[v] is None)
+    occurs = index.occurs
+    visit = sorted({ci for v in scope_vars for ci in occurs[v]})
     scope_set = set(scope_vars)
 
     clauses = index.clauses
@@ -385,14 +382,10 @@ def cache_key(component: Component) -> tuple:
 # branching and clause learning
 
 
-def decide(
-    component: Component,
-    heuristic: str = "dlcs",
-    reals: Mapping[int, frozenset[int]] | None = None,
-) -> int:
-    """Pick the decision literal for a component.
+def decide(component: Component, reals: Mapping[int, frozenset[int]] | None = None) -> int:
+    """Pick the decision literal for a component (DLCS, pinned atoms first).
 
-    dlcs: positive literal of the lowest-id *pinned* variable if there is
+    The positive literal of the lowest-id *pinned* variable if there is
     one, else of the variable occurring most often in the residual clauses
     (ties: lowest id).  A variable is pinned when it occurs in no residual
     clause and is a linear atom sharing a real with one of the component's
@@ -400,14 +393,10 @@ def decide(
     its reals (``ClauseIndex.reals``).  Deciding pinned atoms first settles
     the reals that keep the projected cache keys of otherwise equal
     subproblems apart.  With an empty trail nothing is pinned and the choice
-    is plain DLCS.  fixed_order: lowest unassigned id.
+    is plain DLCS.
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
-    if heuristic == "fixed_order":
-        return component.scope[0]
-    if heuristic != "dlcs":
-        raise ValueError(f"unknown heuristic {heuristic!r}")
     counts: dict[int, int] = {}
     for view in component.residual:
         for l in view:
@@ -455,7 +444,6 @@ class _Search:
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
-        self.level = 0
         self._theory_seen = 0
 
     # -- assignment bookkeeping
@@ -480,7 +468,7 @@ class _Search:
             self._theory_seen += 1
             var = abs(lit)
             if var <= self.db.num_atom_vars and self.amap.is_linear_var(var):
-                conflict = self.theory.assert_literal(Literal(var, lit > 0), self.level)
+                conflict = self.theory.assert_literal(Literal(var, lit > 0))
                 if conflict is not None:
                     self.stats.conflicts += 1
                     core = lra.minimize_core(self.amap, conflict.core, check=self.theory._check)
@@ -499,7 +487,7 @@ class _Search:
         clause."""
         index, values = self.index, self.values
         cand = []
-        for var in index.reals if scope_set is None else scope_set:
+        for var in scope_set:
             if var <= self.db.num_atom_vars and var in index.reals and values[var] is None:
                 if not all(index.satisfied(ci, values) for ci in index.occurs[var]):
                     cand.append(var)
@@ -529,28 +517,9 @@ class _Search:
                     continue
             return True
 
-    # -- trace construction
+    # -- trace construction: generators that yield each sub-call to run()
 
-    def _trail_literals(self) -> list[Literal]:
-        if not self.theory_on:
-            return []
-        return self.theory.literals()
-
-    def _compile_children(self, scope) -> list[int] | None:
-        comps = split_components(
-            self.db, self.amap, self.values, self._trail_literals(), self.cfg, scope, self.index
-        )
-        if len(comps) > 1:
-            self.stats.components += len(comps)
-        children = []
-        for comp in comps:
-            node = self._compile_component(comp)
-            if node == self.builder.false_id:
-                return None
-            children.append(node)
-        return children
-
-    def _compile_component(self, comp: Component) -> int:
+    def _compile_component(self, comp: Component):
         if self.cfg.cache:
             if comp.polyhedron is None:
                 self.stats.cache_fallbacks += 1
@@ -560,57 +529,76 @@ class _Search:
                 self.stats.cache_hits += 1
                 return hit
             self.stats.cache_misses += 1
-        lit = decide(comp, self.cfg.decision_heuristic, self.index.reals)
+        lit = decide(comp, self.index.reals)
         self.stats.decisions += 1
-        hi = self._branch(comp, lit)
-        lo = self._branch(comp, -lit)
+        hi = yield self._branch((lit,), comp.scope)
+        lo = yield self._branch((-lit,), comp.scope)
         node = self.builder.or_node(abs(lit), hi, lo)
         if self.cfg.cache:
             self.cache[key] = node
         return node
 
-    def _branch(self, comp: Component, lit: int) -> int:
-        self.level += 1
+    def _branch(self, lits: Sequence[int], scope, units: bool = False):
+        """Assert lits, propagate within scope and compile what remains.
+
+        lits is a decision ``(lit,)``, or at the root the input's unit
+        clauses, which count as Boolean propagations (``units``).
+        """
         mark = len(self.trail)
-        self._assign(lit)
-        queue = [lit]
+        theory_mark = len(self.theory.trail) if self.theory_on else 0
+        queue = []
+        for lit in lits:
+            val = self.values[abs(lit)]
+            if val is None:
+                self._assign(lit)
+                self.stats.bool_props += units
+                queue.append(lit)
+            elif val != (lit > 0):  # two unit clauses clash
+                self.stats.conflicts += 1
+                self._undo_to(mark)
+                return self.builder.false_id
         node = self.builder.false_id
-        if self._fixpoint(set(comp.scope), queue):
-            parts = [self.builder.lit(lit)]
-            for i in range(mark + 1, len(self.trail)):
-                parts.append(self.builder.lit(self.trail[i], implied=self.tags[i]))
-            remaining = [v for v in comp.scope if self.values[v] is None]
-            children = self._compile_children(remaining)
-            if children is not None:
-                node = self.builder.and_node(parts + children)
+        if self._fixpoint(set(scope), queue):
+            parts = [
+                self.builder.lit(self.trail[i], implied=self.tags[i])
+                for i in range(mark, len(self.trail))
+            ]
+            remaining = [v for v in scope if self.values[v] is None]
+            theory_trail = self.theory.trail if self.theory_on else []
+            comps = split_components(
+                self.db, self.amap, self.values, theory_trail, self.cfg, remaining, self.index
+            )
+            if len(comps) > 1:
+                self.stats.components += len(comps)
+            for comp in comps:
+                child = yield self._compile_component(comp)
+                if child == self.builder.false_id:
+                    break
+                parts.append(child)
+            else:
+                node = self.builder.and_node(parts)
         self._undo_to(mark)
         if self.theory_on:
-            self.theory.pop_to_level(self.level - 1)
-        self.level -= 1
+            self.theory.pop_to(theory_mark)
         return node
 
     def run(self) -> int:
+        """Drive the search from the root branch over every variable.  Each
+        frame yields the generator of its sub-call and is sent that call's
+        result, so the frames live on a list and depth costs no recursion."""
         if self.engine.has_empty:
             return self.builder.false_id
-        queue: list[int] = []
-        for u in self.engine.units:
-            val = self.values[abs(u)]
-            if val is None:
-                self._assign(u)
-                self.stats.bool_props += 1
-                queue.append(u)
-            elif val != (u > 0):
-                self.stats.conflicts += 1
-                return self.builder.false_id
-        if not self._fixpoint(None, queue):
-            return self.builder.false_id
-        parts = [
-            self.builder.lit(self.trail[i], implied=self.tags[i]) for i in range(len(self.trail))
-        ]
-        children = self._compile_children(None)
-        if children is None:
-            return self.builder.false_id
-        return self.builder.and_node(parts + children)
+        frames = [self._branch(self.engine.units, range(1, self.db.num_vars + 1), units=True)]
+        result = None
+        while True:
+            try:
+                frames.append(frames[-1].send(result))
+                result = None
+            except StopIteration as done:
+                frames.pop()
+                if not frames:
+                    return done.value
+                result = done.value
 
 
 def compile(db: ClauseDb, amap: AtomTable, cfg: CompileConfig | None = None) -> DdnnfGraph:

@@ -519,7 +519,7 @@ def project_trail(table, literals: Iterable[Literal], keep: AbstractSet[int]) ->
 
 
 class TheoryState:
-    """Assertion trail of theory literals with decision levels.
+    """Assertion trail of theory literals, popped back to a recorded size.
 
     Single-owner: one search uses one state.  Next to each trail entry sits an
     audited point satisfying every literal up to and including that entry,
@@ -533,20 +533,13 @@ class TheoryState:
 
     def __init__(self, table) -> None:
         self.table = table
-        self.trail: list[tuple[Literal, int]] = []
+        self.trail: list[Literal] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
         self._memo: dict[frozenset[Literal], FeasibilityResult] = {}
         self.checks = 0
         self.witness_hits = 0
         self.skips = 0  # propagation candidates skipped for a real the trail leaves free
-
-    def literals(self) -> list[Literal]:
-        return [lit for lit, _ in self.trail]
-
-    @property
-    def top_level(self) -> int:
-        return self.trail[-1][1] if self.trail else 0
 
     @property
     def point(self) -> Point:
@@ -574,32 +567,30 @@ class TheoryState:
             return True
         return False
 
-    def assert_literal(self, lit: Literal, level: int) -> Conflict | None:
+    def assert_literal(self, lit: Literal) -> Conflict | None:
         atom = self.table.atom(lit.atom)
         if not atom.is_linear:
             raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
-        if level < self.top_level:
-            raise ValueError(f"level {level} below current top {self.top_level}")
         if self._holds_at_top(lit):
             point = self.point
         else:
-            result = self._check(frozenset(self.literals()) | {lit})
+            result = self._check(frozenset(self.trail) | {lit})
             if not result.sat:
                 core = result.core
                 if lit not in core:  # certificates of a newly infeasible system use lit
                     core = core | {lit}
                 return Conflict(core)
             point = result.witness
-        self.trail.append((lit, level))
+        self.trail.append(lit)
         self._points.append(point)
         self._reals.append(self.reals | atom.term.real_vars)
         return None
 
-    def pop_to_level(self, level: int) -> None:
-        while self.trail and self.trail[-1][1] > level:
-            self.trail.pop()
-            self._points.pop()
-            self._reals.pop()
+    def pop_to(self, size: int) -> None:
+        """Drop the trail entries after the first ``size``."""
+        del self.trail[size:]
+        del self._points[size + 1 :]
+        del self._reals[size + 1 :]
 
     def entails(self, lit: Literal) -> bool:
         atom = self.table.atom(lit.atom)
@@ -607,7 +598,7 @@ class TheoryState:
             raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
         if self._holds_at_top(lit.negated()):
             return False
-        return not self._check(frozenset(self.literals()) | {lit.negated()}).sat
+        return not self._check(frozenset(self.trail) | {lit.negated()}).sat
 
 
 def minimize_core(

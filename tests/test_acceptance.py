@@ -99,8 +99,8 @@ def test_criterion_4_entanglement():
     pair, lits = entangled_setup()
     table = pair.table
     state = st.TheoryState(table)
-    assert state.assert_literal(lits["xy"], 1) is None
-    assert state.assert_literal(lits["x>5"], 2) is None
+    assert state.assert_literal(lits["xy"]) is None
+    assert state.assert_literal(lits["x>5"]) is None
     entailed = state.entails(lits["y<0"])
 
     prop, amap = st.boolean_abstract(pair)
@@ -140,21 +140,13 @@ def test_criterion_6_config_invariance(sweep):
     flags = list(itertools.product((True, False), repeat=3))
     for inst in instances:
         counts = set()
-        for (components, cache, learning), heuristic in itertools.product(
-            flags, ("dlcs", "fixed_order")
-        ):
-            cfg = st.CompileConfig(
-                mode="lazy",
-                components=components,
-                cache=cache,
-                learning=learning,
-                decision_heuristic=heuristic,
-            )
+        for components, cache, learning in flags:
+            cfg = st.CompileConfig(mode="lazy", components=components, cache=cache, learning=learning)
             counts.add(st.count(st.compile(inst.db, inst.amap, cfg)))
         if counts != {inst.aware}:
             bad.append(inst.seed)
     elapsed = time.perf_counter() - start
-    report(6, not bad, f"16 configs x {len(instances)} instances, bad={bad[:5]} in {elapsed:.1f}s")
+    report(6, not bad, f"8 configs x {len(instances)} instances, bad={bad[:5]} in {elapsed:.1f}s")
 
 
 def test_criterion_7_validator_soundness(sweep):

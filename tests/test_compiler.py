@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -99,30 +100,23 @@ def _component(residual, scope):
 
 def test_decide_dlcs_occurrences():
     comp = _component([(1, 2), (1, 3)], [1, 2, 3])
-    assert decide(comp, "dlcs") == 1
-
-
-def test_decide_fixed_order():
-    comp = _component([(1, 2)], [1, 2])
-    assert decide(comp, "fixed_order") == 1
+    assert decide(comp) == 1
 
 
 def test_decide_dlcs_tie_lowest_id():
     comp = _component([(1, 2)], [1, 2])
-    assert decide(comp, "dlcs") == 1
+    assert decide(comp) == 1
 
 
 def test_decide_no_unassigned():
     with pytest.raises(NoUnassignedError):
-        decide(_component([], []), "dlcs")
+        decide(_component([], []))
 
 
-def reference_decide(component, heuristic="dlcs"):
+def reference_decide(component):
     """``decide`` before pinned atoms went first: plain DLCS."""
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
-    if heuristic == "fixed_order":
-        return component.scope[0]
     counts = {}
     for view in component.residual:
         for l in view:
@@ -146,24 +140,23 @@ def test_decide_picks_pinned_atom_before_dlcs():
     comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), ((9, False),), ())
     assert reference_decide(comp) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
-    assert decide(comp, "dlcs", _REALS) == 5
+    assert decide(comp, _REALS) == 5
     pinned_by_real_0 = Component(comp.residual, (1, 2, 3, 4, 6, 7), comp.projected, ())
-    assert decide(pinned_by_real_0, "dlcs", _REALS) == 6
-    assert decide(comp, "fixed_order", _REALS) == 1
+    assert decide(pinned_by_real_0, _REALS) == 6
 
 
 def test_decide_without_pinned_atoms_is_dlcs():
     # atom 4 shares no real with the trail atom, and Boolean 3 has none
     no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), ((7, True),), ())
-    assert decide(no_share, "dlcs", _REALS) == reference_decide(no_share) == 1
+    assert decide(no_share, _REALS) == reference_decide(no_share) == 1
     # a pinned-looking atom in a residual clause is left to DLCS
     in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), ((9, True),), ())
-    assert decide(in_clause, "dlcs", _REALS) == reference_decide(in_clause) == 1
+    assert decide(in_clause, _REALS) == reference_decide(in_clause) == 1
     # without the real map, or with an empty trail, the rule is off
     comp = Component(((1, 2),), (1, 2, 7), ((9, True),), ())
-    assert decide(comp, "dlcs") == decide(comp, "dlcs", {}) == 1
-    assert decide(Component(comp.residual, comp.scope, (), ()), "dlcs", _REALS) == 1
-    assert decide(comp, "dlcs", _REALS) == 7
+    assert decide(comp) == decide(comp, {}) == 1
+    assert decide(Component(comp.residual, comp.scope, (), ()), _REALS) == 1
+    assert decide(comp, _REALS) == 7
 
 
 @settings(max_examples=200)
@@ -176,8 +169,7 @@ def test_decide_with_empty_trail_matches_reference(data):
     residual = data.draw(hst.lists(hst.lists(lit, min_size=1, max_size=3), max_size=5))
     reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
     comp = _component(residual, scope)
-    for heuristic in ("dlcs", "fixed_order"):
-        assert decide(comp, heuristic, reals) == reference_decide(comp, heuristic)
+    assert decide(comp, reals) == reference_decide(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +341,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
             if not any(values[abs(l)] == (l > 0) for l in cl)
             for l in cl
             if values[abs(l)] is None
-            and (scope_set is None or abs(l) in scope_set)
+            and abs(l) in scope_set
             and abs(l) <= db.num_atom_vars
             and self.amap.is_linear_var(abs(l))
         }
@@ -485,7 +477,7 @@ def test_empty_trail_graphs_match_reference_decide(monkeypatch):
         return [pipeline(f, mode=mode)[0] for f, mode in runs] + [st.compile(*bool_chain(40))]
 
     new = graphs()
-    monkeypatch.setattr(st.compiler, "decide", lambda comp, heuristic, reals: reference_decide(comp, heuristic))
+    monkeypatch.setattr(st.compiler, "decide", lambda comp, reals: reference_decide(comp))
     old = graphs()
     runs.append((None, "bool-chain"))
     for (f, mode), a, b in zip(runs, new, old):
@@ -579,6 +571,22 @@ def test_compile_trivial_true():
     f = st.parse_smt2("(assert true)")
     g, _, _ = pipeline(f)
     assert st.count(g) == 1
+
+
+def test_compile_deep_chain_within_recursion_limit():
+    """The search keeps its frames on an explicit stack, so a chain that is
+    decided about 1600 deep compiles under the interpreter's default limit."""
+    db, amap = bool_chain(800)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        models = st.count(st.compile(db, amap, st.CompileConfig()))
+    finally:
+        sys.setrecursionlimit(limit)
+    a, b = 0, 1
+    for _ in range(802):
+        a, b = b, a + b
+    assert models == a  # Fibonacci F(802): no two neighbours both false
 
 
 def test_theory_propagation_tags():

@@ -41,18 +41,18 @@ def test_assert_conflict_pair(env):
     s = TheoryState(table)
     le0 = cmp("<=", {"x": 1}, 0)
     ge1 = cmp(">=", {"x": 1}, 1)
-    assert s.assert_literal(le0, 1) is None
-    conflict = s.assert_literal(ge1, 2)
+    assert s.assert_literal(le0) is None
+    conflict = s.assert_literal(ge1)
     assert conflict is not None
     assert conflict.core == frozenset({le0, ge1})
     # state unchanged on conflict
-    assert s.literals() == [le0]
+    assert s.trail == [le0]
 
 
 def test_assert_ok_on_empty(env):
     table, cmp = env
     s = TheoryState(table)
-    assert s.assert_literal(cmp("<=", {"x": 1}, 0), 0) is None
+    assert s.assert_literal(cmp("<=", {"x": 1}, 0)) is None
 
 
 def test_assert_strict_pair_conflict(env):
@@ -60,8 +60,8 @@ def test_assert_strict_pair_conflict(env):
     s = TheoryState(table)
     b1 = cmp("<", {"x": 1, "y": -1}, -1)  # x < y - 1
     b2 = cmp(">", {"x": 1, "y": -1}, 1)  # x > y + 1
-    assert s.assert_literal(b1, 1) is None
-    conflict = s.assert_literal(b2, 2)
+    assert s.assert_literal(b1) is None
+    conflict = s.assert_literal(b2)
     assert conflict is not None and conflict.core == frozenset({b1, b2})
     # the certificate combines the two strict rows into a 2 < 0 contradiction
     res = check_feasible(table, [b1, b2])
@@ -76,18 +76,18 @@ def test_assert_strict_pair_conflict(env):
 def test_pop_to_level(env):
     table, cmp = env
     s = TheoryState(table)
-    s.assert_literal(cmp("<=", {"x": 1}, 0), 1)
-    s.pop_to_level(0)
+    s.assert_literal(cmp("<=", {"x": 1}, 0))
+    s.pop_to(0)
     assert s.trail == []
 
     lits = [cmp("<=", {"x": 1}, 0), cmp("<=", {"y": 1}, 5), cmp("<=", {"z": 1}, 2)]
-    for level, lit in enumerate(lits, start=1):
-        assert s.assert_literal(lit, level) is None
-    s.pop_to_level(s.top_level)  # no-op
+    for lit in lits:
+        assert s.assert_literal(lit) is None
+    s.pop_to(len(s.trail))  # no-op
     assert len(s.trail) == 3
-    s.pop_to_level(1)
-    assert s.literals() == [lits[0]]
-    assert s.assert_literal(lits[1], 2) is None  # re-assert works
+    s.pop_to(1)
+    assert s.trail == [lits[0]]
+    assert s.assert_literal(lits[1]) is None  # re-assert works
 
 
 def test_check_feasible_sum_bound(env):
@@ -137,29 +137,29 @@ def test_check_feasible_fractional_terms(env):
 def test_assert_decided_at_point_runs_no_check(env):
     table, cmp = env
     s = TheoryState(table)
-    assert s.assert_literal(cmp(">=", {"x": 1}, 1), 1) is None
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
     ge0, ge7 = cmp(">=", {"x": 1}, 0), cmp(">=", {"x": 1}, 7)
     assert witness_satisfies(table, [ge0], s.point)
     assert not witness_satisfies(table, [ge7], s.point)
     checks, hits = s.checks, s.witness_hits
 
-    assert s.assert_literal(ge0, 2) is None
+    assert s.assert_literal(ge0) is None
     assert (s.checks, s.witness_hits) == (checks, hits + 1)
-    assert witness_satisfies(table, s.literals(), s.point)
+    assert witness_satisfies(table, s.trail, s.point)
 
-    assert s.assert_literal(ge7, 3) is None  # violated at the point: one check
+    assert s.assert_literal(ge7) is None  # violated at the point: one check
     assert (s.checks, s.witness_hits) == (checks + 1, hits + 1)
-    assert witness_satisfies(table, s.literals(), s.point)
+    assert witness_satisfies(table, s.trail, s.point)
 
-    s.pop_to_level(2)
+    s.pop_to(2)
     assert not witness_satisfies(table, [ge7], s.point)
-    assert witness_satisfies(table, s.literals(), s.point)
+    assert witness_satisfies(table, s.trail, s.point)
 
 
 def test_entails_decided_at_point_runs_no_check(env):
     table, cmp = env
     s = TheoryState(table)
-    assert s.assert_literal(cmp(">=", {"x": 1}, 1), 1) is None
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
     probe = cmp(">=", {"x": 1}, 9)
     assert witness_satisfies(table, [probe.negated()], s.point)
     checks, hits = s.checks, s.witness_hits
@@ -186,12 +186,12 @@ def test_check_feasible_unused_constraint(env):
 def test_entails(env):
     table, cmp = env
     s = TheoryState(table)
-    s.assert_literal(cmp("<", {"x": 1, "y": 1}, 5), 1)
-    s.assert_literal(cmp(">", {"x": 1}, 5), 2)
+    s.assert_literal(cmp("<", {"x": 1, "y": 1}, 5))
+    s.assert_literal(cmp(">", {"x": 1}, 5))
     assert s.entails(cmp("<", {"y": 1}, 0))
 
     s2 = TheoryState(table)
-    s2.assert_literal(cmp(">=", {"x": 1}, 1), 1)
+    s2.assert_literal(cmp(">=", {"x": 1}, 1))
     assert s2.entails(cmp("<=", {"x": 1}, 0).negated())
 
     s3 = TheoryState(table)
@@ -201,10 +201,10 @@ def test_entails(env):
 def test_entails_assert_coherence(env):
     table, cmp = env
     s = TheoryState(table)
-    s.assert_literal(cmp(">=", {"x": 1}, 1), 1)
+    s.assert_literal(cmp(">=", {"x": 1}, 1))
     lit = cmp("<=", {"x": 1}, 0).negated()
     assert s.entails(lit)
-    conflict = s.assert_literal(lit.negated(), 2)
+    conflict = s.assert_literal(lit.negated())
     assert conflict is not None
 
 
@@ -233,14 +233,14 @@ def test_minimize_core(env):
 def test_propagate_candidates(env):
     table, cmp = env
     s = TheoryState(table)
-    s.assert_literal(cmp(">=", {"x": 1}, 1), 1)
+    s.assert_literal(cmp(">=", {"x": 1}, 1))
     le0 = cmp("<=", {"x": 1}, 0)
     out = propagate_candidates(s, [le0.atom])
     assert out == [le0.negated()]
 
     s3 = TheoryState(table)
-    s3.assert_literal(cmp("<", {"x": 1, "y": 1}, 5), 1)
-    s3.assert_literal(cmp(">", {"x": 1}, 5), 2)
+    s3.assert_literal(cmp("<", {"x": 1, "y": 1}, 5))
+    s3.assert_literal(cmp(">", {"x": 1}, 5))
     y_neg = cmp("<", {"y": 1}, 0)
     out = propagate_candidates(s3, [y_neg.atom])
     assert out == [y_neg]
@@ -251,7 +251,7 @@ def test_non_theory_literal(env):
     b = Literal(table.intern_bool("A"), True)
     s = TheoryState(table)
     with pytest.raises(NonTheoryLiteralError):
-        s.assert_literal(b, 0)
+        s.assert_literal(b)
     with pytest.raises(NonTheoryLiteralError):
         s.entails(b)
     with pytest.raises(NonTheoryLiteralError):
@@ -401,35 +401,32 @@ def test_push_pop_differential(seed):
     if not pool:
         return
     state = TheoryState(table)
-    shadow: list[tuple] = []  # (lit, level) mirror
-    level = 0
+    shadow: list = []  # mirror of the trail
     for _ in range(12):
         action = rng.random()
         if action < 0.6 or not shadow:
-            level += 1
             lit = rng.choice(pool)
-            conflict = state.assert_literal(lit, level)
-            fresh = check_feasible(table, frozenset(l for l, _ in shadow) | {lit})
+            conflict = state.assert_literal(lit)
+            fresh = check_feasible(table, frozenset(shadow) | {lit})
             if conflict is None:
                 assert fresh.sat
-                shadow.append((lit, level))
+                shadow.append(lit)
             else:
                 assert not fresh.sat
                 assert conflict.core == fresh.core
         else:
-            target = rng.randint(0, level)
-            state.pop_to_level(target)
-            shadow = [(l, lv) for l, lv in shadow if lv <= target]
-            level = target
-        assert state.literals() == [l for l, _ in shadow]
-        assert witness_satisfies(table, state.literals(), state.point)
+            target = rng.randint(0, len(shadow))
+            state.pop_to(target)
+            shadow = shadow[:target]
+        assert state.trail == shadow
+        assert witness_satisfies(table, state.trail, state.point)
         assert state.reals == frozenset().union(
-            *(table.atom(l.atom).term.real_vars for l, _ in shadow)
+            *(table.atom(l.atom).term.real_vars for l in shadow)
         )
         probe = rng.choice(pool)
         rebuilt = TheoryState(table)
-        for i, (l, lv) in enumerate(shadow):
-            assert rebuilt.assert_literal(l, lv) is None
+        for l in shadow:
+            assert rebuilt.assert_literal(l) is None
         assert state.entails(probe) == rebuilt.entails(probe)
 
 
@@ -502,8 +499,8 @@ def test_an_atom_with_a_free_real_is_not_entailed(case):
             for extended in (lit, lit.negated()):
                 assert check_feasible(table, trail + [extended]).sat
             state = TheoryState(table)
-            for level, t in enumerate(trail, 1):
-                assert state.assert_literal(t, level) is None
+            for t in trail:
+                assert state.assert_literal(t) is None
             checks = state.checks
             assert propagate_candidates(state, [lit.atom]) == []
             assert (state.skips, state.checks) == (1, checks)
