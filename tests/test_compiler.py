@@ -574,8 +574,9 @@ def test_compile_trivial_true():
 
 
 def test_compile_deep_chain_within_recursion_limit():
-    """The search keeps its frames on an explicit stack, so a chain that is
-    decided about 1600 deep compiles under the interpreter's default limit."""
+    """The search keeps its frames on an explicit stack, so the chain at
+    n = 800, too deep for a recursive search under the interpreter's
+    default recursion limit, compiles under that limit."""
     db, amap = bool_chain(800)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
