@@ -77,7 +77,7 @@ def _nnf(node: FNode, neg: bool):
     if isinstance(node, FFalse):
         return FTrue() if neg else FFalse()
     if isinstance(node, FLit):
-        return -node.lit.atom if node.lit.positive == neg else node.lit.atom
+        return -node.lit.signed if neg else node.lit.signed
     if isinstance(node, FNot):
         return _nnf(node.child, not neg)
     if isinstance(node, FImplies):

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 from . import lra
 from .abstraction import ClauseDb
 from .ddnnf import DdnnfGraph, GraphBuilder
-from .frontend import AtomTable, Literal
+from .frontend import AtomTable
 
 
 class CompileError(Exception):
@@ -107,8 +107,9 @@ class Component:
     """A residual subproblem: clauses plus the unassigned variables they own.
 
     ``residual`` holds the live-literal view of each member clause under the
-    current assignment.  ``projected`` are the trail literals touching the
-    component's real-variable scope, closed under trail entanglement.
+    current assignment.  ``projected`` are the theory trail's signed
+    literals touching the component's real-variable scope, closed under
+    trail entanglement, in ``lra.literal_key`` order.
     ``polyhedron`` is what those literals say about the reals of the
     component's own atoms (``lra.project_trail``), or None when one of them
     is a disequality or the cache is off; it is ``()`` when there are no
@@ -117,7 +118,7 @@ class Component:
 
     residual: tuple[tuple[int, ...], ...]
     scope: tuple[int, ...]
-    projected: tuple[tuple[int, bool], ...]
+    projected: tuple[int, ...]
     polyhedron: tuple | None
 
 
@@ -222,7 +223,8 @@ class ClauseIndex:
     live view under an assignment is a filtered copy.  ``occurs[v]`` lists,
     ascending, the clauses variable v occurs in, so a split over a scope
     touches only the clauses of that scope.  ``reals[v]`` holds the real
-    variables of each linear atom variable v; it is empty without a theory.
+    variables of each linear atom variable v of ``db``; it is empty without
+    a theory.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -231,7 +233,7 @@ class ClauseIndex:
         for ci, cl in enumerate(self.clauses):
             for l in cl:
                 self.occurs[abs(l)].append(ci)
-        self.reals = {a.id: a.term.real_vars for a in amap.atoms if a.is_linear}
+        self.reals = {a.id: a.term.real_vars for a in amap.atoms[: db.num_atom_vars] if a.is_linear}
 
     def satisfied(self, ci: int, values) -> bool:
         return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
@@ -241,7 +243,7 @@ def split_components(
     db: ClauseDb,
     amap: AtomTable,
     assignment,
-    trail: Sequence[Literal],
+    trail: Sequence[int],
     cfg: CompileConfig | None = None,
     scope=None,
     index: ClauseIndex | None = None,
@@ -249,8 +251,9 @@ def split_components(
     """Partition the residual problem at the variable level.
 
     Connectivity joins clauses sharing a Boolean variable, linear atoms
-    sharing a real variable, and real variables co-occurring in any asserted
-    trail atom (which is what entangles otherwise independent clause sets).
+    sharing a real variable, and real variables co-occurring in the atom of
+    any theory ``trail`` literal (which is what entangles otherwise
+    independent clause sets).
     Unassigned atoms outside all residual clauses still form components, so
     totality branching stays scoped.  With components disabled, a single
     component holding everything is returned.  ``scope`` defaults to every
@@ -307,7 +310,7 @@ def split_components(
 
     seen_reals: set[int] = set()
     for lit in trail:
-        reals = sorted(amap.atom(lit.atom).term.real_vars)
+        reals = sorted(index.reals[abs(lit)])
         seen_reals.update(reals)
         for r in reals[1:]:
             union(-1 - reals[0], -1 - r)
@@ -322,7 +325,7 @@ def split_components(
             union(first, abs(l))
 
     def component(views, variables, reals: frozenset[int]) -> Component:
-        lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
+        lits = [lit for lit in trail if index.reals[abs(lit)] & reals]
         polyhedron = ()
         if lits:  # never without a theory: its trail is empty
             polyhedron = None  # without the cache nothing reads it
@@ -332,7 +335,7 @@ def split_components(
         return Component(
             residual=tuple(views),
             scope=tuple(variables),
-            projected=tuple(sorted((lit.atom, lit.positive) for lit in lits)),
+            projected=tuple(sorted(lits, key=lra.literal_key)),
             polyhedron=polyhedron,
         )
 
@@ -371,8 +374,8 @@ def cache_key(component: Component) -> tuple:
     reals of the component's atoms.  When a disequality makes that undefined,
     it is the trail literals touching the component's closed real scope.
     The two forms never collide: canonical rows are triples and literals are
-    pairs, and both are ``()`` only when the trail puts no constraint on the
-    component.
+    signed ints, and both are ``()`` only when the trail puts no constraint
+    on the component.
     """
     context = component.projected if component.polyhedron is None else component.polyhedron
     return (tuple(sorted(component.residual)), component.scope, context)
@@ -402,7 +405,7 @@ def decide(component: Component, reals: Mapping[int, frozenset[int]] | None = No
         for l in view:
             counts[abs(l)] = counts.get(abs(l), 0) + 1
     if component.projected and reals:
-        pinned = frozenset().union(*(reals[a] for a, _ in component.projected))
+        pinned = frozenset().union(*(reals[abs(lit)] for lit in component.projected))
         for v in component.scope:
             if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
                 return v
@@ -417,11 +420,7 @@ def learn_theory_clause(core) -> tuple[int, ...]:
     The clause is theory-entailed, so adding it preserves the model set and
     every count.
     """
-    lits = []
-    for lit in core:
-        signed = lit.atom if lit.positive else -lit.atom
-        lits.append(-signed)
-    return tuple(sorted(lits, key=_lit_order))
+    return tuple(sorted((-lit for lit in core), key=_lit_order))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +465,8 @@ class _Search:
         while self._theory_seen < len(self.trail):
             lit = self.trail[self._theory_seen]
             self._theory_seen += 1
-            var = abs(lit)
-            if var <= self.db.num_atom_vars and self.amap.is_linear_var(var):
-                conflict = self.theory.assert_literal(Literal(var, lit > 0))
+            if abs(lit) in self.index.reals:
+                conflict = self.theory.assert_literal(lit)
                 if conflict is not None:
                     self.stats.conflicts += 1
                     core = lra.minimize_core(self.amap, conflict.core, check=self.theory._check)
@@ -488,7 +486,7 @@ class _Search:
         index, values = self.index, self.values
         cand = []
         for var in scope_set:
-            if var <= self.db.num_atom_vars and var in index.reals and values[var] is None:
+            if var in index.reals and values[var] is None:
                 if not all(index.satisfied(ci, values) for ci in index.occurs[var]):
                     cand.append(var)
         return sorted(cand)
@@ -510,10 +508,9 @@ class _Search:
                 props = lra.propagate_candidates(self.theory, cand) if cand else []
                 if props:
                     self.stats.theory_props += len(props)
-                    for tl in props:
-                        signed = tl.atom if tl.positive else -tl.atom
-                        self._assign(signed, tag=True)
-                        queue.append(signed)
+                    for lit in props:
+                        self._assign(lit, tag=True)
+                        queue.append(lit)
                     continue
             return True
 

@@ -23,7 +23,6 @@ from .frontend import (
     LEQ,
     AtomTable,
     LinTerm,
-    Literal,
     atom_to_str,
 )
 from . import lra
@@ -279,7 +278,7 @@ def validate(
         if n > enum_bound:
             raise DdnnfError(f"count {n} exceeds enumeration bound {enum_bound}")
         for assignment in enumerate_models(g):
-            lits = [Literal(var, val) for var, val in sorted(assignment.items()) if table.is_linear_var(var)]
+            lits = [var if val else -var for var, val in sorted(assignment.items()) if table.is_linear_var(var)]
             if lits and not lra.check_feasible(table, lits).sat:
                 report.violations.append(
                     Violation(

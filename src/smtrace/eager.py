@@ -42,8 +42,8 @@ from operator import or_
 
 from .abstraction import ClauseDb
 from .compiler import learn_theory_clause
-from .frontend import EQ, AtomTable, Literal
-from .lra import Point, check_feasible, literal_holds
+from .frontend import EQ, AtomTable
+from .lra import Point, check_feasible, literal_holds, literal_key
 
 
 def _connected(masks: list[int]) -> bool:
@@ -60,7 +60,7 @@ def _connected(masks: list[int]) -> bool:
     return True
 
 
-def _reused_entry(table, points, lits: frozenset[Literal]):
+def _reused_entry(table, points, lits: frozenset[int]):
     """The entry of a stored set ``lits - {l}`` whose point satisfies l, if any.
 
     Each entry caches the truth of the atoms evaluated at its point."""
@@ -69,22 +69,22 @@ def _reused_entry(table, points, lits: frozenset[Literal]):
         if entry is None:
             continue
         point, truth = entry
-        value = truth.get(lit.atom)
+        value = truth.get(abs(lit))
         if value is None:
-            value = truth[lit.atom] = literal_holds(table, Literal(lit.atom, True), point)
-        if value == lit.positive:
+            value = truth[abs(lit)] = literal_holds(table, abs(lit), point)
+        if value == (lit > 0):
             return entry
     return None
 
 
-def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[Literal]]:
+def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[int]]:
     """All minimal theory-infeasible literal sets of size <= k over the atoms."""
     atoms = sorted(atom_ids)
     masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
-    choices = {a: (Literal(a, True), Literal(a, False)) for a in atoms}
+    choices = {a: (a, -a) for a in atoms}
     is_eq = {a: table.atom(a).kind == EQ for a in atoms}
     top = min(k, len(atoms), 2 * reduce(or_, masks.values(), 0).bit_count() + 1)
-    cores: list[tuple[frozenset[Literal], frozenset[int]]] = []  # (core, its atoms)
+    cores: list[tuple[frozenset[int], frozenset[int]]] = []  # (core, its atoms)
     # feasible sets of the previous size -> (audited point, atom truths there);
     # a set decided by reuse shares its subset's entry
     points = {frozenset(): (Point(), {})}
@@ -99,7 +99,7 @@ def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[Litera
             prior = [core for core, core_atoms in cores if core_atoms <= within]
             eqs = [i for i, a in enumerate(combo) if is_eq[a]]
             for choice in product(*(choices[a] for a in combo)):
-                negated_eqs = sum(1 for i in eqs if not choice[i].positive)
+                negated_eqs = sum(1 for i in eqs if choice[i] < 0)
                 if negated_eqs > 1 or (negated_eqs == 0 and size > d + 1):
                     continue
                 lits = frozenset(choice)
@@ -126,6 +126,6 @@ def eager_encode(db: ClauseDb, amap: AtomTable, k: int | None = None) -> ClauseD
         return ClauseDb(db.num_vars, db.num_atom_vars, list(db.clauses))
     cores = enumerate_infeasible_cores(amap, linear, k)
     clauses = list(db.clauses)
-    for core in sorted(cores, key=sorted):
+    for core in sorted(cores, key=lambda core: sorted(map(literal_key, core))):
         clauses.append(learn_theory_clause(core))
     return ClauseDb(db.num_vars, db.num_atom_vars, clauses)

@@ -4,8 +4,9 @@ an SMT-LIB2 subset parser.
 Atoms are interned: two comparisons that canonicalize to the same linear
 constraint share one atom id.  Strict inequalities are stored as negated
 non-strict atoms (t < 0 is the negation of -t <= 0), so a constraint and its
-complement share a single Boolean variable downstream.  Comparisons between
-two constants fold onto the reserved top/bottom atoms instead of erroring.
+complement share a single Boolean variable downstream.  A comparison between
+two constants folds to its truth value, which the parser reads as true or
+false.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ BOOL = "bool"
 LEQ = "leq"  # term <= 0
 EQ = "eq"  # term = 0
 
-TOP_ATOM_ID = 0
-BOT_ATOM_ID = -1
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -113,27 +111,20 @@ class Atom:
         return self.kind in (LEQ, EQ)
 
 
-TOP_ATOM = Atom(TOP_ATOM_ID, LEQ, term=LinTerm.constant(0))  # 0 <= 0, always true
-BOT_ATOM = Atom(BOT_ATOM_ID, LEQ, term=LinTerm.constant(1))  # 1 <= 0, always false
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Literal:
+    """The leaf of a formula tree.  Past the parser a literal is the signed
+    atom id ``signed``: ``a`` for atom a, ``-a`` for its negation."""
+
     atom: int
     positive: bool
 
     def negated(self) -> "Literal":
-        # The reserved constant atoms negate onto each other so that the
-        # result stays a constant-true/constant-false literal.
-        if self.atom == TOP_ATOM_ID:
-            return FALSE_LIT
-        if self.atom == BOT_ATOM_ID:
-            return TRUE_LIT
         return Literal(self.atom, not self.positive)
 
-
-TRUE_LIT = Literal(TOP_ATOM_ID, True)
-FALSE_LIT = Literal(BOT_ATOM_ID, True)
+    @property
+    def signed(self) -> int:
+        return self.atom if self.positive else -self.atom
 
 
 class AtomTable:
@@ -144,7 +135,7 @@ class AtomTable:
         self._ids: dict[object, int] = {}
         self.real_names: list[str] = []
         self._real_ids: dict[str, int] = {}
-        self.theory_rows: dict = {}  # per-literal rows built once by the theory solver
+        self.theory_rows: dict = {}  # signed literal -> its rows, built once by the theory solver
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -161,10 +152,8 @@ class AtomTable:
         return self.real_names[rid]
 
     def atom(self, aid: int) -> Atom:
-        if aid == TOP_ATOM_ID:
-            return TOP_ATOM
-        if aid == BOT_ATOM_ID:
-            return BOT_ATOM
+        if not 1 <= aid <= len(self.atoms):
+            raise IndexError(f"no atom {aid}: ids run from 1 to {len(self.atoms)}")
         return self.atoms[aid - 1]
 
     def is_linear_var(self, var: int) -> bool:
@@ -236,12 +225,12 @@ def canonical_eq(term: LinTerm):
 _CMP_OPS = ("<", ">", "<=", ">=", "=", "!=")
 
 
-def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) -> Literal:
+def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) -> Literal | bool:
     """Turn ``lhs op rhs`` into a literal over a canonical interned atom.
 
     <= and >= map to positive LinLeq literals, < and > to negated ones via
     t < 0 == not(-t <= 0), = to a positive LinEq and != to a negated LinEq.
-    Comparisons between constants fold to the reserved constant literals.
+    A comparison between constants is its truth value and interns no atom.
     """
     if op == "distinct":
         op = "!="
@@ -263,8 +252,7 @@ def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) 
 
     canon = canonical_leq(term) if kind == LEQ else canonical_eq(term)
     if isinstance(canon, bool):
-        truth = canon if positive else not canon
-        return TRUE_LIT if truth else FALSE_LIT
+        return canon == positive
     return Literal(table.intern_linear(kind, canon), positive)
 
 
@@ -321,15 +309,6 @@ class FOr(FNode):
 class FImplies(FNode):
     left: FNode
     right: FNode
-
-
-def literal_node(lit: Literal) -> FNode:
-    """Wrap a literal, folding the reserved constant atoms to True/False."""
-    if lit == TRUE_LIT:
-        return FTrue()
-    if lit == FALSE_LIT:
-        return FFalse()
-    return FLit(lit)
 
 
 @dataclass
@@ -579,7 +558,10 @@ class _Parser:
                 raise UnsupportedFeatureError("Boolean equality")
             lhs = self.real_term(args[0])
             rhs = self.real_term(args[1])
-            return literal_node(normalize_comparison(self.table, head, lhs, rhs))
+            lit = normalize_comparison(self.table, head, lhs, rhs)
+            if isinstance(lit, bool):
+                return FTrue() if lit else FFalse()
+            return FLit(lit)
         if head in ("+", "-", "*", "/"):
             self.real_term(expr)  # raises on nonlinearity first
             raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")

@@ -1,5 +1,11 @@
 """Exact theory solver for conjunctions of linear rational arithmetic literals.
 
+A theory literal is a signed atom id, as on the Boolean side: ``a`` asserts
+linear atom a of the ``AtomTable`` and ``-a`` its negation.  Literal sets
+are put in order by ``literal_key`` (by atom, the negative literal first),
+which fixes the row order of every check, and so its witness, certificate
+and core.
+
 Feasibility is decided by Fourier-Motzkin elimination, eliminating variables
 in ascending id order.  Elimination runs on Python ints: each row is scaled
 to integer coefficients, and every derived row is divided, together with its
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable, Sequence
 
-from .frontend import EQ, LEQ, Atom, LinTerm, Literal
+from .frontend import EQ, LEQ, Atom, LinTerm
 
 
 class TheoryError(Exception):
@@ -45,6 +51,11 @@ class NonTheoryLiteralError(TheoryError):
 
 class NotInfeasibleError(TheoryError):
     """minimize_core was called on a feasible literal set."""
+
+
+def literal_key(lit: int) -> tuple[int, bool]:
+    """Sort key of a theory literal: by atom, the negative literal first."""
+    return (abs(lit), lit > 0)
 
 
 class Point(Mapping):
@@ -84,7 +95,7 @@ class FarkasEntry:
     mult: Fraction
     term: LinTerm
     strict: bool
-    source: Literal
+    source: int
 
 
 @dataclass(frozen=True)
@@ -98,11 +109,11 @@ class Certificate:
     """
 
     entries: tuple[FarkasEntry, ...] = ()
-    diseq: Literal | None = None
+    diseq: int | None = None
     below: "Certificate | None" = None
     above: "Certificate | None" = None
 
-    def sources(self) -> frozenset[Literal]:
+    def sources(self) -> frozenset[int]:
         if self.diseq is not None:
             return self.below.sources() | self.above.sources() | {self.diseq}
         return frozenset(e.source for e in self.entries)
@@ -115,7 +126,7 @@ class FeasibilityResult:
     certificate: Certificate | None = None
 
     @property
-    def core(self) -> frozenset[Literal]:
+    def core(self) -> frozenset[int]:
         if self.sat:
             raise ValueError("feasible result has no core")
         return self.certificate.sources()
@@ -123,7 +134,7 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class Conflict:
-    core: frozenset[Literal]
+    core: frozenset[int]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +162,7 @@ class _Row:
 
     term: LinTerm
     strict: bool
-    source: Literal
+    source: int
     coeffs: Mapping[int, int]
     const: int
     scale: int
@@ -169,7 +180,7 @@ def _integer_row(term: LinTerm) -> tuple[dict[int, int], int, int]:
     return coeffs, term.const.numerator * (scale // term.const.denominator), scale
 
 
-def _literal_rows(table, lit: Literal) -> tuple[bool, tuple[_Row, ...]]:
+def _literal_rows(table, lit: int) -> tuple[bool, tuple[_Row, ...]]:
     """(is_disequality, rows) of a linear literal, built once per table.
 
     The rows are those of ``_literal_terms`` in the same order, so every
@@ -178,14 +189,14 @@ def _literal_rows(table, lit: Literal) -> tuple[bool, tuple[_Row, ...]]:
     """
     entry = table.theory_rows.get(lit)
     if entry is None:
-        atom = table.atom(lit.atom)
-        if not atom.is_linear:
-            raise NonTheoryLiteralError(f"literal over propositional atom {lit.atom}")
+        if not table.is_linear_var(abs(lit)):
+            raise NonTheoryLiteralError(f"{lit} is not the literal of a linear atom")
+        atom = table.atom(abs(lit))
         rows = tuple(
             _Row(term, strict, lit, *_integer_row(term))
-            for term, strict in _literal_terms(atom, lit.positive)
+            for term, strict in _literal_terms(atom, lit > 0)
         )
-        entry = (atom.kind == EQ and not lit.positive, rows)
+        entry = (atom.kind == EQ and lit < 0, rows)
         table.theory_rows[lit] = entry
     return entry
 
@@ -314,14 +325,13 @@ def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, int]) -> Certific
     return Certificate(entries=entries)
 
 
-def verify_certificate(table, literals: Iterable[Literal], cert: Certificate) -> bool:
+def verify_certificate(table, literals: Iterable[int], cert: Certificate) -> bool:
     """Mechanically re-derive the contradiction claimed by a certificate."""
     lits = set(literals)
     if cert.diseq is not None:
         if cert.diseq not in lits:
             return False
-        atom = table.atom(cert.diseq.atom)
-        if atom.kind != EQ or cert.diseq.positive:
+        if cert.diseq > 0 or table.atom(-cert.diseq).kind != EQ:
             return False
         if cert.below is None or cert.above is None:
             return False
@@ -331,7 +341,7 @@ def verify_certificate(table, literals: Iterable[Literal], cert: Certificate) ->
     return _verify_plain(table, lits, cert, None)
 
 
-def _verify_plain(table, lits, cert: Certificate, diseq: Literal | None) -> bool:
+def _verify_plain(table, lits, cert: Certificate, diseq: int | None) -> bool:
     if cert.diseq is not None or not cert.entries:
         return False
     total = LinTerm.constant(0)
@@ -349,8 +359,8 @@ def _verify_plain(table, lits, cert: Certificate, diseq: Literal | None) -> bool
     return total.is_constant and _contradictory(total.const, strict)
 
 
-def literal_holds(table, lit: Literal, point: Point) -> bool:
-    """Truth of a linear or constant literal at a point: the sign of its
+def literal_holds(table, lit: int, point: Point) -> bool:
+    """Truth of a linear literal at a point: the sign of its
     integer rows there.  A disequality holds where one of its strict sides
     does, any other literal where all its rows do."""
     diseq, rows = _literal_rows(table, lit)
@@ -364,11 +374,11 @@ def literal_holds(table, lit: Literal, point: Point) -> bool:
     return not diseq
 
 
-def witness_satisfies(table, literals: Iterable[Literal], witness: Point) -> bool:
+def witness_satisfies(table, literals: Iterable[int], witness: Point) -> bool:
     return all(literal_holds(table, lit, witness) for lit in literals)
 
 
-def _split_literals(table, literals: Sequence[Literal]):
+def _split_literals(table, literals: Sequence[int]):
     """Inequality rows of the literals, and the (below, above) strict side
     rows of each disequality."""
     rows: list[_Row] = []
@@ -415,9 +425,9 @@ def _avoid_hyperplanes(
     return point
 
 
-def check_feasible(table, literals: Iterable[Literal]) -> FeasibilityResult:
+def check_feasible(table, literals: Iterable[int]) -> FeasibilityResult:
     """Exact feasibility of a conjunction of linear literals, with evidence."""
-    lits = sorted(set(literals))
+    lits = sorted(set(literals), key=literal_key)
     rows, diseqs = _split_literals(table, lits)
     status, payload = _fourier_motzkin(rows)
     if status == "unsat":
@@ -467,7 +477,7 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 # projection
 
 
-def project_trail(table, literals: Iterable[Literal], keep: AbstractSet[int]) -> tuple | None:
+def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tuple | None:
     """Canonical rows of the polyhedron of ``literals`` projected onto the
     real variables in ``keep``; None if a literal is a disequality, since the
     set is then not convex.
@@ -533,10 +543,10 @@ class TheoryState:
 
     def __init__(self, table) -> None:
         self.table = table
-        self.trail: list[Literal] = []
+        self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
-        self._memo: dict[frozenset[Literal], FeasibilityResult] = {}
+        self._memo: dict[frozenset[int], FeasibilityResult] = {}
         self.checks = 0
         self.witness_hits = 0
         self.skips = 0  # propagation candidates skipped for a real the trail leaves free
@@ -551,7 +561,7 @@ class TheoryState:
         """The real variables some trail literal mentions."""
         return self._reals[-1]
 
-    def _check(self, lits: frozenset[Literal]) -> FeasibilityResult:
+    def _check(self, lits: frozenset[int]) -> FeasibilityResult:
         cached = self._memo.get(lits)
         if cached is None:
             cached = check_feasible(self.table, lits)
@@ -559,7 +569,7 @@ class TheoryState:
             self.checks += 1
         return cached
 
-    def _holds_at_top(self, lit: Literal) -> bool:
+    def _holds_at_top(self, lit: int) -> bool:
         """Whether ``lit`` holds at the top point, which then witnesses the
         trail extended by ``lit``."""
         if witness_satisfies(self.table, (lit,), self.point):
@@ -567,10 +577,7 @@ class TheoryState:
             return True
         return False
 
-    def assert_literal(self, lit: Literal) -> Conflict | None:
-        atom = self.table.atom(lit.atom)
-        if not atom.is_linear:
-            raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
+    def assert_literal(self, lit: int) -> Conflict | None:
         if self._holds_at_top(lit):
             point = self.point
         else:
@@ -583,7 +590,7 @@ class TheoryState:
             point = result.witness
         self.trail.append(lit)
         self._points.append(point)
-        self._reals.append(self.reals | atom.term.real_vars)
+        self._reals.append(self.reals | self.table.atom(abs(lit)).term.real_vars)
         return None
 
     def pop_to(self, size: int) -> None:
@@ -592,34 +599,31 @@ class TheoryState:
         del self._points[size + 1 :]
         del self._reals[size + 1 :]
 
-    def entails(self, lit: Literal) -> bool:
-        atom = self.table.atom(lit.atom)
-        if not atom.is_linear:
-            raise NonTheoryLiteralError(f"atom {lit.atom} is propositional")
-        if self._holds_at_top(lit.negated()):
+    def entails(self, lit: int) -> bool:
+        if self._holds_at_top(-lit):
             return False
-        return not self._check(frozenset(self.trail) | {lit.negated()}).sat
+        return not self._check(frozenset(self.trail) | {-lit}).sat
 
 
 def minimize_core(
     table,
-    core: Iterable[Literal],
-    check: Callable[[frozenset[Literal]], FeasibilityResult] | None = None,
-) -> frozenset[Literal]:
+    core: Iterable[int],
+    check: Callable[[frozenset[int]], FeasibilityResult] | None = None,
+) -> frozenset[int]:
     """Deletion-based minimization: one feasibility call per element."""
     if check is None:
         check = lambda fs: check_feasible(table, fs)
     current = frozenset(core)
     if check(current).sat:
         raise NotInfeasibleError("core is feasible")
-    for lit in sorted(current):
+    for lit in sorted(current, key=literal_key):
         trial = current - {lit}
         if trial and not check(trial).sat:
             current = trial
     return current
 
 
-def propagate_candidates(state: TheoryState, atoms: Sequence[int]) -> list[Literal]:
+def propagate_candidates(state: TheoryState, atoms: Sequence[int]) -> list[int]:
     """Trail-entailed literals over the given atoms.
 
     Each atom costs at most two entailment checks, one per polarity.  An
@@ -628,14 +632,13 @@ def propagate_candidates(state: TheoryState, atoms: Sequence[int]) -> list[Liter
     term takes every value on the trail's polyhedron and neither polarity is
     entailed.
     """
-    out: list[Literal] = []
+    out: list[int] = []
     for aid in atoms:
         if not state.table.atom(aid).term.real_vars <= state.reals:
             state.skips += 1
             continue
-        pos = Literal(aid, True)
-        if state.entails(pos):
-            out.append(pos)
-        elif state.entails(pos.negated()):
-            out.append(pos.negated())
+        if state.entails(aid):
+            out.append(aid)
+        elif state.entails(-aid):
+            out.append(-aid)
     return out

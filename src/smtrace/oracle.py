@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .frontend import Formula, Literal, evaluate_formula
+from .frontend import Formula, evaluate_formula
 from .lra import check_feasible
 
 
@@ -22,9 +22,7 @@ _MAX_ATOMS = 24
 
 
 def _feasible(f: Formula, assignment: dict[int, bool], memo: dict) -> bool:
-    lits = frozenset(
-        Literal(a.id, assignment[a.id]) for a in f.table.atoms if a.is_linear
-    )
+    lits = frozenset(a.id if assignment[a.id] else -a.id for a in f.table.atoms if a.is_linear)
     cached = memo.get(lits)
     if cached is None:
         cached = check_feasible(f.table, lits).sat

@@ -16,8 +16,6 @@ from .frontend import (
     AtomTable,
     LinTerm,
     Literal,
-    TOP_ATOM_ID,
-    BOT_ATOM_ID,
     normalize_comparison,
 )
 
@@ -42,7 +40,7 @@ def _literal_pool(rng, table, n_atoms, real_ids, prop_ratio=0.3):
             rhs = LinTerm.constant(rng.randint(-4, 4))
             op = rng.choices(_OPS, weights=(4, 4, 4, 4, 1, 1))[0]
             lit = normalize_comparison(table, op, lhs, rhs)
-            if lit.atom not in (TOP_ATOM_ID, BOT_ATOM_ID):
+            if not isinstance(lit, bool):
                 pool.append(lit)
                 break
     return pool

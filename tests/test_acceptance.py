@@ -15,7 +15,7 @@ import pytest
 
 import smtrace as st
 from smtrace.ddnnf import GraphBuilder
-from smtrace.frontend import Literal, evaluate_formula
+from smtrace.frontend import evaluate_formula
 from smtrace.lra import check_feasible, verify_certificate, witness_satisfies
 from conftest import GAP_XY_SMT2, GAP01_SMT2, entangled_setup, pipeline
 
@@ -96,7 +96,8 @@ def test_criterion_3_eager_example():
 
 
 def test_criterion_4_entanglement():
-    pair, lits = entangled_setup()
+    pair, leaves = entangled_setup()
+    lits = {name: lit.signed for name, lit in leaves.items()}
     table = pair.table
     state = st.TheoryState(table)
     assert state.assert_literal(lits["xy"]) is None
@@ -105,7 +106,7 @@ def test_criterion_4_entanglement():
 
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
-    assignment = {lits["xy"].atom: lits["xy"].positive}
+    assignment = {abs(lits["xy"]): lits["xy"] > 0}
     comps_empty = st.split_components(db, amap, assignment, [], st.CompileConfig())
     comps_trail = st.split_components(db, amap, assignment, [lits["xy"]], st.CompileConfig())
     ok = entailed and len(comps_empty) == 2 and len(comps_trail) == 1
@@ -226,7 +227,7 @@ def test_criterion_10_certificate_audit(sweep):
             assignment = {i + 1: bits[i] for i in range(n)}
             if not evaluate_formula(inst.formula.root, assignment):
                 continue
-            lits = frozenset(Literal(a.id, assignment[a.id]) for a in linear)
+            lits = frozenset(a.id if assignment[a.id] else -a.id for a in linear)
             if lits in checked:
                 continue
             checked.add(lits)

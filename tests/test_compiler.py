@@ -15,7 +15,7 @@ from smtrace.compiler import (
     learn_theory_clause,
     split_components,
 )
-from smtrace.frontend import AtomTable, Literal
+from smtrace.frontend import AtomTable
 from conftest import bool_chain, entangled_setup, pipeline
 
 
@@ -137,7 +137,7 @@ _REALS = {
 
 
 def test_decide_picks_pinned_atom_before_dlcs():
-    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), ((9, False),), ())
+    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), (-9,), ())
     assert reference_decide(comp) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
     assert decide(comp, _REALS) == 5
@@ -147,13 +147,13 @@ def test_decide_picks_pinned_atom_before_dlcs():
 
 def test_decide_without_pinned_atoms_is_dlcs():
     # atom 4 shares no real with the trail atom, and Boolean 3 has none
-    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), ((7, True),), ())
+    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), (7,), ())
     assert decide(no_share, _REALS) == reference_decide(no_share) == 1
     # a pinned-looking atom in a residual clause is left to DLCS
-    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), ((9, True),), ())
+    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), (9,), ())
     assert decide(in_clause, _REALS) == reference_decide(in_clause) == 1
     # without the real map, or with an empty trail, the rule is off
-    comp = Component(((1, 2),), (1, 2, 7), ((9, True),), ())
+    comp = Component(((1, 2),), (1, 2, 7), (9,), ())
     assert decide(comp) == decide(comp, {}) == 1
     assert decide(Component(comp.residual, comp.scope, (), ()), _REALS) == 1
     assert decide(comp, _REALS) == 7
@@ -180,8 +180,8 @@ def test_split_independent_and_entangled():
     pair, lits = entangled_setup()
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
-    xy = lits["xy"]
-    assignment = {xy.atom: xy.positive}
+    xy = lits["xy"].signed
+    assignment = {abs(xy): xy > 0}
 
     comps = split_components(db, amap, assignment, [], st.CompileConfig())
     assert len(comps) == 2
@@ -191,9 +191,9 @@ def test_split_independent_and_entangled():
     comps = split_components(db, amap, assignment, [xy], st.CompileConfig())
     assert len(comps) == 1
     assert comps[0].scope == (1, 2, 3, 4)
-    assert comps[0].projected == ((xy.atom, xy.positive),)
+    assert comps[0].projected == (xy,)
     # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
-    x, y = sorted(amap.real_vars_of(xy.atom))
+    x, y = sorted(amap.real_vars_of(abs(xy)))
     assert comps[0].polyhedron == ((((x, 1), (y, 1)), -5, True),)
 
 
@@ -256,7 +256,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
 
     seen_reals = set()
     for lit in trail:
-        reals = sorted(amap.atom(lit.atom).term.real_vars)
+        reals = sorted(amap.atom(abs(lit)).term.real_vars)
         seen_reals.update(reals)
         for r in reals[1:]:
             union(("r", reals[0]), ("r", r))
@@ -269,7 +269,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
             union(("b", abs(live[0])), ("b", abs(l)))
 
     def component(views, variables, reals):
-        lits = [lit for lit in trail if amap.atom(lit.atom).term.real_vars & reals]
+        lits = [lit for lit in trail if amap.atom(abs(lit)).term.real_vars & reals]
         polyhedron = ()
         if lits:
             polyhedron = None
@@ -277,7 +277,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
                 own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
                 polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(
-            tuple(views), tuple(variables), tuple(sorted((l.atom, l.positive) for l in lits)), polyhedron
+            tuple(views), tuple(variables), tuple(sorted(lits, key=lambda l: (abs(l), l > 0))), polyhedron
         )
 
     if not cfg.components:
@@ -317,7 +317,7 @@ def test_split_matches_reference_on_random_partial_assignments():
         for _ in range(6):
             assigned = rng.sample(range(1, db.num_vars + 1), rng.randint(0, db.num_vars))
             assignment = {v: rng.random() < 0.5 for v in assigned}
-            trail = [Literal(v, val) for v, val in assignment.items() if amap.is_linear_var(v)]
+            trail = [v if val else -v for v, val in assignment.items() if amap.is_linear_var(v)]
             trail = rng.sample(trail, rng.randint(0, min(len(trail), 4)))
             free = [v for v in range(1, db.num_vars + 1) if v not in assignment]
             for scope in (None, free, rng.sample(free, len(free) // 2)):
@@ -365,15 +365,15 @@ def test_cache_key_identity_and_projection():
     pair, lits = entangled_setup()
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
-    xy = lits["xy"]
-    assignment = {xy.atom: xy.positive}
+    xy = lits["xy"].signed
+    assignment = {abs(xy): xy > 0}
 
     (c1,) = split_components(db, amap, assignment, [xy], st.CompileConfig())
     (c2,) = split_components(db, amap, assignment, [xy], st.CompileConfig())
     assert cache_key(c1) == cache_key(c2)
 
     # same residual clauses, entangling trail literal flipped: different key
-    (c3,) = split_components(db, amap, assignment, [xy.negated()], st.CompileConfig())
+    (c3,) = split_components(db, amap, assignment, [-xy], st.CompileConfig())
     assert cache_key(c3) != cache_key(c1)
 
     # trail literal over disjoint reals is projected away: keys match
@@ -381,11 +381,11 @@ def test_cache_key_identity_and_projection():
     from smtrace.frontend import LinTerm, normalize_comparison
 
     w = table.real_var("w")
-    extra = normalize_comparison(table, "<=", LinTerm.make({w: 1}), LinTerm.constant(0))
+    extra = normalize_comparison(table, "<=", LinTerm.make({w: 1}), LinTerm.constant(0)).signed
     prop2, amap2 = st.boolean_abstract(pair)  # amap now includes the new atom
     db2 = st.to_cnf(prop2)
     assign2 = dict(assignment)
-    assign2[extra.atom] = extra.positive
+    assign2[abs(extra)] = extra > 0
     base = split_components(db2, amap2, assign2, [], st.CompileConfig())
     with_extra = split_components(db2, amap2, assign2, [extra], st.CompileConfig())
     assert [cache_key(c) for c in base] == [cache_key(c) for c in with_extra]
@@ -397,21 +397,21 @@ def test_cache_key_on_projection_and_disequality_fallback():
     from smtrace.frontend import LinTerm, normalize_comparison
 
     x, y = table.real_var("x"), table.real_var("y")
-    ne = normalize_comparison(table, "!=", LinTerm.make({x: 1}), LinTerm.make({y: 1}))
+    ne = normalize_comparison(table, "!=", LinTerm.make({x: 1}), LinTerm.make({y: 1})).signed
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
-    xy = lits["xy"]
+    xy = lits["xy"].signed
 
     # with the x + y atom assigned, the component's own atoms mention x and y
     # separately; a disequality on the trail falls back to the literals
-    assignment = {ne.atom: ne.positive, xy.atom: xy.positive}
+    assignment = {abs(ne): ne > 0, abs(xy): xy > 0}
     (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
     assert comp.polyhedron is None
-    assert comp.projected == tuple(sorted([(ne.atom, ne.positive), (xy.atom, xy.positive)]))
+    assert (xy, ne) == (-5, -6) and comp.projected == (xy, ne)  # by atom
     assert cache_key(comp) == (tuple(sorted(comp.residual)), comp.scope, comp.projected)
 
-    assignment[ne.atom] = not ne.positive
-    (convex,) = split_components(db, amap, assignment, [ne.negated(), xy], st.CompileConfig())
+    assignment[abs(ne)] = ne < 0
+    (convex,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig())
     assert convex.polyhedron is not None and cache_key(convex)[2] == convex.polyhedron
 
 
@@ -504,10 +504,12 @@ def test_no_projection_without_theory(monkeypatch, gap_xy):
 
 def test_learn_theory_clause_examples(gap01):
     # core {x<=0, x>=1} over atom vars 1, 2
-    assert learn_theory_clause({Literal(1, True), Literal(2, True)}) == (-1, -2)
+    assert learn_theory_clause({1, 2}) == (-1, -2)
     # a core of negated-atom literals blocks as positive atom literals
-    assert learn_theory_clause({Literal(1, False), Literal(2, False)}) == (1, 2)
-    assert learn_theory_clause({Literal(3, False)}) == (3,)
+    assert learn_theory_clause({-1, -2}) == (1, 2)
+    assert learn_theory_clause({-3}) == (3,)
+    # the clause is in clause order, by variable
+    assert learn_theory_clause(frozenset({5, -2, 3})) == (2, -3, -5)
 
 
 def test_learning_is_exercised_and_invariant(gap01):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as hst
 
 import smtrace as st
 from smtrace import eager
-from smtrace.frontend import AtomTable, LinTerm, Literal, normalize_comparison
+from smtrace.frontend import AtomTable, LinTerm, normalize_comparison
 from conftest import pipeline
 
 
@@ -18,7 +18,7 @@ def reference_cores(table, atom_ids, k):
     for size in range(1, min(k, len(atoms)) + 1):
         for combo in combinations(atoms, size):
             for pols in product((True, False), repeat=size):
-                lits = frozenset(Literal(a, p) for a, p in zip(combo, pols))
+                lits = frozenset(a if p else -a for a, p in zip(combo, pols))
                 if any(core <= lits for core in cores):
                     continue
                 if not eager.check_feasible(table, lits).sat:
@@ -28,16 +28,16 @@ def reference_cores(table, atom_ids, k):
 
 def _cmp(table, op, coeffs, rhs=0):
     lhs = LinTerm.make({table.real_var(v): c for v, c in coeffs.items()})
-    return normalize_comparison(table, op, lhs, LinTerm.constant(rhs))
+    return normalize_comparison(table, op, lhs, LinTerm.constant(rhs)).signed
 
 
 def _triangle_table():
     table = AtomTable()
     ids = [table.real_var(n) for n in ("x", "y", "z")]
     lits = [
-        normalize_comparison(table, "<", LinTerm.make({ids[0]: 1}), LinTerm.make({ids[1]: 1})),
-        normalize_comparison(table, "<", LinTerm.make({ids[1]: 1}), LinTerm.make({ids[2]: 1})),
-        normalize_comparison(table, "<", LinTerm.make({ids[2]: 1}), LinTerm.make({ids[0]: 1})),
+        normalize_comparison(table, "<", LinTerm.make({ids[0]: 1}), LinTerm.make({ids[1]: 1})).signed,
+        normalize_comparison(table, "<", LinTerm.make({ids[1]: 1}), LinTerm.make({ids[2]: 1})).signed,
+        normalize_comparison(table, "<", LinTerm.make({ids[2]: 1}), LinTerm.make({ids[0]: 1})).signed,
     ]
     return table, lits
 
@@ -45,15 +45,15 @@ def _triangle_table():
 def test_cores_pair():
     table = AtomTable()
     x = table.real_var("x")
-    a = normalize_comparison(table, "<=", LinTerm.make({x: 1}), LinTerm.constant(0))
-    b = normalize_comparison(table, ">=", LinTerm.make({x: 1}), LinTerm.constant(1))
-    cores = st.enumerate_infeasible_cores(table, [a.atom, b.atom], k=2)
+    a = normalize_comparison(table, "<=", LinTerm.make({x: 1}), LinTerm.constant(0)).signed
+    b = normalize_comparison(table, ">=", LinTerm.make({x: 1}), LinTerm.constant(1)).signed
+    cores = st.enumerate_infeasible_cores(table, [abs(a), abs(b)], k=2)
     assert cores == [frozenset({a, b})]
 
 
 def test_cores_triangle():
     table, lits = _triangle_table()
-    atoms = [l.atom for l in lits]
+    atoms = [abs(l) for l in lits]
     assert st.enumerate_infeasible_cores(table, atoms, k=2) == []
     cores = st.enumerate_infeasible_cores(table, atoms, k=3)
     assert cores == [frozenset(lits)]
@@ -85,6 +85,16 @@ def test_eager_propositional_unchanged():
     db = st.to_cnf(prop)
     encoded = st.eager_encode(db, amap)
     assert encoded.clauses == db.clauses
+
+
+def test_eager_blocks_cores_in_literal_order():
+    """Blocking clauses follow the cores taken by atom, negative literal
+    first: int order would put {2, -3} before {1, 2}."""
+    f = st.parse_smt2("(declare-const x Real)(assert (or (<= x 0) (>= x 1) (>= x 0)))")
+    prop, amap = st.boolean_abstract(f)
+    db = st.to_cnf(prop)
+    # cores {-1, -3}: x > 0, x < 0; {1, 2}: x <= 0, x >= 1; {2, -3}: x >= 1, x < 0
+    assert st.eager_encode(db, amap).clauses[len(db.clauses):] == [(1, 3), (-1, -2), (-2, 3)]
 
 
 def test_eager_gap_xy(gap_xy):
@@ -151,7 +161,7 @@ def test_core_at_helly_limit():
         _cmp(table, ">=", {"z": 1}),
         _cmp(table, "<", {"x": 1, "y": 1, "z": 1}),
     ]
-    atoms = [l.atom for l in lits]
+    atoms = [abs(l) for l in lits]
     cores = st.enumerate_infeasible_cores(table, atoms, k=4)
     assert frozenset(lits) in cores
     assert cores == reference_cores(table, atoms, 4)
@@ -162,7 +172,7 @@ def test_core_at_disequality_limit():
     # d = 1 real, 2d + 1 = 3 members: x <= 0 and x >= 0 entail x = 0
     table = AtomTable()
     lits = [_cmp(table, "<=", {"x": 1}), _cmp(table, ">=", {"x": 1}), _cmp(table, "distinct", {"x": 1})]
-    atoms = [l.atom for l in lits]
+    atoms = [abs(l) for l in lits]
     cores = st.enumerate_infeasible_cores(table, atoms, k=3)
     assert cores == reference_cores(table, atoms, 3)
     assert frozenset(lits) in cores
@@ -172,7 +182,7 @@ def test_disconnected_parts_give_separate_cores():
     table = AtomTable()
     x_part = [_cmp(table, "<=", {"x": 1}), _cmp(table, ">=", {"x": 1}, 1)]
     y_part = [_cmp(table, "<=", {"y": 1}), _cmp(table, ">=", {"y": 1}, 1)]
-    atoms = [l.atom for l in x_part + y_part]
+    atoms = [abs(l) for l in x_part + y_part]
     cores = st.enumerate_infeasible_cores(table, atoms, k=4)
     assert cores == [frozenset(x_part), frozenset(y_part)] == reference_cores(table, atoms, 4)
 

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import random
 from fractions import Fraction
 
@@ -6,12 +9,9 @@ from hypothesis import given, strategies as hst
 
 import smtrace as st
 from smtrace.frontend import (
-    BOT_ATOM_ID,
-    FALSE_LIT,
-    TOP_ATOM_ID,
-    TRUE_LIT,
     AtomTable,
     FAnd,
+    FFalse,
     FOr,
     FTrue,
     LinTerm,
@@ -160,13 +160,22 @@ def test_normalize_strict_flip():
 
 
 def test_normalize_degenerate_diseq():
+    """A comparison between constants is its truth value."""
     table = AtomTable()
     x = term(table, {"x": 1})
-    assert normalize_comparison(table, "!=", x, x) == FALSE_LIT
-    assert normalize_comparison(table, "=", x, x) == TRUE_LIT
-    assert normalize_comparison(table, "<=", LinTerm.constant(0), LinTerm.constant(1)) == TRUE_LIT
-    assert normalize_comparison(table, "<", LinTerm.constant(3), LinTerm.constant(3)) == FALSE_LIT
+    assert normalize_comparison(table, "!=", x, x) is False
+    assert normalize_comparison(table, "=", x, x) is True
+    assert normalize_comparison(table, "<=", LinTerm.constant(0), LinTerm.constant(1)) is True
+    assert normalize_comparison(table, "<", LinTerm.constant(3), LinTerm.constant(3)) is False
+    assert normalize_comparison(table, ">", x, x.add(LinTerm.constant(-1))) is True
     assert len(table) == 0  # constant comparisons never intern atoms
+
+
+def test_parser_folds_constant_comparisons():
+    assert st.parse_smt2("(assert (<= 0 1))").root == FTrue()
+    assert st.parse_smt2("(assert (< 3 3))").root == FFalse()
+    f = st.parse_smt2("(declare-const x Real)(assert (or (distinct x x) (< 3 3)))")
+    assert f.root == FOr((FFalse(), FFalse())) and len(f.table) == 0
 
 
 def test_merged_atoms_share_id():
@@ -182,7 +191,40 @@ def test_negation_involution():
     table = AtomTable()
     lit = normalize_comparison(table, "<", term(table, {"x": 1}), LinTerm.constant(0))
     assert lit.negated().negated() == lit
-    assert TRUE_LIT.negated() == FALSE_LIT and FALSE_LIT.negated() == TRUE_LIT
+    assert lit.negated() != lit and lit.negated().atom == lit.atom
+
+
+@given(hst.integers(1, 50), hst.booleans())
+def test_literal_signed_round_trips(atom, positive):
+    lit = Literal(atom, positive)
+    assert lit.signed == (atom if positive else -atom)
+    assert Literal(abs(lit.signed), lit.signed > 0) == lit
+    assert lit.negated().signed == -lit.signed
+
+
+@pytest.mark.parametrize("module", ["lra", "compiler", "eager", "oracle", "ddnnf"])
+def test_theory_side_speaks_signed_ints(module):
+    """Past the parser a literal is a signed atom id: the theory side neither
+    imports ``Literal`` nor finds it in its namespace."""
+    mod = importlib.import_module(f"smtrace.{module}")
+    tree = ast.parse(inspect.getsource(mod))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "Literal" not in imported and not hasattr(mod, "Literal")
+
+
+def test_atom_rejects_ids_outside_the_table():
+    table = AtomTable()
+    a, b = table.intern_bool("A"), table.intern_bool("B")
+    c = table.intern_linear("leq", term(table, {"x": 1}))
+    assert [table.atom(a).name, table.atom(b).name, table.atom(c).kind] == ["A", "B", "leq"]
+    for bad in (0, -1, -2, 4):  # atoms[-2 - 1] would be atom 1
+        with pytest.raises(IndexError):
+            table.atom(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -240,4 +282,7 @@ def test_semantic_preservation_sweep():
                 "=": lv == rv,
                 "!=": lv != rv,
             }[op]
-            assert literal_holds(table, lit, point) == expected
+            if isinstance(lit, bool):
+                assert lit == expected
+            else:
+                assert literal_holds(table, lit.signed, point) == expected

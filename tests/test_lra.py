@@ -7,7 +7,7 @@ from hypothesis import given, strategies as hst
 
 import smtrace as st
 from smtrace import lra
-from smtrace.frontend import EQ, LEQ, AtomTable, LinTerm, Literal, normalize_comparison
+from smtrace.frontend import EQ, LEQ, AtomTable, LinTerm, normalize_comparison
 from smtrace.lra import (
     NonTheoryLiteralError,
     NotInfeasibleError,
@@ -31,7 +31,7 @@ def env():
 
     def cmp(op, coeffs, rhs=0):
         lhs = LinTerm.make({ids[k]: Fraction(v) for k, v in coeffs.items()})
-        return normalize_comparison(table, op, lhs, LinTerm.constant(rhs))
+        return normalize_comparison(table, op, lhs, LinTerm.constant(rhs)).signed
 
     return table, cmp
 
@@ -109,7 +109,7 @@ def test_check_feasible_fractional_terms(env):
     x, y = 0, 1
 
     def atom(kind, coeffs, const=0):
-        return Literal(table.intern_linear(kind, LinTerm.make(coeffs, const)), True)
+        return table.intern_linear(kind, LinTerm.make(coeffs, const))
 
     x_le = atom(LEQ, {x: Fraction(1, 3)}, Fraction(-1, 2))  # x <= 3/2
     x_ge = atom(LEQ, {x: Fraction(-1, 2)}, Fraction(3, 4))  # x >= 3/2
@@ -120,13 +120,13 @@ def test_check_feasible_fractional_terms(env):
     assert res.sat and witness_satisfies(table, lits, res.witness)
     assert res.witness == {x: Fraction(3, 2), y: Fraction(21, 5)}
 
-    strict = [x_le.negated(), x_ge.negated()]  # x > 3/2 and x < 3/2
+    strict = [-x_le, -x_ge]  # x > 3/2 and x < 3/2
     res = check_feasible(table, strict)
     assert not res.sat and res.core == frozenset(strict)
     assert verify_certificate(table, strict, res.certificate)
     assert all(e.mult.denominator == 1 for e in res.certificate.entries)
 
-    ne = link.negated()  # y != 14x/5 against y = 14x/5
+    ne = -link  # y != 14x/5 against y = 14x/5
     res = check_feasible(table, [link, ne])
     assert not res.sat and res.certificate.diseq == ne
     assert verify_certificate(table, [link, ne], res.certificate)
@@ -161,7 +161,7 @@ def test_entails_decided_at_point_runs_no_check(env):
     s = TheoryState(table)
     assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
     probe = cmp(">=", {"x": 1}, 9)
-    assert witness_satisfies(table, [probe.negated()], s.point)
+    assert witness_satisfies(table, [-probe], s.point)
     checks, hits = s.checks, s.witness_hits
     assert not s.entails(probe)
     assert (s.checks, s.witness_hits) == (checks, hits + 1)
@@ -192,7 +192,7 @@ def test_entails(env):
 
     s2 = TheoryState(table)
     s2.assert_literal(cmp(">=", {"x": 1}, 1))
-    assert s2.entails(cmp("<=", {"x": 1}, 0).negated())
+    assert s2.entails(-cmp("<=", {"x": 1}, 0))
 
     s3 = TheoryState(table)
     assert not s3.entails(cmp("<=", {"x": 1}, 0))
@@ -202,9 +202,9 @@ def test_entails_assert_coherence(env):
     table, cmp = env
     s = TheoryState(table)
     s.assert_literal(cmp(">=", {"x": 1}, 1))
-    lit = cmp("<=", {"x": 1}, 0).negated()
+    lit = -cmp("<=", {"x": 1}, 0)
     assert s.entails(lit)
-    conflict = s.assert_literal(lit.negated())
+    conflict = s.assert_literal(-lit)
     assert conflict is not None
 
 
@@ -230,32 +230,59 @@ def test_minimize_core(env):
         minimize_core(table, {le0})
 
 
+def test_literal_order_fixes_rows_and_deletions(env):
+    """Literal sets are taken by atom, the negative literal first, not in
+    int order: it fixes a certificate's row order and which of two minimal
+    cores deletion keeps."""
+    table, cmp = env
+    le0 = cmp("<=", {"x": 1}, 0)  # atom 1
+    lt1 = cmp("<", {"x": 1}, 1)  # not atom 2
+    ge5 = cmp(">=", {"x": 1}, 5)  # atom 3
+    gt3 = cmp(">", {"x": 1}, 3)  # not atom 4
+    assert (le0, lt1, ge5, gt3) == (1, -2, 3, -4)
+    assert sorted([gt3, ge5, lt1, le0], key=lra.literal_key) == [le0, lt1, ge5, gt3]
+    res = check_feasible(table, [gt3, le0])
+    assert [e.source for e in res.certificate.entries] == [le0, gt3]
+    # {le0, ge5} and {lt1, ge5} are both minimal; deleting le0 first keeps the second
+    assert minimize_core(table, {le0, lt1, ge5}) == frozenset({lt1, ge5})
+
+
 def test_propagate_candidates(env):
     table, cmp = env
     s = TheoryState(table)
     s.assert_literal(cmp(">=", {"x": 1}, 1))
     le0 = cmp("<=", {"x": 1}, 0)
-    out = propagate_candidates(s, [le0.atom])
-    assert out == [le0.negated()]
+    out = propagate_candidates(s, [abs(le0)])
+    assert out == [-le0]
 
     s3 = TheoryState(table)
     s3.assert_literal(cmp("<", {"x": 1, "y": 1}, 5))
     s3.assert_literal(cmp(">", {"x": 1}, 5))
     y_neg = cmp("<", {"y": 1}, 0)
-    out = propagate_candidates(s3, [y_neg.atom])
+    out = propagate_candidates(s3, [abs(y_neg)])
     assert out == [y_neg]
 
 
 def test_non_theory_literal(env):
-    table, _ = env
-    b = Literal(table.intern_bool("A"), True)
-    s = TheoryState(table)
-    with pytest.raises(NonTheoryLiteralError):
-        s.assert_literal(b)
-    with pytest.raises(NonTheoryLiteralError):
-        s.entails(b)
-    with pytest.raises(NonTheoryLiteralError):
-        check_feasible(table, [b])
+    """A propositional atom's literal of either sign, 0 and an id past the
+    table are refused, and refusing leaves the trail as it was."""
+    table, cmp = env
+    le0 = cmp("<=", {"x": 1}, 0)
+    b = table.intern_bool("A")
+    for lit in (b, -b, 0, len(table) + 1):
+        s = TheoryState(table)
+        with pytest.raises(NonTheoryLiteralError):
+            s.assert_literal(lit)
+        assert s.assert_literal(le0) is None
+        with pytest.raises(NonTheoryLiteralError):
+            s.assert_literal(lit)
+        with pytest.raises(NonTheoryLiteralError):
+            s.entails(lit)
+        assert s.trail == [le0]
+        with pytest.raises(NonTheoryLiteralError):
+            check_feasible(table, [lit])
+        with pytest.raises(NonTheoryLiteralError):
+            check_feasible(table, [le0, lit])
 
 
 def test_equality_and_disequality(env):
@@ -334,8 +361,8 @@ def _row_literal(table, row):
     coeffs, const, strict = row
     term = LinTerm.make(dict(coeffs), const)
     if strict:  # term < 0  ==  not(-term <= 0)
-        return Literal(table.intern_linear(LEQ, term.neg()), False)
-    return Literal(table.intern_linear(LEQ, term), True)
+        return -table.intern_linear(LEQ, term.neg())
+    return table.intern_linear(LEQ, term)
 
 
 @given(hst.integers(0, 400))
@@ -345,7 +372,7 @@ def test_project_trail_preserves_feasibility(seed):
     rng = random.Random(seed)
     table = AtomTable()
     ids = [table.real_var(n) for n in ("x", "y", "z")]
-    trail = [l for l in _random_literals(rng, table, ids, 5) if table.atom(l.atom).kind == LEQ]
+    trail = [l for l in _random_literals(rng, table, ids, 5) if table.atom(abs(l)).kind == LEQ]
     if not check_feasible(table, trail).sat:
         return
     keep = set(ids[:2])
@@ -374,8 +401,8 @@ def _random_literals(rng, table, ids, count):
         lhs = LinTerm.make(coeffs, rng.randint(-3, 3))
         op = rng.choice(("<", ">", "<=", ">=", "=", "!="))
         lit = normalize_comparison(table, op, lhs, LinTerm.constant(rng.randint(-3, 3)))
-        if lit.atom > 0:
-            lits.append(lit)
+        if not isinstance(lit, bool):
+            lits.append(lit.signed)
     return lits
 
 
@@ -421,7 +448,7 @@ def test_push_pop_differential(seed):
         assert state.trail == shadow
         assert witness_satisfies(table, state.trail, state.point)
         assert state.reals == frozenset().union(
-            *(table.atom(l.atom).term.real_vars for l in shadow)
+            *(table.atom(abs(l)).term.real_vars for l in shadow)
         )
         probe = rng.choice(pool)
         rebuilt = TheoryState(table)
@@ -457,8 +484,8 @@ def lra_literals(draw, reals=3, max_size=5):
         op = draw(hst.sampled_from(("<", ">", "<=", ">=", "=", "!=")))
         rhs = Fraction(draw(hst.integers(-4, 4)), draw(hst.integers(1, 2)))
         lit = normalize_comparison(table, op, LinTerm.make(coeffs), LinTerm.constant(rhs))
-        if lit.atom > 0:
-            lits.append(lit)
+        if not isinstance(lit, bool):
+            lits.append(lit.signed)
     return table, lits
 
 
@@ -467,10 +494,10 @@ rationals = hst.builds(Fraction, hst.integers(-9, 9), hst.integers(1, 6))
 
 def _reference_holds(table, lit, point):
     """Truth of a literal at a point of Fractions, by evaluating its term."""
-    atom = table.atom(lit.atom)
+    atom = table.atom(abs(lit))
     value = evaluate(atom.term, point)
     holds = value <= 0 if atom.kind == LEQ else value == 0
-    return holds == lit.positive
+    return holds == (lit > 0)
 
 
 @given(lra_literals(), hst.lists(rationals, min_size=3, max_size=3))
@@ -479,7 +506,7 @@ def test_literal_holds_matches_the_fraction_reference(case, coords):
     values = dict(enumerate(coords))
     point = point_of(values)
     for lit in lits:
-        for probe in (lit, lit.negated()):
+        for probe in (lit, -lit):
             assert literal_holds(table, probe, point) == _reference_holds(table, probe, values)
 
 
@@ -492,17 +519,17 @@ def test_an_atom_with_a_free_real_is_not_entailed(case):
         trail = lits[:k]
         if not check_feasible(table, trail).sat:
             break
-        mentioned = frozenset().union(*(table.atom(l.atom).term.real_vars for l in trail))
+        mentioned = frozenset().union(*(table.atom(abs(l)).term.real_vars for l in trail))
         for lit in lits[k:]:
-            if table.atom(lit.atom).term.real_vars <= mentioned:
+            if table.atom(abs(lit)).term.real_vars <= mentioned:
                 continue
-            for extended in (lit, lit.negated()):
+            for extended in (lit, -lit):
                 assert check_feasible(table, trail + [extended]).sat
             state = TheoryState(table)
             for t in trail:
                 assert state.assert_literal(t) is None
             checks = state.checks
-            assert propagate_candidates(state, [lit.atom]) == []
+            assert propagate_candidates(state, [abs(lit)]) == []
             assert (state.skips, state.checks) == (1, checks)
 
 
@@ -551,7 +578,7 @@ def _reference_fm_witness(rows):
 def _reference_witness(table, lits):
     """The Fraction witness of a feasible literal set, disequalities
     avoided by the same walk as the solver's; None if infeasible."""
-    rows, diseqs = lra._split_literals(table, sorted(set(lits)))
+    rows, diseqs = lra._split_literals(table, sorted(set(lits), key=lra.literal_key))
     point = _reference_fm_witness(rows)
     if point is None:
         return None
