@@ -2,18 +2,24 @@
 """Differential dump of compile results, for comparing two versions.
 
 For every compile of a fixed set, records the model count, a weighted count
-with mixed-denominator weights, a SHA-256 of the ``export_nnf`` text and
-every ``CompileStats`` field except ``wall_ms``, as one JSON object keyed
-``<group>/<instance>``.  The default set has 2996 compiles:
+with mixed-denominator weights, SHA-256 hashes of the atom table
+(``atom_to_str`` in id order), of the compiled CNF (``to_dimacs``) and of
+the ``export_nnf`` text, and every ``CompileStats`` field except
+``wall_ms``, as one JSON object keyed ``<group>/<instance>``.  The default
+set has 3406 compiles:
 
 - sweep seeds 0-204 of both generators, lazy mode under default settings,
   ``cache=False``, ``components=False`` and ``learning=False``, and agnostic
   mode under the first three;
+- the same seeds in lazy mode parsed back from their SMT-LIB2 text, as the
+  benchmark renders it (``perfbench/inputs.py``, imported, not changed),
+  so that ``parse_smt2`` is on the compared path (group ``lazy parsed``);
 - eager mode on sweep seeds 0-59 of both generators;
 - the real chain ``x_i <= x_{i+1} or x_i >= 5`` at n = 6, 8, 10 and the
   Boolean chain ``A_i or A_{i+1}`` at n = 100, 200, 400, lazy mode.
 
-Without the ``learning=False`` group this is the 2586-compile set.
+Without the ``learning=False`` and ``lazy parsed`` groups this is the
+2586-compile set.
 ``--compare`` lists, field by field, the groups whose entries differ, with
 how many differ and, for numeric fields, the group's sums on both sides; it
 exits 1 when anything differs.
@@ -29,6 +35,9 @@ import json
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 WEIGHTS = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 2), Fraction(3, 10))
 
@@ -65,13 +74,19 @@ def weights(st, num_atom_vars: int):
     return w
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def record(st, db, amap, cfg) -> dict:
     g = st.compile(db, amap, cfg)
     nnf_text, atoms_text = st.export_nnf(g, amap)
     out = {
         "count": st.count(g),
         "wcount": str(st.weighted_count(g, weights(st, g.num_atom_vars))),
-        "nnf": hashlib.sha256((nnf_text + atoms_text).encode()).hexdigest(),
+        "atoms": sha256("\n".join(st.frontend.atom_to_str(a, amap.real_names) for a in amap.atoms)),
+        "cnf": sha256(st.to_dimacs(db, amap)),
+        "nnf": sha256(nnf_text + atoms_text),
     }
     out.update((k, v) for k, v in g.stats.as_dict().items() if k != "wall_ms")
     return out
@@ -79,6 +94,9 @@ def record(st, db, amap, cfg) -> dict:
 
 def dump(args) -> dict:
     import smtrace as st  # here, so that --compare runs without smtrace on the path
+
+    sys.path.insert(0, str(PERFBENCH))
+    import inputs  # the benchmark's SMT-LIB2 rendering of a formula
 
     def cnf(f):
         prop, amap = st.boolean_abstract(f)
@@ -92,6 +110,8 @@ def dump(args) -> dict:
             if seed < args.seeds:
                 for group, kw in CONFIGS:
                     entries[f"{group}/{name}"] = record(st, db, amap, st.CompileConfig(**kw))
+                parsed = st.parse_smt2(inputs.render(st, generate(seed)))
+                entries[f"lazy parsed/{name}"] = record(st, *cnf(parsed), st.CompileConfig())
             if seed < args.eager_seeds:
                 eager = st.eager_encode(db, amap)
                 entries[f"eager/{name}"] = record(st, eager, amap, st.CompileConfig(mode="eager"))

@@ -554,17 +554,17 @@ def _intern_atom_line(line: str, table: AtomTable) -> int:
         return table.intern_bool(parts[2])
     if kind not in (LEQ, EQ):
         raise FormatError(f"unknown atom kind {kind!r}")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for chunk in parts[2:-1]:
         if "*" not in chunk:
             raise FormatError(f"bad coefficient {chunk!r} in {line!r}")
         c, name = chunk.split("*", 1)
         try:
-            coeffs[table.real_var(name)] = Fraction(int(c))
+            coeffs[table.real_var(name)] = int(c)
         except ValueError as exc:
             raise FormatError(f"bad coefficient {chunk!r}") from exc
     try:
-        const = Fraction(int(parts[-1]))
+        const = int(parts[-1])
     except ValueError as exc:
         raise FormatError(f"bad constant in {line!r}") from exc
     return table.intern_linear(kind, LinTerm.make(coeffs, const))

@@ -1,6 +1,12 @@
 """QF_LRA frontend: rational linear terms, canonical atoms, formula trees and
 an SMT-LIB2 subset parser.
 
+Terms are integers from the tokenizer on: a numeral is read as an integer
+numerator and denominator, and a term is integer numerators over one
+positive denominator.  A linear atom stores its term as the canonical
+primitive integer row (integer coefficients and constant with gcd 1), which
+the theory solver reads as it is.
+
 Atoms are interned: two comparisons that canonicalize to the same linear
 constraint share one atom id.  Strict inequalities are stored as negated
 non-strict atoms (t < 0 is the negation of -t <= 0), so a constraint and its
@@ -11,11 +17,11 @@ false.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 
 class SmtError(Exception):
@@ -40,47 +46,31 @@ class UndeclaredSymbolError(SmtError):
 
 @dataclass(frozen=True)
 class LinTerm:
-    """A rational linear expression sum(c_i * x_i) + const.
+    """A rational linear expression (sum(c_i * x_i) + const) / den, as
+    integer numerators over one positive denominator.
 
-    ``coeffs`` holds (real-variable id, coefficient) pairs with strictly
-    increasing ids and no zero coefficients, which makes the representation
-    canonical and hashable.
+    ``coeffs`` holds (real-variable id, numerator) pairs with strictly
+    increasing ids and no zero numerators, and ``den`` is the least
+    denominator, which makes the representation canonical and hashable.  A
+    canonical atom's term has ``den == 1``: it is its own integer row.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[int, int], ...]
+    const: int
+    den: int = 1
 
     @staticmethod
     def make(coeffs: Mapping[int, Fraction | int], const: Fraction | int = 0) -> "LinTerm":
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in coeffs.items() if Fraction(c) != 0)
-        )
-        return LinTerm(items, Fraction(const))
+        """The term of int or ``Fraction`` coefficients."""
+        den = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+        items = sorted((v, c.numerator * (den // c.denominator)) for v, c in coeffs.items() if c)
+        const = const.numerator * (den // const.denominator)
+        g = math.gcd(den, const, *(c for _, c in items))
+        return LinTerm(tuple((v, c // g) for v, c in items), const // g, den // g)
 
     @staticmethod
     def constant(value: Fraction | int) -> "LinTerm":
-        return LinTerm((), Fraction(value))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
-    def add(self, other: "LinTerm") -> "LinTerm":
-        acc = self.as_dict()
-        for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        return LinTerm.make(acc, self.const + other.const)
-
-    def sub(self, other: "LinTerm") -> "LinTerm":
-        return self.add(other.scale(-1))
-
-    def scale(self, k: Fraction | int) -> "LinTerm":
-        k = Fraction(k)
-        if k == 0:
-            return LinTerm.constant(0)
-        return LinTerm(tuple((v, c * k) for v, c in self.coeffs), self.const * k)
-
-    def neg(self) -> "LinTerm":
-        return self.scale(-1)
+        return LinTerm.make({}, value)
 
     @cached_property
     def real_vars(self) -> frozenset[int]:
@@ -89,6 +79,32 @@ class LinTerm:
     @property
     def is_constant(self) -> bool:
         return not self.coeffs
+
+
+# A term as the parser builds it: (nums, const, den) for
+# (sum(nums[v] * v) + const) / den, with den > 0 and no zero in nums.  Only
+# an atom's term is made canonical, as a ``LinTerm`` (``_primitive``).
+_Sum = tuple[dict[int, int], int, int]
+
+
+def _add(terms: list[_Sum]) -> _Sum:
+    den = math.lcm(*(d for _, _, d in terms))
+    nums: dict[int, int] = {}
+    const = 0
+    for t_nums, t_const, t_den in terms:
+        k = den // t_den
+        const += k * t_const
+        for v, c in t_nums.items():
+            nums[v] = nums.get(v, 0) + k * c
+    return {v: c for v, c in nums.items() if c}, const, den
+
+
+def _scaled(term: _Sum, p: int, q: int) -> _Sum:
+    """``term * p / q`` for q > 0."""
+    if p == 0:
+        return {}, 0, 1
+    nums, const, den = term
+    return {v: c * p for v, c in nums.items()}, const * p, den * q
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +202,42 @@ class AtomTable:
 # ---------------------------------------------------------------------------
 # canonicalization
 
-def _int_normalized(items: tuple[tuple[int, Fraction], ...], const: Fraction):
-    """Scale by a positive rational so all values are integers with gcd 1."""
-    lcm = 1
-    for _, c in items:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    lcm = lcm * const.denominator // gcd(lcm, const.denominator)
-    scaled = [(v, c * lcm) for v, c in items]
-    sconst = const * lcm
-    g = abs(sconst.numerator)
-    for _, c in scaled:
-        g = gcd(g, abs(c.numerator))
-    if g > 1:
-        scaled = [(v, c / g) for v, c in scaled]
-        sconst = sconst / g
-    return tuple(scaled), sconst
+def _primitive(kind: str, items, const: int):
+    """Canonical form of ``term REL 0`` (REL ``<=`` for LEQ, ``=`` for EQ),
+    for the term of integer ``items`` and ``const`` over a positive
+    denominator: the term divided by the gcd of its entries, with the first
+    coefficient positive for EQ.  A bool when there are no items."""
+    if not items:
+        return const <= 0 if kind == LEQ else const == 0
+    g = math.gcd(const, *(c for _, c in items))
+    if kind == EQ and items[0][1] < 0:
+        g = -g
+    if g != 1:
+        items = tuple((v, c // g) for v, c in items)
+        const //= g
+    return LinTerm(tuple(items), const)
 
 
 def canonical_leq(term: LinTerm):
     """Canonical form of ``term <= 0``; a bool when the term is constant."""
-    if term.is_constant:
-        return term.const <= 0
-    items, const = _int_normalized(term.coeffs, term.const)
-    return LinTerm(items, const)
+    return _primitive(LEQ, term.coeffs, term.const)
 
 
 def canonical_eq(term: LinTerm):
     """Canonical form of ``term = 0``: first nonzero coefficient positive."""
-    if term.is_constant:
-        return term.const == 0
-    items, const = _int_normalized(term.coeffs, term.const)
-    if items[0][1] < 0:
-        items = tuple((v, -c) for v, c in items)
-        const = -const
-    return LinTerm(items, const)
+    return _primitive(EQ, term.coeffs, term.const)
 
 
-_CMP_OPS = ("<", ">", "<=", ">=", "=", "!=")
+# operator -> (atom kind, literal polarity); >= and < swap their sides first
+_CMP_KINDS = {
+    "<=": (LEQ, True),
+    ">=": (LEQ, True),
+    "<": (LEQ, False),
+    ">": (LEQ, False),
+    "=": (EQ, True),
+    "!=": (EQ, False),
+    "distinct": (EQ, False),
+}
 
 
 def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) -> Literal | bool:
@@ -232,25 +247,17 @@ def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) 
     t < 0 == not(-t <= 0), = to a positive LinEq and != to a negated LinEq.
     A comparison between constants is its truth value and interns no atom.
     """
-    if op == "distinct":
-        op = "!="
-    if op not in _CMP_OPS:
-        raise ValueError(f"unknown comparison operator: {op}")
-    diff = lhs.sub(rhs)
-    if op == "<=":
-        kind, term, positive = LEQ, diff, True
-    elif op == ">=":
-        kind, term, positive = LEQ, diff.neg(), True
-    elif op == "<":
-        kind, term, positive = LEQ, diff.neg(), False
-    elif op == ">":
-        kind, term, positive = LEQ, diff, False
-    elif op == "=":
-        kind, term, positive = EQ, diff, True
-    else:  # "!="
-        kind, term, positive = EQ, diff, False
+    return _comparison(table, op, *((dict(t.coeffs), t.const, t.den) for t in (lhs, rhs)))
 
-    canon = canonical_leq(term) if kind == LEQ else canonical_eq(term)
+
+def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bool:
+    if op not in _CMP_KINDS:
+        raise ValueError(f"unknown comparison operator: {op}")
+    kind, positive = _CMP_KINDS[op]
+    if op in (">=", "<"):
+        lhs, rhs = rhs, lhs
+    nums, const, _ = _add([lhs, _scaled(rhs, -1, 1)])  # lhs - rhs, times its positive denominator
+    canon = _primitive(kind, sorted(nums.items()), const)
     if isinstance(canon, bool):
         return canon == positive
     return Literal(table.intern_linear(kind, canon), positive)
@@ -262,8 +269,8 @@ def atom_to_str(atom: Atom, real_names: list[str]) -> str:
         return f"bool {atom.name}"
     parts = [atom.kind]
     for v, c in atom.term.coeffs:
-        parts.append(f"{int(c)}*{real_names[v]}")
-    parts.append(str(int(atom.term.const)))
+        parts.append(f"{c}*{real_names[v]}")
+    parts.append(str(atom.term.const))
     return " ".join(parts)
 
 
@@ -414,15 +421,20 @@ def _read_sexprs(tokens: list[str]):
     return exprs
 
 
-def _numeral(tok: str) -> Fraction | None:
+_DIGITS = frozenset("0123456789")
+
+
+def _numeral(tok: str) -> tuple[int, int] | None:
+    """(numerator, denominator) of a decimal numeral of ASCII digits."""
     body = tok[1:] if tok.startswith("-") else tok
-    a, _, b = body.partition(".")
-    if not (a.isdigit() and (b.isdigit() or body == a)):
+    a, dot, b = body.partition(".")
+    if not (a and _DIGITS.issuperset(a) and (not dot or (b and _DIGITS.issuperset(b)))):
         return None
     try:
-        return Fraction(tok)
-    except ValueError as exc:  # digits Fraction does not read, or too many for int()
+        num = int(a + b)
+    except ValueError as exc:  # more digits than int() reads
         raise SmtSyntaxError(f"bad numeral {tok[:40]!r}") from exc
+    return (-num if tok.startswith("-") else num), 10 ** len(b)
 
 
 _END = object()
@@ -556,9 +568,7 @@ class _Parser:
                 raise UnsupportedFeatureError(f"chained {head} comparison")
             if head == "=" and self.is_bool_expr(args[0]):
                 raise UnsupportedFeatureError("Boolean equality")
-            lhs = self.real_term(args[0])
-            rhs = self.real_term(args[1])
-            lit = normalize_comparison(self.table, head, lhs, rhs)
+            lit = _comparison(self.table, head, self.real_term(args[0]), self.real_term(args[1]))
             if isinstance(lit, bool):
                 return FTrue() if lit else FFalse()
             return FLit(lit)
@@ -572,17 +582,17 @@ class _Parser:
             return expr in ("true", "false") or self.sorts.get(expr) == "Bool"
         return bool(expr) and expr[0] in ("and", "or", "not", "=>", "<", ">", "<=", ">=", "=", "distinct")
 
-    def real_term(self, expr) -> LinTerm:
+    def real_term(self, expr) -> _Sum:
         if isinstance(expr, str):
             num = _numeral(expr)
             if num is not None:
-                return LinTerm.constant(num)
+                return {}, *num
             sort = self.sorts.get(expr)
             if sort is None:
                 raise UndeclaredSymbolError(f"undeclared symbol {_show(expr)!r}")
             if sort != "Real":
                 raise SmtSyntaxError(f"{_show(expr)} is Bool, expected a Real term")
-            return LinTerm.make({self.table.real_var(expr): Fraction(1)})
+            return {self.table.real_var(expr): 1}, 0, 1
         if not expr:
             raise SmtSyntaxError("empty application")
         head = expr[0]
@@ -591,44 +601,36 @@ class _Parser:
             raise SmtSyntaxError(f"term head must be a symbol, got {_show(head)!r}")
         if head in _UNSUPPORTED_HEADS:
             raise UnsupportedFeatureError(f"unsupported construct {_show(head)!r}")
+        if head in ("+", "-", "*") and not args:
+            raise SmtSyntaxError(f"{head} expects at least one argument")
         if head == "+":
-            if not args:
-                raise SmtSyntaxError("+ expects at least one argument")
-            total = LinTerm.constant(0)
-            for a in args:
-                total = total.add(self.real_term(a))
-            return total
+            return _add([self.real_term(a) for a in args])
         if head == "-":
-            if not args:
-                raise SmtSyntaxError("- expects at least one argument")
-            if len(args) == 1:
-                return self.real_term(args[0]).neg()
-            total = self.real_term(args[0])
-            for a in args[1:]:
-                total = total.sub(self.real_term(a))
-            return total
-        if head == "*":
-            if not args:
-                raise SmtSyntaxError("* expects at least one argument")
             terms = [self.real_term(a) for a in args]
-            nonconst = [t for t in terms if not t.is_constant]
+            if len(terms) == 1:
+                return _scaled(terms[0], -1, 1)
+            return _add(terms[:1] + [_scaled(t, -1, 1) for t in terms[1:]])
+        if head == "*":
+            terms = [self.real_term(a) for a in args]
+            nonconst = [t for t in terms if t[0]]
             if len(nonconst) > 1:
                 raise UnsupportedFeatureError("nonlinear term (product of variables)")
-            factor = Fraction(1)
-            for t in terms:
-                if t.is_constant:
-                    factor *= t.const
-            return (nonconst[0].scale(factor)) if nonconst else LinTerm.constant(factor)
+            p = q = 1
+            for nums, const, den in terms:
+                if not nums:
+                    p *= const
+                    q *= den
+            return _scaled(nonconst[0], p, q) if nonconst else ({}, p, q)
         if head == "/":
             if len(args) != 2:
                 raise SmtSyntaxError("/ expects two arguments")
             num = self.real_term(args[0])
-            den = self.real_term(args[1])
-            if not den.is_constant:
+            den_nums, p, q = self.real_term(args[1])
+            if den_nums:
                 raise UnsupportedFeatureError("division by a non-constant")
-            if den.const == 0:
+            if p == 0:
                 raise SmtSyntaxError("division by zero")
-            return num.scale(Fraction(1) / den.const)
+            return _scaled(num, q if p > 0 else -q, abs(p))
         raise SmtSyntaxError(f"{_show(head)} is not a Real operator")
 
 

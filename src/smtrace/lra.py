@@ -7,27 +7,28 @@ which fixes the row order of every check, and so its witness, certificate
 and core.
 
 Feasibility is decided by Fourier-Motzkin elimination, eliminating variables
-in ascending id order.  Elimination runs on Python ints: each row is scaled
-to integer coefficients, and every derived row is divided, together with its
-combination vector, by the gcd of all their entries.  Points are integers
-too: a ``Point`` holds integer numerators over one positive denominator, and
-a literal holds at it when its integer rows have the right sign there
-(``literal_holds``, the one evaluator).  ``Fraction``s appear only when a
-caller reads a coordinate of a point, and in certificates, which cite the
-literals' rational terms.  Equalities are split into two inequalities.  A
-disequality t != 0 is handled after the relaxed polyhedron P is known
-feasible: the system is infeasible iff P is contained in the
-hyperplane t = 0, which is checked as infeasibility of both P and t < 0 and
-P and t > 0 (sound by convexity: a convex set not contained in any of
-finitely many hyperplanes contains a point avoiding all of them).  The same
-elimination step projects a conjunction onto some of its variables, which
-the compiler's component cache keys on (``project_trail``).
+in ascending id order.  Elimination runs on Python ints: a literal's rows are
+read from its atom's integer row as the frontend stored it, and every
+derived row is divided, together with its combination vector, by the gcd of
+all their entries.  Points are integers too: a ``Point`` holds integer
+numerators over one positive denominator, and a literal holds at it when its
+atom's row has the right sign there (``literal_holds``, the one evaluator).
+Certificates cite integer rows with integer multipliers, so ``Fraction``s
+appear only when a caller reads a coordinate of a point.  Equalities are
+split into two inequalities.  A disequality t != 0 is handled after the
+relaxed polyhedron P is known feasible: the system is infeasible iff P is
+contained in the hyperplane t = 0, which is checked as infeasibility of both
+P and t < 0 and P and t > 0 (sound by convexity: a convex set not contained
+in any of finitely many hyperplanes contains a point avoiding all of them).
+The same elimination step projects a conjunction onto some of its variables,
+which the compiler's component cache keys on (``project_trail``).
 
 Every answer carries evidence.  SAT results return a rational witness that
 satisfies each asserted literal exactly; UNSAT results return positive
-integer multipliers deriving a contradiction (0 < 0 or c <= 0 with c > 0),
-or, for the disequality case, a pair of such certificates showing
-containment.  Both are re-verified mechanically before being returned.
+integer multipliers of integer rows deriving a contradiction (0 < 0 or
+c <= 0 with c > 0), or, for the disequality case, a pair of such
+certificates showing containment.  Both are re-verified mechanically before
+being returned.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ class Point(Mapping):
 
 @dataclass(frozen=True)
 class FarkasEntry:
-    """One row of a certificate: mult * (term REL 0) with REL in {<=, <}."""
+    """One row of a certificate: mult * (term REL 0) with REL in {<=, <},
+    for a positive integer ``mult`` and an integer row ``term`` of the
+    literal ``source``."""
 
-    mult: Fraction
+    mult: int
     term: LinTerm
     strict: bool
     source: int
@@ -140,65 +143,42 @@ class Conflict:
 # ---------------------------------------------------------------------------
 # constraint assembly
 
-def _literal_terms(atom: Atom, positive: bool) -> list[tuple[LinTerm, bool]]:
-    """Rows (term, strict) of a literal: the inequalities it entails or, for a
-    disequality t != 0, the two strict sides t < 0 and -t < 0 that a
-    certificate may cite."""
-    term = atom.term
-    if atom.kind == LEQ:
-        return [(term, False)] if positive else [(term.neg(), True)]  # not(t <= 0)  ==  -t < 0
-    if positive:
-        return [(term, False), (term.neg(), False)]
-    return [(term, True), (term.neg(), True)]
-
-
-@dataclass(frozen=True)
-class _Row:
-    """``term < 0`` if strict, else ``term <= 0``, cited for ``source``.
-
-    ``coeffs`` and ``const`` are those of ``scale * term``, the least positive
-    integer multiple of ``term``.
-    """
-
-    term: LinTerm
-    strict: bool
-    source: int
-    coeffs: Mapping[int, int]
-    const: int
-    scale: int
-
-
-def _contradictory(const: Fraction, strict: bool) -> bool:
+def _contradictory(const: int, strict: bool) -> bool:
     return const > 0 or (strict and const == 0)
 
 
-def _integer_row(term: LinTerm) -> tuple[dict[int, int], int, int]:
-    """(coeffs, const, scale) of ``scale * term``, the least positive integer
-    multiple of ``term`` whose entries are all integers."""
-    scale = math.lcm(term.const.denominator, *(c.denominator for _, c in term.coeffs))
-    coeffs = {v: c.numerator * (scale // c.denominator) for v, c in term.coeffs}
-    return coeffs, term.const.numerator * (scale // term.const.denominator), scale
+# A row ``(coeffs, const, strict, source)`` reads sum(coeffs[v] * v) + const
+# < 0 if strict, else <= 0, over the integers, and is cited for the literal
+# ``source``.
+_Row = tuple[dict[int, int], int, bool, int]
 
 
 def _literal_rows(table, lit: int) -> tuple[bool, tuple[_Row, ...]]:
-    """(is_disequality, rows) of a linear literal, built once per table.
+    """(is_disequality, rows) of a linear literal, from its atom's integer row
+    t as stored: t <= 0 or, negated, -t < 0; t <= 0 and -t <= 0 for an
+    equality; the two strict sides t < 0 and -t < 0, which a certificate may
+    cite, for a disequality.
 
-    The rows are those of ``_literal_terms`` in the same order, so every
-    feasibility check sees the rows it would build afresh.  They are shared
-    between calls and never mutated.
+    Built once per table and shared between calls, so never mutated.
     """
     entry = table.theory_rows.get(lit)
     if entry is None:
-        if not table.is_linear_var(abs(lit)):
-            raise NonTheoryLiteralError(f"{lit} is not the literal of a linear atom")
-        atom = table.atom(abs(lit))
-        rows = tuple(
-            _Row(term, strict, lit, *_integer_row(term))
-            for term, strict in _literal_terms(atom, lit > 0)
-        )
-        entry = (atom.kind == EQ and lit < 0, rows)
+        atom = _linear_atom(table, lit)
+        t = atom.term
+        below = (dict(t.coeffs), t.const, lit < 0, lit)
+        above = ({v: -c for v, c in t.coeffs}, -t.const, lit < 0, lit)
+        if atom.kind == LEQ:
+            entry = False, (below,) if lit > 0 else (above,)
+        else:
+            entry = lit < 0, (below, above)
         table.theory_rows[lit] = entry
     return entry
+
+
+def _linear_atom(table, lit: int) -> Atom:
+    if not table.is_linear_var(abs(lit)):
+        raise NonTheoryLiteralError(f"{lit} is not the literal of a linear atom")
+    return table.atoms[abs(lit) - 1]
 
 
 def _eliminate(live: list, var: int):
@@ -260,8 +240,8 @@ def _fourier_motzkin(rows: Sequence[_Row]):
     ``Point`` found by back-substitution.
     """
     # live rows: (coeffs dict, const, strict, comb dict), all integers
-    live = [(row.coeffs, row.const, row.strict, {i: row.scale}) for i, row in enumerate(rows)]
-    variables = sorted({v for row in rows for v in row.coeffs})
+    live = [(coeffs, const, strict, {i: 1}) for i, (coeffs, const, strict, _) in enumerate(rows)]
+    variables = sorted({v for row in rows for v in row[0]})
     stages = []
     for var in variables:
         uppers, lowers, live, bad = _eliminate(live, var)
@@ -317,12 +297,12 @@ def _fourier_motzkin(rows: Sequence[_Row]):
 
 
 def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, int]) -> Certificate:
-    entries = tuple(
-        FarkasEntry(Fraction(m), rows[i].term, rows[i].strict, rows[i].source)
-        for i, m in sorted(comb.items())
-        if m > 0
-    )
-    return Certificate(entries=entries)
+    entries = []
+    for i, m in sorted(comb.items()):
+        if m > 0:
+            coeffs, const, strict, source = rows[i]
+            entries.append(FarkasEntry(m, LinTerm(tuple(coeffs.items()), const), strict, source))
+    return Certificate(entries=tuple(entries))
 
 
 def verify_certificate(table, literals: Iterable[int], cert: Certificate) -> bool:
@@ -344,34 +324,33 @@ def verify_certificate(table, literals: Iterable[int], cert: Certificate) -> boo
 def _verify_plain(table, lits, cert: Certificate, diseq: int | None) -> bool:
     if cert.diseq is not None or not cert.entries:
         return False
-    total = LinTerm.constant(0)
+    coeffs: dict[int, int] = {}
+    const = 0
     strict = False
     for e in cert.entries:
-        if e.mult <= 0:
+        if not isinstance(e.mult, int) or e.mult <= 0:
             return False
         if e.source != diseq and e.source not in lits:
             return False
         _, allowed = _literal_rows(table, e.source)
-        if not any(row.term == e.term and row.strict == e.strict for row in allowed):
+        if (dict(e.term.coeffs), e.term.const, e.strict, e.source) not in allowed:
             return False
-        total = total.add(e.term.scale(e.mult))
+        for v, c in e.term.coeffs:
+            coeffs[v] = coeffs.get(v, 0) + e.mult * c
+        const += e.mult * e.term.const
         strict = strict or e.strict
-    return total.is_constant and _contradictory(total.const, strict)
+    return not any(coeffs.values()) and _contradictory(const, strict)
 
 
 def literal_holds(table, lit: int, point: Point) -> bool:
-    """Truth of a linear literal at a point: the sign of its
-    integer rows there.  A disequality holds where one of its strict sides
-    does, any other literal where all its rows do."""
-    diseq, rows = _literal_rows(table, lit)
-    nums, den = point.nums, point.den
-    for row in rows:
-        value = row.const * den  # den * row.scale * (the term at the point)
-        for v, c in row.coeffs.items():
-            value += c * nums.get(v, 0)
-        if (value < 0 or (value == 0 and not row.strict)) == diseq:
-            return diseq
-    return not diseq
+    """Truth of a linear literal at a point: the sign of its atom's integer
+    row there."""
+    atom = _linear_atom(table, lit)
+    nums = point.nums
+    value = atom.term.const * point.den  # den * (the row at the point)
+    for v, c in atom.term.coeffs:
+        value += c * nums.get(v, 0)
+    return (value <= 0 if atom.kind == LEQ else value == 0) == (lit > 0)
 
 
 def witness_satisfies(table, literals: Iterable[int], witness: Point) -> bool:
@@ -404,7 +383,7 @@ def _avoid_hyperplanes(
     hyperplane; by convexity the segment stays feasible, and all previously
     fixed disequalities admit at most one bad step size each.
     """
-    lits = [below.source for below, _ in diseqs]
+    lits = [below[3] for below, _ in diseqs]
     for j, lit in enumerate(lits):
         if literal_holds(table, lit, point):
             continue
@@ -449,7 +428,7 @@ def check_feasible(table, literals: Iterable[int]) -> FeasibilityResult:
             side_points.append(hi_payload)
             continue
         cert = Certificate(
-            diseq=below.source,
+            diseq=below[3],
             below=_certificate_from(aug_lo, lo_payload),
             above=_certificate_from(aug_hi, hi_payload),
         )
@@ -497,9 +476,9 @@ def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tup
         diseq, rows = _literal_rows(table, lit)
         if diseq:
             return None
-        for row in rows:
-            live.append((row.coeffs, row.const, row.strict, {}))
-            drop.update(row.coeffs.keys() - keep)
+        for coeffs, const, strict, _ in rows:
+            live.append((coeffs, const, strict, {}))
+            drop.update(coeffs.keys() - keep)
     for var in sorted(drop):
         _, _, live, bad = _eliminate(live, var)
         if bad is not None:  # infeasible literals: there is nothing to project

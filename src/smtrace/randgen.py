@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .frontend import (
     FAnd,
@@ -33,10 +32,10 @@ def _literal_pool(rng, table, n_atoms, real_ids, prop_ratio=0.3):
             for rid in rng.sample(real_ids, rng.randint(1, len(real_ids))):
                 c = rng.randint(-3, 3)
                 if c:
-                    coeffs[rid] = Fraction(c)
+                    coeffs[rid] = c
             if not coeffs:
                 continue
-            lhs = LinTerm.make(coeffs, Fraction(rng.randint(-4, 4)))
+            lhs = LinTerm.make(coeffs, rng.randint(-4, 4))
             rhs = LinTerm.constant(rng.randint(-4, 4))
             op = rng.choices(_OPS, weights=(4, 4, 4, 4, 1, 1))[0]
             lit = normalize_comparison(table, op, lhs, rhs)

@@ -40,7 +40,7 @@ def gap01():
 
 def evaluate(term, point):
     """The exact value of a ``LinTerm`` at a point of rationals (absent: 0)."""
-    return term.const + sum(c * Fraction(point.get(v, 0)) for v, c in term.coeffs)
+    return (term.const + sum(c * Fraction(point.get(v, 0)) for v, c in term.coeffs)) / term.den
 
 
 def point_of(values):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import math
 import random
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ def test_normalize_degenerate_diseq():
     assert normalize_comparison(table, "=", x, x) is True
     assert normalize_comparison(table, "<=", LinTerm.constant(0), LinTerm.constant(1)) is True
     assert normalize_comparison(table, "<", LinTerm.constant(3), LinTerm.constant(3)) is False
-    assert normalize_comparison(table, ">", x, x.add(LinTerm.constant(-1))) is True
+    assert normalize_comparison(table, ">", x, term(table, {"x": 1}, -1)) is True
     assert len(table) == 0  # constant comparisons never intern atoms
 
 
@@ -286,3 +287,80 @@ def test_semantic_preservation_sweep():
                 assert lit == expected
             else:
                 assert literal_holds(table, lit.signed, point) == expected
+
+
+def _random_real_term(rng, depth, reals=("x", "y", "z")):
+    """(SMT-LIB text, value at a point) of a random linear Real term over
+    ``reals``; with no reals the term is a constant."""
+    kind = rng.choice(("num", "var") if depth == 0 else ("num", "var", "+", "-", "*", "/"))
+    if kind == "var" and reals:
+        name = rng.choice(reals)
+        return name, lambda p: p[name]
+    if kind in ("num", "var"):
+        text = rng.choice((str(rng.randint(0, 12)), f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}"))
+        value = Fraction(text)
+        return text, lambda p: value
+    if kind in ("+", "-"):
+        args = [_random_real_term(rng, depth - 1, reals) for _ in range(rng.randint(1, 3))]
+        text = f"({kind} {' '.join(t for t, _ in args)})"
+        if kind == "+":
+            return text, lambda p: sum(f(p) for _, f in args)
+        if len(args) == 1:
+            return text, lambda p: -args[0][1](p)
+        return text, lambda p: args[0][1](p) - sum(f(p) for _, f in args[1:])
+    if kind == "*":  # one factor may mention reals, the others are constants
+        args = [_random_real_term(rng, depth - 1, reals)]
+        args += [_random_real_term(rng, depth - 1, ()) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(args)
+        text = f"(* {' '.join(t for t, _ in args)})"
+
+        def product(p):
+            out = Fraction(1)
+            for _, f in args:
+                out *= f(p)
+            return out
+
+        return text, product
+    num, num_value = _random_real_term(rng, depth - 1, reals)
+    den, den_value = _random_real_term(rng, depth - 1, ())
+    if den_value(None) == 0:
+        den, den_value = "(- 7)", lambda p: Fraction(-7)
+    return f"(/ {num} {den})", lambda p: num_value(p) / den_value(p)
+
+
+@given(hst.integers(0, 10_000))
+def test_parser_term_conversion_matches_a_fraction_reference(seed):
+    """Random comparisons over + - * / with integer and decimal numerals:
+    each parsed literal holds exactly where the text's Fraction value says,
+    and every atom is a primitive integer row."""
+    rng = random.Random(seed)
+    ops = {
+        "<": Fraction.__lt__,
+        ">": Fraction.__gt__,
+        "<=": Fraction.__le__,
+        ">=": Fraction.__ge__,
+        "=": Fraction.__eq__,
+        "distinct": Fraction.__ne__,
+    }
+    for _ in range(5):
+        op = rng.choice(sorted(ops))
+        (lhs, lhs_value), (rhs, rhs_value) = (_random_real_term(rng, 3) for _ in range(2))
+        f = st.parse_smt2(
+            "(declare-const x Real)(declare-const y Real)(declare-const z Real)"
+            f"(assert ({op} {lhs} {rhs}))"
+        )
+        for atom in st.atoms_of(f):
+            entries = [c for _, c in atom.term.coeffs] + [atom.term.const]
+            assert all(type(c) is int for c in entries) and atom.term.den == 1
+            assert math.gcd(*entries) == 1
+        names = f.table.real_names
+        for _ in range(10):
+            values = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for n in ("x", "y", "z")}
+            if rng.random() < 0.3:
+                values = {n: Fraction(0) for n in values}
+            expected = ops[op](Fraction(lhs_value(values)), Fraction(rhs_value(values)))
+            if isinstance(f.root, (FTrue, FFalse)):
+                assert isinstance(f.root, FTrue) == expected
+            else:
+                point = point_of({rid: values[n] for rid, n in enumerate(names)})
+                assert literal_holds(f.table, f.root.lit.signed, point) == expected

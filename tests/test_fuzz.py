@@ -37,7 +37,9 @@ def test_parse_smt2_raises_only_smt_errors(text):
 @pytest.mark.parametrize(
     "text",
     [
-        "(declare-const x Real)(assert (<= x \u00b2))",  # a digit Fraction does not read
+        "(declare-const x Real)(assert (<= x \u00b2))",  # a superscript digit
+        "(declare-const x Real)(assert (<= x \u0663))",  # an Arabic-Indic three
+        "(declare-const x Real)(assert (<= x \uff13))",  # a fullwidth three
         "(declare-const x Real)(assert (<= x " + "9" * 5000 + "))",  # beyond int()'s digit limit
         "(declare-const A Bool)(assert " + "(not " * 3000 + "A" + ")" * 3001,
         "(declare-const x Real)(assert (<= " + "(+ 1 " * 3000 + "x" + ")" * 3000 + " 0))",

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -66,10 +67,11 @@ def test_assert_strict_pair_conflict(env):
     # the certificate combines the two strict rows into a 2 < 0 contradiction
     res = check_feasible(table, [b1, b2])
     assert not res.sat
-    total = LinTerm.constant(0)
+    total = {}
     for entry in res.certificate.entries:
-        total = total.add(entry.term.scale(entry.mult))
-    assert total.is_constant and total.const > 0
+        for v, c in entry.term.coeffs + ((None, entry.term.const),):
+            total[v] = total.get(v, 0) + entry.mult * c
+    assert total.pop(None) > 0 and not any(total.values())
     assert all(e.strict for e in res.certificate.entries)
 
 
@@ -100,6 +102,29 @@ def test_check_feasible_sum_bound(env):
     # multipliers 1,1,1 after integer scaling
     mults = sorted(e.mult for e in res.certificate.entries)
     assert mults == [1, 1, 1]
+    assert all(type(e.term.const) is int for e in res.certificate.entries)
+
+
+def test_verify_certificate_rejects_tampered_entries(env):
+    """The audit re-adds the cited integer rows: a multiplier that is not a
+    positive int, a row the literal does not entail, a missing literal or a
+    sum that is not a contradiction fails it."""
+    table, cmp = env
+    lits = [cmp("<", {"x": 1, "y": 1}, 5), cmp(">", {"x": 1}, 5), cmp(">=", {"y": 1}, 0)]
+    cert = check_feasible(table, lits).certificate
+    first, *rest = cert.entries
+    assert verify_certificate(table, lits, cert)
+    for entries in (
+        (replace(first, mult=0), *rest),
+        (replace(first, mult=Fraction(1)), *rest),
+        (replace(first, mult=2), *rest),  # the rows no longer cancel
+        (replace(first, strict=not first.strict), *rest),
+        (replace(first, term=LinTerm(first.term.coeffs, first.term.const + 1)), *rest),
+        (replace(first, source=rest[0].source), *rest),
+        (first, rest[0]),  # sums to y < 0, which is no contradiction
+    ):
+        assert not verify_certificate(table, lits, lra.Certificate(entries=entries))
+    assert not verify_certificate(table, lits[1:], cert)
 
 
 def test_check_feasible_fractional_terms(env):
@@ -359,10 +384,9 @@ def test_project_trail_disequality_is_not_convex(env):
 def _row_literal(table, row):
     """A literal that holds exactly where a projected row does."""
     coeffs, const, strict = row
-    term = LinTerm.make(dict(coeffs), const)
     if strict:  # term < 0  ==  not(-term <= 0)
-        return -table.intern_linear(LEQ, term.neg())
-    return table.intern_linear(LEQ, term)
+        return -table.intern_linear(LEQ, LinTerm.make({v: -c for v, c in coeffs}, -const))
+    return table.intern_linear(LEQ, LinTerm.make(dict(coeffs), const))
 
 
 @given(hst.integers(0, 400))
@@ -537,9 +561,9 @@ def _reference_fm_witness(rows):
     """Fourier-Motzkin with back-substitution over Fractions: the witness
     the solver found before its points became integer, or None if the rows
     are infeasible."""
-    live = [(row.coeffs, row.const, row.strict, {i: row.scale}) for i, row in enumerate(rows)]
+    live = [(coeffs, const, strict, {i: 1}) for i, (coeffs, const, strict, _) in enumerate(rows)]
     stages = []
-    for var in sorted({v for row in rows for v in row.coeffs}):
+    for var in sorted({v for row in rows for v in row[0]}):
         uppers, lowers, live, bad = lra._eliminate(live, var)
         if bad is not None:
             return None
@@ -590,7 +614,7 @@ def _reference_witness(table, lits):
         if side is None:
             return None
         sides.append(side)
-    terms = [below.term for below, _ in diseqs]
+    terms = [LinTerm(tuple(coeffs.items()), const) for (coeffs, const, _, _), _ in diseqs]
     for j, term in enumerate(terms):
         if evaluate(term, point) != 0:
             continue

@@ -57,17 +57,24 @@ def test_differential_dumps_and_compares(tmp_path):
     proc = _run("differential.py", *args, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     dump = json.loads(out.read_text())
-    assert len(dump) == 2 * 2 * 7 + 2 + 2  # sweep configs, eager, chains
+    assert len(dump) == 2 * 2 * 8 + 2 + 2  # sweep configs and the parsed sweep, eager, chains
     assert dump["bool chain/20"]["count"] == 17711  # Fibonacci F(22)
     assert dump["real chain/6"]["count"] == 144
     assert dump["eager/f0"]["count"] == dump["lazy/f0"]["count"]
+    for name in ("f0", "f1", "n0", "n1"):  # the rendered text has the formula's models
+        assert dump[f"lazy parsed/{name}"]["count"] == dump[f"lazy/{name}"]["count"]
+    assert dump["eager/f0"]["atoms"] == dump["lazy/f0"]["atoms"]
+    assert dump["eager/f0"]["cnf"] != dump["lazy/f0"]["cnf"]  # with the blocking clauses
+    assert all(len(entry[h]) == 64 for entry in dump.values() for h in ("atoms", "cnf", "nnf"))
     assert "wall_ms" not in dump["lazy/n1"]
 
     same = _run("differential.py", "--compare", str(out), str(out), cwd=tmp_path)
     assert same.returncode == 0, same.stderr
     changed = tmp_path / "b.json"
     dump["lazy/n1"]["edges"] += 1
+    dump["lazy parsed/f1"]["atoms"] = dump["lazy parsed/f0"]["atoms"]
     changed.write_text(json.dumps(dump))
     differ = _run("differential.py", "--compare", str(out), str(changed), cwd=tmp_path)
     assert differ.returncode == 1
-    assert [line.split()[:2] for line in differ.stdout.splitlines()[:-1]] == [["edges", "lazy"]]
+    pairs = [(line[:18].strip(), line[19:45].strip()) for line in differ.stdout.splitlines()[:-1]]
+    assert pairs == [("atoms", "lazy parsed"), ("edges", "lazy")]
