@@ -4,12 +4,13 @@ the real chain, as they grow.
 
 For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, then
 compiles it in lazy mode with components on and off.  A first, untimed
-compile counts the ``split_components`` calls; the timed repeats compile
-and then ``enumerate_models(cap=1000)`` without that counter, and the
-median repeat is reported with the graph's decisions, nodes and edges.  A
-run whose compile takes longer than ``--budget`` seconds is recorded as a
-failure and the script goes on: without components the chain's search grows
-about 3x for every 4 more variables, and its component cache with it.
+compile counts the ``split_components`` calls and sums the time spent in
+them (``split_s``); the timed repeats compile and then
+``enumerate_models(cap=1000)`` without that counter, and the median repeat
+is reported with the graph's decisions, nodes and edges.  A run whose
+compile takes longer than ``--budget`` seconds is recorded as a failure and
+the script goes on: without components the chain's search grows about 3x
+for every 4 more variables, and its component cache with it.
 
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
@@ -71,21 +72,26 @@ def real_chain(n: int):
     return st.to_cnf(prop), amap
 
 
-def split_calls(db, amap, cfg) -> int:
-    calls = 0
+def split_calls(db, amap, cfg) -> tuple[int, float]:
+    """(calls, seconds) of ``split_components`` in one compile."""
+    calls, seconds = 0, 0.0
     original = compiler.split_components
 
     def counting(*args, **kwargs):
-        nonlocal calls
+        nonlocal calls, seconds
         calls += 1
-        return original(*args, **kwargs)
+        t0 = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            seconds += time.perf_counter() - t0
 
     compiler.split_components = counting
     try:
         st.compile(db, amap, cfg)
     finally:
         compiler.split_components = original
-    return calls
+    return calls, seconds
 
 
 def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
@@ -93,7 +99,7 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
     cfg = st.CompileConfig(components=components)
     row = {"n": n, "components": components}
     try:
-        row["split_calls"] = capped(lambda: split_calls(db, amap, cfg), budget)
+        row["split_calls"], row["split_s"] = capped(lambda: split_calls(db, amap, cfg), budget)
         runs = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
@@ -175,7 +181,7 @@ def main() -> None:
         else:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  enumerate {row['enumerate_s_median']:.4f} s"
-                f"  decisions {row['decisions']}  split calls {row['split_calls']}"
+                f"  decisions {row['decisions']}  split calls {row['split_calls']}  split {row['split_s']:.3f} s"
             )
     for row in real_rows:
         head = f"real chain n={row['n']:<3}"

@@ -18,8 +18,9 @@ admit the same assignments to those atoms.  A disequality on the trail makes
 the polyhedron non-convex; the key then holds the trail literals touching
 the component's real-variable scope instead.  Splitting and theory-candidate
 collection read the clauses through a per-variable occurrence index built
-once per compile (``ClauseIndex``), so they touch only the clauses of the
-component at hand.  The decision order is DLCS, except that a linear atom in
+once per compile (``ClauseIndex``).  A split is one stamped flood fill per
+component from the remaining scope variables, so each decision still costs
+O(|component|): the Boolean chain stays quadratic.  The decision order is DLCS, except that a linear atom in
 no residual clause that shares a real with the component's trail context is
 decided first: leaving it open would keep that real apart in the cache keys
 of otherwise equal subproblems.
@@ -28,8 +29,11 @@ of otherwise equal subproblems.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import lra
@@ -106,10 +110,11 @@ class CompileStats:
 class Component:
     """A residual subproblem: clauses plus the unassigned variables they own.
 
-    ``residual`` holds the live-literal view of each member clause under the
-    current assignment.  ``projected`` are the theory trail's signed
-    literals touching the component's real-variable scope, closed under
-    trail entanglement, in ``lra.literal_key`` order.
+    ``scope`` ascends.  ``residual`` holds the live-literal view of each
+    member clause under the current assignment, in clause order.
+    ``projected`` are the theory trail's signed literals touching the
+    component's real-variable scope, closed under trail entanglement, in
+    ``lra.literal_key`` order.
     ``polyhedron`` is what those literals say about the reals of the
     component's own atoms (``lra.project_trail``), or None when one of them
     is a disequality or the cache is off; it is ``()`` when there are no
@@ -224,7 +229,10 @@ class ClauseIndex:
     ascending, the clauses variable v occurs in, so a split over a scope
     touches only the clauses of that scope.  ``reals[v]`` holds the real
     variables of each linear atom variable v of ``db``; it is empty without
-    a theory.
+    a theory.  A split's flood fill treats real r as node ``real_base + r``,
+    which occurs in no clause.  ``var_stamp`` (per node) and
+    ``clause_stamp`` record what the fill reached: each split advances
+    ``stamp``, so nothing is cleared between splits.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -234,9 +242,27 @@ class ClauseIndex:
             for l in cl:
                 self.occurs[abs(l)].append(ci)
         self.reals = {a.id: a.term.real_vars for a in amap.atoms[: db.num_atom_vars] if a.is_linear}
+        self.real_base = db.num_vars + 1
+        self.occurs += [[] for _ in amap.real_names]
+        self.var_stamp = [0] * len(self.occurs)
+        self.clause_stamp = [0] * len(self.clauses)
+        self.stamp = 0
 
     def satisfied(self, ci: int, values) -> bool:
         return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
+
+
+def _live_view(clause, values, var_stamp, free) -> tuple[int, ...]:
+    """The unassigned literals of a clause, or ``()`` when it is satisfied
+    or has an unassigned variable outside the scope (a sibling's clause)."""
+    live = []
+    for l in clause:
+        v = abs(l)
+        if var_stamp[v] >= free:
+            live.append(l)
+        elif values[v] is None or values[v] == (l > 0):
+            return ()
+    return tuple(live)
 
 
 def split_components(
@@ -257,8 +283,16 @@ def split_components(
     Unassigned atoms outside all residual clauses still form components, so
     totality branching stays scoped.  With components disabled, a single
     component holding everything is returned.  ``scope`` defaults to every
-    variable; ``index`` is the compile's ``ClauseIndex`` of ``db``, through
-    which only the clauses that mention the scope's variables are visited.
+    variable; ``index`` is the compile's ``ClauseIndex`` of ``db``.
+
+    Each component is one flood fill over the index, seeded from the next
+    unreached unassigned scope variable.  A reached variable visits the
+    clauses it occurs in, each once per split, and keeps the live view of
+    a clause that is neither satisfied nor a sibling's (it has a live
+    variable outside the scope); the view's variables join the fill.  Real
+    variables are nodes of the same fill, joined to the scope atoms over
+    them and to the reals that share a trail atom with them.  A split thus
+    costs O(|component|), with no pass over the rest of the problem.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
@@ -271,61 +305,65 @@ def split_components(
 
     if scope is None:
         scope = range(1, db.num_vars + 1)
-    scope_vars = sorted(v for v in scope if values[v] is None)
-    occurs = index.occurs
-    visit = sorted({ci for v in scope_vars for ci in occurs[v]})
-    scope_set = set(scope_vars)
+    var_stamp, clause_stamp = index.var_stamp, index.clause_stamp
+    index.stamp += 2
+    free, reached = index.stamp - 1, index.stamp  # free: in the scope, unassigned, not reached yet
+    scope_vars = [v for v in scope if values[v] is None]
+    for v in scope_vars:
+        var_stamp[v] = free
 
-    clauses = index.clauses
-    residuals: list[tuple[int, ...]] = []
-    for ci in visit:
-        live: list[int] = []
-        for l in clauses[ci]:
-            val = values[abs(l)]
-            if val is None:
-                if abs(l) not in scope_set:
-                    break  # residual clause of a sibling component
-                live.append(l)
-            elif val == (l > 0):
-                break
-        else:
-            if live:
-                residuals.append(tuple(live))
-
-    # union-find over Boolean variables v and real variables r (as -1 - r)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    seen_reals: set[int] = set()
-    for lit in trail:
-        reals = sorted(index.reals[abs(lit)])
-        seen_reals.update(reals)
-        for r in reals[1:]:
-            union(-1 - reals[0], -1 - r)
-    if index.reals:
+    reals, base = index.reals, index.real_base
+    neighbours: dict[int, list[int]] = defaultdict(list)
+    if reals:
         for v in scope_vars:
-            for r in index.reals.get(v, ()):
-                seen_reals.add(r)
-                union(v, -1 - r)
-    for live in residuals:
-        first = abs(live[0])
-        for l in live[1:]:
-            union(first, abs(l))
+            for r in reals.get(v, ()):
+                neighbours[v].append(base + r)
+                neighbours[base + r].append(v)
+        for lit in trail:
+            linked = [base + r for r in reals[abs(lit)]]
+            for x in linked:
+                neighbours[x] += linked
+        for x in neighbours:  # scope atoms, and reals the fill may reach
+            var_stamp[x] = free
 
-    def component(views, variables, reals: frozenset[int]) -> Component:
-        lits = [lit for lit in trail if index.reals[abs(lit)] & reals]
+    clauses, occurs = index.clauses, index.occurs
+    fills = []  # (nodes, (clause, view) pairs) per component
+    for seed in scope_vars:
+        if var_stamp[seed] != free:
+            continue
+        var_stamp[seed] = reached
+        nodes, views = [seed], []
+        for x in nodes:  # grows as the fill reaches new nodes
+            for ci in occurs[x]:
+                if clause_stamp[ci] == reached:
+                    continue
+                clause_stamp[ci] = reached
+                view = clauses[ci]
+                for l in view:
+                    if var_stamp[abs(l)] < free:  # assigned, or outside the scope
+                        view = _live_view(view, values, var_stamp, free)
+                        break
+                if view:
+                    views.append((ci, view))
+                    for l in view:
+                        v = abs(l)
+                        if var_stamp[v] == free:
+                            var_stamp[v] = reached
+                            nodes.append(v)
+            if neighbours:
+                for y in neighbours.get(x, ()):
+                    if var_stamp[y] == free:
+                        var_stamp[y] = reached
+                        nodes.append(y)
+        fills.append((nodes, views))
+
+    def component(nodes, views, lits=None) -> Component:
+        nodes.sort()
+        variables = nodes[: bisect_left(nodes, base)]
+        if lits is None:  # the trail literals over the reals the fill reached
+            own_reals = {x - base for x in nodes[len(variables) :]}
+            lits = [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
+        views.sort()
         polyhedron = ()
         if lits:  # never without a theory: its trail is empty
             polyhedron = None  # without the cache nothing reads it
@@ -333,37 +371,20 @@ def split_components(
                 own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
                 polyhedron = lra.project_trail(amap, lits, own)
         return Component(
-            residual=tuple(views),
+            residual=tuple(map(itemgetter(1), views)),
             scope=tuple(variables),
             projected=tuple(sorted(lits, key=lra.literal_key)),
             polyhedron=polyhedron,
         )
 
     if not cfg.components:
-        if not scope_vars and not residuals:
+        if not fills:
             return []
-        return [component(residuals, scope_vars, frozenset(seen_reals))]
-
-    # root -> (variables, residual views, reals); variables arrive ascending
-    groups: dict[int, tuple[list[int], list, set[int]]] = {}
-    group_of = {}
-    for v in scope_vars:
-        root = find(v)
-        if root not in groups:
-            groups[root] = ([], [], set())
-        group_of[v] = group = groups[root]
-        group[0].append(v)
-    for view in residuals:
-        group_of[abs(view[0])][1].append(view)
-    for r in seen_reals:
-        root = find(-1 - r)
-        if root in groups:
-            groups[root][2].add(r)
-
-    return [
-        component(views, variables, frozenset(reals))
-        for variables, views, reals in sorted(groups.values(), key=lambda g: g[0][0])
-    ]
+        merged = [x for fill in fills for x in fill[0]], [x for fill in fills for x in fill[1]]
+        return [component(*merged, [lit for lit in trail if reals[abs(lit)]])]
+    comps = [component(nodes, views) for nodes, views in fills]
+    comps.sort(key=lambda c: c.scope[0])  # seeds ascend unless the scope does not
+    return comps
 
 
 def cache_key(component: Component) -> tuple:
@@ -400,18 +421,13 @@ def decide(component: Component, reals: Mapping[int, frozenset[int]] | None = No
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
-    counts: dict[int, int] = {}
-    for view in component.residual:
-        for l in view:
-            counts[abs(l)] = counts.get(abs(l), 0) + 1
+    counts = Counter(map(abs, chain.from_iterable(component.residual)))
     if component.projected and reals:
         pinned = frozenset().union(*(reals[abs(lit)] for lit in component.projected))
         for v in component.scope:
             if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
                 return v
-    if not counts:
-        return component.scope[0]
-    return min(counts, key=lambda v: (-counts[v], v))
+    return max(component.scope, key=counts.__getitem__)  # the first maximum: scope ascends
 
 
 def learn_theory_clause(core) -> tuple[int, ...]:
@@ -555,16 +571,13 @@ class _Search:
                 self._undo_to(mark)
                 return self.builder.false_id
         node = self.builder.false_id
-        if self._fixpoint(set(scope), queue):
+        if self._fixpoint(set(scope) if self.theory_on else None, queue):
             parts = [
                 self.builder.lit(self.trail[i], implied=self.tags[i])
                 for i in range(mark, len(self.trail))
             ]
-            remaining = [v for v in scope if self.values[v] is None]
             theory_trail = self.theory.trail if self.theory_on else []
-            comps = split_components(
-                self.db, self.amap, self.values, theory_trail, self.cfg, remaining, self.index
-            )
+            comps = split_components(self.db, self.amap, self.values, theory_trail, self.cfg, scope, self.index)
             if len(comps) > 1:
                 self.stats.components += len(comps)
             for comp in comps:

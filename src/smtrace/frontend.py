@@ -18,6 +18,7 @@ false.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -366,41 +367,22 @@ _UNSUPPORTED_HEADS = {
 }
 
 
+# A token is the group: a parenthesis, a string literal, a quoted symbol
+# with its bars, a plain token, or a '"' or '|' that nothing closes.  A
+# comment matches outside the group and reads as ''; whitespace does not
+# match at all.
+_TOKEN = re.compile(r';[^\n]*|([()]|"[^"]*"|\|[^|]*\||[^\s();"|]+|["|])')
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SmtSyntaxError("unterminated string literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch == "|":
-            j = i + 1
-            while j < n and text[j] != "|":
-                j += 1
-            if j >= n:
-                raise SmtSyntaxError("unterminated quoted symbol")
-            tokens.append(text[i + 1 : j])
-            i = j + 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"|':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    """The tokens of ``text``, with '' for each comment.  A quoted symbol
+    keeps its bars, so ``|(|`` is not a parenthesis; ``_read_sexprs``
+    strips them, so ``|x|`` and ``x`` name one symbol."""
+    tokens = _TOKEN.findall(text)
+    unclosed = [tok for tok in ('"', "|") if tok in tokens]
+    if unclosed:
+        what = "string literal" if min(unclosed, key=tokens.index) == '"' else "quoted symbol"
+        raise SmtSyntaxError(f"unterminated {what}")
     return tokens
 
 
@@ -415,6 +397,10 @@ def _read_sexprs(tokens: list[str]):
             if not open_lists:
                 raise SmtSyntaxError("unexpected ')'")
             tok = open_lists.pop()
+        elif not tok:  # a comment
+            continue
+        elif tok[0] == "|":
+            tok = tok[1:-1]
         (open_lists[-1] if open_lists else exprs).append(tok)
     if open_lists:
         raise SmtSyntaxError("unbalanced parenthesis")

@@ -327,6 +327,31 @@ def test_split_matches_reference_on_random_partial_assignments():
                     assert split_components(db, amap, assignment, trail, cfg, scope, index) == want, name
 
 
+def test_search_graphs_match_the_reference_split(monkeypatch):
+    """The search builds the same graph, node for node, and the same stats
+    whether it splits by flood fill or by the reference union-find."""
+    formulas = [gen(seed) for seed in range(8) for gen in (st.random_formula, st.random_nested_formula)]
+
+    def graphs():
+        runs = [pipeline(f, mode=mode)[0] for f in formulas for mode in ("lazy", "eager", "agnostic")]
+        return runs + [st.compile(*bool_chain(40)), pipeline(st.parse_smt2(_real_chain(8)))[0]]
+
+    new = graphs()
+    calls = 0
+
+    def reference(db, amap, values, trail, cfg, scope, index):
+        nonlocal calls
+        calls += 1
+        assignment = {v: val for v, val in enumerate(values) if val is not None}
+        return reference_split(db, amap, assignment, trail, cfg, scope)
+
+    monkeypatch.setattr(st.compiler, "split_components", reference)
+    old = graphs()
+    assert calls > 100
+    for a, b in zip(new, old):
+        assert _trace(a) == _trace(b)
+
+
 def test_theory_candidates_match_a_full_scan(monkeypatch):
     original = st.compiler._Search._theory_candidates
     calls = 0

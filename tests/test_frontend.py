@@ -138,6 +138,30 @@ def test_ignored_commands():
     assert len(st.atoms_of(f)) == 1
 
 
+@pytest.mark.parametrize("name", ["(", ")", "a b", ";", "x"])
+def test_quoted_symbols(name):
+    """A quoted symbol is a symbol whatever it spells, even a parenthesis,
+    and ``|x|`` names the same symbol as ``x``."""
+    plain = name if name == "x" else f"|{name}|"
+    f = st.parse_smt2(f"(declare-const |{name}| Bool)(assert (or {plain} |{name}|)) ; comment")
+    assert [a.name for a in st.atoms_of(f)] == [name]
+    assert st.brute_counts(f) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('(assert "abc)', "unterminated string literal"),
+        ("(assert |x)", "unterminated quoted symbol"),
+        ('(assert |x "y")', "unterminated quoted symbol"),
+        ('(assert "x |y|)', "unterminated string literal"),
+    ],
+)
+def test_unterminated_tokens(text, message):
+    with pytest.raises(st.SmtSyntaxError, match=message):
+        st.parse_smt2(text)
+
+
 # ---------------------------------------------------------------------------
 # normalize_comparison
 

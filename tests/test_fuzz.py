@@ -12,6 +12,7 @@ SMT_TOKENS = [
     "check-sat", "Real", "Bool", "Int", "x", "y", "A", "and", "or", "not", "=>", "=",
     "distinct", "<=", "<", ">=", ">", "+", "-", "*", "/", "let", "ite", "0", "1", "-2",
     "3.5", "1/2", ".", "00", "|q|", "true", "false", ";c\n", "\"s\"", "\u00b2", "9" * 5000,
+    "|(|", "|)|", "|a b|", "|;|", "|x",
 ]
 
 NNF_TOKENS = ["nnf", "L", "A", "O", "0", "1", "2", "3", "-1", "-4", "x", "\n", "\n", "\n"]
