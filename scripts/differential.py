@@ -21,8 +21,9 @@ set has 3406 compiles:
 Without the ``learning=False`` and ``lazy parsed`` groups this is the
 2586-compile set.
 ``--compare`` lists, field by field, the groups whose entries differ, with
-how many differ and, for numeric fields, the group's sums on both sides; it
-exits 1 when anything differs.
+how many differ and, for numeric fields, the group's sums on both sides and
+how many entries rose and fell from A to B (``up k, down m``); it exits 1
+when anything differs.
 
     PYTHONPATH=src python3 scripts/differential.py --out new.json
     PYTHONPATH=../old/src python3 scripts/differential.py --out old.json
@@ -143,7 +144,9 @@ def compare(a: dict, b: dict) -> int:
             differing += 1
             line = f"{field:18} {group:26} {len(diff)} of {len(keys)} differ"
             if all(isinstance(a[k].get(field), int) and isinstance(b[k].get(field), int) for k in keys):
+                up = sum(b[k][field] > a[k][field] for k in diff)
                 line += f"; sum {sum(a[k][field] for k in keys)} -> {sum(b[k][field] for k in keys)}"
+                line += f"; up {up}, down {len(diff) - up}"
             print(line)
     print(f"{len(shared)} entries compared, {differing} (field, group) pairs differ")
     return 1 if differing or only else 0

@@ -54,9 +54,6 @@ class ClauseDb:
             if any(-l in seen for l in cl):
                 raise ValueError(f"tautological clause {cl}")
 
-    def is_aux(self, var: int) -> bool:
-        return var > self.num_atom_vars
-
     @property
     def aux_vars(self) -> range:
         return range(self.num_atom_vars + 1, self.num_vars + 1)

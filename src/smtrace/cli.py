@@ -36,14 +36,13 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_compile_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every subcommand that compiles an .smt2 input."""
     p.add_argument("--mode", choices=MODES, default="lazy")
     p.add_argument("--eager-k", type=_nonnegative, default=None, help="max core size for eager mode")
     p.add_argument("--no-components", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--no-learning", action="store_true")
-    p.add_argument("--stats", choices=("text", "json"), default="text")
-    p.add_argument("--condense", action="store_true", help="condense exported graph")
 
 
 def _build_parser() -> _Parser:
@@ -53,29 +52,29 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compile", help="compile an .smt2 file to .nnf + .atoms")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="output .nnf path")
-    _add_shared(p)
+    p.add_argument("--stats", choices=("text", "json"), default="text")
+    p.add_argument("--condense", action="store_true", help="condense exported graph")
+    _add_compile_flags(p)
 
     p = sub.add_parser("count", help="model count of an .smt2 file or compiled graph")
     p.add_argument("input", nargs="?")
     p.add_argument("--nnf")
     p.add_argument("--atoms")
     p.add_argument("--weights", help="weight file: '<signed-var> <p/q>' per line")
-    _add_shared(p)
+    _add_compile_flags(p)
 
     p = sub.add_parser("enumerate", help="enumerate captured assignments")
     p.add_argument("input")
     p.add_argument("--max", type=_nonnegative, default=4096, dest="cap")
-    _add_shared(p)
+    _add_compile_flags(p)
 
     p = sub.add_parser("check", help="run the d-DNNF validators on a compiled graph")
     p.add_argument("--nnf", required=True)
     p.add_argument("--atoms", required=True)
     p.add_argument("--theory", action="store_true")
-    _add_shared(p)
 
     p = sub.add_parser("oracle", help="brute-force agnostic and aware counts")
     p.add_argument("input")
-    _add_shared(p)
 
     return parser
 

@@ -12,11 +12,10 @@ through shared real variables, and transitively through real variables
 co-occurring in asserted trail atoms.  Component results are cached under a
 key that includes the theory context, since the same residual clauses
 compile differently under different entangling decisions.  That context is
-the trail polyhedron projected by Fourier-Motzkin onto the reals of the
-component's own atoms, in canonical form: two trails with equal projections
-admit the same assignments to those atoms.  A disequality on the trail makes
-the polyhedron non-convex; the key then holds the trail literals touching
-the component's real-variable scope instead.  Splitting and theory-candidate
+the trail's inequalities projected by Fourier-Motzkin onto the reals of the
+component's own atoms and of the trail's disequalities, in canonical form,
+followed by those disequalities: two trails with equal contexts admit the
+same assignments to those atoms.  Splitting and theory-candidate
 collection read the clauses through a per-variable occurrence index built
 once per compile (``ClauseIndex``).  A split is one stamped flood fill per
 component from the remaining scope variables, so each decision still costs
@@ -31,7 +30,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -65,25 +64,6 @@ class CompileConfig:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-STAT_KEYS = (
-    "decisions",
-    "bool_props",
-    "theory_props",
-    "theory_checks",
-    "theory_witness_hits",
-    "theory_skips",
-    "conflicts",
-    "learned",
-    "components",
-    "cache_hits",
-    "cache_misses",
-    "cache_fallbacks",
-    "nodes",
-    "edges",
-    "wall_ms",
-)
-
-
 @dataclass
 class CompileStats:
     decisions: int = 0
@@ -97,13 +77,15 @@ class CompileStats:
     components: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_fallbacks: int = 0  # lookups keyed on trail literals: a disequality touched the component
     nodes: int = 0
     edges: int = 0
     wall_ms: float = 0.0
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in STAT_KEYS}
+
+
+STAT_KEYS = tuple(f.name for f in fields(CompileStats))
 
 
 @dataclass(frozen=True)
@@ -116,9 +98,8 @@ class Component:
     component's real-variable scope, closed under trail entanglement, in
     ``lra.literal_key`` order.
     ``polyhedron`` is what those literals say about the reals of the
-    component's own atoms (``lra.project_trail``), or None when one of them
-    is a disequality or the cache is off; it is ``()`` when there are no
-    such literals.
+    component's own atoms (``lra.project_trail``), or None when the cache is
+    off; it is ``()`` when there are no such literals.
     """
 
     residual: tuple[tuple[int, ...], ...]
@@ -391,15 +372,12 @@ def cache_key(component: Component) -> tuple:
     """Identity of a residual subproblem: residual clauses, scope and theory
     context.
 
-    The context is the canonical projection of the trail polyhedron onto the
-    reals of the component's atoms.  When a disequality makes that undefined,
-    it is the trail literals touching the component's closed real scope.
-    The two forms never collide: canonical rows are triples and literals are
-    signed ints, and both are ``()`` only when the trail puts no constraint
-    on the component.
+    The context is ``component.polyhedron``: the canonical projection of the
+    trail's inequalities onto the reals of the component's atoms and of the
+    trail's disequalities, followed by those disequalities.  The scope fixes
+    the component's reals, so equal keys admit the same assignments.
     """
-    context = component.projected if component.polyhedron is None else component.polyhedron
-    return (tuple(sorted(component.residual)), component.scope, context)
+    return (tuple(sorted(component.residual)), component.scope, component.polyhedron)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +463,8 @@ class _Search:
                 conflict = self.theory.assert_literal(lit)
                 if conflict is not None:
                     self.stats.conflicts += 1
-                    core = lra.minimize_core(self.amap, conflict.core, check=self.theory._check)
                     if self.cfg.learning:
+                        core = lra.minimize_core(self.amap, conflict.core, check=self.theory._check)
                         clause = learn_theory_clause(core)
                         key = frozenset(clause)
                         if key not in self._learned_keys:
@@ -534,8 +512,6 @@ class _Search:
 
     def _compile_component(self, comp: Component):
         if self.cfg.cache:
-            if comp.polyhedron is None:
-                self.stats.cache_fallbacks += 1
             key = cache_key(comp)
             hit = self.cache.get(key)
             if hit is not None:

@@ -77,10 +77,6 @@ class LinTerm:
     def real_vars(self) -> frozenset[int]:
         return frozenset(v for v, _ in self.coeffs)
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
 
 # A term as the parser builds it: (nums, const, den) for
 # (sum(nums[v] * v) + const) / den, with den > 0 and no zero in nums.  Only
@@ -145,7 +141,8 @@ class Literal:
 
 
 class AtomTable:
-    """Interning table assigning dense ids 1..n in first-occurrence order."""
+    """Interning table assigning dense ids 1..n in the order atoms are first
+    interned."""
 
     def __init__(self) -> None:
         self.atoms: list[Atom] = []
@@ -164,9 +161,6 @@ class AtomTable:
             self.real_names.append(name)
             self._real_ids[name] = rid
         return rid
-
-    def real_name(self, rid: int) -> str:
-        return self.real_names[rid]
 
     def atom(self, aid: int) -> Atom:
         if not 1 <= aid <= len(self.atoms):
@@ -326,7 +320,7 @@ class Formula:
 
 
 def atoms_of(f: Formula) -> tuple[Atom, ...]:
-    """Atom table in first-occurrence order; ids are dense 1..n."""
+    """Atom table in parse order (see ``parse_smt2``); ids are dense 1..n."""
     return tuple(f.table.atoms)
 
 
@@ -623,7 +617,11 @@ class _Parser:
 def parse_smt2(text: str) -> Formula:
     """Parse the supported SMT-LIB2 subset into a Formula.
 
-    The result is the conjunction of all assert commands; atoms are canonical
-    and interned in first-occurrence order.
+    The result is the conjunction of all assert commands.  Atoms are
+    canonical and interned in the order a walk of each assert meets them:
+    arguments left to right, except that an ``=>`` converts its last
+    argument first and then the others from right to left.  So
+    ``(=> A (or B (<= x 0)))`` gives B id 1, ``x <= 0`` id 2 and A id 3.
+    Real variables are numbered in the same walk.
     """
     return _Parser().run(text)

@@ -20,8 +20,10 @@ relaxed polyhedron P is known feasible: the system is infeasible iff P is
 contained in the hyperplane t = 0, which is checked as infeasibility of both
 P and t < 0 and P and t > 0 (sound by convexity: a convex set not contained
 in any of finitely many hyperplanes contains a point avoiding all of them).
-The same elimination step projects a conjunction onto some of its variables,
-which the compiler's component cache keys on (``project_trail``).
+The same elimination step projects the inequalities of a conjunction onto
+some of its variables; with the conjunction's disequalities kept as
+literals, that is the theory context the compiler's component cache keys on
+(``project_trail``).
 
 Every answer carries evidence.  SAT results return a rational witness that
 satisfies each asserted literal exactly; UNSAT results return positive
@@ -457,29 +459,29 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 
 
 def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tuple | None:
-    """Canonical rows of the polyhedron of ``literals`` projected onto the
-    real variables in ``keep``; None if a literal is a disequality, since the
-    set is then not convex.
+    """Canonical form of what ``literals`` say about the real variables in
+    ``keep``: the projected rows of their inequalities, then the signed ids
+    of their disequalities in ``literal_key`` order; None if the
+    elimination finds the inequalities infeasible.  The compiler passes
+    only feasible literals.
 
-    The other variables are eliminated by Fourier-Motzkin in ascending id
-    order; none is eliminated if all are kept.  Each remaining row is
-    ``(coeffs, const, strict)`` for ``sum(c * x) + const < 0`` (``<=`` if not
-    strict) with primitive integer entries.  Of parallel rows only the
-    tightest is kept, and the rows are sorted.  Equal results are equal
-    projections, so for any literal set L over ``keep`` they make
-    ``literals`` plus L equally feasible.  Redundant rows are kept, so equal
-    projections may still give different results.
+    A disequality is not convex, so it stays as its literal, and the
+    inequality rows are projected onto ``keep`` plus the reals of the
+    disequalities.  The other variables are eliminated by Fourier-Motzkin in
+    ascending id order; none is eliminated if all are kept.  Each remaining
+    row is ``(coeffs, const, strict)`` for ``sum(c * x) + const < 0`` (``<=``
+    if not strict) with primitive integer entries.  Of parallel rows only the
+    tightest is kept, and the rows are sorted.  The eliminated variables
+    occur in no disequality, so for any literal set L over ``keep``,
+    ``literals`` plus L is feasible iff the projected rows, the
+    disequalities and L are; equal results thus make ``literals`` plus L
+    equally feasible.  Redundant rows are kept, so equal projections may
+    still give different results.
     """
-    live = []
-    drop: set[int] = set()
-    for lit in literals:
-        diseq, rows = _literal_rows(table, lit)
-        if diseq:
-            return None
-        for coeffs, const, strict, _ in rows:
-            live.append((coeffs, const, strict, {}))
-            drop.update(coeffs.keys() - keep)
-    for var in sorted(drop):
+    rows, diseqs = _split_literals(table, literals)
+    keep = set(keep).union(*(below[0] for below, _ in diseqs))
+    live = [(coeffs, const, strict, {}) for coeffs, const, strict, _ in rows]
+    for var in sorted({v for row in rows for v in row[0]} - keep):
         _, _, live, bad = _eliminate(live, var)
         if bad is not None:  # infeasible literals: there is nothing to project
             return None
@@ -496,11 +498,11 @@ def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tup
         # a larger constant, then strictness, is tighter
         if old is None or (num * old[1], strict) > (old[0] * den, old[2]):
             tightest[direction] = (num, den, strict)
-    rows = [
+    projected = sorted(
         (tuple((v, c * den) for v, c in direction), num, strict)
         for direction, (num, den, strict) in tightest.items()
-    ]
-    return tuple(sorted(rows))
+    )
+    return (*projected, *sorted((below[3] for below, _ in diseqs), key=literal_key))
 
 
 # ---------------------------------------------------------------------------

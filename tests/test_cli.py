@@ -123,7 +123,6 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "components",
         "cache_hits",
         "cache_misses",
-        "cache_fallbacks",
         "nodes",
         "edges",
         "wall_ms",
@@ -156,6 +155,26 @@ def test_pipeline_coherence(gap_xy_path, tmp_path, capsys):
         direct = capsys.readouterr().out.strip()
         run(["count", "--nnf", str(out), "--atoms", str(out.with_suffix(".atoms"))])
         assert capsys.readouterr().out.strip() == direct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--nnf", "{out}", "--atoms", "{atoms}", "--no-cache"],
+        ["oracle", "{path}", "--mode", "eager"],
+        ["count", "{path}", "--condense"],
+        ["enumerate", "{path}", "--stats", "json"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, gap_xy_path, tmp_path, capsys):
+    out = tmp_path / "out.nnf"
+    assert run(["compile", str(gap_xy_path), "-o", str(out)]) == 0
+    capsys.readouterr()
+    fill = {"path": gap_xy_path, "out": out, "atoms": out.with_suffix(".atoms")}
+    assert run([a.format(**fill) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -416,7 +416,7 @@ def test_cache_key_identity_and_projection():
     assert [cache_key(c) for c in base] == [cache_key(c) for c in with_extra]
 
 
-def test_cache_key_on_projection_and_disequality_fallback():
+def test_cache_key_on_projection_with_disequalities():
     pair, lits = entangled_setup()
     table = pair.table
     from smtrace.frontend import LinTerm, normalize_comparison
@@ -428,19 +428,26 @@ def test_cache_key_on_projection_and_disequality_fallback():
     xy = lits["xy"].signed
 
     # with the x + y atom assigned, the component's own atoms mention x and y
-    # separately; a disequality on the trail falls back to the literals
+    # separately; a disequality on the trail follows the projected rows
     assignment = {abs(ne): ne > 0, abs(xy): xy > 0}
     (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
-    assert comp.polyhedron is None
     assert (xy, ne) == (-5, -6) and comp.projected == (xy, ne)  # by atom
-    assert cache_key(comp) == (tuple(sorted(comp.residual)), comp.scope, comp.projected)
+    assert comp.polyhedron == (*st.lra.project_trail(amap, [xy], {x, y}), ne)
+    assert cache_key(comp) == (tuple(sorted(comp.residual)), comp.scope, comp.polyhedron)
 
+    # the equality x = y instead: the same clauses, a convex context
     assignment[abs(ne)] = ne < 0
     (convex,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig())
-    assert convex.polyhedron is not None and cache_key(convex)[2] == convex.polyhedron
+    assert convex.residual == comp.residual and convex.scope == comp.scope
+    assert all(isinstance(row, tuple) for row in convex.polyhedron)
+    assert cache_key(convex) != cache_key(comp)
+
+    # nothing is projected without the cache
+    (off,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig(cache=False))
+    assert off.polyhedron is None
 
 
-def test_disequality_fallback_counts_and_stays_sound():
+def test_disequality_context_counts_and_stays_sound(monkeypatch):
     text = """
     (declare-const x Real)(declare-const y Real)
     (assert (or (distinct x y) (< x 0)))
@@ -448,8 +455,15 @@ def test_disequality_fallback_counts_and_stays_sound():
     (assert (or (< x 3) (> x 5)))
     """
     f = st.parse_smt2(text)
+    contexts = []
+
+    def recording(comp):
+        contexts.append(comp.polyhedron)
+        return cache_key(comp)
+
+    monkeypatch.setattr(st.compiler, "cache_key", recording)
     g, _, _ = pipeline(f)
-    assert g.stats.cache_fallbacks > 0
+    assert any(isinstance(part, int) for context in contexts for part in context)
     assert st.count(g) == st.brute_counts(f)[1]
 
 
@@ -463,7 +477,6 @@ def test_real_chain_hits_the_projected_cache():
     g, _, _ = pipeline(f)
     assert g.stats.cache_hits > 0
     assert g.stats.decisions < 147  # the syntactic key's figure
-    assert g.stats.cache_fallbacks == 0
     assert st.count(g) == 144 == st.brute_counts(f)[1]
     assert st.validate(g, level="theory", table=f.table).ok
 
@@ -518,7 +531,7 @@ def test_no_projection_without_theory(monkeypatch, gap_xy):
     monkeypatch.setattr(st.compiler.lra, "project_trail", no_projection)
     for mode in ("eager", "agnostic"):
         g, _, _ = pipeline(gap_xy, mode=mode)
-        assert g.stats.cache_misses > 0 and g.stats.cache_fallbacks == 0
+        assert g.stats.cache_misses > 0
     f = st.parse_smt2("(declare-const A Bool)(declare-const B Bool)(assert (or A B))")
     assert st.count(pipeline(f)[0]) == 3
 
@@ -542,6 +555,30 @@ def test_learning_is_exercised_and_invariant(gap01):
     g_off, _, _ = pipeline(gap01, learning=False)
     assert g_on.stats.learned > 0
     assert st.count(g_on) == st.count(g_off) == 3
+
+
+def test_no_core_minimisation_without_learning(monkeypatch):
+    """With learning off nothing reads a core, so none is minimised."""
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("core minimised with learning off")
+
+    conflicts = 0
+    assert_literal = st.lra.TheoryState.assert_literal
+
+    def counting(self, lit):
+        nonlocal conflicts
+        conflict = assert_literal(self, lit)
+        conflicts += conflict is not None
+        return conflict
+
+    monkeypatch.setattr(st.compiler.lra, "minimize_core", no_minimize)
+    monkeypatch.setattr(st.lra.TheoryState, "assert_literal", counting)
+    for seed in range(20):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            g, _, _ = pipeline(f, learning=False)
+            assert st.count(g) == st.brute_counts(f)[1]
+    assert conflicts > 0
 
 
 def test_learned_clauses_join_the_watched_engine():

@@ -17,6 +17,7 @@ from smtrace.frontend import (
     FTrue,
     LinTerm,
     Literal,
+    atom_to_str,
     canonical_eq,
     canonical_leq,
     normalize_comparison,
@@ -124,6 +125,26 @@ def test_parse_rational_and_decimal_literals():
     g = st.parse_smt2("(declare-const x Real)(assert (<= x (/ 1 2)))")
     (atom2,) = st.atoms_of(g)
     assert dict(atom2.term.coeffs) == {0: 2} and atom2.term.const == -1
+
+
+def test_atom_order_reads_implications_from_the_right():
+    """Atoms are numbered in the order the parser meets them, and ``=>``
+    converts its last argument first.  Stored models and weights go by atom
+    id, so this order is part of the output."""
+    text = """
+    (declare-const A Bool)(declare-const B Bool)(declare-const x Real)(declare-const y Real)
+    (assert (=> A (or B (<= x 0))))
+    (assert (=> (<= y 1) (> y 0) (or A (> x 0))))
+    """
+    f = st.parse_smt2(text)
+    assert [atom_to_str(a, f.table.real_names) for a in st.atoms_of(f)] == [
+        "bool B",
+        "leq 1*x 0",
+        "bool A",
+        "leq 1*y 0",
+        "leq 1*y -1",
+    ]
+    assert f.table.real_names == ["x", "y"]
 
 
 def test_parse_determinism():

@@ -374,11 +374,22 @@ def test_project_trail_tightens_parallel_rows(env):
     assert project_trail(table, rows, set()) == ()
 
 
-def test_project_trail_disequality_is_not_convex(env):
+def test_project_trail_keeps_disequalities(env):
     table, cmp = env
+    x, z = 0, 2
     lits = [cmp("<=", {"x": 1}), cmp("!=", {"y": 1})]
-    assert project_trail(table, lits, {0}) is None
-    assert project_trail(table, lits[:1], {0}) == ((((0, 1),), 0, False),)
+    # the disequality follows the rows, as its signed id
+    assert project_trail(table, lits, {x}) == ((((x, 1),), 0, False), lits[1])
+    assert project_trail(table, lits[:1], {x}) == ((((x, 1),), 0, False),)
+    # x <= y <= z says nothing about x alone, but with x != z it does: the
+    # rows are projected onto the disequality's reals too
+    chain = [cmp("<=", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]
+    ne = cmp("!=", {"x": 1, "z": -1})
+    assert project_trail(table, chain, {x}) == ()
+    assert project_trail(table, chain + [ne], {x}) == ((((x, 1), (z, -1)), 0, False), ne)
+    # only inequalities that the elimination finds infeasible have none
+    gap = [cmp("<=", {"x": 1, "y": -1}), cmp(">=", {"x": 1, "y": -1}, 1)]  # x <= y <= x - 1
+    assert project_trail(table, gap + [ne], {x}) is None
 
 
 def _row_literal(table, row):
@@ -391,17 +402,23 @@ def _row_literal(table, row):
 
 @given(hst.integers(0, 400))
 def test_project_trail_preserves_feasibility(seed):
-    """For literals L over the kept reals, trail + L and projection + L are
-    equally feasible."""
+    """For literals L over the kept reals, trail + L and the projected rows
+    plus the trail's disequalities plus L are equally feasible.  Trails and
+    probes hold inequalities, equalities and disequalities."""
     rng = random.Random(seed)
     table = AtomTable()
     ids = [table.real_var(n) for n in ("x", "y", "z")]
-    trail = [l for l in _random_literals(rng, table, ids, 5) if table.atom(abs(l)).kind == LEQ]
+    trail = _random_literals(rng, table, ids, 5)
     if not check_feasible(table, trail).sat:
         return
     keep = set(ids[:2])
-    rows = project_trail(table, trail, keep)
-    shadow = [_row_literal(table, row) for row in rows]
+    key = project_trail(table, trail, keep)
+    assert key is not None
+    rows = [part for part in key if isinstance(part, tuple)]
+    diseqs = [part for part in key if isinstance(part, int)]
+    assert key == (*rows, *diseqs)
+    assert diseqs == sorted((l for l in trail if l < 0 and table.atom(-l).kind == EQ), key=abs)
+    shadow = [_row_literal(table, row) for row in rows] + diseqs
     probes = _random_literals(rng, table, ids[:2], 3)
     for k in range(len(probes) + 1):
         extra = probes[:k]

@@ -72,9 +72,13 @@ def test_differential_dumps_and_compares(tmp_path):
     assert same.returncode == 0, same.stderr
     changed = tmp_path / "b.json"
     dump["lazy/n1"]["edges"] += 1
+    dump["lazy/f1"]["edges"] += 3
+    dump["lazy/n0"]["edges"] -= 2
     dump["lazy parsed/f1"]["atoms"] = dump["lazy parsed/f0"]["atoms"]
     changed.write_text(json.dumps(dump))
     differ = _run("differential.py", "--compare", str(out), str(changed), cwd=tmp_path)
     assert differ.returncode == 1
     pairs = [(line[:18].strip(), line[19:45].strip()) for line in differ.stdout.splitlines()[:-1]]
     assert pairs == [("atoms", "lazy parsed"), ("edges", "lazy")]
+    edges = differ.stdout.splitlines()[1]
+    assert "3 of 4 differ" in edges and edges.endswith("; up 2, down 1")
