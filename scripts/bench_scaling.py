@@ -19,7 +19,7 @@ theory checks, skipped propagation candidates and edges.  Results go to a
 JSON file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 --real-sizes 6 8 10 12 16 20 24 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 --real-sizes 6 8 10 12 16 20 24 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -149,7 +149,7 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
     ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 16, 20, 24])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")

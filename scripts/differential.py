@@ -135,21 +135,24 @@ def compare(a: dict, b: dict) -> int:
     for key in shared:
         groups[key.rsplit("/", 1)[0]].append(key)
     fields = sorted({f for k in shared for f in a[k]} | {f for k in shared for f in b[k]})
-    differing = 0
+    rows = []  # (field, group, the rest of the line)
     for field in fields:
         for group, keys in groups.items():
             diff = [k for k in keys if a[k].get(field) != b[k].get(field)]
             if not diff:
                 continue
-            differing += 1
-            line = f"{field:18} {group:26} {len(diff)} of {len(keys)} differ"
+            rest = f"{len(diff)} of {len(keys)} differ"
             if all(isinstance(a[k].get(field), int) and isinstance(b[k].get(field), int) for k in keys):
                 up = sum(b[k][field] > a[k][field] for k in diff)
-                line += f"; sum {sum(a[k][field] for k in keys)} -> {sum(b[k][field] for k in keys)}"
-                line += f"; up {up}, down {len(diff) - up}"
-            print(line)
-    print(f"{len(shared)} entries compared, {differing} (field, group) pairs differ")
-    return 1 if differing or only else 0
+                rest += f"; sum {sum(a[k][field] for k in keys)} -> {sum(b[k][field] for k in keys)}"
+                rest += f"; up {up}, down {len(diff) - up}"
+            rows.append((field, group, rest))
+    if rows:  # columns as wide as the longest field and group printed
+        fw, gw = max(len(r[0]) for r in rows), max(len(r[1]) for r in rows)
+        for field, group, rest in rows:
+            print(f"{field:{fw}} {group:{gw}} {rest}")
+    print(f"{len(shared)} entries compared, {len(rows)} (field, group) pairs differ")
+    return 1 if rows or only else 0
 
 
 def main(argv=None) -> int:

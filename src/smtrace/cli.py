@@ -36,13 +36,21 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
+_COMPILE_FLAGS = ("--mode", "--eager-k", "--no-components", "--no-cache", "--no-learning")
+
+
 def _add_compile_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of every subcommand that compiles an .smt2 input."""
-    p.add_argument("--mode", choices=MODES, default="lazy")
-    p.add_argument("--eager-k", type=_nonnegative, default=None, help="max core size for eager mode")
-    p.add_argument("--no-components", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--no-learning", action="store_true")
+    """The flags of every subcommand that compiles an .smt2 input.  Each
+    defaults to None, so that a flag given can be told from one left out."""
+    p.add_argument("--mode", choices=MODES, help="default: lazy")
+    p.add_argument("--eager-k", type=_nonnegative, help="max core size for eager mode")
+    p.add_argument("--no-components", action="store_true", default=None)
+    p.add_argument("--no-cache", action="store_true", default=None)
+    p.add_argument("--no-learning", action="store_true", default=None)
+
+
+def _given_compile_flags(args) -> list[str]:
+    return [flag for flag in _COMPILE_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None]
 
 
 def _build_parser() -> _Parser:
@@ -81,7 +89,7 @@ def _build_parser() -> _Parser:
 
 def _config(args) -> CompileConfig:
     return CompileConfig(
-        mode=args.mode,
+        mode=args.mode or "lazy",
         components=not args.no_components,
         cache=not args.no_cache,
         learning=not args.no_learning,
@@ -157,6 +165,11 @@ def _cmd_count(args) -> int:
     if args.nnf:
         if not args.atoms:
             raise _UsageError("--nnf requires --atoms")
+        if args.input:
+            raise _UsageError("count takes an .smt2 input or --nnf/--atoms, not both")
+        given = _given_compile_flags(args)
+        if given:
+            raise _UsageError(f"{given[0]} compiles an .smt2 input; a graph read with --nnf is not compiled")
         graph = _load_graph(args)
     elif args.input:
         graph, _ = _pipeline(args.input, _config(args), args.eager_k)

@@ -17,12 +17,16 @@ component's own atoms and of the trail's disequalities, in canonical form,
 followed by those disequalities: two trails with equal contexts admit the
 same assignments to those atoms.  Splitting and theory-candidate
 collection read the clauses through a per-variable occurrence index built
-once per compile (``ClauseIndex``).  A split is one stamped flood fill per
-component from the remaining scope variables, so each decision still costs
-O(|component|): the Boolean chain stays quadratic.  The decision order is DLCS, except that a linear atom in
-no residual clause that shares a real with the component's trail context is
-decided first: leaving it open would keep that real apart in the cache keys
-of otherwise equal subproblems.
+once per compile (``ClauseIndex``).  Splits are stamped flood fills.  The
+root split fills the whole scope; every later split starts from the
+component being decided and fills only around the variables its branch
+assigned, and the one part no fill reached is sliced out of the parent's
+scope and residual.  A decision thus pays for the small parts plus one
+slicing copy of its component, and the split's fill work on the Boolean
+chain grows linearly.  The decision order is DLCS, except that a linear atom
+in no residual clause that shares a real with the component's trail context
+is decided first: leaving it open would keep that real apart in the cache
+keys of otherwise equal subproblems.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import lra
@@ -93,7 +96,8 @@ class Component:
     """A residual subproblem: clauses plus the unassigned variables they own.
 
     ``scope`` ascends.  ``residual`` holds the live-literal view of each
-    member clause under the current assignment, in clause order.
+    member clause under the current assignment, in clause order, and
+    ``ids`` the clause id of each view.
     ``projected`` are the theory trail's signed literals touching the
     component's real-variable scope, closed under trail entanglement, in
     ``lra.literal_key`` order.
@@ -106,6 +110,7 @@ class Component:
     scope: tuple[int, ...]
     projected: tuple[int, ...]
     polyhedron: tuple | None
+    ids: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +208,18 @@ def _lit_order(lit: int) -> tuple[int, bool]:
 
 
 class ClauseIndex:
-    """The clause list of one compile, indexed by variable.
+    """The clause list of one compile, indexed by variable and by real.
 
     Each clause is kept sorted by variable, positive literal first, so its
     live view under an assignment is a filtered copy.  ``occurs[v]`` lists,
-    ascending, the clauses variable v occurs in, so a split over a scope
-    touches only the clauses of that scope.  ``reals[v]`` holds the real
-    variables of each linear atom variable v of ``db``; it is empty without
-    a theory.  A split's flood fill treats real r as node ``real_base + r``,
-    which occurs in no clause.  ``var_stamp`` (per node) and
-    ``clause_stamp`` record what the fill reached: each split advances
-    ``stamp``, so nothing is cleared between splits.
+    ascending, the clauses variable v occurs in, so a split touches only the
+    clauses of the variables it visits.  ``reals[v]`` holds the real
+    variables of each linear atom variable v of ``db``, and ``atoms_over[r]``
+    the linear atom variables over real r, ascending; both are empty without
+    a theory.  A split's flood fill treats real r as node ``real_base + r``.
+    ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
+    marked: each split advances ``stamp``, so nothing is cleared between
+    splits.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -223,9 +229,12 @@ class ClauseIndex:
             for l in cl:
                 self.occurs[abs(l)].append(ci)
         self.reals = {a.id: a.term.real_vars for a in amap.atoms[: db.num_atom_vars] if a.is_linear}
+        self.atoms_over: list[list[int]] = [[] for _ in amap.real_names]
+        for v, rs in self.reals.items():  # atom ids ascend
+            for r in rs:
+                self.atoms_over[r].append(v)
         self.real_base = db.num_vars + 1
-        self.occurs += [[] for _ in amap.real_names]
-        self.var_stamp = [0] * len(self.occurs)
+        self.var_stamp = [0] * (self.real_base + len(amap.real_names))
         self.clause_stamp = [0] * len(self.clauses)
         self.stamp = 0
 
@@ -233,17 +242,32 @@ class ClauseIndex:
         return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
 
 
-def _live_view(clause, values, var_stamp, free) -> tuple[int, ...]:
-    """The unassigned literals of a clause, or ``()`` when it is satisfied
-    or has an unassigned variable outside the scope (a sibling's clause)."""
+def _live_view(clause, values) -> tuple[int, ...]:
+    """The unassigned literals of a clause, or ``()`` when it is satisfied."""
     live = []
     for l in clause:
-        v = abs(l)
-        if var_stamp[v] >= free:
+        val = values[abs(l)]
+        if val is None:
             live.append(l)
-        elif values[v] is None or values[v] == (l > 0):
+        elif val == (l > 0):
             return ()
     return tuple(live)
+
+
+def _cut(seq: tuple, edits: Mapping[int, object]) -> tuple:
+    """seq with the entry at each position of ``edits`` replaced by the
+    edit, or left out where the edit is None, copied a slice at a time; a
+    cut that only drops a prefix is one slice."""
+    out, start = [], 0
+    for i, entry in sorted(edits.items()):
+        out += seq[start:i]
+        if entry is not None:
+            out.append(entry)
+        start = i + 1
+    if not out:
+        return seq[start:]
+    out += seq[start:]
+    return tuple(out)
 
 
 def split_components(
@@ -254,6 +278,8 @@ def split_components(
     cfg: CompileConfig | None = None,
     scope=None,
     index: ClauseIndex | None = None,
+    parent: Component | None = None,
+    assigned: Sequence[int] = (),
 ) -> list[Component]:
     """Partition the residual problem at the variable level.
 
@@ -266,105 +292,184 @@ def split_components(
     component holding everything is returned.  ``scope`` defaults to every
     variable; ``index`` is the compile's ``ClauseIndex`` of ``db``.
 
-    Each component is one flood fill over the index, seeded from the next
-    unreached unassigned scope variable.  A reached variable visits the
-    clauses it occurs in, each once per split, and keeps the live view of
-    a clause that is neither satisfied nor a sibling's (it has a live
-    variable outside the scope); the view's variables join the fill.  Real
-    variables are nodes of the same fill, joined to the scope atoms over
-    them and to the reals that share a trail atom with them.  A split thus
-    costs O(|component|), with no pass over the rest of the problem.
+    Components are flood fills over the index.  A reached variable visits
+    the clauses it occurs in, each once per split, and keeps the live view
+    of a clause that is not satisfied; the view's variables join the fill.
+    A reached atom joins its reals, and a reached real joins the unassigned
+    atoms over it and the reals of the trail atoms over it.
+
+    Without a ``parent`` (the root of a search) every unassigned scope
+    variable seeds a fill, and the variables and clauses of a sibling
+    (unassigned, outside the scope) are stamped as reached beforehand: the
+    root split costs O(|db|).  With a parent, the component being decided,
+    ``scope`` is the parent's scope and ``assigned`` holds the literals its
+    branch asserted.  The parent was connected, so each part it falls into
+    holds a free neighbour of an assigned variable: a free variable of a
+    parent clause it occurs in, or a real of its atom.  These neighbours,
+    ascending, seed the fills, except the last that no earlier fill
+    reached: its part is the rest of the parent, cut out of the parent's
+    scope, residual and clause ids around the assigned variables, the fills
+    and the clauses the assignment shrank.  That costs the fills, a
+    bisection per entry cut and one slicing copy of the parent.  With
+    components disabled, nothing is filled and the rest of the parent is
+    the one component.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
-    if isinstance(assignment, Mapping):
-        values: list[bool | None] = [None] * (db.num_vars + 1)
+    values = assignment
+    if not isinstance(assignment, list):
+        values = [None] * (db.num_vars + 1)
         for var, val in assignment.items():
             values[var] = val
-    else:
-        values = assignment
 
-    if scope is None:
-        scope = range(1, db.num_vars + 1)
-    var_stamp, clause_stamp = index.var_stamp, index.clause_stamp
+    clauses, occurs, var_stamp, clause_stamp = index.clauses, index.occurs, index.var_stamp, index.clause_stamp
+    reals, atoms_over, base = index.reals, index.atoms_over, index.real_base
     index.stamp += 2
-    free, reached = index.stamp - 1, index.stamp  # free: in the scope, unassigned, not reached yet
-    scope_vars = [v for v in scope if values[v] is None]
-    for v in scope_vars:
-        var_stamp[v] = free
+    seed, reached = index.stamp - 1, index.stamp  # seed: a neighbour of the assignment no fill reached yet
+    on_trail = {abs(lit) for lit in trail} if trail else ()
 
-    reals, base = index.reals, index.real_base
-    neighbours: dict[int, list[int]] = defaultdict(list)
-    if reals:
-        for v in scope_vars:
+    seeds = []
+    if parent is None:
+        if scope is None:
+            scope = range(1, db.num_vars + 1)
+        seeds = [v for v in scope if values[v] is None]
+        inside = set(seeds)
+        for v in range(1, db.num_vars + 1):  # a sibling's variable and clauses: never reached
+            if values[v] is None and v not in inside:
+                var_stamp[v] = reached
+                for ci in occurs[v]:
+                    clause_stamp[ci] = reached
+    else:
+        pscope, pids, presidual = parent.scope, parent.ids, parent.residual
+        nvars, nclauses = len(pscope), len(pids)
+        gone = []  # positions in pscope of the assigned variables, then of the fills'
+        shrunk = []  # (position in pids, clause id) of the parent clauses they occur in
+        for lit in assigned:
+            v = abs(lit)
+            i = bisect_left(pscope, v)
+            if i == nvars or pscope[i] != v:
+                continue
+            gone.append(i)
+            for ci in occurs[v]:
+                j = bisect_left(pids, ci)
+                if j < nclauses and pids[j] == ci and clause_stamp[ci] != seed:
+                    clause_stamp[ci] = seed
+                    shrunk.append((j, ci))
+                    for l in presidual[j]:
+                        u = abs(l)
+                        if values[u] is None and var_stamp[u] != seed:
+                            var_stamp[u] = seed
+                            seeds.append(u)
             for r in reals.get(v, ()):
-                neighbours[v].append(base + r)
-                neighbours[base + r].append(v)
-        for lit in trail:
-            linked = [base + r for r in reals[abs(lit)]]
-            for x in linked:
-                neighbours[x] += linked
-        for x in neighbours:  # scope atoms, and reals the fill may reach
-            var_stamp[x] = free
+                if var_stamp[base + r] != seed:
+                    var_stamp[base + r] = seed
+                    seeds.append(base + r)
+        seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
+    pending = len(seeds) if parent is not None else 0  # stamped seeds no fill reached; none at the root
 
-    clauses, occurs = index.clauses, index.occurs
-    fills = []  # (nodes, (clause, view) pairs) per component
-    for seed in scope_vars:
-        if var_stamp[seed] != free:
+    fills = []  # (nodes, (clause, view) pairs) per fill
+    for s in seeds:
+        if var_stamp[s] == reached:
             continue
-        var_stamp[seed] = reached
-        nodes, views = [seed], []
+        if pending == 1:  # the last: its part is the rest of the parent
+            break
+        pending -= var_stamp[s] == seed
+        var_stamp[s] = reached
+        nodes, views = [s], []
         for x in nodes:  # grows as the fill reaches new nodes
-            for ci in occurs[x]:
-                if clause_stamp[ci] == reached:
-                    continue
-                clause_stamp[ci] = reached
-                view = clauses[ci]
-                for l in view:
-                    if var_stamp[abs(l)] < free:  # assigned, or outside the scope
-                        view = _live_view(view, values, var_stamp, free)
-                        break
-                if view:
-                    views.append((ci, view))
+            if x < base:
+                for ci in occurs[x]:
+                    if clause_stamp[ci] == reached:
+                        continue
+                    clause_stamp[ci] = reached
+                    view = clauses[ci]
                     for l in view:
-                        v = abs(l)
-                        if var_stamp[v] == free:
-                            var_stamp[v] = reached
-                            nodes.append(v)
-            if neighbours:
-                for y in neighbours.get(x, ()):
-                    if var_stamp[y] == free:
-                        var_stamp[y] = reached
-                        nodes.append(y)
+                        if values[abs(l)] is not None:
+                            view = _live_view(view, values)
+                            break
+                    if view:
+                        views.append((ci, view))
+                        for l in view:
+                            v = abs(l)
+                            mark = var_stamp[v]
+                            if mark != reached:
+                                pending -= mark == seed
+                                var_stamp[v] = reached
+                                nodes.append(v)
+                if x not in reals:
+                    continue
+                linked = [base + r for r in reals[x]]
+            else:
+                linked = []
+                for a in atoms_over[x - base]:
+                    if values[a] is None:
+                        linked.append(a)
+                    elif a in on_trail:
+                        linked += [base + r for r in reals[a]]
+            for y in linked:
+                mark = var_stamp[y]
+                if mark != reached:
+                    pending -= mark == seed
+                    var_stamp[y] = reached
+                    nodes.append(y)
+        nodes.sort()
+        views.sort()
         fills.append((nodes, views))
 
-    def component(nodes, views, lits=None) -> Component:
-        nodes.sort()
-        variables = nodes[: bisect_left(nodes, base)]
-        if lits is None:  # the trail literals over the reals the fill reached
-            own_reals = {x - base for x in nodes[len(variables) :]}
-            lits = [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
-        views.sort()
+    def component(variables, ids, residual, lits) -> Component:
         polyhedron = ()
         if lits:  # never without a theory: its trail is empty
             polyhedron = None  # without the cache nothing reads it
             if cfg.cache:
-                own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+                own = frozenset().union(*(reals[v] for v in variables if v in reals))
                 polyhedron = lra.project_trail(amap, lits, own)
-        return Component(
-            residual=tuple(map(itemgetter(1), views)),
-            scope=tuple(variables),
-            projected=tuple(sorted(lits, key=lra.literal_key)),
-            polyhedron=polyhedron,
-        )
+        return Component(residual, variables, tuple(sorted(lits, key=lra.literal_key)), polyhedron, ids)
 
-    if not cfg.components:
+    def fill_component(nodes, views, lits=None) -> Component:
+        k = bisect_left(nodes, base)
+        if lits is None:  # the trail literals over the reals the fill reached
+            own_reals = {x - base for x in nodes[k:]}
+            lits = [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
+        ids, residual = zip(*views) if views else ((), ())
+        return component(tuple(nodes[:k]), ids, residual, lits)
+
+    linear_trail = None if cfg.components else [lit for lit in trail if reals[abs(lit)]]
+    if parent is None and not cfg.components:
         if not fills:
             return []
-        merged = [x for fill in fills for x in fill[0]], [x for fill in fills for x in fill[1]]
-        return [component(*merged, [lit for lit in trail if reals[abs(lit)]])]
-    comps = [component(nodes, views) for nodes, views in fills]
-    comps.sort(key=lambda c: c.scope[0])  # seeds ascend unless the scope does not
+        merged = sorted(x for nodes, _ in fills for x in nodes), sorted(v for _, views in fills for v in views)
+        return [fill_component(*merged, linear_trail)]
+    comps = [fill_component(nodes, views) for nodes, views in fills if nodes[0] < base]  # not reals alone
+    if parent is not None:  # the rest of the parent, cut around the assignment and the fills
+        filled_reals = set()
+        for nodes, _ in fills:
+            for x in nodes:
+                if x < base:
+                    gone.append(bisect_left(pscope, x))
+                else:
+                    filled_reals.add(x - base)
+        if len(gone) < len(pscope):  # some of the parent's variables are left
+            cut = {}  # position in pids: the clause's view in the rest, or None
+            for j, ci in shrunk:
+                cut[j] = None if clause_stamp[ci] == reached else _live_view(presidual[j], values) or None
+            for _, views in fills:
+                for ci, _ in views:
+                    cut[bisect_left(pids, ci)] = None
+            if not cfg.components:
+                lits = linear_trail
+            elif trail:  # the parent's trail literals and the branch's, less the fills'
+                old, fresh = set(parent.projected), {abs(lit) for lit in assigned}
+                lits = [
+                    lit
+                    for lit in trail
+                    if (lit in old or abs(lit) in fresh) and filled_reals.isdisjoint(reals[abs(lit)])
+                ]
+            else:
+                lits = []
+            ids = _cut(pids, {j: None if view is None else pids[j] for j, view in cut.items()})
+            comps.append(component(_cut(pscope, dict.fromkeys(gone)), ids, _cut(presidual, cut), lits))
+    if len(comps) > 1:
+        comps.sort(key=lambda c: c.scope[0])  # seeds ascend unless the root's scope does not
     return comps
 
 
@@ -520,19 +625,22 @@ class _Search:
             self.stats.cache_misses += 1
         lit = decide(comp, self.index.reals)
         self.stats.decisions += 1
-        hi = yield self._branch((lit,), comp.scope)
-        lo = yield self._branch((-lit,), comp.scope)
+        hi = yield self._branch((lit,), comp)
+        lo = yield self._branch((-lit,), comp)
         node = self.builder.or_node(abs(lit), hi, lo)
         if self.cfg.cache:
             self.cache[key] = node
         return node
 
-    def _branch(self, lits: Sequence[int], scope, units: bool = False):
-        """Assert lits, propagate within scope and compile what remains.
+    def _branch(self, lits: Sequence[int], parent: Component | None, units: bool = False):
+        """Assert lits, propagate within the parent's scope and compile what
+        remains.
 
-        lits is a decision ``(lit,)``, or at the root the input's unit
-        clauses, which count as Boolean propagations (``units``).
+        lits is a decision ``(lit,)`` in ``parent``, or at the root, which
+        has no parent and scopes every variable, the input's unit clauses,
+        which count as Boolean propagations (``units``).
         """
+        scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
         mark = len(self.trail)
         theory_mark = len(self.theory.trail) if self.theory_on else 0
         queue = []
@@ -553,7 +661,9 @@ class _Search:
                 for i in range(mark, len(self.trail))
             ]
             theory_trail = self.theory.trail if self.theory_on else []
-            comps = split_components(self.db, self.amap, self.values, theory_trail, self.cfg, scope, self.index)
+            comps = split_components(
+                self.db, self.amap, self.values, theory_trail, self.cfg, scope, self.index, parent, self.trail[mark:]
+            )
             if len(comps) > 1:
                 self.stats.components += len(comps)
             for comp in comps:
@@ -574,7 +684,7 @@ class _Search:
         result, so the frames live on a list and depth costs no recursion."""
         if self.engine.has_empty:
             return self.builder.false_id
-        frames = [self._branch(self.engine.units, range(1, self.db.num_vars + 1), units=True)]
+        frames = [self._branch(self.engine.units, None, units=True)]
         result = None
         while True:
             try:

@@ -177,6 +177,30 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, gap_xy_path, tm
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--mode", "eager"],
+        ["--mode", "lazy"],
+        ["--eager-k", "2"],
+        ["--no-components"],
+        ["--no-cache"],
+        ["--no-learning"],
+        ["{path}"],
+    ],
+)
+def test_count_of_a_graph_rejects_compile_flags_and_an_input(extra, gap_xy_path, tmp_path, capsys):
+    out = tmp_path / "out.nnf"
+    assert run(["compile", str(gap_xy_path), "-o", str(out)]) == 0
+    graph = ["count", "--nnf", str(out), "--atoms", str(out.with_suffix(".atoms"))]
+    assert run(graph) == 0
+    capsys.readouterr()
+    assert run(graph + [a.format(path=gap_xy_path) for a in extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(["bogus"]) == 1
     assert run(["count"]) == 1  # neither input nor --nnf

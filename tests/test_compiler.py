@@ -95,6 +95,7 @@ def _component(residual, scope):
         scope=tuple(scope),
         projected=(),
         polyhedron=(),
+        ids=tuple(range(len(residual))),
     )
 
 
@@ -137,25 +138,25 @@ _REALS = {
 
 
 def test_decide_picks_pinned_atom_before_dlcs():
-    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), (-9,), ())
+    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), (-9,), (), (0, 1, 2))
     assert reference_decide(comp) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
     assert decide(comp, _REALS) == 5
-    pinned_by_real_0 = Component(comp.residual, (1, 2, 3, 4, 6, 7), comp.projected, ())
+    pinned_by_real_0 = Component(comp.residual, (1, 2, 3, 4, 6, 7), comp.projected, (), comp.ids)
     assert decide(pinned_by_real_0, _REALS) == 6
 
 
 def test_decide_without_pinned_atoms_is_dlcs():
     # atom 4 shares no real with the trail atom, and Boolean 3 has none
-    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), (7,), ())
+    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), (7,), (), (0, 1))
     assert decide(no_share, _REALS) == reference_decide(no_share) == 1
     # a pinned-looking atom in a residual clause is left to DLCS
-    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), (9,), ())
+    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), (9,), (), (0, 1))
     assert decide(in_clause, _REALS) == reference_decide(in_clause) == 1
     # without the real map, or with an empty trail, the rule is off
-    comp = Component(((1, 2),), (1, 2, 7), (9,), ())
+    comp = Component(((1, 2),), (1, 2, 7), (9,), (), (0,))
     assert decide(comp) == decide(comp, {}) == 1
-    assert decide(Component(comp.residual, comp.scope, (), ()), _REALS) == 1
+    assert decide(Component(comp.residual, comp.scope, (), (), comp.ids), _REALS) == 1
     assert decide(comp, _REALS) == 7
 
 
@@ -234,13 +235,13 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
     else:
         scope_vars = sorted(v for v in scope if values[v] is None)
     scope_set = set(scope_vars)
-    residuals = []
-    for cl in db.clauses:
+    residuals = []  # (clause id, live view)
+    for ci, cl in enumerate(db.clauses):
         if any(values[abs(l)] == (l > 0) for l in cl):
             continue
         live = [l for l in cl if values[abs(l)] is None]
         if live and all(abs(l) in scope_set for l in live):
-            residuals.append(tuple(sorted(live, key=lambda l: (abs(l), l < 0))))
+            residuals.append((ci, tuple(sorted(live, key=lambda l: (abs(l), l < 0)))))
     parent = {}
 
     def find(x):
@@ -264,7 +265,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
         for r in amap.real_vars_of(v):
             seen_reals.add(r)
             union(("b", v), ("r", r))
-    for live in residuals:
+    for _, live in residuals:
         for l in live[1:]:
             union(("b", abs(live[0])), ("b", abs(l)))
 
@@ -277,7 +278,11 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
                 own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
                 polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(
-            tuple(views), tuple(variables), tuple(sorted(lits, key=lambda l: (abs(l), l > 0))), polyhedron
+            tuple(view for _, view in views),
+            tuple(variables),
+            tuple(sorted(lits, key=lambda l: (abs(l), l > 0))),
+            polyhedron,
+            tuple(ci for ci, _ in views),
         )
 
     if not cfg.components:
@@ -287,8 +292,8 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
     groups = {}
     for v in scope_vars:
         groups.setdefault(find(("b", v)), ([], [], set()))[0].append(v)
-    for view in residuals:
-        groups[find(("b", abs(view[0])))][1].append(view)
+    for ci, view in residuals:
+        groups[find(("b", abs(view[0])))][1].append((ci, view))
     for r in seen_reals:
         if find(("r", r)) in groups:
             groups[find(("r", r))][2].add(r)
@@ -327,6 +332,65 @@ def test_split_matches_reference_on_random_partial_assignments():
                     assert split_components(db, amap, assignment, trail, cfg, scope, index) == want, name
 
 
+def test_split_from_a_parent_matches_the_reference():
+    """A parent component of the reference split, some of its variables
+    assigned with their linear literals put on the trail as the lazy search
+    asserts them (or with no trail at all, as without a theory): the split
+    that fills around the assignment and cuts the rest out of the parent
+    equals the reference split over the parent's scope."""
+    rng = random.Random(11)
+    configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
+    checked = 0
+    for name, db, amap in _split_cases():
+        index = st.compiler.ClauseIndex(db, amap)
+        for _ in range(4):
+            theory = rng.random() < 0.7
+            n = db.num_vars
+            assignment = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
+            trail = [v if val else -v for v, val in assignment.items() if theory and amap.is_linear_var(v)]
+            for cfg in configs:
+                for parent in reference_split(db, amap, assignment, trail, cfg):
+                    size = len(parent.scope)
+                    picked = rng.sample(parent.scope, min(size, rng.choice([1, 1, 2, 3, size // 2 + 1, size])))
+                    child = dict(assignment)
+                    lits = []
+                    for v in picked:
+                        child[v] = rng.random() < 0.5
+                        lits.append(v if child[v] else -v)
+                    child_trail = trail + [lit for lit in lits if theory and amap.is_linear_var(abs(lit))]
+                    want = reference_split(db, amap, child, child_trail, cfg, parent.scope)
+                    got = split_components(db, amap, child, child_trail, cfg, parent.scope, index, parent, lits)
+                    assert got == want, name
+                    checked += 1
+    assert checked > 300
+
+
+def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
+    """Each split reads the occurrence lists only around the branch's
+    assignment, so the lookups over a whole compile of the chain grow about
+    linearly in n, not quadratically."""
+    original = st.compiler.ClauseIndex.__init__
+    lookups = 0
+
+    class Counting(list):
+        def __getitem__(self, i):
+            nonlocal lookups
+            lookups += 1
+            return super().__getitem__(i)
+
+    def counting_init(self, db, amap):
+        original(self, db, amap)
+        self.occurs = Counting(self.occurs)
+
+    monkeypatch.setattr(st.compiler.ClauseIndex, "__init__", counting_init)
+    totals = []
+    for n in (200, 400):
+        lookups = 0
+        st.compile(*bool_chain(n))
+        totals.append(lookups)
+    assert totals[0] > 200 and totals[1] / totals[0] < 3, totals
+
+
 def test_search_graphs_match_the_reference_split(monkeypatch):
     """The search builds the same graph, node for node, and the same stats
     whether it splits by flood fill or by the reference union-find."""
@@ -339,7 +403,7 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
     new = graphs()
     calls = 0
 
-    def reference(db, amap, values, trail, cfg, scope, index):
+    def reference(db, amap, values, trail, cfg, scope, index, parent, assigned):
         nonlocal calls
         calls += 1
         assignment = {v: val for v, val in enumerate(values) if val is not None}

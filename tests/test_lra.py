@@ -404,11 +404,25 @@ def _row_literal(table, row):
 def test_project_trail_preserves_feasibility(seed):
     """For literals L over the kept reals, trail + L and the projected rows
     plus the trail's disequalities plus L are equally feasible.  Trails and
-    probes hold inequalities, equalities and disequalities."""
+    probes hold inequalities, equalities and disequalities.  Half the
+    trails start with an equality z = a*k + b that ties the eliminated real
+    z to a kept real k, and a disequality over z; their first probe pins k
+    where z meets the disequality's constant, which only the disequality's
+    own reals, kept in the projection, can rule out."""
     rng = random.Random(seed)
     table = AtomTable()
     ids = [table.real_var(n) for n in ("x", "y", "z")]
-    trail = _random_literals(rng, table, ids, 5)
+    tie, pin = [], []
+    if rng.random() < 0.5:
+        k, z = rng.choice(ids[:2]), ids[2]
+        a, b, e = rng.choice((-2, -1, 1, 2)), rng.randint(-3, 3), rng.randint(-3, 3)
+        other = {rng.choice(ids[:2]): Fraction(rng.choice((0, 1)))}
+        tie = [
+            normalize_comparison(table, "=", LinTerm.make({z: Fraction(1), k: Fraction(-a)}), LinTerm.constant(b)),
+            normalize_comparison(table, "!=", LinTerm.make({z: Fraction(1)}), LinTerm.make(other, e)),
+        ]
+        pin = [normalize_comparison(table, "=", LinTerm.make({k: Fraction(a)}), LinTerm.make(other, e - b))]
+    trail = [lit.signed for lit in tie if not isinstance(lit, bool)] + _random_literals(rng, table, ids, 5 - len(tie))
     if not check_feasible(table, trail).sat:
         return
     keep = set(ids[:2])
@@ -419,7 +433,7 @@ def test_project_trail_preserves_feasibility(seed):
     assert key == (*rows, *diseqs)
     assert diseqs == sorted((l for l in trail if l < 0 and table.atom(-l).kind == EQ), key=abs)
     shadow = [_row_literal(table, row) for row in rows] + diseqs
-    probes = _random_literals(rng, table, ids[:2], 3)
+    probes = [lit.signed for lit in pin if not isinstance(lit, bool)] + _random_literals(rng, table, ids[:2], 3)
     for k in range(len(probes) + 1):
         extra = probes[:k]
         assert check_feasible(table, trail + extra).sat == check_feasible(table, shadow + extra).sat

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +79,17 @@ def test_differential_dumps_and_compares(tmp_path):
     changed.write_text(json.dumps(dump))
     differ = _run("differential.py", "--compare", str(out), str(changed), cwd=tmp_path)
     assert differ.returncode == 1
-    pairs = [(line[:18].strip(), line[19:45].strip()) for line in differ.stdout.splitlines()[:-1]]
+    lines = differ.stdout.splitlines()[:-1]
+    pairs = [re.match(r"(\S+) +(.+?) +\d+ of \d+ differ", line).groups() for line in lines]
     assert pairs == [("atoms", "lazy parsed"), ("edges", "lazy")]
-    edges = differ.stdout.splitlines()[1]
-    assert "3 of 4 differ" in edges and edges.endswith("; up 2, down 1")
+    assert "3 of 4 differ" in lines[1] and lines[1].endswith("; up 2, down 1")
+
+    # a longer field name widens the field column for every line
+    dump["lazy/f0"]["theory_witness_hits"] += 1
+    changed.write_text(json.dumps(dump))
+    wide = _run("differential.py", "--compare", str(out), str(changed), cwd=tmp_path)
+    lines = wide.stdout.splitlines()[:-1]
+    assert [line.split()[0] for line in lines] == ["atoms", "edges", "theory_witness_hits"]
+    groups = {line.index(" lazy") + 1 for line in lines}
+    counts = {re.search(r"\d+ of \d+ differ", line).start() for line in lines}
+    assert groups == {len("theory_witness_hits") + 1} and len(counts) == 1, wide.stdout
