@@ -9,8 +9,10 @@ them (``split_s``); the timed repeats compile and then
 ``enumerate_models(cap=1000)`` without that counter, and the median repeat
 is reported with the graph's decisions, nodes and edges.  A run whose
 compile takes longer than ``--budget`` seconds is recorded as a failure and
-the script goes on: without components the chain's search grows about 3x
-for every 4 more variables, and its component cache with it.
+the script goes on.  Without components the chain's search grows about 3x
+for every 4 more variables, and its component cache with it, so after the
+first size whose components-off compile fails, the larger sizes are
+recorded as skipped without compiling.
 
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
@@ -156,11 +158,15 @@ def main() -> None:
     ap.add_argument("--out", default="BENCH_scaling.json")
     args = ap.parse_args()
 
-    rows = [
-        measure(n, components, args.repeats, args.budget)
-        for n in args.sizes
-        for components in (True, False)
-    ]
+    rows, off_failed_at = [], None
+    for n in args.sizes:
+        rows.append(measure(n, True, args.repeats, args.budget))
+        if off_failed_at is not None and n > off_failed_at:
+            rows.append({"n": n, "components": False, "skipped": f"components off failed at n = {off_failed_at}"})
+            continue
+        rows.append(measure(n, False, args.repeats, args.budget))
+        if "failure" in rows[-1]:
+            off_failed_at = n
     real_rows = [measure_real(n, args.repeats, args.budget) for n in args.real_sizes]
     result = {
         "git_sha": git_sha(Path(st.__file__).resolve().parent),
@@ -178,6 +184,8 @@ def main() -> None:
         head = f"n={row['n']:<5} components={'on ' if row['components'] else 'off'}"
         if "failure" in row:
             print(f"{head} failed: {row['failure']}")
+        elif "skipped" in row:
+            print(f"{head} skipped: {row['skipped']}")
         else:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  enumerate {row['enumerate_s_median']:.4f} s"

@@ -9,24 +9,27 @@ sizes it found them at.  Backtracking is chronological; theory conflicts yield
 minimized cores learned as globally scoped clauses.  Residual subproblems are
 decomposed at the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
-co-occurring in asserted trail atoms.  Component results are cached under a
-key that includes the theory context, since the same residual clauses
-compile differently under different entangling decisions.  That context is
-the trail's inequalities projected by Fourier-Motzkin onto the reals of the
-component's own atoms and of the trail's disequalities, in canonical form,
-followed by those disequalities: two trails with equal contexts admit the
-same assignments to those atoms.  Splitting and theory-candidate
+co-occurring in asserted trail atoms.  A component is its scope (its
+unassigned variables) plus the ids of its unsatisfied clauses, as in
+sharpSAT: within one compile a clause id and the scope fix the clause's live
+view, its literals over the scope.  Component results are cached under that
+pair and the theory context, since the same clauses compile differently
+under different entangling decisions.  That context is the trail's
+inequalities projected by Fourier-Motzkin onto the reals of the component's
+own atoms and of the trail's disequalities, in canonical form, followed by
+those disequalities: two trails with equal contexts admit the same
+assignments to those atoms.  Splitting, decisions and theory-candidate
 collection read the clauses through a per-variable occurrence index built
 once per compile (``ClauseIndex``).  Splits are stamped flood fills.  The
 root split fills the whole scope; every later split starts from the
 component being decided and fills only around the variables its branch
 assigned, and the one part no fill reached is sliced out of the parent's
-scope and residual.  A decision thus pays for the small parts plus one
+scope and clause ids.  A decision thus pays for the small parts plus one
 slicing copy of its component, and the split's fill work on the Boolean
-chain grows linearly.  The decision order is DLCS, except that a linear atom
-in no residual clause that shares a real with the component's trail context
-is decided first: leaving it open would keep that real apart in the cache
-keys of otherwise equal subproblems.
+chain grows linearly.  The decision order is DLCS over the component's
+clauses, except that a linear atom in none of them that shares a real with
+the component's trail context is decided first: leaving it open would keep
+that real apart in the cache keys of otherwise equal subproblems.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import lra
 from .abstraction import ClauseDb
@@ -72,7 +75,7 @@ class CompileStats:
     decisions: int = 0
     bool_props: int = 0
     theory_props: int = 0
-    theory_checks: int = 0  # feasibility computations (memo and witness hits excluded)
+    theory_checks: int = 0  # Fourier-Motzkin feasibility checks (witness hits excluded)
     theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
     theory_skips: int = 0  # propagation candidates skipped for a real the trail leaves free
     conflicts: int = 0
@@ -93,11 +96,12 @@ STAT_KEYS = tuple(f.name for f in fields(CompileStats))
 
 @dataclass(frozen=True)
 class Component:
-    """A residual subproblem: clauses plus the unassigned variables they own.
+    """A residual subproblem: unassigned variables plus the clauses they own.
 
-    ``scope`` ascends.  ``residual`` holds the live-literal view of each
-    member clause under the current assignment, in clause order, and
-    ``ids`` the clause id of each view.
+    ``scope`` holds the unassigned variables, ascending, and ``ids`` the ids
+    of the unsatisfied clauses over them, ascending.  Every unassigned
+    variable of such a clause is in the scope, so the clause's live view
+    under the current assignment is its literals over the scope.
     ``projected`` are the theory trail's signed literals touching the
     component's real-variable scope, closed under trail entanglement, in
     ``lra.literal_key`` order.
@@ -106,11 +110,10 @@ class Component:
     off; it is ``()`` when there are no such literals.
     """
 
-    residual: tuple[tuple[int, ...], ...]
     scope: tuple[int, ...]
+    ids: tuple[int, ...]
     projected: tuple[int, ...]
     polyhedron: tuple | None
-    ids: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +257,12 @@ def _live_view(clause, values) -> tuple[int, ...]:
     return tuple(live)
 
 
-def _cut(seq: tuple, edits: Mapping[int, object]) -> tuple:
-    """seq with the entry at each position of ``edits`` replaced by the
-    edit, or left out where the edit is None, copied a slice at a time; a
+def _cut(seq: tuple, positions) -> tuple:
+    """seq without the entries at ``positions``, copied a slice at a time; a
     cut that only drops a prefix is one slice."""
     out, start = [], 0
-    for i, entry in sorted(edits.items()):
+    for i in sorted(positions):
         out += seq[start:i]
-        if entry is not None:
-            out.append(entry)
         start = i + 1
     if not out:
         return seq[start:]
@@ -287,14 +287,14 @@ def split_components(
     sharing a real variable, and real variables co-occurring in the atom of
     any theory ``trail`` literal (which is what entangles otherwise
     independent clause sets).
-    Unassigned atoms outside all residual clauses still form components, so
+    Unassigned atoms outside all unsatisfied clauses still form components, so
     totality branching stays scoped.  With components disabled, a single
     component holding everything is returned.  ``scope`` defaults to every
     variable; ``index`` is the compile's ``ClauseIndex`` of ``db``.
 
     Components are flood fills over the index.  A reached variable visits
-    the clauses it occurs in, each once per split, and keeps the live view
-    of a clause that is not satisfied; the view's variables join the fill.
+    the clauses it occurs in, each once per split, and keeps the id of a
+    clause that is not satisfied; its unassigned variables join the fill.
     A reached atom joins its reals, and a reached real joins the unassigned
     atoms over it and the reals of the trail atoms over it.
 
@@ -308,9 +308,10 @@ def split_components(
     parent clause it occurs in, or a real of its atom.  These neighbours,
     ascending, seed the fills, except the last that no earlier fill
     reached: its part is the rest of the parent, cut out of the parent's
-    scope, residual and clause ids around the assigned variables, the fills
-    and the clauses the assignment shrank.  That costs the fills, a
-    bisection per entry cut and one slicing copy of the parent.  With
+    scope and clause ids.  The cut drops the assigned variables, the fills'
+    variables and clauses, and the clauses the assignment left with no
+    live literal; a clause it only shrank keeps its id.  That costs the fills, a bisection
+    per entry cut and one slicing copy of the parent.  With
     components disabled, nothing is filled and the rest of the parent is
     the one component.
     """
@@ -340,7 +341,7 @@ def split_components(
                 for ci in occurs[v]:
                     clause_stamp[ci] = reached
     else:
-        pscope, pids, presidual = parent.scope, parent.ids, parent.residual
+        pscope, pids = parent.scope, parent.ids
         nvars, nclauses = len(pscope), len(pids)
         gone = []  # positions in pscope of the assigned variables, then of the fills'
         shrunk = []  # (position in pids, clause id) of the parent clauses they occur in
@@ -355,7 +356,7 @@ def split_components(
                 if j < nclauses and pids[j] == ci and clause_stamp[ci] != seed:
                     clause_stamp[ci] = seed
                     shrunk.append((j, ci))
-                    for l in presidual[j]:
+                    for l in clauses[ci]:
                         u = abs(l)
                         if values[u] is None and var_stamp[u] != seed:
                             var_stamp[u] = seed
@@ -367,7 +368,7 @@ def split_components(
         seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
     pending = len(seeds) if parent is not None else 0  # stamped seeds no fill reached; none at the root
 
-    fills = []  # (nodes, (clause, view) pairs) per fill
+    fills = []  # (nodes, clause ids) per fill
     for s in seeds:
         if var_stamp[s] == reached:
             continue
@@ -375,7 +376,7 @@ def split_components(
             break
         pending -= var_stamp[s] == seed
         var_stamp[s] = reached
-        nodes, views = [s], []
+        nodes, ids = [s], []
         for x in nodes:  # grows as the fill reaches new nodes
             if x < base:
                 for ci in occurs[x]:
@@ -388,7 +389,7 @@ def split_components(
                             view = _live_view(view, values)
                             break
                     if view:
-                        views.append((ci, view))
+                        ids.append(ci)
                         for l in view:
                             v = abs(l)
                             mark = var_stamp[v]
@@ -413,33 +414,32 @@ def split_components(
                     var_stamp[y] = reached
                     nodes.append(y)
         nodes.sort()
-        views.sort()
-        fills.append((nodes, views))
+        ids.sort()
+        fills.append((nodes, ids))
 
-    def component(variables, ids, residual, lits) -> Component:
+    def component(variables, ids, lits) -> Component:
         polyhedron = ()
         if lits:  # never without a theory: its trail is empty
             polyhedron = None  # without the cache nothing reads it
             if cfg.cache:
                 own = frozenset().union(*(reals[v] for v in variables if v in reals))
                 polyhedron = lra.project_trail(amap, lits, own)
-        return Component(residual, variables, tuple(sorted(lits, key=lra.literal_key)), polyhedron, ids)
+        return Component(variables, tuple(ids), tuple(sorted(lits, key=lra.literal_key)), polyhedron)
 
-    def fill_component(nodes, views, lits=None) -> Component:
+    def fill_component(nodes, ids, lits=None) -> Component:
         k = bisect_left(nodes, base)
         if lits is None:  # the trail literals over the reals the fill reached
             own_reals = {x - base for x in nodes[k:]}
             lits = [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
-        ids, residual = zip(*views) if views else ((), ())
-        return component(tuple(nodes[:k]), ids, residual, lits)
+        return component(tuple(nodes[:k]), ids, lits)
 
     linear_trail = None if cfg.components else [lit for lit in trail if reals[abs(lit)]]
     if parent is None and not cfg.components:
         if not fills:
             return []
-        merged = sorted(x for nodes, _ in fills for x in nodes), sorted(v for _, views in fills for v in views)
+        merged = sorted(x for nodes, _ in fills for x in nodes), sorted(ci for _, ids in fills for ci in ids)
         return [fill_component(*merged, linear_trail)]
-    comps = [fill_component(nodes, views) for nodes, views in fills if nodes[0] < base]  # not reals alone
+    comps = [fill_component(nodes, ids) for nodes, ids in fills if nodes[0] < base]  # not reals alone
     if parent is not None:  # the rest of the parent, cut around the assignment and the fills
         filled_reals = set()
         for nodes, _ in fills:
@@ -449,12 +449,9 @@ def split_components(
                 else:
                     filled_reals.add(x - base)
         if len(gone) < len(pscope):  # some of the parent's variables are left
-            cut = {}  # position in pids: the clause's view in the rest, or None
-            for j, ci in shrunk:
-                cut[j] = None if clause_stamp[ci] == reached else _live_view(presidual[j], values) or None
-            for _, views in fills:
-                for ci, _ in views:
-                    cut[bisect_left(pids, ci)] = None
+            cut = {j for j, ci in shrunk if not _live_view(clauses[ci], values)}
+            for _, ids in fills:
+                cut.update(bisect_left(pids, ci) for ci in ids)
             if not cfg.components:
                 lits = linear_trail
             elif trail:  # the parent's trail literals and the branch's, less the fills'
@@ -466,46 +463,48 @@ def split_components(
                 ]
             else:
                 lits = []
-            ids = _cut(pids, {j: None if view is None else pids[j] for j, view in cut.items()})
-            comps.append(component(_cut(pscope, dict.fromkeys(gone)), ids, _cut(presidual, cut), lits))
+            comps.append(component(_cut(pscope, gone), _cut(pids, cut), lits))
     if len(comps) > 1:
         comps.sort(key=lambda c: c.scope[0])  # seeds ascend unless the root's scope does not
     return comps
 
 
 def cache_key(component: Component) -> tuple:
-    """Identity of a residual subproblem: residual clauses, scope and theory
+    """Identity of a residual subproblem: clause ids, scope and theory
     context.
 
+    The ids ascend, and with the scope they fix each clause's live view.
     The context is ``component.polyhedron``: the canonical projection of the
     trail's inequalities onto the reals of the component's atoms and of the
     trail's disequalities, followed by those disequalities.  The scope fixes
     the component's reals, so equal keys admit the same assignments.
     """
-    return (tuple(sorted(component.residual)), component.scope, component.polyhedron)
+    return (component.ids, component.scope, component.polyhedron)
 
 
 # ---------------------------------------------------------------------------
 # branching and clause learning
 
 
-def decide(component: Component, reals: Mapping[int, frozenset[int]] | None = None) -> int:
+def decide(component: Component, index: ClauseIndex) -> int:
     """Pick the decision literal for a component (DLCS, pinned atoms first).
 
     The positive literal of the lowest-id *pinned* variable if there is
-    one, else of the variable occurring most often in the residual clauses
-    (ties: lowest id).  A variable is pinned when it occurs in no residual
-    clause and is a linear atom sharing a real with one of the component's
-    ``projected`` trail literals; ``reals`` maps each linear atom variable to
-    its reals (``ClauseIndex.reals``).  Deciding pinned atoms first settles
-    the reals that keep the projected cache keys of otherwise equal
-    subproblems apart.  With an empty trail nothing is pinned and the choice
-    is plain DLCS.
+    one, else of the variable occurring most often in the component's
+    clauses (ties: lowest id), counted over ``index.clauses``: a scope
+    variable is unassigned and a clause of the component unsatisfied, so
+    these are the counts over the live views.  A variable is pinned when it
+    occurs in none of them and is a linear atom sharing a real with one of
+    the component's ``projected`` trail literals (``index.reals``).
+    Deciding pinned atoms first settles the reals that keep the projected
+    cache keys of otherwise equal subproblems apart.  With an empty trail
+    nothing is pinned and the choice is plain DLCS.
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
-    counts = Counter(map(abs, chain.from_iterable(component.residual)))
-    if component.projected and reals:
+    counts = Counter(map(abs, chain.from_iterable(map(index.clauses.__getitem__, component.ids))))
+    if component.projected:
+        reals = index.reals
         pinned = frozenset().union(*(reals[abs(lit)] for lit in component.projected))
         for v in component.scope:
             if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
@@ -623,7 +622,7 @@ class _Search:
                 self.stats.cache_hits += 1
                 return hit
             self.stats.cache_misses += 1
-        lit = decide(comp, self.index.reals)
+        lit = decide(comp, self.index)
         self.stats.decisions += 1
         hi = yield self._branch((lit,), comp)
         lo = yield self._branch((-lit,), comp)

@@ -517,7 +517,8 @@ class TheoryState:
     and the set of reals the trail mentions up to there.  A query is answered
     first at the top point: a literal that holds there extends the trail with
     the same point, and a literal whose negation holds there is not entailed.
-    Only the other queries run Fourier-Motzkin, memoized per literal set.
+    Only the other queries run Fourier-Motzkin, each through ``_check``,
+    which counts them.
     Points are never mutated (entries share them), so popping the trail pops
     the points and push/pop stays exact.
     """
@@ -527,7 +528,6 @@ class TheoryState:
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
-        self._memo: dict[frozenset[int], FeasibilityResult] = {}
         self.checks = 0
         self.witness_hits = 0
         self.skips = 0  # propagation candidates skipped for a real the trail leaves free
@@ -543,12 +543,8 @@ class TheoryState:
         return self._reals[-1]
 
     def _check(self, lits: frozenset[int]) -> FeasibilityResult:
-        cached = self._memo.get(lits)
-        if cached is None:
-            cached = check_feasible(self.table, lits)
-            self._memo[lits] = cached
-            self.checks += 1
-        return cached
+        self.checks += 1
+        return check_feasible(self.table, lits)
 
     def _holds_at_top(self, lit: int) -> bool:
         """Whether ``lit`` holds at the top point, which then witnesses the

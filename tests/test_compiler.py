@@ -1,9 +1,10 @@
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import assume, given, settings, strategies as hst
 
 import smtrace as st
 from smtrace.compiler import (
@@ -89,42 +90,47 @@ def test_unit_propagate_under_assignment():
 # decide
 
 
-def _component(residual, scope):
-    return Component(
-        residual=tuple(tuple(c) for c in residual),
-        scope=tuple(scope),
-        projected=(),
-        polyhedron=(),
-        ids=tuple(range(len(residual))),
-    )
+def _component(clauses, scope, projected=(), reals=None):
+    """A component owning every clause of ``clauses``, and the stand-in for
+    the compile's clause index that ``decide`` reads: the clauses and the
+    real map."""
+    comp = Component(tuple(scope), tuple(range(len(clauses))), tuple(projected), ())
+    return comp, SimpleNamespace(clauses=[tuple(c) for c in clauses], reals=reals or {})
 
 
 def test_decide_dlcs_occurrences():
-    comp = _component([(1, 2), (1, 3)], [1, 2, 3])
-    assert decide(comp) == 1
+    assert decide(*_component([(1, 2), (1, 3)], [1, 2, 3])) == 1
 
 
 def test_decide_dlcs_tie_lowest_id():
-    comp = _component([(1, 2)], [1, 2])
-    assert decide(comp) == 1
+    assert decide(*_component([(1, 2)], [1, 2])) == 1
 
 
 def test_decide_no_unassigned():
     with pytest.raises(NoUnassignedError):
-        decide(_component([], []))
+        decide(*_component([], []))
 
 
-def reference_decide(component):
-    """``decide`` before pinned atoms went first: plain DLCS."""
+def reference_decide(component, clauses, values):
+    """``decide`` before pinned atoms went first: plain DLCS over the live
+    views of the component's clauses, each view computed from the clause
+    and the assignment ``values`` (indexed by variable)."""
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
     counts = {}
-    for view in component.residual:
-        for l in view:
-            counts[abs(l)] = counts.get(abs(l), 0) + 1
+    for ci in component.ids:
+        if any(values[abs(l)] == (l > 0) for l in clauses[ci]):
+            continue  # satisfied: its live view is empty
+        for l in clauses[ci]:
+            if values[abs(l)] is None:
+                counts[abs(l)] = counts.get(abs(l), 0) + 1
     if not counts:
         return component.scope[0]
     return min(counts, key=lambda v: (-counts[v], v))
+
+
+def _unassigned(n):
+    return [None] * (n + 1)
 
 
 # linear atoms 4-7 over reals 0-2; 1-3 are Boolean; trail atom 9 pins real 0
@@ -138,39 +144,57 @@ _REALS = {
 
 
 def test_decide_picks_pinned_atom_before_dlcs():
-    comp = Component(((1, 2), (1, 3), (-1, 4)), (1, 2, 3, 4, 5, 6, 7), (-9,), (), (0, 1, 2))
-    assert reference_decide(comp) == 1
+    clauses = [(1, 2), (1, 3), (-1, 4)]
+    comp, index = _component(clauses, (1, 2, 3, 4, 5, 6, 7), (-9,), _REALS)
+    assert reference_decide(comp, clauses, _unassigned(9)) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
-    assert decide(comp, _REALS) == 5
-    pinned_by_real_0 = Component(comp.residual, (1, 2, 3, 4, 6, 7), comp.projected, (), comp.ids)
-    assert decide(pinned_by_real_0, _REALS) == 6
+    assert decide(comp, index) == 5
+    pinned_by_real_0 = Component((1, 2, 3, 4, 6, 7), comp.ids, comp.projected, ())
+    assert decide(pinned_by_real_0, index) == 6
 
 
 def test_decide_without_pinned_atoms_is_dlcs():
     # atom 4 shares no real with the trail atom, and Boolean 3 has none
-    no_share = Component(((1, 2), (1, 2)), (1, 2, 3, 4), (7,), (), (0, 1))
-    assert decide(no_share, _REALS) == reference_decide(no_share) == 1
-    # a pinned-looking atom in a residual clause is left to DLCS
-    in_clause = Component(((1, 2), (1, 6)), (1, 2, 6), (9,), (), (0, 1))
-    assert decide(in_clause, _REALS) == reference_decide(in_clause) == 1
-    # without the real map, or with an empty trail, the rule is off
-    comp = Component(((1, 2),), (1, 2, 7), (9,), (), (0,))
-    assert decide(comp) == decide(comp, {}) == 1
-    assert decide(Component(comp.residual, comp.scope, (), (), comp.ids), _REALS) == 1
-    assert decide(comp, _REALS) == 7
+    clauses = [(1, 2), (1, 2)]
+    no_share, index = _component(clauses, (1, 2, 3, 4), (7,), _REALS)
+    assert decide(no_share, index) == reference_decide(no_share, clauses, _unassigned(9)) == 1
+    # a pinned-looking atom in a clause of the component is left to DLCS
+    clauses = [(1, 2), (1, 6)]
+    in_clause, index = _component(clauses, (1, 2, 6), (9,), _REALS)
+    assert decide(in_clause, index) == reference_decide(in_clause, clauses, _unassigned(9)) == 1
+    # with an empty trail the rule is off
+    comp, index = _component([(1, 2)], (1, 2, 7), (9,), _REALS)
+    assert decide(Component(comp.scope, comp.ids, (), ()), index) == 1
+    assert decide(comp, index) == 7
 
 
 @settings(max_examples=200)
 @given(hst.data())
 def test_decide_with_empty_trail_matches_reference(data):
-    """With no trail context nothing is pinned, whatever the real map says."""
+    """With no trail context nothing is pinned, whatever the real map says.
+    The component is what a split makes under a random assignment: the
+    clauses it leaves unsatisfied with a free literal, and a scope holding
+    their free variables and perhaps free variables in no clause."""
     n = data.draw(hst.integers(1, 8))
-    scope = sorted(data.draw(hst.sets(hst.integers(1, n), min_size=1)))
-    lit = hst.sampled_from(scope).flatmap(lambda v: hst.sampled_from((v, -v)))
-    residual = data.draw(hst.lists(hst.lists(lit, min_size=1, max_size=3), max_size=5))
+    lit = hst.integers(1, n).flatmap(lambda v: hst.sampled_from((v, -v)))
+    clauses = data.draw(hst.lists(hst.lists(lit, min_size=1, max_size=3), max_size=6))
+    values = _unassigned(n)
+    for v, val in data.draw(hst.dictionaries(hst.integers(1, n), hst.booleans())).items():
+        values[v] = val
+    free = [v for v in range(1, n + 1) if values[v] is None]
+    assume(free)
+    ids = [
+        ci
+        for ci, cl in enumerate(clauses)
+        if not any(values[abs(l)] == (l > 0) for l in cl) and any(values[abs(l)] is None for l in cl)
+    ]
+    scope = {abs(l) for ci in ids for l in clauses[ci] if values[abs(l)] is None}
+    scope |= data.draw(hst.sets(hst.sampled_from(free)))
+    assume(scope)
     reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
-    comp = _component(residual, scope)
-    assert decide(comp, reals) == reference_decide(comp)
+    comp = Component(tuple(sorted(scope)), tuple(ids), (), ())
+    index = SimpleNamespace(clauses=[tuple(cl) for cl in clauses], reals=reals)
+    assert decide(comp, index) == reference_decide(comp, clauses, values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +302,10 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
                 own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
                 polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(
-            tuple(view for _, view in views),
             tuple(variables),
+            tuple(ci for ci, _ in views),
             tuple(sorted(lits, key=lambda l: (abs(l), l > 0))),
             polyhedron,
-            tuple(ci for ci, _ in views),
         )
 
     if not cfg.components:
@@ -497,18 +520,47 @@ def test_cache_key_on_projection_with_disequalities():
     (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
     assert (xy, ne) == (-5, -6) and comp.projected == (xy, ne)  # by atom
     assert comp.polyhedron == (*st.lra.project_trail(amap, [xy], {x, y}), ne)
-    assert cache_key(comp) == (tuple(sorted(comp.residual)), comp.scope, comp.polyhedron)
+    assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron)
 
     # the equality x = y instead: the same clauses, a convex context
     assignment[abs(ne)] = ne < 0
     (convex,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig())
-    assert convex.residual == comp.residual and convex.scope == comp.scope
+    assert convex.ids == comp.ids and convex.scope == comp.scope
     assert all(isinstance(row, tuple) for row in convex.polyhedron)
     assert cache_key(convex) != cache_key(comp)
 
     # nothing is projected without the cache
     (off,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig(cache=False))
     assert off.polyhedron is None
+
+
+def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch):
+    """The cache key names a component by its clause ids and scope.  That
+    is sound because, whenever the search opens a component, its ids
+    ascend, its scope variables are unassigned, and each of its clauses is
+    unsatisfied with every unassigned variable in the scope, so the clause
+    id and the scope fix the clause's live view."""
+    searches = _record_searches(monkeypatch)
+    opened = 0
+
+    def checked(comp):
+        nonlocal opened
+        opened += 1
+        values, clauses = searches[-1].values, searches[-1].index.clauses
+        scope = set(comp.scope)
+        assert list(comp.ids) == sorted(set(comp.ids))
+        assert all(values[v] is None for v in comp.scope)
+        for ci in comp.ids:
+            assert not any(values[abs(l)] == (l > 0) for l in clauses[ci]), ci
+            assert {abs(l) for l in clauses[ci] if values[abs(l)] is None} <= scope, ci
+        return cache_key(comp)
+
+    monkeypatch.setattr(st.compiler, "cache_key", checked)
+    for seed in range(200):
+        f = st.random_formula(seed)
+        for mode in ("lazy", "eager"):
+            pipeline(f, mode=mode)
+    assert opened > 1000, opened
 
 
 def test_disequality_context_counts_and_stays_sound(monkeypatch):
@@ -569,6 +621,19 @@ def _trace(graph):
     return graph.root, graph.nodes, stats
 
 
+def _record_searches(monkeypatch):
+    """The list every search started from now on is appended to."""
+    searches = []
+    original = st.compiler._Search.__init__
+
+    def recording(self, *args):
+        original(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(st.compiler._Search, "__init__", recording)
+    return searches
+
+
 def test_empty_trail_graphs_match_reference_decide(monkeypatch):
     """Eager and agnostic mode and pure-Boolean input have no trail, so
     their graphs and stats are the plain-DLCS ones; lazy counts agree."""
@@ -579,7 +644,10 @@ def test_empty_trail_graphs_match_reference_decide(monkeypatch):
         return [pipeline(f, mode=mode)[0] for f, mode in runs] + [st.compile(*bool_chain(40))]
 
     new = graphs()
-    monkeypatch.setattr(st.compiler, "decide", lambda comp, reals: reference_decide(comp))
+    searches = _record_searches(monkeypatch)
+    monkeypatch.setattr(
+        st.compiler, "decide", lambda comp, index: reference_decide(comp, index.clauses, searches[-1].values)
+    )
     old = graphs()
     runs.append((None, "bool-chain"))
     for (f, mode), a, b in zip(runs, new, old):

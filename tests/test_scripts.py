@@ -52,6 +52,18 @@ def test_bench_script_writes_json(script, args, tmp_path):
     assert json.loads(out.read_text())
 
 
+def test_bench_scaling_skips_components_off_after_its_first_failure(tmp_path):
+    out = tmp_path / "bench.json"
+    args = ["--sizes", "60", "80", "100", "--real-sizes", "--repeats", "1", "--budget", "0.05"]
+    proc = _run("bench_scaling.py", *args, "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    off = [row for row in json.loads(out.read_text())["runs"] if not row["components"]]
+    assert [row["n"] for row in off] == [60, 80, 100]
+    assert "failure" in off[0]
+    assert all("skipped" in row and "split_calls" not in row for row in off[1:])
+    assert proc.stdout.count("skipped") == 2
+
+
 def test_differential_dumps_and_compares(tmp_path):
     out = tmp_path / "a.json"
     args = ["--seeds", "2", "--eager-seeds", "1", "--real-sizes", "6", "--bool-sizes", "20"]
