@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Time compile and capped enumeration on the Boolean chain, and compile on
-the real chain, as they grow.
+"""Time compile, count and capped enumeration on the Boolean chain, and
+compile on the real chain, as they grow.
 
 For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, then
 compiles it in lazy mode with components on and off.  A first, untimed
 compile counts the ``split_components`` calls and sums the time spent in
-them (``split_s``); the timed repeats compile and then
-``enumerate_models(cap=1000)`` without that counter, and the median repeat
-is reported with the graph's decisions, nodes and edges.  A run whose
-compile takes longer than ``--budget`` seconds is recorded as a failure and
-the script goes on.  Without components the chain's search grows about 3x
-for every 4 more variables, and its component cache with it, so after the
-first size whose components-off compile fails, the larger sizes are
-recorded as skipped without compiling.
+them (``split_s``); the timed repeats compile, ``count`` the fresh graph
+(the first query, so it builds the scopes and runs the totality gate) and
+then ``enumerate_models(cap=1000)``, without that counter.  The median
+repeat is reported with the graph's decisions, nodes and edges, and with
+the growth of the process's peak RSS across the first repeat's ``count``
+(``count_rss_growth_mb``; a high-water mark, so it reads 0 while the count
+stays under an earlier peak).  A run whose compile takes longer than
+``--budget`` seconds is recorded as a failure and the script goes on.
+Without components the chain's search grows about 3x for every 4 more
+variables, and its component cache with it, so after the first size whose
+components-off compile fails, the larger sizes are recorded as skipped
+without compiling.
 
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
@@ -21,7 +25,7 @@ theory checks, skipped propagation candidates and edges.  Results go to a
 JSON file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 --real-sizes 6 8 10 12 16 20 24 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 16 20 24 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -29,6 +33,7 @@ To measure another checkout, point PYTHONPATH at its src/ directory.
 import argparse
 import json
 import platform
+import resource
 import signal
 import statistics
 import time
@@ -96,6 +101,10 @@ def split_calls(db, amap, cfg) -> tuple[int, float]:
     return calls, seconds
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
 def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
     db, amap = bool_chain(n)
     cfg = st.CompileConfig(components=components)
@@ -106,17 +115,22 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             graph = capped(lambda: st.compile(db, amap, cfg), budget)
-            t1 = time.perf_counter()
+            rss0, t1 = peak_rss_mb(), time.perf_counter()
+            st.count(graph)
+            t2 = time.perf_counter()
+            row.setdefault("count_rss_growth_mb", peak_rss_mb() - rss0)
             models = st.enumerate_models(graph, cap=CAP)
-            runs.append((t1 - t0, time.perf_counter() - t1))
+            runs.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
     except OverBudget:
         row["failure"] = f"compile took longer than {budget:g} s"
         return row
     row.update(
-        compile_s_median=statistics.median(c for c, _ in runs),
-        enumerate_s_median=statistics.median(e for _, e in runs),
-        compile_s_runs=[c for c, _ in runs],
-        enumerate_s_runs=[e for _, e in runs],
+        compile_s_median=statistics.median(c for c, _, _ in runs),
+        count_s_median=statistics.median(q for _, q, _ in runs),
+        enumerate_s_median=statistics.median(e for _, _, e in runs),
+        compile_s_runs=[c for c, _, _ in runs],
+        count_s_runs=[q for _, q, _ in runs],
+        enumerate_s_runs=[e for _, _, e in runs],
         models=len(models),
         decisions=graph.stats.decisions,
         nodes=graph.stats.nodes,
@@ -188,7 +202,8 @@ def main() -> None:
             print(f"{head} skipped: {row['skipped']}")
         else:
             print(
-                f"{head} compile {row['compile_s_median']:.3f} s  enumerate {row['enumerate_s_median']:.4f} s"
+                f"{head} compile {row['compile_s_median']:.3f} s  count {row['count_s_median']:.4f} s"
+                f" (+{row['count_rss_growth_mb']:.1f} MB peak RSS)  enumerate {row['enumerate_s_median']:.4f} s"
                 f"  decisions {row['decisions']}  split calls {row['split_calls']}  split {row['split_s']:.3f} s"
             )
     for row in real_rows:

@@ -26,6 +26,7 @@ from .frontend import (
     FOr,
     FTrue,
     Formula,
+    UnsupportedFeatureError,
     atom_to_str,
 )
 
@@ -108,7 +109,6 @@ def _nnf(node: FNode, neg: bool):
 
 def to_cnf(p: PropFormula) -> ClauseDb:
     """Equisatisfiable CNF with functionally determined Tseitin auxiliaries."""
-    root = _nnf(p.root, False)
     clauses: list[tuple[int, ...]] = []
     defs: dict[FNode, int] = {}
     next_var = p.num_vars
@@ -145,24 +145,17 @@ def to_cnf(p: PropFormula) -> ClauseDb:
     def rep(node) -> int:
         return node if isinstance(node, int) else define(node)
 
-    def emit_clause(or_node: FOr) -> None:
-        # children of a flattened Or are literals or And subtrees
-        add_clause([rep(c) for c in or_node.children])
-
-    if isinstance(root, FFalse):
-        clauses.append(())
-    elif isinstance(root, FTrue):
-        pass
-    elif isinstance(root, int):
-        add_clause([root])
-    elif isinstance(root, FOr):
-        emit_clause(root)
-    else:  # FAnd of literals and Or subtrees
-        for child in root.children:
-            if isinstance(child, int):
-                add_clause([child])
-            else:
-                emit_clause(child)
+    try:  # _nnf, define and the formula nodes' hashes recurse once per nesting level
+        root = _nnf(p.root, False)
+        if isinstance(root, FFalse):
+            clauses.append(())
+        elif not isinstance(root, FTrue):
+            # the conjuncts of a flattened And are literals or Ors; an Or's
+            # children are literals or And subtrees
+            for conjunct in root.children if isinstance(root, FAnd) else (root,):
+                add_clause([conjunct] if isinstance(conjunct, int) else [rep(c) for c in conjunct.children])
+    except RecursionError:
+        raise UnsupportedFeatureError("formula nested too deeply") from None
 
     return ClauseDb(num_vars=next_var, num_atom_vars=p.num_vars, clauses=clauses)
 

@@ -232,7 +232,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SmtError, DdnnfError, OSError) as exc:
+    except (SmtError, DdnnfError, oracle.TooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

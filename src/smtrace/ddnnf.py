@@ -4,10 +4,13 @@ Nodes are stored in topological order (children precede parents).  Or nodes
 are binary decision nodes carrying the decision variable.  Literal nodes can
 be tagged as theory-implied, which drives the condensed export.  Counting and
 enumeration range over non-auxiliary atom variables only; Tseitin auxiliaries
-are functionally determined and contribute factor one.  Count and weighted
-count are one integer pass over the node list, and enumeration walks an
-explicit stack, so graph depth costs no recursion.  Enumeration returns
-read-only ``Model`` mappings that share one variable index.
+are functionally determined and contribute factor one.  A node's atom scope
+is an int bitmask (bit v for atom variable v), so the totality gate and the
+validator test decomposability and totality with ``&`` and ``==``, and the
+queries read the root scope's variables from the root mask.  Count and
+weighted count are one integer pass over the node list, and enumeration
+walks an explicit stack, so graph depth costs no recursion.  Enumeration
+returns read-only ``Model`` mappings that share one variable index.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class DdnnfGraph:
     amap: AtomTable | None = None
     has_tags: bool = False
     stats: object | None = None
-    _scopes: list[frozenset[int]] | None = None
+    _scopes: list[int] | None = None
     _total: bool = False  # the totality gate passed; a failing graph is checked again
 
     def __len__(self) -> int:
@@ -78,22 +81,32 @@ class DdnnfGraph:
     def edge_count(self) -> int:
         return sum(len(n.children) for n in self.nodes)
 
-    def scopes(self) -> list[frozenset[int]]:
-        """Per-node atom-variable scope (auxiliary variables excluded)."""
+    def scopes(self) -> list[int]:
+        """Per-node atom-variable scope as a bitmask: bit v is set for atom
+        variable v (auxiliary variables excluded)."""
         if self._scopes is None:
-            out: list[frozenset[int]] = []
+            out: list[int] = []
             for node in self.nodes:
-                if node.kind == KLIT and abs(node.lit) <= self.num_atom_vars:
-                    out.append(frozenset((abs(node.lit),)))
-                elif node.kind in (KAND, KOR):
-                    acc: frozenset[int] = frozenset()
-                    for c in node.children:
-                        acc = acc | out[c]
-                    out.append(acc)
+                if node.kind == KLIT:
+                    var = abs(node.lit)
+                    out.append(1 << var if var <= self.num_atom_vars else 0)
                 else:
-                    out.append(frozenset())
+                    mask = 0
+                    for c in node.children:
+                        mask |= out[c]
+                    out.append(mask)
             self._scopes = out
         return self._scopes
+
+
+def _variables(mask: int) -> list[int]:
+    """The atom variables of a scope mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class GraphBuilder:
@@ -224,9 +237,8 @@ def _check_or(g: DdnnfGraph, nid: int, node: Node, report: Report) -> None:
             Violation("determinism", nid, message=f"Or node with {len(node.children)} children")
         )
         return
-    candidates = [node.decision] if node.decision else sorted(
-        g.scopes()[node.children[0]] & g.scopes()[node.children[1]]
-    )
+    hi, lo = node.children
+    candidates = [node.decision] if node.decision else _variables(g.scopes()[hi] & g.scopes()[lo])
     for var in candidates:
         pols = [_top_level_polarity(g, c, var) for c in node.children]
         if None not in pols and pols[0] != pols[1]:
@@ -290,16 +302,16 @@ def validate(
     return report
 
 
-def _scope_violation(scopes: list[frozenset[int]], nid: int, node: Node) -> Violation | None:
+def _scope_violation(scopes: list[int], nid: int, node: Node) -> Violation | None:
     """Decomposability of an And node or totality of a binary Or node."""
     if node.kind == KAND:
-        seen: frozenset[int] = frozenset()
+        seen = 0
         for c in node.children:
-            if seen & scopes[c]:
-                return Violation(
-                    "decomposability", nid, message=f"And children share atoms {sorted(seen & scopes[c])}"
-                )
-            seen = seen | scopes[c]
+            mask = scopes[c]
+            if seen & mask:
+                shared = _variables(seen & mask)
+                return Violation("decomposability", nid, message=f"And children share atoms {shared}")
+            seen |= mask
     elif node.kind == KOR and len(node.children) == 2:
         if scopes[node.children[0]] != scopes[node.children[1]]:
             return Violation("totality", nid, message="Or children have unequal atom scopes")
@@ -372,7 +384,7 @@ def weighted_count(g: DdnnfGraph, w: WeightMap) -> Fraction:
     every assignment set each root-scope variable exactly once, so the
     integer result is the weighted count times D to the scope's size.
     """
-    scope = g.scopes()[g.root]
+    scope = _variables(g.scopes()[g.root])
     den = math.lcm(*(value.denominator for value in w.weights.values()))
     scaled = {}
     for var in scope:
@@ -422,7 +434,7 @@ def enumerate_models(g: DdnnfGraph, cap: int | None = None) -> list[Model]:
     """
     _totality_gate(g)
     nodes, num_atom_vars = g.nodes, g.num_atom_vars
-    index = {var: pos for pos, var in enumerate(sorted(g.scopes()[g.root]))}
+    index = {var: pos for pos, var in enumerate(_variables(g.scopes()[g.root]))}
     values = bytearray(len(index))
     models: list[Model] = []
     choices: list[tuple[int, tuple | None]] = [(g.root, None)]
@@ -473,22 +485,18 @@ def condense(g: DdnnfGraph) -> DdnnfGraph:
             remap[nid] = builder.false_id
         elif node.kind == KLIT:
             remap[nid] = None if node.implied else builder.lit(node.lit)
-        elif node.kind == KAND:
-            kept = [remap[c] for c in node.children if remap[c] is not None]
-            remap[nid] = builder.and_node(kept)
         else:
             kept = [remap[c] for c in node.children if remap[c] is not None]
-            if len(kept) == 2:
+            if node.kind == KAND:
+                remap[nid] = builder.and_node(kept)
+            elif len(kept) == 2:
                 remap[nid] = builder.or_node(node.decision, kept[0], kept[1])
             elif len(kept) == 1:  # cannot happen for compiler output
                 remap[nid] = kept[0]
             else:
                 remap[nid] = builder.true_id
     root = remap[g.root]
-    if root is None:
-        root = builder.true_id
-    out = builder.finish(root, g.amap, has_tags=True)
-    return out
+    return builder.finish(builder.true_id if root is None else root, g.amap, has_tags=True)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +515,6 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
         amap = g.amap
     lines = []
     implied_nodes = []
-    edges = 0
     for nid, node in enumerate(g.nodes):
         if node.kind == KTRUE:
             lines.append("A 0")
@@ -519,13 +526,9 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
                 implied_nodes.append(nid)
         elif node.kind == KAND:
             lines.append(f"A {len(node.children)} " + " ".join(map(str, node.children)))
-            edges += len(node.children)
         else:
-            lines.append(
-                f"O {node.decision} {len(node.children)} " + " ".join(map(str, node.children))
-            )
-            edges += len(node.children)
-    header = f"nnf {len(g.nodes)} {edges} {g.num_vars}"
+            lines.append(f"O {node.decision} {len(node.children)} " + " ".join(map(str, node.children)))
+    header = f"nnf {len(g.nodes)} {g.edge_count} {g.num_vars}"
     nnf_text = "\n".join([header] + lines) + "\n"
 
     atom_lines = []

@@ -250,6 +250,41 @@ def test_parse_and_format_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def nested_text(depth: int) -> str:
+    """``(and B0 (or A0 (and B1 (or A1 ... A<depth>))))``: valid input whose
+    formula is nested two levels per step."""
+    decls = "".join(f"(declare-const A{i} Bool)(declare-const B{i} Bool)" for i in range(depth))
+    term = f"A{depth}"
+    for i in reversed(range(depth)):
+        term = f"(and B{i} (or A{i} {term}))"
+    return decls + f"(declare-const A{depth} Bool)(assert {term})"
+
+
+def test_deeply_nested_valid_input_is_counted_or_refused(tmp_path, capsys):
+    """A valid formula too deep to convert is refused with exit code 2,
+    never a RecursionError traceback, wherever the limit falls."""
+    src = tmp_path / "nested.smt2"
+    codes = set()
+    for depth in range(100, 401, 10):
+        src.write_text(nested_text(depth))
+        code = run(["count", str(src)])
+        captured = capsys.readouterr()
+        assert code in (0, 2), depth
+        if code == 0:
+            assert captured.out.strip().isdecimal()
+        else:
+            assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+        codes.add(code)
+    assert codes == {0, 2}
+
+
+def test_oracle_refuses_too_many_atoms(tmp_path, capsys):
+    src = tmp_path / "nested.smt2"
+    src.write_text(nested_text(20))
+    assert run(["oracle", str(src)]) == 2
+    assert capsys.readouterr().err == "error: 41 atoms exceeds the oracle bound 24\n"
+
+
 def test_malformed_command_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.smt2"
     bad.write_text("(())")

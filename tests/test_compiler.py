@@ -861,12 +861,13 @@ def test_compile_structural_postconditions(gap_xy, gap01):
 
 def test_root_scope_covers_all_atoms():
     """Totality: every accepted path assigns every atom, so the root scope
-    is the full atom set whenever the formula is satisfiable."""
+    is the full atom set whenever the formula is satisfiable.  A scope is a
+    bitmask with bit v set for atom variable v."""
     for seed in range(15):
         f = st.random_formula(seed + 900, max_atoms=6, max_clauses=8)
         g, db, _ = pipeline(f)
         if st.count(g) > 0:
-            assert g.scopes()[g.root] == frozenset(range(1, db.num_atom_vars + 1))
+            assert g.scopes()[g.root] == sum(1 << v for v in range(1, db.num_atom_vars + 1))
 
 
 @settings(max_examples=20)

@@ -1,5 +1,7 @@
 import itertools
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,21 @@ def test_totality_gate_runs_once_per_graph(name, query, gap_xy, monkeypatch):
     for _ in range(2):
         assert query(g) == first
     assert len(calls) == len(g.nodes)
+
+
+def test_count_keeps_little_scope_data_alive():
+    """The gate's cached scopes are bitmasks; one frozenset per node kept
+    tens of MB alive here."""
+    db, amap = bool_chain(800)
+    g = st.compile(db, amap, st.CompileConfig())
+    tracemalloc.start()
+    try:
+        st.count(g)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g._scopes is not None
+    assert kept < 1_000_000
 
 
 @pytest.mark.parametrize("name, query", QUERIES)
@@ -337,6 +354,73 @@ def test_validate_or_inference_without_decision():
     atoms = "1 bool a\n"
     g, _ = st.import_nnf(nnf, atoms)
     assert st.validate(g).ok
+
+
+def random_graph(rng):
+    """A GraphBuilder graph over atom variables 1-4 and auxiliaries 5-6,
+    with And children that may share atoms (or be the same node), Or
+    children whose scopes may differ and Or nodes with no decision."""
+    b = GraphBuilder(6, 4)
+    pool = [b.lit(v if rng.random() < 0.5 else -v) for v in range(1, 7)]
+    pool += [b.true_id, b.false_id]
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.5:
+            pool.append(b.and_node(rng.choices(pool, k=rng.randint(2, 3))))
+        else:
+            var = rng.randint(1, 6)
+            hi = b.and_node([b.lit(var), rng.choice(pool)])
+            lo = b.and_node([b.lit(-var), rng.choice(pool)])
+            pool.append(b.or_node(rng.choice([0, var]), hi, lo))
+    return b.finish(pool[-1], None, False)
+
+
+def reference_violations(g):
+    """validate's structural report, recomputed on frozenset scopes."""
+    scopes = []
+    for node in g.nodes:
+        if node.kind == KLIT and abs(node.lit) <= g.num_atom_vars:
+            scopes.append(frozenset([abs(node.lit)]))
+        else:
+            scopes.append(frozenset().union(*(scopes[c] for c in node.children)))
+    out = []
+    for nid, node in enumerate(g.nodes):
+        if node.kind == KOR:
+            hi, lo = node.children
+            candidates = [node.decision] if node.decision else sorted(scopes[hi] & scopes[lo])
+            pols = [[ddnnf._top_level_polarity(g, c, var) for c in (hi, lo)] for var in candidates]
+            if not any(None not in p and p[0] != p[1] for p in pols):
+                out.append(("determinism", nid, None))
+            if scopes[hi] != scopes[lo]:
+                out.append(("totality", nid, None))
+        elif node.kind == KAND:
+            seen = frozenset()
+            for c in node.children:
+                if seen & scopes[c]:
+                    out.append(("decomposability", nid, f"And children share atoms {sorted(seen & scopes[c])}"))
+                    break
+                seen |= scopes[c]
+    return out, scopes[g.root]
+
+
+def test_mask_scopes_match_a_frozenset_reference():
+    kinds = set()
+    for seed in range(400):
+        g = random_graph(random.Random(seed))
+        expected, root_scope = reference_violations(g)
+        got = [
+            (v.kind, v.node, v.message if v.kind == "decomposability" else None)
+            for v in st.validate(g).violations
+        ]
+        assert got == expected, seed
+        kinds.update(kind for kind, _, _ in expected)
+        if any(kind in ("totality", "decomposability") for kind, _, _ in expected):
+            with pytest.raises(st.NotTotalError):
+                st.count(g)
+        else:
+            models = st.enumerate_models(g)
+            assert st.count(g) == len(models)
+            assert all(list(m) == sorted(root_scope) for m in models)
+    assert kinds == {"determinism", "totality", "decomposability"}
 
 
 def _models_from(g, node_id):
