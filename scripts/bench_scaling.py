@@ -21,11 +21,12 @@ without compiling.
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
 same budget; the median repeat is reported with the graph's decisions,
-theory checks, skipped propagation candidates and edges.  Results go to a
-JSON file together with the git SHA of the checkout that holds the imported
+theory checks, the most rows one check started from (``theory_rows_max``),
+skipped propagation candidates and edges.  Results go to a JSON file
+together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 16 20 24 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -157,6 +158,7 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
         compile_s_runs=runs,
         decisions=stats.decisions,
         theory_checks=stats.theory_checks,
+        theory_rows_max=stats.theory_rows_max,
         theory_skips=stats.theory_skips,
         edges=stats.edges,
     )
@@ -166,7 +168,7 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
-    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 16, 20, 24])
+    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
     ap.add_argument("--out", default="BENCH_scaling.json")
@@ -213,7 +215,8 @@ def main() -> None:
         else:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
-                f"  theory checks {row['theory_checks']}  skips {row['theory_skips']}  edges {row['edges']}"
+                f"  theory checks {row['theory_checks']} (at most {row['theory_rows_max']} rows)"
+                f"  skips {row['theory_skips']}  edges {row['edges']}"
             )
 
 

@@ -18,7 +18,11 @@ under different entangling decisions.  That context is the trail's
 inequalities projected by Fourier-Motzkin onto the reals of the component's
 own atoms and of the trail's disequalities, in canonical form, followed by
 those disequalities: two trails with equal contexts admit the same
-assignments to those atoms.  Splitting, decisions and theory-candidate
+assignments to those atoms.  The context is projected with the cache off
+too, because the theory solver checks on it: a component pushes it when it
+is opened, so every check in its subtree reads the projection plus the
+literals asserted since, and a sub-component's context is projected from
+its parent's plus those literals.  Splitting, decisions and theory-candidate
 collection read the clauses through a per-variable occurrence index built
 once per compile (``ClauseIndex``).  Splits are stamped flood fills.  The
 root split fills the whole scope; every later split starts from the
@@ -78,6 +82,7 @@ class CompileStats:
     theory_checks: int = 0  # Fourier-Motzkin feasibility checks (witness hits excluded)
     theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
     theory_skips: int = 0  # propagation candidates skipped for a real the trail leaves free
+    theory_rows_max: int = 0  # the most inequality rows one Fourier-Motzkin check started from
     conflicts: int = 0
     learned: int = 0
     components: int = 0
@@ -106,14 +111,15 @@ class Component:
     component's real-variable scope, closed under trail entanglement, in
     ``lra.literal_key`` order.
     ``polyhedron`` is what those literals say about the reals of the
-    component's own atoms (``lra.project_trail``), or None when the cache is
-    off; it is ``()`` when there are no such literals.
+    component's own atoms (``lra.project_trail``): the theory context the
+    cache keys on and the search checks on, ``lra.NO_PROJECTION`` when there
+    are no such literals.
     """
 
     scope: tuple[int, ...]
     ids: tuple[int, ...]
     projected: tuple[int, ...]
-    polyhedron: tuple | None
+    polyhedron: lra.Projection | None
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +320,10 @@ def split_components(
     per entry cut and one slicing copy of the parent.  With
     components disabled, nothing is filled and the rest of the parent is
     the one component.
+
+    Each part's ``polyhedron`` is projected from the parent's, which stands
+    for the parent's ``projected`` literals, plus the part's other trail
+    literals; at the root, from the part's trail literals.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
@@ -417,13 +427,13 @@ def split_components(
         ids.sort()
         fills.append((nodes, ids))
 
+    context = parent.polyhedron if parent is not None else None
+
     def component(variables, ids, lits) -> Component:
-        polyhedron = ()
+        polyhedron = lra.NO_PROJECTION
         if lits:  # never without a theory: its trail is empty
-            polyhedron = None  # without the cache nothing reads it
-            if cfg.cache:
-                own = frozenset().union(*(reals[v] for v in variables if v in reals))
-                polyhedron = lra.project_trail(amap, lits, own)
+            own = frozenset().union(*(reals[v] for v in variables if v in reals))
+            polyhedron = lra.project_trail(amap, lits, own, context)
         return Component(variables, tuple(ids), tuple(sorted(lits, key=lra.literal_key)), polyhedron)
 
     def fill_component(nodes, ids, lits=None) -> Component:
@@ -474,12 +484,13 @@ def cache_key(component: Component) -> tuple:
     context.
 
     The ids ascend, and with the scope they fix each clause's live view.
-    The context is ``component.polyhedron``: the canonical projection of the
-    trail's inequalities onto the reals of the component's atoms and of the
-    trail's disequalities, followed by those disequalities.  The scope fixes
-    the component's reals, so equal keys admit the same assignments.
+    The context is the key of ``component.polyhedron``: the canonical
+    projection of the trail's inequalities onto the reals of the
+    component's atoms and of the trail's disequalities, followed by those
+    disequalities.  The scope fixes the component's reals, so equal keys
+    admit the same assignments.
     """
-    return (component.ids, component.scope, component.polyhedron)
+    return (component.ids, component.scope, component.polyhedron.key)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +635,13 @@ class _Search:
             self.stats.cache_misses += 1
         lit = decide(comp, self.index)
         self.stats.decisions += 1
+        if self.theory_on:
+            self.theory.push_context(comp.polyhedron)
         hi = yield self._branch((lit,), comp)
         lo = yield self._branch((-lit,), comp)
         node = self.builder.or_node(abs(lit), hi, lo)
+        if self.theory_on:
+            self.theory.pop_context()
         if self.cfg.cache:
             self.cache[key] = node
         return node
@@ -715,6 +730,7 @@ def compile(db: ClauseDb, amap: AtomTable, cfg: CompileConfig | None = None) -> 
         stats.theory_checks = search.theory.checks
         stats.theory_witness_hits = search.theory.witness_hits
         stats.theory_skips = search.theory.skips
+        stats.theory_rows_max = search.theory.rows_max
     stats.nodes = len(graph)
     stats.edges = graph.edge_count
     stats.wall_ms = (time.perf_counter() - start) * 1000.0

@@ -22,8 +22,15 @@ P and t < 0 and P and t > 0 (sound by convexity: a convex set not contained
 in any of finitely many hyperplanes contains a point avoiding all of them).
 The same elimination step projects the inequalities of a conjunction onto
 some of its variables; with the conjunction's disequalities kept as
-literals, that is the theory context the compiler's component cache keys on
-(``project_trail``).
+literals, that is the theory context of a component (``project_trail``).
+The compiler's cache keys on it, and the search checks on it: each
+projected row keeps its combination vector over the rows it was derived
+from, and the projection keeps the elimination stages.  A check on a
+context (``check_feasible``'s ``context``) then certifies an infeasibility
+with the rows of the projected literals, and ``TheoryState`` extends its
+witness to the eliminated reals by back-substitution through the stages.
+A sub-component's context is projected from its parent's plus the literals
+asserted since, so no check or projection reads the whole trail.
 
 Every answer carries evidence.  SAT results return a rational witness that
 satisfies each asserted literal exactly; UNSAT results return positive
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Callable, Iterable, Sequence
 
@@ -129,6 +136,7 @@ class FeasibilityResult:
     sat: bool
     witness: Point | None = None
     certificate: Certificate | None = None
+    rows: int = 0  # the inequality rows the elimination started from
 
     @property
     def core(self) -> frozenset[int]:
@@ -149,10 +157,12 @@ def _contradictory(const: int, strict: bool) -> bool:
     return const > 0 or (strict and const == 0)
 
 
-# A row ``(coeffs, const, strict, source)`` reads sum(coeffs[v] * v) + const
-# < 0 if strict, else <= 0, over the integers, and is cited for the literal
-# ``source``.
-_Row = tuple[dict[int, int], int, bool, int]
+# A row ``(coeffs, const, strict, comb)`` reads sum(coeffs[v] * v) + const
+# < 0 if strict, else <= 0, over the integers, and is the combination
+# sum(comb[key] * row named by key) of literal rows: key 2 * lit + k names
+# the k-th row of the literal lit.  A literal's own row is the
+# combination {2 * lit + k: 1}.
+_Row = tuple[dict[int, int], int, bool, dict[int, int]]
 
 
 def _literal_rows(table, lit: int) -> tuple[bool, tuple[_Row, ...]]:
@@ -167,14 +177,19 @@ def _literal_rows(table, lit: int) -> tuple[bool, tuple[_Row, ...]]:
     if entry is None:
         atom = _linear_atom(table, lit)
         t = atom.term
-        below = (dict(t.coeffs), t.const, lit < 0, lit)
-        above = ({v: -c for v, c in t.coeffs}, -t.const, lit < 0, lit)
+        below = (dict(t.coeffs), t.const, lit < 0, {2 * lit: 1})
+        above = ({v: -c for v, c in t.coeffs}, -t.const, lit < 0, {2 * lit + (atom.kind != LEQ): 1})
         if atom.kind == LEQ:
             entry = False, (below,) if lit > 0 else (above,)
         else:
             entry = lit < 0, (below, above)
         table.theory_rows[lit] = entry
     return entry
+
+
+def _source(row: _Row) -> int:
+    """The literal of a literal row (of any row, one literal it combines)."""
+    return next(iter(row[3])) >> 1
 
 
 def _linear_atom(table, lit: int) -> Atom:
@@ -232,42 +247,54 @@ def _eliminate(live: list, var: int):
     return uppers, lowers, rest, None
 
 
-def _fourier_motzkin(rows: Sequence[_Row]):
-    """Decide a pure inequality system.
+def _fourier_motzkin(live: list):
+    """Decide a pure inequality system of rows (``_Row``).
 
     Rows are eliminated over Python ints: each derived row is kept with its
-    combination vector (``row == sum(comb[i] * rows[i])``) and both are divided
-    by the gcd of all their entries.  Returns ("unsat", comb) with comb mapping
-    row index -> positive integer multiplier, or ("sat", witness) with a full
-    ``Point`` found by back-substitution.
+    combination vector over literal rows (``_Row``) and both are divided by
+    the gcd of all their entries.  Returns ("unsat", comb) with comb mapping
+    each cited literal row's key to a positive integer multiplier, or
+    ("sat", witness) with a ``Point`` over every variable of the rows, found
+    by back-substitution.
     """
-    # live rows: (coeffs dict, const, strict, comb dict), all integers
-    live = [(coeffs, const, strict, {i: 1}) for i, (coeffs, const, strict, _) in enumerate(rows)]
-    variables = sorted({v for row in rows for v in row[0]})
+    variables = sorted({v for row in live for v in row[0]})
     stages = []
     for var in variables:
         uppers, lowers, live, bad = _eliminate(live, var)
         if bad is not None:
             return "unsat", bad
-        stages.append((var, uppers, lowers))
+        stages.append((var, uppers + lowers))
 
     for coeffs, const, strict, comb in live:
         # everything left is constant
         if _contradictory(const, strict):
             return "unsat", comb
+    return "sat", Point(*_back_substitute(stages, {}, 1))
 
-    # back-substitution over ints: the point is nums / den, and a bound
-    # (p, q, strict) is p / q with q > 0, compared by cross-multiplying
-    nums: dict[int, int] = {}
-    den = 1
-    for var, uppers, lowers in reversed(stages):
+
+def _back_substitute(stages, nums: dict[int, int], den: int, moved: set[int] | None = None):
+    """Values for the eliminated variables of ``stages`` (``(var, rows)`` in
+    elimination order), the last eliminated first, at the point nums / den.
+
+    Each variable takes a value within the bounds its stage's rows set at
+    the values fixed so far, which a feasible elimination guarantees to
+    exist.  With ``moved``, the set of variables whose values differ from a
+    point that satisfied every stage row, a stage whose rows mention no
+    moved variable is skipped, a variable still within its bounds keeps its
+    value, and one given a new value joins ``moved``.  Works over ints: a
+    bound (p, q, strict) is p / q with q > 0, compared by cross-multiplying.
+    Returns the new (nums, den), updating nums in place.
+    """
+    for var, rows in reversed(stages):
+        if moved is not None and all(moved.isdisjoint(row[0]) for row in rows):
+            continue
         lo = hi = None
-        for coeffs, const, strict, _ in uppers + lowers:
+        for coeffs, const, strict, _ in rows:
             c = coeffs[var]
             rest = const * den  # den * (the row's value at the point, var left out)
             for v, cv in coeffs.items():
                 if v != var:
-                    rest += cv * nums[v]
+                    rest += cv * nums.get(v, 0)
             if c > 0:  # x <= -rest / (c * den)
                 p, q = -rest, c * den
                 if hi is None or p * hi[1] < hi[0] * q or (p * hi[1] == hi[0] * q and strict):
@@ -276,6 +303,13 @@ def _fourier_motzkin(rows: Sequence[_Row]):
                 p, q = rest, -c * den
                 if lo is None or p * lo[1] > lo[0] * q or (p * lo[1] == lo[0] * q and strict):
                     lo = (p, q, strict)
+        if moved is not None:
+            x = nums.get(var, 0)
+            if (hi is None or x * hi[1] < hi[0] * den or (x * hi[1] == hi[0] * den and not hi[2])) and (
+                lo is None or x * lo[1] > lo[0] * den or (x * lo[1] == lo[0] * den and not lo[2])
+            ):
+                continue
+            moved.add(var)
         if lo is None and hi is None:
             p, q = 0, 1
         elif lo is None:
@@ -295,14 +329,17 @@ def _fourier_motzkin(rows: Sequence[_Row]):
                 nums[v] *= scale
             den *= scale
         nums[var] = p * (den // q)
-    return "sat", Point(nums, den)
+    return nums, den
 
 
-def _certificate_from(rows: Sequence[_Row], comb: Mapping[int, int]) -> Certificate:
+def _certificate_from(table, comb: Mapping[int, int]) -> Certificate:
+    """The certificate citing the literal rows of ``comb``, in the
+    ``literal_key`` order of their literals."""
     entries = []
-    for i, m in sorted(comb.items()):
+    for key, m in sorted(comb.items(), key=lambda item: (literal_key(item[0] >> 1), item[0] & 1)):
         if m > 0:
-            coeffs, const, strict, source = rows[i]
+            source = key >> 1
+            coeffs, const, strict, _ = _literal_rows(table, source)[1][key & 1]
             entries.append(FarkasEntry(m, LinTerm(tuple(coeffs.items()), const), strict, source))
     return Certificate(entries=tuple(entries))
 
@@ -335,7 +372,8 @@ def _verify_plain(table, lits, cert: Certificate, diseq: int | None) -> bool:
         if e.source != diseq and e.source not in lits:
             return False
         _, allowed = _literal_rows(table, e.source)
-        if (dict(e.term.coeffs), e.term.const, e.strict, e.source) not in allowed:
+        cited = (dict(e.term.coeffs), e.term.const, e.strict)
+        if not any(row[:3] == cited for row in allowed):
             return False
         for v, c in e.term.coeffs:
             coeffs[v] = coeffs.get(v, 0) + e.mult * c
@@ -360,8 +398,8 @@ def witness_satisfies(table, literals: Iterable[int], witness: Point) -> bool:
 
 
 def _split_literals(table, literals: Sequence[int]):
-    """Inequality rows of the literals, and the (below, above) strict side
-    rows of each disequality."""
+    """Rows of the inequality literals, and the (below, above) strict side
+    rows of each disequality, each a literal row (``_Row``)."""
     rows: list[_Row] = []
     diseqs: list[tuple[_Row, _Row]] = []
     for lit in literals:
@@ -385,7 +423,7 @@ def _avoid_hyperplanes(
     hyperplane; by convexity the segment stays feasible, and all previously
     fixed disequalities admit at most one bad step size each.
     """
-    lits = [below[3] for below, _ in diseqs]
+    lits = [_source(below) for below, _ in diseqs]
     for j, lit in enumerate(lits):
         if literal_holds(table, lit, point):
             continue
@@ -406,41 +444,52 @@ def _avoid_hyperplanes(
     return point
 
 
-def check_feasible(table, literals: Iterable[int]) -> FeasibilityResult:
-    """Exact feasibility of a conjunction of linear literals, with evidence."""
+def check_feasible(table, literals: Iterable[int], context: Projection | None = None) -> FeasibilityResult:
+    """Exact feasibility of a conjunction of linear literals, with evidence.
+
+    With a ``context`` (a ``project_trail`` result), the literals are checked
+    together with the context's rows.  The context's rows enter the
+    elimination with their combination vectors, so a certificate cites the
+    rows of the literals the context was projected from, and is audited
+    against them and ``literals``; the witness satisfies ``literals`` and
+    the context's rows.
+    """
     lits = sorted(set(literals), key=literal_key)
     rows, diseqs = _split_literals(table, lits)
+    if context is not None:
+        rows = [*context.rows, *rows]
+
+    def refuted(cert: Certificate) -> FeasibilityResult:
+        result = FeasibilityResult(False, certificate=cert, rows=len(rows))
+        _audit(table, lits if context is None else context.sources.union(lits), result)
+        return result
+
     status, payload = _fourier_motzkin(rows)
     if status == "unsat":
-        result = FeasibilityResult(False, certificate=_certificate_from(rows, payload))
-        _audit(table, lits, result)
-        return result
+        return refuted(_certificate_from(table, payload))
 
     witness: Point = payload
     side_points: list[Point] = []
     for below, above in diseqs:
-        aug_lo = rows + [below]
-        lo_status, lo_payload = _fourier_motzkin(aug_lo)
+        lo_status, lo_payload = _fourier_motzkin(rows + [below])
         if lo_status == "sat":
             side_points.append(lo_payload)
             continue
-        aug_hi = rows + [above]
-        hi_status, hi_payload = _fourier_motzkin(aug_hi)
+        hi_status, hi_payload = _fourier_motzkin(rows + [above])
         if hi_status == "sat":
             side_points.append(hi_payload)
             continue
-        cert = Certificate(
-            diseq=below[3],
-            below=_certificate_from(aug_lo, lo_payload),
-            above=_certificate_from(aug_hi, hi_payload),
+        return refuted(
+            Certificate(
+                diseq=_source(below),
+                below=_certificate_from(table, lo_payload),
+                above=_certificate_from(table, hi_payload),
+            )
         )
-        result = FeasibilityResult(False, certificate=cert)
-        _audit(table, lits, result)
-        return result
 
     if diseqs:
         witness = _avoid_hyperplanes(table, witness, diseqs, side_points)
-    result = FeasibilityResult(True, witness=witness)
+    result = FeasibilityResult(True, witness=witness, rows=len(rows))
     _audit(table, lits, result)
     return result
 
@@ -458,36 +507,83 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 # projection
 
 
-def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tuple | None:
-    """Canonical form of what ``literals`` say about the real variables in
-    ``keep``: the projected rows of their inequalities, then the signed ids
-    of their disequalities in ``literal_key`` order; None if the
-    elimination finds the inequalities infeasible.  The compiler passes
-    only feasible literals.
+@dataclass(frozen=True)
+class Projection:
+    """What a set of trail literals says about some reals (``project_trail``).
+
+    ``key`` is the canonical form that the component cache compares, and
+    the only field equality and hashing read.  ``rows`` are the projected
+    inequality rows ``(coeffs, const, strict, comb)``, one per direction of
+    ``key``, each with its combination vector over the rows of the literals
+    it was projected from (``_Row``).  ``stages`` are the Fourier-Motzkin
+    stages ``(var, rows)`` that eliminated the other reals of those
+    literals, in elimination order, for back-substitution.  ``sources`` are
+    the literals projected.
+    """
+
+    key: tuple
+    rows: tuple = field(default=(), compare=False)
+    stages: tuple = field(default=(), compare=False)
+    sources: frozenset[int] = field(default=frozenset(), compare=False)
+
+    @property
+    def diseqs(self) -> tuple[int, ...]:
+        """The disequalities kept as literals: the key's tail."""
+        return self.key[len(self.rows) :]
+
+
+NO_PROJECTION = Projection(())  # of no literals: what the root of a search starts from
+
+
+def project_trail(
+    table, literals: Sequence[int], keep: AbstractSet[int], context: Projection | None = None
+) -> Projection | None:
+    """The projection of ``literals`` onto the real variables in ``keep``;
+    None if the elimination finds their inequalities infeasible.  The
+    compiler passes only feasible literals.
 
     A disequality is not convex, so it stays as its literal, and the
     inequality rows are projected onto ``keep`` plus the reals of the
     disequalities.  The other variables are eliminated by Fourier-Motzkin in
-    ascending id order; none is eliminated if all are kept.  Each remaining
-    row is ``(coeffs, const, strict)`` for ``sum(c * x) + const < 0`` (``<=``
-    if not strict) with primitive integer entries.  Of parallel rows only the
-    tightest is kept, and the rows are sorted.  The eliminated variables
-    occur in no disequality, so for any literal set L over ``keep``,
-    ``literals`` plus L is feasible iff the projected rows, the
-    disequalities and L are; equal results thus make ``literals`` plus L
-    equally feasible.  Redundant rows are kept, so equal projections may
-    still give different results.
+    ascending id order; none is eliminated if all are kept.  The key holds
+    each remaining row as ``(coeffs, const, strict)`` for
+    ``sum(c * x) + const < 0`` (``<=`` if not strict) with primitive integer
+    entries, then the signed ids of the disequalities in ``literal_key``
+    order.  Of parallel rows only the tightest is kept, and the rows are
+    sorted.  The eliminated variables occur in no disequality, so for any
+    literal set L over ``keep``, ``literals`` plus L is feasible iff the
+    projected rows, the disequalities and L are; equal keys thus make
+    ``literals`` plus L equally feasible.  Redundant rows are kept, so equal
+    projections may still have different keys.
+
+    ``context``, a projection of some of ``literals`` (its ``sources``)
+    onto reals that include the reals of the others, stands for them: its
+    rows that combine some of ``literals`` are projected with the rows of
+    the other literals, and its stages that do are kept ahead of the new
+    ones.  A row or a stage combines the literals of one entangled block,
+    which the compiler keeps or drops whole.  Projecting in two steps is
+    exact, since the first step keeps every real the second one reads.
     """
-    rows, diseqs = _split_literals(table, literals)
-    keep = set(keep).union(*(below[0] for below, _ in diseqs))
-    live = [(coeffs, const, strict, {}) for coeffs, const, strict, _ in rows]
-    for var in sorted({v for row in rows for v in row[0]} - keep):
-        _, _, live, bad = _eliminate(live, var)
+    sources = frozenset(literals)
+    covered = context.sources if context is not None else frozenset()
+    live, diseq_rows = _split_literals(table, [lit for lit in literals if lit not in covered])
+    diseqs = [_source(below) for below, _ in diseq_rows]
+    stages = []
+    if context is not None:
+        live = [row for row in context.rows if _source(row) in sources] + live
+        diseqs += [lit for lit in context.diseqs if lit in sources]
+        stages = [stage for stage in context.stages if _source(stage[1][0]) in sources]
+    keep = set(keep).union(*(table.atom(abs(lit)).term.real_vars for lit in diseqs))
+    for var in sorted({v for row in live for v in row[0]} - keep):
+        uppers, lowers, live, bad = _eliminate(live, var)
         if bad is not None:  # infeasible literals: there is nothing to project
             return None
-    # primitive direction -> (num, den, strict): the row direction + num/den REL 0
-    tightest: dict[tuple[tuple[int, int], ...], tuple[int, int, bool]] = {}
-    for coeffs, const, strict, _ in live:
+        if uppers or lowers:
+            stages.append((var, uppers + lowers))
+    # primitive direction -> (num, den, strict, row): the row direction + num/den REL 0
+    tightest: dict[tuple[tuple[int, int], ...], tuple[int, int, bool, tuple]] = {}
+    for row in live:
+        coeffs, const, strict, _ = row
         if not coeffs:
             continue  # a constant row of feasible literals holds
         g = math.gcd(*coeffs.values())
@@ -497,12 +593,17 @@ def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tup
         old = tightest.get(direction)
         # a larger constant, then strictness, is tighter
         if old is None or (num * old[1], strict) > (old[0] * den, old[2]):
-            tightest[direction] = (num, den, strict)
+            tightest[direction] = (num, den, strict, row)
     projected = sorted(
-        (tuple((v, c * den) for v, c in direction), num, strict)
-        for direction, (num, den, strict) in tightest.items()
+        ((tuple((v, c * den) for v, c in direction), num, strict), row)
+        for direction, (num, den, strict, row) in tightest.items()
     )
-    return (*projected, *sorted((below[3] for below, _ in diseqs), key=literal_key))
+    return Projection(
+        key=(*(key_row for key_row, _ in projected), *sorted(diseqs, key=literal_key)),
+        rows=tuple(row for _, row in projected),
+        stages=tuple(stages),
+        sources=sources,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +611,8 @@ def project_trail(table, literals: Iterable[int], keep: AbstractSet[int]) -> tup
 
 
 class TheoryState:
-    """Assertion trail of theory literals, popped back to a recorded size.
+    """Assertion trail of theory literals, popped back to a recorded size,
+    checked on a stack of theory contexts.
 
     Single-owner: one search uses one state.  Next to each trail entry sits an
     audited point satisfying every literal up to and including that entry,
@@ -518,9 +620,19 @@ class TheoryState:
     first at the top point: a literal that holds there extends the trail with
     the same point, and a literal whose negation holds there is not entailed.
     Only the other queries run Fourier-Motzkin, each through ``_check``,
-    which counts them.
-    Points are never mutated (entries share them), so popping the trail pops
-    the points and push/pop stays exact.
+    which counts them and the rows each one starts from.
+
+    A query checks the innermost context (``push_context``), a projection
+    of the trail as it was pushed, with the literals asserted since; the
+    root context projects nothing, so there it is the whole trail.  The
+    compiler pushes a component's projection onto the reals of its atoms,
+    where every later literal lives, so the answer is the trail's.  A
+    refutation cites trail literals (``check_feasible``).  A witness is
+    extended to the whole trail: the top point keeps the reals the context
+    does not read, and the context's stages move the eliminated reals the
+    witness put out of bounds; the extended point is audited against the
+    trail and the literal.  Points are never mutated (entries share them),
+    so popping the trail pops the points and push/pop stays exact.
     """
 
     def __init__(self, table) -> None:
@@ -528,7 +640,9 @@ class TheoryState:
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
+        self._contexts: list[tuple[Projection, int]] = [(NO_PROJECTION, 0)]  # (context, trail size at its push)
         self.checks = 0
+        self.rows_max = 0  # the most rows one check started from
         self.witness_hits = 0
         self.skips = 0  # propagation candidates skipped for a real the trail leaves free
 
@@ -542,9 +656,42 @@ class TheoryState:
         """The real variables some trail literal mentions."""
         return self._reals[-1]
 
-    def _check(self, lits: frozenset[int]) -> FeasibilityResult:
+    def push_context(self, context: Projection) -> None:
+        """Check queries on ``context``, a projection of the trail as it is
+        now onto reals that every literal asserted or queried until the
+        matching ``pop_context`` lives on."""
+        self._contexts.append((context, len(self.trail)))
+
+    def pop_context(self) -> None:
+        self._contexts.pop()
+
+    def _check(self, lits: frozenset[int], context: Projection | None = None) -> FeasibilityResult:
         self.checks += 1
-        return check_feasible(self.table, lits)
+        result = check_feasible(self.table, lits, context=context)
+        self.rows_max = max(self.rows_max, result.rows)
+        return result
+
+    def _query(self, lit: int) -> FeasibilityResult:
+        """Feasibility of the trail plus ``lit``, checked on the innermost
+        context; a witness comes back extended to the whole trail."""
+        context, mark = self._contexts[-1]
+        lits = frozenset(self.trail[mark:]).union(context.diseqs, (lit,))
+        result = self._check(lits, context)
+        if not result.sat or not mark:  # a context pushed at an empty trail projects nothing
+            return result
+        top, local = self.point, result.witness
+        den = math.lcm(top.den, local.den)
+        nums = {v: n * (den // top.den) for v, n in top.nums.items()}
+        moved = set()
+        for v in local.nums.keys() | {r for l in lits for r in self.table.atom(abs(l)).term.real_vars}:
+            n = local.nums.get(v, 0) * (den // local.den)
+            if nums.get(v, 0) != n:
+                nums[v] = n
+                moved.add(v)
+        point = Point(*_back_substitute(context.stages, nums, den, moved))
+        if not witness_satisfies(self.table, (*self.trail, lit), point):
+            raise AssertionError(f"extended witness audit failed for {lit} on {self.trail}")
+        return FeasibilityResult(True, witness=point, rows=result.rows)
 
     def _holds_at_top(self, lit: int) -> bool:
         """Whether ``lit`` holds at the top point, which then witnesses the
@@ -558,7 +705,7 @@ class TheoryState:
         if self._holds_at_top(lit):
             point = self.point
         else:
-            result = self._check(frozenset(self.trail) | {lit})
+            result = self._query(lit)
             if not result.sat:
                 core = result.core
                 if lit not in core:  # certificates of a newly infeasible system use lit
@@ -579,7 +726,7 @@ class TheoryState:
     def entails(self, lit: int) -> bool:
         if self._holds_at_top(-lit):
             return False
-        return not self._check(frozenset(self.trail) | {-lit}).sat
+        return not self._query(-lit).sat
 
 
 def minimize_core(

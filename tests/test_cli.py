@@ -118,6 +118,7 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "theory_checks",
         "theory_witness_hits",
         "theory_skips",
+        "theory_rows_max",
         "conflicts",
         "learned",
         "components",

@@ -219,7 +219,7 @@ def test_split_independent_and_entangled():
     assert comps[0].projected == (xy,)
     # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
     x, y = sorted(amap.real_vars_of(abs(xy)))
-    assert comps[0].polyhedron == ((((x, 1), (y, 1)), -5, True),)
+    assert comps[0].polyhedron.key == ((((x, 1), (y, 1)), -5, True),)
 
 
 def test_split_propositional():
@@ -295,12 +295,10 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
 
     def component(views, variables, reals):
         lits = [lit for lit in trail if amap.atom(abs(lit)).term.real_vars & reals]
-        polyhedron = ()
+        polyhedron = st.lra.NO_PROJECTION
         if lits:
-            polyhedron = None
-            if cfg.cache:
-                own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
-                polyhedron = st.lra.project_trail(amap, lits, own)
+            own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+            polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(
             tuple(variables),
             tuple(ci for ci, _ in views),
@@ -519,19 +517,19 @@ def test_cache_key_on_projection_with_disequalities():
     assignment = {abs(ne): ne > 0, abs(xy): xy > 0}
     (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
     assert (xy, ne) == (-5, -6) and comp.projected == (xy, ne)  # by atom
-    assert comp.polyhedron == (*st.lra.project_trail(amap, [xy], {x, y}), ne)
-    assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron)
+    assert comp.polyhedron.key == (*st.lra.project_trail(amap, [xy], {x, y}).key, ne)
+    assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron.key)
 
     # the equality x = y instead: the same clauses, a convex context
     assignment[abs(ne)] = ne < 0
     (convex,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig())
     assert convex.ids == comp.ids and convex.scope == comp.scope
-    assert all(isinstance(row, tuple) for row in convex.polyhedron)
+    assert all(isinstance(row, tuple) for row in convex.polyhedron.key)
     assert cache_key(convex) != cache_key(comp)
 
-    # nothing is projected without the cache
+    # the context is projected without the cache too: the search checks on it
     (off,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig(cache=False))
-    assert off.polyhedron is None
+    assert off.polyhedron.key == convex.polyhedron.key
 
 
 def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch):
@@ -574,7 +572,7 @@ def test_disequality_context_counts_and_stays_sound(monkeypatch):
     contexts = []
 
     def recording(comp):
-        contexts.append(comp.polyhedron)
+        contexts.append(comp.polyhedron.key)
         return cache_key(comp)
 
     monkeypatch.setattr(st.compiler, "cache_key", recording)
@@ -613,6 +611,48 @@ def test_real_chain_decides_linearly():
         g, _, _ = pipeline(st.parse_smt2(_real_chain(n)))
         assert g.stats.decisions <= 3 * n, n
         assert st.count(g) == _fibonacci(2 * n), n
+
+
+def test_every_context_query_answers_as_the_whole_trail(monkeypatch):
+    """Each theory query runs on the innermost component's projection plus
+    the literals asserted since it was pushed.  Its answer equals a
+    whole-trail check, its witness is a point for the whole trail and the
+    literal, and its certificate cites trail literals only and passes the
+    audit over them."""
+    query = st.lra.TheoryState._query
+    seen = {"sat": 0, "unsat": 0, "extended": 0, "composed": 0}
+
+    def compared(self, lit):
+        result = query(self, lit)
+        lits = [*self.trail, lit]
+        assert result.sat == st.check_feasible(self.table, lits).sat, lits
+        context, mark = self._contexts[-1]
+        if result.sat:
+            assert st.lra.witness_satisfies(self.table, lits, result.witness), lits
+            seen["extended"] += bool(context.stages)
+        else:
+            assert st.verify_certificate(self.table, lits, result.certificate), lits
+            seen["composed"] += bool(context.rows)
+        seen["sat" if result.sat else "unsat"] += 1
+        return result
+
+    monkeypatch.setattr(st.lra.TheoryState, "_query", compared)
+    configs = ({}, {"cache": False}, {"components": False})
+    for seed in range(200):
+        f = st.random_formula(seed)
+        for cfg in configs:
+            pipeline(f, **cfg)
+    for n in range(6, 25):
+        pipeline(st.parse_smt2(_real_chain(n)))
+    assert min(seen.values()) > 50, seen
+
+
+def test_real_chain_checks_stay_small():
+    """At n = 48 every check runs on a handful of rows: the whole trail
+    would give it about 94."""
+    g, _, _ = pipeline(st.parse_smt2(_real_chain(48)))
+    assert 0 < g.stats.theory_rows_max <= 8, g.stats.theory_rows_max
+    assert st.count(g) == _fibonacci(96)
 
 
 def _trace(graph):

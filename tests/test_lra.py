@@ -348,7 +348,7 @@ def test_project_trail_eliminates_to_the_same_key(env):
     chain = [cmp("<=", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]  # x <= y <= z
     direct = [cmp("<=", {"x": 1, "z": -1})]  # x <= z
     assert project_trail(table, chain, {x, z}) == project_trail(table, direct, {x, z})
-    assert project_trail(table, direct, {x, z}) == ((((x, 1), (z, -1)), 0, False),)
+    assert project_trail(table, direct, {x, z}).key == ((((x, 1), (z, -1)), 0, False),)
 
 
 def test_project_trail_keeps_strictness(env):
@@ -356,7 +356,7 @@ def test_project_trail_keeps_strictness(env):
     strict = [cmp("<", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]  # x < y <= z
     direct = [cmp("<=", {"x": 1, "z": -1})]
     assert project_trail(table, strict, {0, 2}) != project_trail(table, direct, {0, 2})
-    assert project_trail(table, strict, {0, 2}) == ((((0, 1), (2, -1)), 0, True),)
+    assert project_trail(table, strict, {0, 2}).key == ((((0, 1), (2, -1)), 0, True),)
 
 
 def test_project_trail_tightens_parallel_rows(env):
@@ -367,11 +367,11 @@ def test_project_trail_tightens_parallel_rows(env):
         cmp("<", {"x": 3, "y": -3}),  # 3x - 3y < 0
         cmp("<=", {"x": 2, "y": -2}, -1),  # 2x - 2y + 1 <= 0, the tightest
     ]
-    assert project_trail(table, rows, {x, y}) == ((((x, 2), (y, -2)), 1, False),)
+    assert project_trail(table, rows, {x, y}).key == ((((x, 2), (y, -2)), 1, False),)
     # at an equal bound the strict row is the tighter one
-    assert project_trail(table, rows[:2], {x, y}) == ((((x, 1), (y, -1)), 0, True),)
+    assert project_trail(table, rows[:2], {x, y}).key == ((((x, 1), (y, -1)), 0, True),)
     # rows without a kept variable project to nothing
-    assert project_trail(table, rows, set()) == ()
+    assert project_trail(table, rows, set()).key == ()
 
 
 def test_project_trail_keeps_disequalities(env):
@@ -379,17 +379,41 @@ def test_project_trail_keeps_disequalities(env):
     x, z = 0, 2
     lits = [cmp("<=", {"x": 1}), cmp("!=", {"y": 1})]
     # the disequality follows the rows, as its signed id
-    assert project_trail(table, lits, {x}) == ((((x, 1),), 0, False), lits[1])
-    assert project_trail(table, lits[:1], {x}) == ((((x, 1),), 0, False),)
+    assert project_trail(table, lits, {x}).key == ((((x, 1),), 0, False), lits[1])
+    assert project_trail(table, lits[:1], {x}).key == ((((x, 1),), 0, False),)
     # x <= y <= z says nothing about x alone, but with x != z it does: the
     # rows are projected onto the disequality's reals too
     chain = [cmp("<=", {"x": 1, "y": -1}), cmp("<=", {"y": 1, "z": -1})]
     ne = cmp("!=", {"x": 1, "z": -1})
-    assert project_trail(table, chain, {x}) == ()
-    assert project_trail(table, chain + [ne], {x}) == ((((x, 1), (z, -1)), 0, False), ne)
+    assert project_trail(table, chain, {x}).key == ()
+    assert project_trail(table, chain + [ne], {x}).key == ((((x, 1), (z, -1)), 0, False), ne)
     # only inequalities that the elimination finds infeasible have none
     gap = [cmp("<=", {"x": 1, "y": -1}), cmp(">=", {"x": 1, "y": -1}, 1)]  # x <= y <= x - 1
     assert project_trail(table, gap + [ne], {x}) is None
+
+
+def test_a_pushed_context_answers_for_the_trail_before_it(env):
+    """After a push, checks read the projection and the literals asserted
+    since.  A refutation cites the trail literals behind the projected
+    row, and a witness moves the eliminated reals with the kept one."""
+    table, cmp = env
+    x, z = 0, 2
+    trail = [cmp("=", {"x": 1, "y": -1}), cmp("=", {"y": 1, "z": -1}), cmp(">=", {"x": 1})]  # 0 <= x = y = z
+    s = TheoryState(table)
+    for lit in trail:
+        assert s.assert_literal(lit) is None
+    context = project_trail(table, trail, {z})
+    assert context.key == ((((z, -1),), 0, False),)  # z >= 0
+    s.push_context(context)
+    below = cmp("<", {"z": 1}, -1)
+    assert s.assert_literal(below).core == frozenset(trail + [below])
+    above = cmp(">=", {"z": 1}, 2)
+    assert s.assert_literal(above) is None
+    assert witness_satisfies(table, s.trail, s.point) and s.point[x] == s.point[z] >= 2
+    assert s.entails(cmp(">", {"z": 1}, 1)) and not s.entails(cmp("<=", {"z": 1}, 5))
+    s.pop_to(len(trail))
+    s.pop_context()
+    assert s.assert_literal(cmp("<=", {"z": 1}, 1)) is None
 
 
 def _row_literal(table, row):
@@ -426,8 +450,9 @@ def test_project_trail_preserves_feasibility(seed):
     if not check_feasible(table, trail).sat:
         return
     keep = set(ids[:2])
-    key = project_trail(table, trail, keep)
-    assert key is not None
+    projection = project_trail(table, trail, keep)
+    assert projection is not None
+    key = projection.key
     rows = [part for part in key if isinstance(part, tuple)]
     diseqs = [part for part in key if isinstance(part, int)]
     assert key == (*rows, *diseqs)
