@@ -150,11 +150,13 @@ def _fmt_fraction(value: Fraction) -> str:
 
 
 def _cmd_compile(args) -> int:
+    out = Path(args.output)
+    if out.with_suffix(".atoms") == out:
+        raise _UsageError(f"-o {out}: the graph and its .atoms sidecar would be one file")
     cfg = _config(args)
     graph, amap = _pipeline(args.input, cfg, args.eager_k)
     out_graph = condense(graph) if args.condense else graph
     nnf_text, atoms_text = export_nnf(out_graph, amap)
-    out = Path(args.output)
     out.write_text(nnf_text)
     out.with_suffix(".atoms").write_text(atoms_text)
     _emit_stats(graph.stats, args.stats)

@@ -10,11 +10,11 @@ minimized cores learned as globally scoped clauses.  Residual subproblems are
 decomposed at the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
 co-occurring in asserted trail atoms.  A component is its scope (its
-unassigned variables) plus the ids of its unsatisfied clauses, as in
-sharpSAT: within one compile a clause id and the scope fix the clause's live
-view, its literals over the scope.  Component results are cached under that
-pair and the theory context, since the same clauses compile differently
-under different entangling decisions.  That context is the trail's
+unassigned variables), the ids of its unsatisfied clauses and its theory
+context.  As in sharpSAT, within one compile a clause id and the scope fix
+the clause's live view, its literals over the scope.  Component results are
+cached under the three, since the same clauses compile differently under
+different entangling decisions.  That context is the trail's
 inequalities projected by Fourier-Motzkin onto the reals of the component's
 own atoms and of the trail's disequalities, in canonical form, followed by
 those disequalities: two trails with equal contexts admit the same
@@ -24,16 +24,20 @@ is opened, so every check in its subtree reads the projection plus the
 literals asserted since, and a sub-component's context is projected from
 its parent's plus those literals.  Splitting, decisions and theory-candidate
 collection read the clauses through a per-variable occurrence index built
-once per compile (``ClauseIndex``).  Splits are stamped flood fills.  The
-root split fills the whole scope; every later split starts from the
-component being decided and fills only around the variables its branch
-assigned, and the one part no fill reached is sliced out of the parent's
-scope and clause ids.  A decision thus pays for the small parts plus one
-slicing copy of its component, and the split's fill work on the Boolean
-chain grows linearly.  The decision order is DLCS over the component's
-clauses, except that a linear atom in none of them that shares a real with
-the component's trail context is decided first: leaving it open would keep
-that real apart in the cache keys of otherwise equal subproblems.
+once per compile (``ClauseIndex``).  Splits are stamped flood fills, and
+there is one kind: the root of the search is a component too, of every
+variable, every clause id and an empty context, so it is split as a
+decided component is.  A split starts from the component and fills only
+around the variables its branch assigned (at the root, also from every
+unassigned variable), and the one part no fill reached is sliced out of
+the component's scope and clause ids.  A decision thus pays for the small
+parts plus one slicing copy of its component, and the split's fill work on
+the Boolean chain grows linearly.  Each part's context is projected from
+the component's, plus the branch's literals over the part's reals.  The
+decision order is DLCS over the component's clauses, except that a linear
+atom in none of them that shares a real with the component's trail context
+is decided first: leaving it open would keep that real apart in the cache
+keys of otherwise equal subproblems.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import time
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from typing import Sequence
 
@@ -106,20 +111,18 @@ class Component:
     ``scope`` holds the unassigned variables, ascending, and ``ids`` the ids
     of the unsatisfied clauses over them, ascending.  Every unassigned
     variable of such a clause is in the scope, so the clause's live view
-    under the current assignment is its literals over the scope.
-    ``projected`` are the theory trail's signed literals touching the
-    component's real-variable scope, closed under trail entanglement, in
-    ``lra.literal_key`` order.
-    ``polyhedron`` is what those literals say about the reals of the
-    component's own atoms (``lra.project_trail``): the theory context the
-    cache keys on and the search checks on, ``lra.NO_PROJECTION`` when there
-    are no such literals.
+    under the current assignment is its literals over the scope.  The root
+    of a search is a component too: every variable and every clause id.
+    ``polyhedron`` is the theory context the cache keys on and the search
+    checks on: what the trail literals over the component's reals, closed
+    under trail entanglement, say about the reals of its own atoms
+    (``lra.project_trail``).  Its ``sources`` are those literals; it is
+    ``lra.NO_PROJECTION`` when there are none.
     """
 
     scope: tuple[int, ...]
     ids: tuple[int, ...]
-    projected: tuple[int, ...]
-    polyhedron: lra.Projection | None
+    polyhedron: lra.Projection
 
 
 # ---------------------------------------------------------------------------
@@ -282,48 +285,48 @@ def split_components(
     assignment,
     trail: Sequence[int],
     cfg: CompileConfig | None = None,
-    scope=None,
     index: ClauseIndex | None = None,
     parent: Component | None = None,
     assigned: Sequence[int] = (),
 ) -> list[Component]:
-    """Partition the residual problem at the variable level.
+    """Partition the residual problem of ``parent`` at the variable level.
 
     Connectivity joins clauses sharing a Boolean variable, linear atoms
     sharing a real variable, and real variables co-occurring in the atom of
     any theory ``trail`` literal (which is what entangles otherwise
     independent clause sets).
     Unassigned atoms outside all unsatisfied clauses still form components, so
-    totality branching stays scoped.  With components disabled, a single
-    component holding everything is returned.  ``scope`` defaults to every
-    variable; ``index`` is the compile's ``ClauseIndex`` of ``db``.
+    totality branching stays scoped.  ``index`` is the compile's
+    ``ClauseIndex`` of ``db``.
+
+    ``parent`` is the component being decided and ``assigned`` the literals
+    its branch asserted.  Without a parent the root of the search is split:
+    the component of every variable and clause id, whose context
+    ``lra.NO_PROJECTION`` projects nothing, with every literal of
+    ``assignment`` as its branch's.
 
     Components are flood fills over the index.  A reached variable visits
     the clauses it occurs in, each once per split, and keeps the id of a
     clause that is not satisfied; its unassigned variables join the fill.
     A reached atom joins its reals, and a reached real joins the unassigned
-    atoms over it and the reals of the trail atoms over it.
-
-    Without a ``parent`` (the root of a search) every unassigned scope
-    variable seeds a fill, and the variables and clauses of a sibling
-    (unassigned, outside the scope) are stamped as reached beforehand: the
-    root split costs O(|db|).  With a parent, the component being decided,
-    ``scope`` is the parent's scope and ``assigned`` holds the literals its
-    branch asserted.  The parent was connected, so each part it falls into
-    holds a free neighbour of an assigned variable: a free variable of a
-    parent clause it occurs in, or a real of its atom.  These neighbours,
-    ascending, seed the fills, except the last that no earlier fill
+    atoms over it and the reals of the trail atoms over it.  Each part holds
+    a seed: a free neighbour of an assigned variable (a free variable of a
+    parent clause it occurs in, or a real of its atom), since the parent was
+    connected, or at the root any unassigned variable.  The seeds, in
+    ascending order, start the fills, except the last that no earlier fill
     reached: its part is the rest of the parent, cut out of the parent's
     scope and clause ids.  The cut drops the assigned variables, the fills'
-    variables and clauses, and the clauses the assignment left with no
-    live literal; a clause it only shrank keeps its id.  That costs the fills, a bisection
-    per entry cut and one slicing copy of the parent.  With
+    variables and clauses, and the clauses the assignment left with no live
+    literal; a clause it only shrank keeps its id.  That costs the fills, a
+    bisection per entry cut and one slicing copy of the parent.  With
     components disabled, nothing is filled and the rest of the parent is
     the one component.
 
-    Each part's ``polyhedron`` is projected from the parent's, which stands
-    for the parent's ``projected`` literals, plus the part's other trail
-    literals; at the root, from the part's trail literals.
+    The trail literals a part can read are the parent context's ``sources``
+    and the branch's literals, in trail order; a fill takes those over its
+    reals and the rest of the parent those over no fill's.  Each part's
+    ``polyhedron`` is projected from the parent's, which stands for its
+    ``sources``, plus the part's other literals.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
@@ -336,49 +339,49 @@ def split_components(
     clauses, occurs, var_stamp, clause_stamp = index.clauses, index.occurs, index.var_stamp, index.clause_stamp
     reals, atoms_over, base = index.reals, index.atoms_over, index.real_base
     index.stamp += 2
-    seed, reached = index.stamp - 1, index.stamp  # seed: a neighbour of the assignment no fill reached yet
-    on_trail = {abs(lit) for lit in trail} if trail else ()
+    seed, reached = index.stamp - 1, index.stamp  # seed: a seed no fill reached yet
 
     seeds = []
-    if parent is None:
-        if scope is None:
-            scope = range(1, db.num_vars + 1)
-        seeds = [v for v in scope if values[v] is None]
-        inside = set(seeds)
-        for v in range(1, db.num_vars + 1):  # a sibling's variable and clauses: never reached
-            if values[v] is None and v not in inside:
-                var_stamp[v] = reached
-                for ci in occurs[v]:
-                    clause_stamp[ci] = reached
-    else:
-        pscope, pids = parent.scope, parent.ids
-        nvars, nclauses = len(pscope), len(pids)
-        gone = []  # positions in pscope of the assigned variables, then of the fills'
-        shrunk = []  # (position in pids, clause id) of the parent clauses they occur in
-        for lit in assigned:
-            v = abs(lit)
-            i = bisect_left(pscope, v)
-            if i == nvars or pscope[i] != v:
-                continue
-            gone.append(i)
-            for ci in occurs[v]:
-                j = bisect_left(pids, ci)
-                if j < nclauses and pids[j] == ci and clause_stamp[ci] != seed:
-                    clause_stamp[ci] = seed
-                    shrunk.append((j, ci))
-                    for l in clauses[ci]:
-                        u = abs(l)
-                        if values[u] is None and var_stamp[u] != seed:
-                            var_stamp[u] = seed
-                            seeds.append(u)
-            for r in reals.get(v, ()):
-                if var_stamp[base + r] != seed:
-                    var_stamp[base + r] = seed
-                    seeds.append(base + r)
-        seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
-    pending = len(seeds) if parent is not None else 0  # stamped seeds no fill reached; none at the root
+    if parent is None:  # the root: every variable, every clause id and every assignment so far
+        parent = Component(tuple(range(1, db.num_vars + 1)), tuple(range(len(clauses))), lra.NO_PROJECTION)
+        assigned = [v if values[v] else -v for v in parent.scope if values[v] is not None]
+        seeds = [v for v in parent.scope if values[v] is None]
+        for v in seeds:
+            var_stamp[v] = seed
+    pscope, pids, context = parent.scope, parent.ids, parent.polyhedron
+    nvars, nclauses = len(pscope), len(pids)
+    gone = []  # positions in pscope of the assigned variables, then of the fills'
+    shrunk = []  # (position in pids, clause id) of the parent clauses they occur in
+    for lit in assigned:
+        v = abs(lit)
+        i = bisect_left(pscope, v)
+        if i == nvars or pscope[i] != v:
+            continue
+        gone.append(i)
+        for ci in occurs[v]:
+            j = bisect_left(pids, ci)
+            if j < nclauses and pids[j] == ci and clause_stamp[ci] != seed:
+                clause_stamp[ci] = seed
+                shrunk.append((j, ci))
+                for l in clauses[ci]:
+                    u = abs(l)
+                    if values[u] is None and var_stamp[u] != seed:
+                        var_stamp[u] = seed
+                        seeds.append(u)
+        for r in reals.get(v, ()):
+            if var_stamp[base + r] != seed:
+                var_stamp[base + r] = seed
+                seeds.append(base + r)
+    seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
+    pending = len(seeds)  # stamped seeds no fill reached
 
-    fills = []  # (nodes, clause ids) per fill
+    lits, on_trail = [], ()  # the trail literals the parts read, and their atoms
+    if trail:
+        sources, fresh = context.sources, {abs(lit) for lit in assigned}
+        lits = [lit for lit in trail if lit in sources or abs(lit) in fresh]
+        on_trail = {abs(lit) for lit in lits}
+
+    fills = []  # (variables, real nodes, clause ids) per fill
     for s in seeds:
         if var_stamp[s] == reached:
             continue
@@ -425,57 +428,33 @@ def split_components(
                     nodes.append(y)
         nodes.sort()
         ids.sort()
-        fills.append((nodes, ids))
-
-    context = parent.polyhedron if parent is not None else None
-
-    def component(variables, ids, lits) -> Component:
-        polyhedron = lra.NO_PROJECTION
-        if lits:  # never without a theory: its trail is empty
-            own = frozenset().union(*(reals[v] for v in variables if v in reals))
-            polyhedron = lra.project_trail(amap, lits, own, context)
-        return Component(variables, tuple(ids), tuple(sorted(lits, key=lra.literal_key)), polyhedron)
-
-    def fill_component(nodes, ids, lits=None) -> Component:
         k = bisect_left(nodes, base)
-        if lits is None:  # the trail literals over the reals the fill reached
-            own_reals = {x - base for x in nodes[k:]}
-            lits = [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
-        return component(tuple(nodes[:k]), ids, lits)
+        fills.append((nodes[:k], nodes[k:], ids))
 
-    linear_trail = None if cfg.components else [lit for lit in trail if reals[abs(lit)]]
-    if parent is None and not cfg.components:
-        if not fills:
-            return []
-        merged = sorted(x for nodes, _ in fills for x in nodes), sorted(ci for _, ids in fills for ci in ids)
-        return [fill_component(*merged, linear_trail)]
-    comps = [fill_component(nodes, ids) for nodes, ids in fills if nodes[0] < base]  # not reals alone
-    if parent is not None:  # the rest of the parent, cut around the assignment and the fills
-        filled_reals = set()
-        for nodes, _ in fills:
-            for x in nodes:
-                if x < base:
-                    gone.append(bisect_left(pscope, x))
-                else:
-                    filled_reals.add(x - base)
-        if len(gone) < len(pscope):  # some of the parent's variables are left
-            cut = {j for j, ci in shrunk if not _live_view(clauses[ci], values)}
-            for _, ids in fills:
-                cut.update(bisect_left(pids, ci) for ci in ids)
-            if not cfg.components:
-                lits = linear_trail
-            elif trail:  # the parent's trail literals and the branch's, less the fills'
-                old, fresh = set(parent.projected), {abs(lit) for lit in assigned}
-                lits = [
-                    lit
-                    for lit in trail
-                    if (lit in old or abs(lit) in fresh) and filled_reals.isdisjoint(reals[abs(lit)])
-                ]
-            else:
-                lits = []
-            comps.append(component(_cut(pscope, gone), _cut(pids, cut), lits))
+    def component(variables, ids, part_lits) -> Component:
+        polyhedron = lra.NO_PROJECTION
+        if part_lits:  # never without a theory: its trail is empty
+            own = frozenset().union(*(reals[v] for v in variables if v in reals))
+            polyhedron = lra.project_trail(amap, part_lits, own, context)
+        return Component(variables, tuple(ids), polyhedron)
+
+    comps, filled_reals, left = [], set(), nvars - len(gone)  # left: the parent's variables neither assigned nor filled
+    for variables, real_nodes, ids in fills:
+        left -= len(variables)
+        own_reals = {x - base for x in real_nodes}
+        filled_reals |= own_reals
+        if variables:  # not reals alone
+            over = [lit for lit in lits if not own_reals.isdisjoint(reals[abs(lit)])]
+            comps.append(component(tuple(variables), ids, over))
+    if left:
+        cut = {j for j, ci in shrunk if not _live_view(clauses[ci], values)}
+        for variables, _, ids in fills:
+            gone += map(partial(bisect_left, pscope), variables)
+            cut.update(map(partial(bisect_left, pids), ids))
+        rest = [lit for lit in lits if filled_reals.isdisjoint(reals[abs(lit)])]
+        comps.append(component(_cut(pscope, gone), _cut(pids, cut), rest))
     if len(comps) > 1:
-        comps.sort(key=lambda c: c.scope[0])  # seeds ascend unless the root's scope does not
+        comps.sort(key=lambda c: c.scope[0])  # a fill seeded at a real, or the rest, may start lower
     return comps
 
 
@@ -506,7 +485,8 @@ def decide(component: Component, index: ClauseIndex) -> int:
     variable is unassigned and a clause of the component unsatisfied, so
     these are the counts over the live views.  A variable is pinned when it
     occurs in none of them and is a linear atom sharing a real with one of
-    the component's ``projected`` trail literals (``index.reals``).
+    the trail literals of the component's context, its
+    ``polyhedron.sources`` (``index.reals``).
     Deciding pinned atoms first settles the reals that keep the projected
     cache keys of otherwise equal subproblems apart.  With an empty trail
     nothing is pinned and the choice is plain DLCS.
@@ -514,9 +494,10 @@ def decide(component: Component, index: ClauseIndex) -> int:
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
     counts = Counter(map(abs, chain.from_iterable(map(index.clauses.__getitem__, component.ids))))
-    if component.projected:
+    sources = component.polyhedron.sources
+    if sources:
         reals = index.reals
-        pinned = frozenset().union(*(reals[abs(lit)] for lit in component.projected))
+        pinned = frozenset().union(*(reals[abs(lit)] for lit in sources))
         for v in component.scope:
             if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
                 return v
@@ -676,7 +657,7 @@ class _Search:
             ]
             theory_trail = self.theory.trail if self.theory_on else []
             comps = split_components(
-                self.db, self.amap, self.values, theory_trail, self.cfg, scope, self.index, parent, self.trail[mark:]
+                self.db, self.amap, self.values, theory_trail, self.cfg, self.index, parent, self.trail[mark:]
             )
             if len(comps) > 1:
                 self.stats.components += len(comps)

@@ -27,6 +27,8 @@ from .frontend import (
     AtomTable,
     LinTerm,
     atom_to_str,
+    canonical_eq,
+    canonical_leq,
 )
 from . import lra
 
@@ -546,7 +548,9 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
 
 
 def _intern_atom_line(line: str, table: AtomTable) -> int:
-    """Intern the atom of a ``<var> <atom>`` sidecar line; returns its id."""
+    """Intern the atom of a ``<var> <atom>`` sidecar line in the parser's
+    canonical form; returns its id.  A real named twice and a constant atom
+    are format errors."""
     parts = line.split()
     if len(parts) < 3:
         raise FormatError(f"bad atom line: {line!r}")
@@ -562,15 +566,21 @@ def _intern_atom_line(line: str, table: AtomTable) -> int:
         if "*" not in chunk:
             raise FormatError(f"bad coefficient {chunk!r} in {line!r}")
         c, name = chunk.split("*", 1)
+        rid = table.real_var(name)
+        if rid in coeffs:
+            raise FormatError(f"real {name!r} named twice in {line!r}")
         try:
-            coeffs[table.real_var(name)] = int(c)
+            coeffs[rid] = int(c)
         except ValueError as exc:
             raise FormatError(f"bad coefficient {chunk!r}") from exc
     try:
         const = int(parts[-1])
     except ValueError as exc:
         raise FormatError(f"bad constant in {line!r}") from exc
-    return table.intern_linear(kind, LinTerm.make(coeffs, const))
+    canon = (canonical_leq if kind == LEQ else canonical_eq)(LinTerm.make(coeffs, const))
+    if isinstance(canon, bool):
+        raise FormatError(f"constant atom in {line!r}")
+    return table.intern_linear(kind, canon)
 
 
 def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:

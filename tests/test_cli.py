@@ -202,13 +202,18 @@ def test_count_of_a_graph_rejects_compile_flags_and_an_input(extra, gap_xy_path,
     assert captured.err.startswith("error: ")
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, gap_xy_path):
     assert run(["bogus"]) == 1
     assert run(["count"]) == 1  # neither input nor --nnf
     nnf = tmp_path / "x.nnf"
     nnf.write_text("nnf 1 0 1\nL 1\n")
     assert run(["count", "--nnf", str(nnf)]) == 1  # --nnf without --atoms
     capsys.readouterr()
+    out = tmp_path / "out.atoms"  # the graph would be its own sidecar
+    assert run(["compile", str(gap_xy_path), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and ".atoms sidecar" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -90,11 +90,11 @@ def test_unit_propagate_under_assignment():
 # decide
 
 
-def _component(clauses, scope, projected=(), reals=None):
+def _component(clauses, scope, sources=(), reals=None):
     """A component owning every clause of ``clauses``, and the stand-in for
     the compile's clause index that ``decide`` reads: the clauses and the
     real map."""
-    comp = Component(tuple(scope), tuple(range(len(clauses))), tuple(projected), ())
+    comp = Component(tuple(scope), tuple(range(len(clauses))), st.lra.Projection((), sources=frozenset(sources)))
     return comp, SimpleNamespace(clauses=[tuple(c) for c in clauses], reals=reals or {})
 
 
@@ -149,7 +149,7 @@ def test_decide_picks_pinned_atom_before_dlcs():
     assert reference_decide(comp, clauses, _unassigned(9)) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
     assert decide(comp, index) == 5
-    pinned_by_real_0 = Component((1, 2, 3, 4, 6, 7), comp.ids, comp.projected, ())
+    pinned_by_real_0 = Component((1, 2, 3, 4, 6, 7), comp.ids, comp.polyhedron)
     assert decide(pinned_by_real_0, index) == 6
 
 
@@ -164,7 +164,7 @@ def test_decide_without_pinned_atoms_is_dlcs():
     assert decide(in_clause, index) == reference_decide(in_clause, clauses, _unassigned(9)) == 1
     # with an empty trail the rule is off
     comp, index = _component([(1, 2)], (1, 2, 7), (9,), _REALS)
-    assert decide(Component(comp.scope, comp.ids, (), ()), index) == 1
+    assert decide(Component(comp.scope, comp.ids, st.lra.NO_PROJECTION), index) == 1
     assert decide(comp, index) == 7
 
 
@@ -192,7 +192,7 @@ def test_decide_with_empty_trail_matches_reference(data):
     scope |= data.draw(hst.sets(hst.sampled_from(free)))
     assume(scope)
     reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
-    comp = Component(tuple(sorted(scope)), tuple(ids), (), ())
+    comp = Component(tuple(sorted(scope)), tuple(ids), st.lra.NO_PROJECTION)
     index = SimpleNamespace(clauses=[tuple(cl) for cl in clauses], reals=reals)
     assert decide(comp, index) == reference_decide(comp, clauses, values)
 
@@ -211,12 +211,12 @@ def test_split_independent_and_entangled():
     comps = split_components(db, amap, assignment, [], st.CompileConfig())
     assert len(comps) == 2
     assert [c.scope for c in comps] == [(1, 2), (3, 4)]
-    assert all(c.projected == () for c in comps)
+    assert all(c.polyhedron.sources == frozenset() for c in comps)
 
     comps = split_components(db, amap, assignment, [xy], st.CompileConfig())
     assert len(comps) == 1
     assert comps[0].scope == (1, 2, 3, 4)
-    assert comps[0].projected == (xy,)
+    assert comps[0].polyhedron.sources == {xy}
     # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
     x, y = sorted(amap.real_vars_of(abs(xy)))
     assert comps[0].polyhedron.key == ((((x, 1), (y, 1)), -5, True),)
@@ -299,12 +299,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
         if lits:
             own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
             polyhedron = st.lra.project_trail(amap, lits, own)
-        return Component(
-            tuple(variables),
-            tuple(ci for ci, _ in views),
-            tuple(sorted(lits, key=lambda l: (abs(l), l > 0))),
-            polyhedron,
-        )
+        return Component(tuple(variables), tuple(ci for ci, _ in views), polyhedron)
 
     if not cfg.components:
         if not scope_vars and not residuals:
@@ -345,12 +340,10 @@ def test_split_matches_reference_on_random_partial_assignments():
             assignment = {v: rng.random() < 0.5 for v in assigned}
             trail = [v if val else -v for v, val in assignment.items() if amap.is_linear_var(v)]
             trail = rng.sample(trail, rng.randint(0, min(len(trail), 4)))
-            free = [v for v in range(1, db.num_vars + 1) if v not in assignment]
-            for scope in (None, free, rng.sample(free, len(free) // 2)):
-                for cfg in configs:
-                    want = reference_split(db, amap, assignment, trail, cfg, scope)
-                    assert split_components(db, amap, assignment, trail, cfg, scope) == want, name
-                    assert split_components(db, amap, assignment, trail, cfg, scope, index) == want, name
+            for cfg in configs:
+                want = reference_split(db, amap, assignment, trail, cfg)
+                assert split_components(db, amap, assignment, trail, cfg) == want, name
+                assert split_components(db, amap, assignment, trail, cfg, index) == want, name
 
 
 def test_split_from_a_parent_matches_the_reference():
@@ -380,7 +373,7 @@ def test_split_from_a_parent_matches_the_reference():
                         lits.append(v if child[v] else -v)
                     child_trail = trail + [lit for lit in lits if theory and amap.is_linear_var(abs(lit))]
                     want = reference_split(db, amap, child, child_trail, cfg, parent.scope)
-                    got = split_components(db, amap, child, child_trail, cfg, parent.scope, index, parent, lits)
+                    got = split_components(db, amap, child, child_trail, cfg, index, parent, lits)
                     assert got == want, name
                     checked += 1
     assert checked > 300
@@ -424,11 +417,11 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
     new = graphs()
     calls = 0
 
-    def reference(db, amap, values, trail, cfg, scope, index, parent, assigned):
+    def reference(db, amap, values, trail, cfg, index, parent, assigned):
         nonlocal calls
         calls += 1
         assignment = {v: val for v, val in enumerate(values) if val is not None}
-        return reference_split(db, amap, assignment, trail, cfg, scope)
+        return reference_split(db, amap, assignment, trail, cfg, parent.scope if parent else None)
 
     monkeypatch.setattr(st.compiler, "split_components", reference)
     old = graphs()
@@ -516,7 +509,7 @@ def test_cache_key_on_projection_with_disequalities():
     # separately; a disequality on the trail follows the projected rows
     assignment = {abs(ne): ne > 0, abs(xy): xy > 0}
     (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
-    assert (xy, ne) == (-5, -6) and comp.projected == (xy, ne)  # by atom
+    assert (xy, ne) == (-5, -6) and comp.polyhedron.sources == {xy, ne}
     assert comp.polyhedron.key == (*st.lra.project_trail(amap, [xy], {x, y}).key, ne)
     assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron.key)
 
@@ -537,20 +530,33 @@ def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch)
     is sound because, whenever the search opens a component, its ids
     ascend, its scope variables are unassigned, and each of its clauses is
     unsatisfied with every unassigned variable in the scope, so the clause
-    id and the scope fix the clause's live view."""
+    id and the scope fix the clause's live view.  The theory context the
+    key adds is projected from the theory trail's literals over the reals
+    of the component's atoms, closed under trail entanglement."""
     searches = _record_searches(monkeypatch)
-    opened = 0
+    opened = with_context = 0
 
     def checked(comp):
-        nonlocal opened
+        nonlocal opened, with_context
         opened += 1
-        values, clauses = searches[-1].values, searches[-1].index.clauses
+        search = searches[-1]
+        values, clauses, reals = search.values, search.index.clauses, search.index.reals
         scope = set(comp.scope)
         assert list(comp.ids) == sorted(set(comp.ids))
         assert all(values[v] is None for v in comp.scope)
         for ci in comp.ids:
             assert not any(values[abs(l)] == (l > 0) for l in clauses[ci]), ci
             assert {abs(l) for l in clauses[ci] if values[abs(l)] is None} <= scope, ci
+        trail = search.theory.trail if search.theory_on else []
+        own, over = set().union(*(reals.get(v, ()) for v in comp.scope)), set()
+        while True:  # the trail literals over those reals, then over theirs
+            more = {lit for lit in trail if lit not in over and not own.isdisjoint(reals[abs(lit)])}
+            if not more:
+                break
+            over |= more
+            own.update(*(reals[abs(lit)] for lit in more))
+        assert comp.polyhedron.sources == over, (comp.scope, trail)
+        with_context += bool(over)
         return cache_key(comp)
 
     monkeypatch.setattr(st.compiler, "cache_key", checked)
@@ -558,7 +564,7 @@ def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch)
         f = st.random_formula(seed)
         for mode in ("lazy", "eager"):
             pipeline(f, mode=mode)
-    assert opened > 1000, opened
+    assert opened > 1000 and with_context > 100, (opened, with_context)
 
 
 def test_disequality_context_counts_and_stays_sound(monkeypatch):

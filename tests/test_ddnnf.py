@@ -538,6 +538,11 @@ def test_import_format_errors():
         st.import_nnf("nnf 1 0 1\nL 1\n", "1 frobnicate a\n")
     with pytest.raises(st.FormatError):
         st.import_nnf("nnf 1 0 1\nL 1\n", "2 bool a\n")  # non-contiguous vars
+    with pytest.raises(st.FormatError, match="named twice"):
+        st.import_nnf("nnf 1 0 1\nL 1\n", "1 leq 1*x 1*x 2\n")
+    for constant in ("1 leq 0*x 5\n", "1 eq 0*x 0*y 0\n", "1 eq 0\n"):
+        with pytest.raises(st.FormatError, match="constant atom"):
+            st.import_nnf("nnf 1 0 1\nL 1\n", constant)
 
 
 def test_import_rejects_a_duplicated_atom_line():
@@ -546,6 +551,10 @@ def test_import_rejects_a_duplicated_atom_line():
         st.import_nnf(nnf, "1 bool a\n2 bool a\n")
     with pytest.raises(st.FormatError):
         st.import_nnf(nnf, "1 leq 1*x 0\n2 leq 1*x 0\n")
+    # the same atom in another form: interned canonically, as the parser does
+    for same in ("1 leq 1*x 2\n2 leq 2*x 4\n", "1 eq -1*x 2\n2 eq 1*x -2\n"):
+        with pytest.raises(st.FormatError, match="variable 2 has the atom of variable 1"):
+            st.import_nnf(nnf, same)
 
 
 def test_import_interns_sidecar_lines_in_variable_order():
