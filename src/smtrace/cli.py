@@ -173,6 +173,10 @@ def _cmd_count(args) -> int:
         if given:
             raise _UsageError(f"{given[0]} compiles an .smt2 input; a graph read with --nnf is not compiled")
         graph = _load_graph(args)
+        violations = validate(graph).violations
+        if violations:  # counting is exact only on a d-DNNF
+            v = violations[0]
+            raise DdnnfError(f"not a d-DNNF: {v.kind} at node {v.node}: {v.message}")
     elif args.input:
         graph, _ = _pipeline(args.input, _config(args), args.eager_k)
     else:

@@ -19,25 +19,25 @@ inequalities projected by Fourier-Motzkin onto the reals of the component's
 own atoms and of the trail's disequalities, in canonical form, followed by
 those disequalities: two trails with equal contexts admit the same
 assignments to those atoms.  The context is projected with the cache off
-too, because the theory solver checks on it: a component pushes it when it
-is opened, so every check in its subtree reads the projection plus the
-literals asserted since, and a sub-component's context is projected from
-its parent's plus those literals.  Splitting, decisions and theory-candidate
-collection read the clauses through a per-variable occurrence index built
-once per compile (``ClauseIndex``).  Splits are stamped flood fills, and
-there is one kind: the root of the search is a component too, of every
-variable, every clause id and an empty context, so it is split as a
-decided component is.  A split starts from the component and fills only
-around the variables its branch assigned (at the root, also from every
-unassigned variable), and the one part no fill reached is sliced out of
-the component's scope and clause ids.  A decision thus pays for the small
-parts plus one slicing copy of its component, and the split's fill work on
-the Boolean chain grows linearly.  Each part's context is projected from
-the component's, plus the branch's literals over the part's reals.  The
-decision order is DLCS over the component's clauses, except that a linear
-atom in none of them that shares a real with the component's trail context
-is decided first: leaving it open would keep that real apart in the cache
-keys of otherwise equal subproblems.
+too, because the theory solver checks on it: each branch of a component
+sets it as the solver's context, so every check of the branch reads the
+projection plus the literals the branch asserted, and a sub-component's
+context is projected from its parent's plus those literals.  Splitting,
+decisions and theory-candidate collection read the clauses through a
+per-variable occurrence index built once per compile (``ClauseIndex``).
+Splits are stamped flood fills, and there is one kind: the root of the
+search is a component too, of every variable, every clause id and an empty
+context, so it is split as a decided component is.  A split starts from the
+component and fills only around the variables its branch assigned (at the
+root, also from every unassigned variable), and the one part no fill
+reached is sliced out of the component's scope and clause ids.  A decision
+thus pays for the small parts plus one slicing copy of its component, and
+the split's fill work on the Boolean chain grows linearly.  Each part's
+context is projected from the component's, plus the branch's literals over
+the part's reals.  The decision order is DLCS over the component's clauses,
+except that a linear atom in none of them that shares a real with the
+component's trail context is decided first: leaving it open would keep that
+real apart in the cache keys of otherwise equal subproblems.
 """
 
 from __future__ import annotations
@@ -222,20 +222,19 @@ def _lit_order(lit: int) -> tuple[int, bool]:
 class ClauseIndex:
     """The clause list of one compile, indexed by variable and by real.
 
-    Each clause is kept sorted by variable, positive literal first, so its
-    live view under an assignment is a filtered copy.  ``occurs[v]`` lists,
-    ascending, the clauses variable v occurs in, so a split touches only the
-    clauses of the variables it visits.  ``reals[v]`` holds the real
-    variables of each linear atom variable v of ``db``, and ``atoms_over[r]``
-    the linear atom variables over real r, ascending; both are empty without
-    a theory.  A split's flood fill treats real r as node ``real_base + r``.
+    ``clauses`` is ``db.clauses`` as given.  ``occurs[v]`` lists, ascending,
+    the clauses variable v occurs in, so a split touches only the clauses of
+    the variables it visits.  ``reals[v]`` holds the real variables of each
+    linear atom variable v of ``db``, and ``atoms_over[r]`` the linear atom
+    variables over real r, ascending; both are empty without a theory.  A
+    split's flood fill treats real r as node ``real_base + r``.
     ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
     marked: each split advances ``stamp``, so nothing is cleared between
     splits.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
-        self.clauses = [tuple(sorted(cl, key=_lit_order)) for cl in db.clauses]
+        self.clauses = db.clauses
         self.occurs: list[list[int]] = [[] for _ in range(db.num_vars + 1)]
         for ci, cl in enumerate(self.clauses):
             for l in cl:
@@ -524,7 +523,6 @@ class _Search:
         self.cfg = cfg
         self.values: list[bool | None] = [None] * (db.num_vars + 1)
         self.trail: list[int] = []
-        self.tags: list[bool] = []
         self.engine = WatchedClauses(db.clauses)
         self.index = ClauseIndex(db, amap)
         self._learned_keys: set[frozenset[int]] = set()
@@ -533,28 +531,21 @@ class _Search:
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
-        self._theory_seen = 0
 
     # -- assignment bookkeeping
 
-    def _assign(self, lit: int, tag: bool = False) -> None:
+    def _assign(self, lit: int) -> None:
         self.values[abs(lit)] = lit > 0
         self.trail.append(lit)
-        self.tags.append(tag)
 
     def _undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
-            lit = self.trail.pop()
-            self.tags.pop()
-            self.values[abs(lit)] = None
-        self._theory_seen = min(self._theory_seen, mark)
+            self.values[abs(self.trail.pop())] = None
 
     # -- propagation
 
-    def _theory_sync(self) -> bool:
-        while self._theory_seen < len(self.trail):
-            lit = self.trail[self._theory_seen]
-            self._theory_seen += 1
+    def _theory_sync(self, lits: Sequence[int]) -> bool:
+        for lit in lits:
             if abs(lit) in self.index.reals:
                 conflict = self.theory.assert_literal(lit)
                 if conflict is not None:
@@ -570,18 +561,21 @@ class _Search:
                     return False
         return True
 
-    def _theory_candidates(self, scope_set) -> list[int]:
-        """Unassigned linear atoms of the scope that occur in an unsatisfied
-        clause."""
+    def _theory_candidates(self, scope: Sequence[int]) -> list[int]:
+        """Unassigned linear atoms of the ascending scope that occur in an
+        unsatisfied clause, ascending."""
         index, values = self.index, self.values
         cand = []
-        for var in scope_set:
+        for var in scope:
             if var in index.reals and values[var] is None:
                 if not all(index.satisfied(ci, values) for ci in index.occurs[var]):
                     cand.append(var)
-        return sorted(cand)
+        return cand
 
-    def _fixpoint(self, scope_set, queue: list[int]) -> bool:
+    def _fixpoint(self, scope: Sequence[int], queue: list[int], implied: set[int]) -> bool:
+        """Propagate ``queue``, the literals just assigned, within the scope,
+        reading each once; theory propagations also go in ``implied``."""
+
         def on_implied(lit: int) -> None:
             self._assign(lit)
             self.stats.bool_props += 1
@@ -592,15 +586,16 @@ class _Search:
                 self.stats.conflicts += 1
                 return False
             if self.theory_on:
-                if not self._theory_sync():
+                if not self._theory_sync(queue):
                     return False
-                cand = self._theory_candidates(scope_set)
+                cand = self._theory_candidates(scope)
                 props = lra.propagate_candidates(self.theory, cand) if cand else []
                 if props:
                     self.stats.theory_props += len(props)
                     for lit in props:
-                        self._assign(lit, tag=True)
-                        queue.append(lit)
+                        self._assign(lit)
+                    implied.update(props)
+                    queue = props
                     continue
             return True
 
@@ -616,13 +611,9 @@ class _Search:
             self.stats.cache_misses += 1
         lit = decide(comp, self.index)
         self.stats.decisions += 1
-        if self.theory_on:
-            self.theory.push_context(comp.polyhedron)
         hi = yield self._branch((lit,), comp)
         lo = yield self._branch((-lit,), comp)
         node = self.builder.or_node(abs(lit), hi, lo)
-        if self.theory_on:
-            self.theory.pop_context()
         if self.cfg.cache:
             self.cache[key] = node
         return node
@@ -633,11 +624,14 @@ class _Search:
 
         lits is a decision ``(lit,)`` in ``parent``, or at the root, which
         has no parent and scopes every variable, the input's unit clauses,
-        which count as Boolean propagations (``units``).
+        which count as Boolean propagations (``units``).  Theory queries run
+        on the parent's projection, set here since none runs after a split.
         """
         scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
         mark = len(self.trail)
         theory_mark = len(self.theory.trail) if self.theory_on else 0
+        if self.theory_on:
+            self.theory.context = (parent.polyhedron if parent is not None else lra.NO_PROJECTION, theory_mark)
         queue = []
         for lit in lits:
             val = self.values[abs(lit)]
@@ -650,11 +644,9 @@ class _Search:
                 self._undo_to(mark)
                 return self.builder.false_id
         node = self.builder.false_id
-        if self._fixpoint(set(scope) if self.theory_on else None, queue):
-            parts = [
-                self.builder.lit(self.trail[i], implied=self.tags[i])
-                for i in range(mark, len(self.trail))
-            ]
+        implied: set[int] = set()
+        if self._fixpoint(scope, queue, implied):
+            parts = [self.builder.lit(lit, implied=lit in implied) for lit in self.trail[mark:]]
             theory_trail = self.theory.trail if self.theory_on else []
             comps = split_components(
                 self.db, self.amap, self.values, theory_trail, self.cfg, self.index, parent, self.trail[mark:]

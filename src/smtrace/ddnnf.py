@@ -587,7 +587,8 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     """Inverse of export_nnf, up to node reordering; counts are preserved.
 
     Sidecar atoms are interned in variable order, so atom id i is variable i;
-    two variables with the same atom are a format error.
+    two variables with the same atom are a format error, and so is a
+    ``c implied`` tag that names no ``L`` line.
     """
     implied_file_idx: set[int] = set()
     tagged = False
@@ -633,6 +634,9 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
         raise FormatError(f"bad header: {lines[0]!r}") from exc
     if len(lines) - 1 != v_decl:
         raise FormatError(f"header declares {v_decl} nodes, found {len(lines) - 1}")
+    for k in sorted(implied_file_idx):
+        if not (0 <= k < v_decl and lines[1 + k].startswith("L")):
+            raise FormatError(f"c implied {k} names no L line")
 
     num_atom_vars = len(table) or n_vars
     builder = GraphBuilder(n_vars, num_atom_vars)

@@ -612,7 +612,7 @@ def project_trail(
 
 class TheoryState:
     """Assertion trail of theory literals, popped back to a recorded size,
-    checked on a stack of theory contexts.
+    checked on a theory context.
 
     Single-owner: one search uses one state.  Next to each trail entry sits an
     audited point satisfying every literal up to and including that entry,
@@ -622,17 +622,17 @@ class TheoryState:
     Only the other queries run Fourier-Motzkin, each through ``_check``,
     which counts them and the rows each one starts from.
 
-    A query checks the innermost context (``push_context``), a projection
-    of the trail as it was pushed, with the literals asserted since; the
-    root context projects nothing, so there it is the whole trail.  The
-    compiler pushes a component's projection onto the reals of its atoms,
+    A query checks ``context``, a projection of the trail's first ``mark``
+    literals, with the literals asserted since; the default projects
+    nothing at mark 0, so there it is the whole trail.  Each branch of the
+    compiler sets its component's projection onto the reals of its atoms,
     where every later literal lives, so the answer is the trail's.  A
     refutation cites trail literals (``check_feasible``).  A witness is
     extended to the whole trail: the top point keeps the reals the context
     does not read, and the context's stages move the eliminated reals the
     witness put out of bounds; the extended point is audited against the
     trail and the literal.  Points are never mutated (entries share them),
-    so popping the trail pops the points and push/pop stays exact.
+    so popping the trail pops the points and ``pop_to`` stays exact.
     """
 
     def __init__(self, table) -> None:
@@ -640,7 +640,7 @@ class TheoryState:
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
-        self._contexts: list[tuple[Projection, int]] = [(NO_PROJECTION, 0)]  # (context, trail size at its push)
+        self.context: tuple[Projection, int] = (NO_PROJECTION, 0)  # (projection, the trail size it stands for)
         self.checks = 0
         self.rows_max = 0  # the most rows one check started from
         self.witness_hits = 0
@@ -656,15 +656,6 @@ class TheoryState:
         """The real variables some trail literal mentions."""
         return self._reals[-1]
 
-    def push_context(self, context: Projection) -> None:
-        """Check queries on ``context``, a projection of the trail as it is
-        now onto reals that every literal asserted or queried until the
-        matching ``pop_context`` lives on."""
-        self._contexts.append((context, len(self.trail)))
-
-    def pop_context(self) -> None:
-        self._contexts.pop()
-
     def _check(self, lits: frozenset[int], context: Projection | None = None) -> FeasibilityResult:
         self.checks += 1
         result = check_feasible(self.table, lits, context=context)
@@ -672,12 +663,12 @@ class TheoryState:
         return result
 
     def _query(self, lit: int) -> FeasibilityResult:
-        """Feasibility of the trail plus ``lit``, checked on the innermost
-        context; a witness comes back extended to the whole trail."""
-        context, mark = self._contexts[-1]
+        """Feasibility of the trail plus ``lit``, checked on ``context``; a
+        witness comes back extended to the whole trail."""
+        context, mark = self.context
         lits = frozenset(self.trail[mark:]).union(context.diseqs, (lit,))
         result = self._check(lits, context)
-        if not result.sat or not mark:  # a context pushed at an empty trail projects nothing
+        if not result.sat or not mark:  # a context of the empty trail projects nothing
             return result
         top, local = self.point, result.witness
         den = math.lcm(top.den, local.den)

@@ -95,6 +95,26 @@ def test_check_violation_exit_code(tmp_path, capsys):
     assert out.splitlines()[0] != "0 violations"
 
 
+@pytest.mark.parametrize(
+    "nnf, atoms",
+    [
+        ("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 0\n", "1 bool A\n"),
+        ("nnf 4 4 2\nL 1\nL 2\nA 2 0 1\nO 0 2 2 2\n", "1 bool A\n2 bool B\n"),
+    ],
+    ids=["or-of-one-literal", "or-of-one-and"],
+)
+def test_count_refuses_a_graph_that_is_not_deterministic(nnf, atoms, tmp_path, capsys):
+    """Each graph has one model, which its Or counts twice: count refuses
+    it as check reports it."""
+    graph, sidecar = tmp_path / "g.nnf", tmp_path / "g.atoms"
+    graph.write_text(nnf)
+    sidecar.write_text(atoms)
+    assert run(["count", "--nnf", str(graph), "--atoms", str(sidecar)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: not a d-DNNF: determinism at node ")
+    assert run(["check", "--nnf", str(graph), "--atoms", str(sidecar)]) == 3
+
+
 def test_enumerate(gap_xy_path, capsys):
     assert run(["enumerate", str(gap_xy_path), "--max", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -434,7 +434,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
     original = st.compiler._Search._theory_candidates
     calls = 0
 
-    def checked(self, scope_set):
+    def checked(self, scope):
         nonlocal calls
         calls += 1
         values, db = self.values, self.db
@@ -444,11 +444,11 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
             if not any(values[abs(l)] == (l > 0) for l in cl)
             for l in cl
             if values[abs(l)] is None
-            and abs(l) in scope_set
+            and abs(l) in scope
             and abs(l) <= db.num_atom_vars
             and self.amap.is_linear_var(abs(l))
         }
-        got = original(self, scope_set)
+        got = original(self, scope)
         assert got == sorted(want)
         return got
 
@@ -620,11 +620,12 @@ def test_real_chain_decides_linearly():
 
 
 def test_every_context_query_answers_as_the_whole_trail(monkeypatch):
-    """Each theory query runs on the innermost component's projection plus
-    the literals asserted since it was pushed.  Its answer equals a
-    whole-trail check, its witness is a point for the whole trail and the
-    literal, and its certificate cites trail literals only and passes the
-    audit over them."""
+    """Each theory query runs on its branch's context: the parent
+    component's projection of the trail's first ``mark`` literals, plus the
+    literals asserted since.  The context stands for literals still on the
+    trail, its answer equals a whole-trail check, its witness is a point for
+    the whole trail and the literal, and its certificate cites trail
+    literals only and passes the audit over them."""
     query = st.lra.TheoryState._query
     seen = {"sat": 0, "unsat": 0, "extended": 0, "composed": 0}
 
@@ -632,7 +633,8 @@ def test_every_context_query_answers_as_the_whole_trail(monkeypatch):
         result = query(self, lit)
         lits = [*self.trail, lit]
         assert result.sat == st.check_feasible(self.table, lits).sat, lits
-        context, mark = self._contexts[-1]
+        context, mark = self.context
+        assert mark <= len(self.trail) and context.sources <= set(self.trail[:mark]), (mark, self.trail)
         if result.sat:
             assert st.lra.witness_satisfies(self.table, lits, result.witness), lits
             seen["extended"] += bool(context.stages)

@@ -543,6 +543,10 @@ def test_import_format_errors():
     for constant in ("1 leq 0*x 5\n", "1 eq 0*x 0*y 0\n", "1 eq 0\n"):
         with pytest.raises(st.FormatError, match="constant atom"):
             st.import_nnf("nnf 1 0 1\nL 1\n", constant)
+    # an implied tag past the last node, negative, or on an Or line
+    for tag in (7, -1, 2):
+        with pytest.raises(st.FormatError, match=f"c implied {tag} names no L line"):
+            st.import_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n", f"1 bool a\nc implied {tag}\n")
 
 
 def test_import_rejects_a_duplicated_atom_line():

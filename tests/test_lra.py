@@ -393,9 +393,10 @@ def test_project_trail_keeps_disequalities(env):
 
 
 def test_a_pushed_context_answers_for_the_trail_before_it(env):
-    """After a push, checks read the projection and the literals asserted
-    since.  A refutation cites the trail literals behind the projected
-    row, and a witness moves the eliminated reals with the kept one."""
+    """With a projection of the trail set as the context, checks read the
+    projection and the literals asserted since.  A refutation cites the
+    trail literals behind the projected row, and a witness moves the
+    eliminated reals with the kept one."""
     table, cmp = env
     x, z = 0, 2
     trail = [cmp("=", {"x": 1, "y": -1}), cmp("=", {"y": 1, "z": -1}), cmp(">=", {"x": 1})]  # 0 <= x = y = z
@@ -404,7 +405,7 @@ def test_a_pushed_context_answers_for_the_trail_before_it(env):
         assert s.assert_literal(lit) is None
     context = project_trail(table, trail, {z})
     assert context.key == ((((z, -1),), 0, False),)  # z >= 0
-    s.push_context(context)
+    s.context = (context, len(trail))
     below = cmp("<", {"z": 1}, -1)
     assert s.assert_literal(below).core == frozenset(trail + [below])
     above = cmp(">=", {"z": 1}, 2)
@@ -412,7 +413,7 @@ def test_a_pushed_context_answers_for_the_trail_before_it(env):
     assert witness_satisfies(table, s.trail, s.point) and s.point[x] == s.point[z] >= 2
     assert s.entails(cmp(">", {"z": 1}, 1)) and not s.entails(cmp("<=", {"z": 1}, 5))
     s.pop_to(len(trail))
-    s.pop_context()
+    s.context = (lra.NO_PROJECTION, 0)
     assert s.assert_literal(cmp("<=", {"z": 1}, 1)) is None
 
 
