@@ -159,7 +159,6 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
         decisions=stats.decisions,
         theory_checks=stats.theory_checks,
         theory_rows_max=stats.theory_rows_max,
-        theory_skips=stats.theory_skips,
         edges=stats.edges,
     )
     return row
@@ -216,7 +215,7 @@ def main() -> None:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
                 f"  theory checks {row['theory_checks']} (at most {row['theory_rows_max']} rows)"
-                f"  skips {row['theory_skips']}  edges {row['edges']}"
+                f"  edges {row['edges']}"
             )
 
 

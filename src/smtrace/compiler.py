@@ -86,7 +86,6 @@ class CompileStats:
     theory_props: int = 0
     theory_checks: int = 0  # Fourier-Motzkin feasibility checks (witness hits excluded)
     theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
-    theory_skips: int = 0  # propagation candidates skipped for a real the trail leaves free
     theory_rows_max: int = 0  # the most inequality rows one Fourier-Motzkin check started from
     conflicts: int = 0
     learned: int = 0
@@ -134,7 +133,7 @@ class WatchedClauses:
 
     Watches never need undoing on backtrack.  Unit and empty input clauses
     are recorded at construction for the caller to bootstrap with; every
-    other clause is watched on its first two literals.
+    other clause, input or added, is watched on its first two literals.
     """
 
     def __init__(self, clauses: Sequence[tuple[int, ...]]) -> None:
@@ -157,10 +156,10 @@ class WatchedClauses:
         The search adds each learned theory clause here: the negation of a
         minimal infeasible core, which always has two literals or more,
         since constant comparisons fold at parse time and one non-constant
-        linear literal is always feasible.  The watches are the first two
-        literals, as for input clauses, so a learned clause that a backtrack
-        leaves unit with one watch still false is not propagated; the theory
-        solver still rejects every assignment the clause excludes.
+        linear literal is always feasible.  It is added all false, and its
+        first two literals negate the two core literals asserted last, as in
+        Chaff: a backtrack unassigns those first, so the engine, not the
+        theory solver, refutes every assignment the clause excludes.
         """
         ci = len(self.clauses)
         self.clauses.append(tuple(clause))
@@ -249,9 +248,6 @@ class ClauseIndex:
         self.clause_stamp = [0] * len(self.clauses)
         self.stamp = 0
 
-    def satisfied(self, ci: int, values) -> bool:
-        return any(values[abs(l)] == (l > 0) for l in self.clauses[ci])
-
 
 def _live_view(clause, values) -> tuple[int, ...]:
     """The unassigned literals of a clause, or ``()`` when it is satisfied."""
@@ -292,17 +288,18 @@ def split_components(
 
     Connectivity joins clauses sharing a Boolean variable, linear atoms
     sharing a real variable, and real variables co-occurring in the atom of
-    any theory ``trail`` literal (which is what entangles otherwise
-    independent clause sets).
+    a theory trail literal (which is what entangles otherwise independent
+    clause sets).
     Unassigned atoms outside all unsatisfied clauses still form components, so
     totality branching stays scoped.  ``index`` is the compile's
     ``ClauseIndex`` of ``db``.
 
-    ``parent`` is the component being decided and ``assigned`` the literals
-    its branch asserted.  Without a parent the root of the search is split:
-    the component of every variable and clause id, whose context
+    ``parent`` is the component being decided, ``assigned`` the literals
+    its branch asserted and ``trail`` the theory literals among them, in
+    trail order.  Without a parent the root of the search is split: the
+    component of every variable and clause id, whose context
     ``lra.NO_PROJECTION`` projects nothing, with every literal of
-    ``assignment`` as its branch's.
+    ``assignment`` as its branch's and ``trail`` the whole theory trail.
 
     Components are flood fills over the index.  A reached variable visits
     the clauses it occurs in, each once per split, and keeps the id of a
@@ -322,10 +319,11 @@ def split_components(
     the one component.
 
     The trail literals a part can read are the parent context's ``sources``
-    and the branch's literals, in trail order; a fill takes those over its
+    and ``trail``: the parent is closed under trail entanglement, so no
+    other trail literal mentions its reals.  A fill takes those over its
     reals and the rest of the parent those over no fill's.  Each part's
     ``polyhedron`` is projected from the parent's, which stands for its
-    ``sources``, plus the part's other literals.
+    ``sources`` in any order, plus the part's other literals.
     """
     cfg = cfg or CompileConfig()
     index = index or ClauseIndex(db, amap)
@@ -374,11 +372,8 @@ def split_components(
     seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
     pending = len(seeds)  # stamped seeds no fill reached
 
-    lits, on_trail = [], ()  # the trail literals the parts read, and their atoms
-    if trail:
-        sources, fresh = context.sources, {abs(lit) for lit in assigned}
-        lits = [lit for lit in trail if lit in sources or abs(lit) in fresh]
-        on_trail = {abs(lit) for lit in lits}
+    lits = [*context.sources, *trail]  # the trail literals the parts read
+    on_trail = {abs(lit) for lit in lits}
 
     fills = []  # (variables, real nodes, clause ids) per fill
     for s in seeds:
@@ -525,9 +520,7 @@ class _Search:
         self.trail: list[int] = []
         self.engine = WatchedClauses(db.clauses)
         self.index = ClauseIndex(db, amap)
-        self._learned_keys: set[frozenset[int]] = set()
-        self.theory_on = cfg.mode == "lazy" and bool(amap.linear_vars())
-        self.theory = lra.TheoryState(amap) if self.theory_on else None
+        self.theory = lra.TheoryState(amap) if cfg.mode == "lazy" and amap.linear_vars() else None
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
@@ -545,30 +538,39 @@ class _Search:
     # -- propagation
 
     def _theory_sync(self, lits: Sequence[int]) -> bool:
+        theory = self.theory
         for lit in lits:
             if abs(lit) in self.index.reals:
-                conflict = self.theory.assert_literal(lit)
+                conflict = theory.assert_literal(lit)
                 if conflict is not None:
                     self.stats.conflicts += 1
                     if self.cfg.learning:
-                        core = lra.minimize_core(self.amap, conflict.core, check=self.theory._check)
-                        clause = learn_theory_clause(core)
-                        key = frozenset(clause)
-                        if key not in self._learned_keys:
-                            self._learned_keys.add(key)
-                            self.engine.add(clause)
-                            self.stats.learned += 1
+                        core = lra.minimize_core(self.amap, conflict.core, check=theory._check)
+                        # lit is in the core, since the trail before it is feasible
+                        latest = next(l for l in reversed(theory.trail) if l in core)
+                        self.engine.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))
+                        self.stats.learned += 1
                     return False
         return True
 
     def _theory_candidates(self, scope: Sequence[int]) -> list[int]:
         """Unassigned linear atoms of the ascending scope that occur in an
-        unsatisfied clause, ascending."""
-        index, values = self.index, self.values
+        unsatisfied clause and all of whose reals the trail mentions,
+        ascending.
+
+        The component is closed under trail entanglement, so the trail
+        literals over its reals are the context's sources and those asserted
+        since.  A real the feasible trail leaves free lets an atom over it
+        take either value, so that atom is never entailed.
+        """
+        index, values, theory = self.index, self.values, self.theory
+        context, mark = theory.context
+        reals = index.reals
+        mentioned = frozenset().union(*(reals[abs(lit)] for lit in chain(context.sources, theory.trail[mark:])))
         cand = []
         for var in scope:
-            if var in index.reals and values[var] is None:
-                if not all(index.satisfied(ci, values) for ci in index.occurs[var]):
+            if var in reals and values[var] is None and reals[var] <= mentioned:
+                if any(_live_view(index.clauses[ci], values) for ci in index.occurs[var]):
                     cand.append(var)
         return cand
 
@@ -585,7 +587,7 @@ class _Search:
             if conflict is not None:
                 self.stats.conflicts += 1
                 return False
-            if self.theory_on:
+            if self.theory is not None:
                 if not self._theory_sync(queue):
                     return False
                 cand = self._theory_candidates(scope)
@@ -629,9 +631,10 @@ class _Search:
         """
         scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
         mark = len(self.trail)
-        theory_mark = len(self.theory.trail) if self.theory_on else 0
-        if self.theory_on:
-            self.theory.context = (parent.polyhedron if parent is not None else lra.NO_PROJECTION, theory_mark)
+        theory, theory_mark = self.theory, 0
+        if theory is not None:
+            theory_mark = len(theory.trail)
+            theory.context = (parent.polyhedron if parent is not None else lra.NO_PROJECTION, theory_mark)
         queue = []
         for lit in lits:
             val = self.values[abs(lit)]
@@ -647,9 +650,9 @@ class _Search:
         implied: set[int] = set()
         if self._fixpoint(scope, queue, implied):
             parts = [self.builder.lit(lit, implied=lit in implied) for lit in self.trail[mark:]]
-            theory_trail = self.theory.trail if self.theory_on else []
+            branch_theory = theory.trail[theory_mark:] if theory is not None else ()
             comps = split_components(
-                self.db, self.amap, self.values, theory_trail, self.cfg, self.index, parent, self.trail[mark:]
+                self.db, self.amap, self.values, branch_theory, self.cfg, self.index, parent, self.trail[mark:]
             )
             if len(comps) > 1:
                 self.stats.components += len(comps)
@@ -661,8 +664,8 @@ class _Search:
             else:
                 node = self.builder.and_node(parts)
         self._undo_to(mark)
-        if self.theory_on:
-            self.theory.pop_to(theory_mark)
+        if theory is not None:
+            theory.pop_to(theory_mark)
         return node
 
     def run(self) -> int:
@@ -702,7 +705,6 @@ def compile(db: ClauseDb, amap: AtomTable, cfg: CompileConfig | None = None) -> 
     if search.theory is not None:
         stats.theory_checks = search.theory.checks
         stats.theory_witness_hits = search.theory.witness_hits
-        stats.theory_skips = search.theory.skips
         stats.theory_rows_max = search.theory.rows_max
     stats.nodes = len(graph)
     stats.edges = graph.edge_count

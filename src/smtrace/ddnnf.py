@@ -588,7 +588,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
 
     Sidecar atoms are interned in variable order, so atom id i is variable i;
     two variables with the same atom are a format error, and so is a
-    ``c implied`` tag that names no ``L`` line.
+    ``c implied`` tag that names no ``L`` line or other than one node.
     """
     implied_file_idx: set[int] = set()
     tagged = False
@@ -601,9 +601,10 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
             parts = line.split()
             if parts[:2] == ["c", "tagged"]:
                 tagged = True
-            elif parts[:2] == ["c", "implied"] and len(parts) == 3:
+            elif parts[:2] == ["c", "implied"]:
                 try:
-                    implied_file_idx.add(int(parts[2]))
+                    (nid,) = parts[2:]
+                    implied_file_idx.add(int(nid))
                 except ValueError as exc:
                     raise FormatError(f"bad implied tag: {line!r}") from exc
             continue

@@ -174,9 +174,6 @@ class AtomTable:
     def linear_vars(self) -> list[int]:
         return [a.id for a in self.atoms if a.is_linear]
 
-    def real_vars_of(self, var: int) -> frozenset[int]:
-        return self.atoms[var - 1].term.real_vars if self.is_linear_var(var) else frozenset()
-
     def intern_bool(self, name: str) -> int:
         return self._intern((BOOL, name), lambda aid: Atom(aid, BOOL, name=name))
 

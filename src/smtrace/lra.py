@@ -614,11 +614,11 @@ class TheoryState:
     """Assertion trail of theory literals, popped back to a recorded size,
     checked on a theory context.
 
-    Single-owner: one search uses one state.  Next to each trail entry sits an
-    audited point satisfying every literal up to and including that entry,
-    and the set of reals the trail mentions up to there.  A query is answered
-    first at the top point: a literal that holds there extends the trail with
-    the same point, and a literal whose negation holds there is not entailed.
+    Single-owner: one search uses one state.  Next to each trail entry sits
+    an audited point satisfying every literal up to and including that
+    entry.  A query is answered first at the top point: a literal that holds
+    there extends the trail with the same point, and a literal whose
+    negation holds there is not entailed.
     Only the other queries run Fourier-Motzkin, each through ``_check``,
     which counts them and the rows each one starts from.
 
@@ -639,22 +639,15 @@ class TheoryState:
         self.table = table
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
-        self._reals: list[frozenset[int]] = [frozenset()]  # the reals of trail[:i]
         self.context: tuple[Projection, int] = (NO_PROJECTION, 0)  # (projection, the trail size it stands for)
         self.checks = 0
         self.rows_max = 0  # the most rows one check started from
         self.witness_hits = 0
-        self.skips = 0  # propagation candidates skipped for a real the trail leaves free
 
     @property
     def point(self) -> Point:
         """The audited point satisfying every trail literal."""
         return self._points[-1]
-
-    @property
-    def reals(self) -> frozenset[int]:
-        """The real variables some trail literal mentions."""
-        return self._reals[-1]
 
     def _check(self, lits: frozenset[int], context: Projection | None = None) -> FeasibilityResult:
         self.checks += 1
@@ -705,14 +698,12 @@ class TheoryState:
             point = result.witness
         self.trail.append(lit)
         self._points.append(point)
-        self._reals.append(self.reals | self.table.atom(abs(lit)).term.real_vars)
         return None
 
     def pop_to(self, size: int) -> None:
         """Drop the trail entries after the first ``size``."""
         del self.trail[size:]
         del self._points[size + 1 :]
-        del self._reals[size + 1 :]
 
     def entails(self, lit: int) -> bool:
         if self._holds_at_top(-lit):
@@ -741,17 +732,12 @@ def minimize_core(
 def propagate_candidates(state: TheoryState, atoms: Sequence[int]) -> list[int]:
     """Trail-entailed literals over the given atoms.
 
-    Each atom costs at most two entailment checks, one per polarity.  An
-    atom with a real that no trail literal mentions is skipped without a
-    check: the trail is feasible and leaves that real free, so the atom's
-    term takes every value on the trail's polyhedron and neither polarity is
-    entailed.
+    Each atom costs at most two entailment checks, one per polarity.  The
+    caller picks the atoms: an atom with a real that no trail literal
+    mentions is never entailed, so passing it only costs its checks.
     """
     out: list[int] = []
     for aid in atoms:
-        if not state.table.atom(aid).term.real_vars <= state.reals:
-            state.skips += 1
-            continue
         if state.entails(aid):
             out.append(aid)
         elif state.entails(-aid):

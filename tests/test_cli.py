@@ -137,7 +137,6 @@ def test_stats_json(gap_xy_path, tmp_path, capsys):
         "theory_props",
         "theory_checks",
         "theory_witness_hits",
-        "theory_skips",
         "theory_rows_max",
         "conflicts",
         "learned",

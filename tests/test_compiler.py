@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -218,7 +219,7 @@ def test_split_independent_and_entangled():
     assert comps[0].scope == (1, 2, 3, 4)
     assert comps[0].polyhedron.sources == {xy}
     # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
-    x, y = sorted(amap.real_vars_of(abs(xy)))
+    x, y = sorted(_real_vars(amap, abs(xy)))
     assert comps[0].polyhedron.key == ((((x, 1), (y, 1)), -5, True),)
 
 
@@ -246,6 +247,10 @@ def test_split_free_atom_joins_entangled_component():
     # the free x+y atom (var 5) bridges the x-side and the y-side
     assert len(comps) == 1
     assert comps[0].scope == (1, 2, 3, 4, 5)
+
+
+def _real_vars(amap, var):
+    return amap.atom(var).term.real_vars if amap.is_linear_var(var) else frozenset()
 
 
 def reference_split(db, amap, assignment, trail, cfg, scope=None):
@@ -286,7 +291,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
         for r in reals[1:]:
             union(("r", reals[0]), ("r", r))
     for v in scope_vars:
-        for r in amap.real_vars_of(v):
+        for r in _real_vars(amap, v):
             seen_reals.add(r)
             union(("b", v), ("r", r))
     for _, live in residuals:
@@ -297,7 +302,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
         lits = [lit for lit in trail if amap.atom(abs(lit)).term.real_vars & reals]
         polyhedron = st.lra.NO_PROJECTION
         if lits:
-            own = frozenset().union(*(amap.real_vars_of(v) for v in variables))
+            own = frozenset().union(*(_real_vars(amap, v) for v in variables))
             polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(tuple(variables), tuple(ci for ci, _ in views), polyhedron)
 
@@ -350,8 +355,9 @@ def test_split_from_a_parent_matches_the_reference():
     """A parent component of the reference split, some of its variables
     assigned with their linear literals put on the trail as the lazy search
     asserts them (or with no trail at all, as without a theory): the split
-    that fills around the assignment and cuts the rest out of the parent
-    equals the reference split over the parent's scope."""
+    that fills around the assignment, reading the parent's context and the
+    branch's linear literals, and cuts the rest out of the parent equals
+    the reference split of the whole trail over the parent's scope."""
     rng = random.Random(11)
     configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
     checked = 0
@@ -371,9 +377,9 @@ def test_split_from_a_parent_matches_the_reference():
                     for v in picked:
                         child[v] = rng.random() < 0.5
                         lits.append(v if child[v] else -v)
-                    child_trail = trail + [lit for lit in lits if theory and amap.is_linear_var(abs(lit))]
-                    want = reference_split(db, amap, child, child_trail, cfg, parent.scope)
-                    got = split_components(db, amap, child, child_trail, cfg, index, parent, lits)
+                    branch = [lit for lit in lits if theory and amap.is_linear_var(abs(lit))]
+                    want = reference_split(db, amap, child, trail + branch, cfg, parent.scope)
+                    got = split_components(db, amap, child, branch, cfg, index, parent, lits)
                     assert got == want, name
                     checked += 1
     assert checked > 300
@@ -407,7 +413,8 @@ def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
 
 def test_search_graphs_match_the_reference_split(monkeypatch):
     """The search builds the same graph, node for node, and the same stats
-    whether it splits by flood fill or by the reference union-find."""
+    whether it splits by flood fill of its branch or by the reference
+    union-find over the whole theory trail."""
     formulas = [gen(seed) for seed in range(8) for gen in (st.random_formula, st.random_nested_formula)]
 
     def graphs():
@@ -415,13 +422,16 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
         return runs + [st.compile(*bool_chain(40)), pipeline(st.parse_smt2(_real_chain(8)))[0]]
 
     new = graphs()
+    searches = _record_searches(monkeypatch)
     calls = 0
 
     def reference(db, amap, values, trail, cfg, index, parent, assigned):
         nonlocal calls
         calls += 1
         assignment = {v: val for v, val in enumerate(values) if val is not None}
-        return reference_split(db, amap, assignment, trail, cfg, parent.scope if parent else None)
+        theory = searches[-1].theory
+        whole = theory.trail if theory is not None else []
+        return reference_split(db, amap, assignment, whole, cfg, parent.scope if parent else None)
 
     monkeypatch.setattr(st.compiler, "split_components", reference)
     old = graphs()
@@ -431,6 +441,8 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
 
 
 def test_theory_candidates_match_a_full_scan(monkeypatch):
+    """The component-local candidates are the scope's unassigned linear
+    atoms in an unsatisfied clause whose reals the whole trail mentions."""
     original = st.compiler._Search._theory_candidates
     calls = 0
 
@@ -438,6 +450,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
         nonlocal calls
         calls += 1
         values, db = self.values, self.db
+        mentioned = frozenset().union(*(_real_vars(self.amap, abs(l)) for l in self.theory.trail))
         want = {
             abs(l)
             for cl in db.clauses
@@ -447,6 +460,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
             and abs(l) in scope
             and abs(l) <= db.num_atom_vars
             and self.amap.is_linear_var(abs(l))
+            and _real_vars(self.amap, abs(l)) <= mentioned
         }
         got = original(self, scope)
         assert got == sorted(want)
@@ -458,6 +472,28 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
             pipeline(f)
     pipeline(st.parse_smt2(_real_chain(6)))
     assert calls > 100
+
+
+def test_no_theory_core_is_learned_twice(monkeypatch):
+    """A learned clause is watched on the negations of its two core literals
+    asserted last, so once a backtrack leaves it unit the watched engine
+    refutes what it excludes, and no compile derives the same core again."""
+    minimize = st.lra.minimize_core
+    cores = []
+
+    def recording(*args, **kwargs):
+        core = minimize(*args, **kwargs)
+        cores[-1].append(core)
+        return core
+
+    monkeypatch.setattr(st.lra, "minimize_core", recording)
+    for seed in range(200):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            cores.append([])
+            pipeline(f)
+            repeated = [core for core, n in Counter(cores[-1]).items() if n > 1]
+            assert not repeated, (seed, repeated)
+    assert sum(map(len, cores)) > 200
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +583,7 @@ def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch)
         for ci in comp.ids:
             assert not any(values[abs(l)] == (l > 0) for l in clauses[ci]), ci
             assert {abs(l) for l in clauses[ci] if values[abs(l)] is None} <= scope, ci
-        trail = search.theory.trail if search.theory_on else []
+        trail = search.theory.trail if search.theory is not None else []
         own, over = set().union(*(reals.get(v, ()) for v in comp.scope)), set()
         while True:  # the trail literals over those reals, then over theirs
             more = {lit for lit in trail if lit not in over and not own.isdisjoint(reals[abs(lit)])}

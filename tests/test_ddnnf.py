@@ -547,6 +547,10 @@ def test_import_format_errors():
     for tag in (7, -1, 2):
         with pytest.raises(st.FormatError, match=f"c implied {tag} names no L line"):
             st.import_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n", f"1 bool a\nc implied {tag}\n")
+    # an implied tag with other than one node
+    for tag in ("c implied 0 0", "c implied"):
+        with pytest.raises(st.FormatError, match="bad implied tag"):
+            st.import_nnf("nnf 1 0 1\nL 1\n", f"1 bool a\n{tag}\n")
 
 
 def test_import_rejects_a_duplicated_atom_line():
