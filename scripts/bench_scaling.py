@@ -21,8 +21,8 @@ without compiling.
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
 same budget; the median repeat is reported with the graph's decisions,
-theory checks, the most rows one check started from (``theory_rows_max``),
-skipped propagation candidates and edges.  Results go to a JSON file
+theory checks, the most rows one check started from (``theory_rows_max``)
+and edges.  Results go to a JSON file
 together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 

@@ -20,10 +20,9 @@ from .frontend import (
     normalize_comparison,
     parse_smt2,
 )
-from .abstraction import ClauseDb, PropFormula, boolean_abstract, to_cnf, to_dimacs
+from .abstraction import ClauseDb, boolean_abstract, learn_theory_clause, to_cnf, to_dimacs
 from .lra import (
     Certificate,
-    Conflict,
     FeasibilityResult,
     NonTheoryLiteralError,
     NotInfeasibleError,
@@ -42,7 +41,6 @@ from .compiler import (
     cache_key,
     compile,
     decide,
-    learn_theory_clause,
     split_components,
 )
 from .ddnnf import (

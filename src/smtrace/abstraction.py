@@ -1,7 +1,7 @@
 """Boolean abstraction of a formula and CNF conversion.
 
-The abstraction copies nothing: it reads the parser's formula tree with atom
-id i as Boolean variable i, so the map between the two is a bijection by
+The abstraction is the parser's formula itself, read with atom id i as
+Boolean variable i, so the map between the two is a bijection by
 construction and the formula's ``AtomTable`` serves as the atom map.  CNF
 conversion reads that tree directly, with the literal of ``FLit`` becoming the
 signed variable ``±atom``.  CNF uses full biconditional Tseitin definitions:
@@ -32,14 +32,6 @@ from .frontend import (
 
 
 @dataclass
-class PropFormula:
-    """A formula tree read as propositional: atom id i is Boolean variable i."""
-
-    root: FNode
-    num_vars: int
-
-
-@dataclass
 class ClauseDb:
     """CNF over Boolean variables: atom variables first, auxiliaries after."""
 
@@ -60,9 +52,22 @@ class ClauseDb:
         return range(self.num_atom_vars + 1, self.num_vars + 1)
 
 
-def boolean_abstract(f: Formula) -> tuple[PropFormula, AtomTable]:
-    """The formula's own tree and atom table, read propositionally."""
-    return PropFormula(f.root, len(f.table)), f.table
+def _lit_order(lit: int) -> tuple[int, bool]:
+    return (abs(lit), lit < 0)
+
+
+def learn_theory_clause(core) -> tuple[int, ...]:
+    """Blocking clause for a theory core: the disjunction of its negations.
+
+    The clause is theory-entailed, so adding it preserves the model set and
+    every count.
+    """
+    return tuple(sorted((-lit for lit in core), key=_lit_order))
+
+
+def boolean_abstract(f: Formula) -> tuple[Formula, AtomTable]:
+    """The formula itself and its atom table: atom id i is Boolean variable i."""
+    return f, f.table
 
 
 def _nnf(node: FNode, neg: bool):
@@ -107,11 +112,12 @@ def _nnf(node: FNode, neg: bool):
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def to_cnf(p: PropFormula) -> ClauseDb:
-    """Equisatisfiable CNF with functionally determined Tseitin auxiliaries."""
+def to_cnf(f: Formula) -> ClauseDb:
+    """Equisatisfiable CNF with functionally determined Tseitin auxiliaries,
+    over the formula's ``len(f.table)`` atom variables, then the auxiliaries."""
     clauses: list[tuple[int, ...]] = []
     defs: dict[FNode, int] = {}
-    next_var = p.num_vars
+    next_var = len(f.table)
 
     def add_clause(lits: list[int]) -> None:
         seen: list[int] = []
@@ -120,7 +126,7 @@ def to_cnf(p: PropFormula) -> ClauseDb:
                 return  # tautology, always satisfied
             if l not in seen:
                 seen.append(l)
-        clauses.append(tuple(sorted(seen, key=lambda l: (abs(l), l < 0))))
+        clauses.append(tuple(sorted(seen, key=_lit_order)))
 
     def define(node: FNode) -> int:
         """Auxiliary variable biconditionally defined as the subformula."""
@@ -146,7 +152,7 @@ def to_cnf(p: PropFormula) -> ClauseDb:
         return node if isinstance(node, int) else define(node)
 
     try:  # _nnf, define and the formula nodes' hashes recurse once per nesting level
-        root = _nnf(p.root, False)
+        root = _nnf(f.root, False)
         if isinstance(root, FFalse):
             clauses.append(())
         elif not isinstance(root, FTrue):
@@ -157,7 +163,7 @@ def to_cnf(p: PropFormula) -> ClauseDb:
     except RecursionError:
         raise UnsupportedFeatureError("formula nested too deeply") from None
 
-    return ClauseDb(num_vars=next_var, num_atom_vars=p.num_vars, clauses=clauses)
+    return ClauseDb(num_vars=next_var, num_atom_vars=len(f.table), clauses=clauses)
 
 
 def to_dimacs(db: ClauseDb, amap: AtomTable) -> str:

@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

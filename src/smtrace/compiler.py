@@ -51,7 +51,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import lra
-from .abstraction import ClauseDb
+from .abstraction import ClauseDb, learn_theory_clause
 from .ddnnf import DdnnfGraph, GraphBuilder
 from .frontend import AtomTable
 
@@ -212,10 +212,6 @@ class WatchedClauses:
 
 # ---------------------------------------------------------------------------
 # component splitting
-
-
-def _lit_order(lit: int) -> tuple[int, bool]:
-    return (abs(lit), lit < 0)
 
 
 class ClauseIndex:
@@ -498,15 +494,6 @@ def decide(component: Component, index: ClauseIndex) -> int:
     return max(component.scope, key=counts.__getitem__)  # the first maximum: scope ascends
 
 
-def learn_theory_clause(core) -> tuple[int, ...]:
-    """Blocking clause for a theory core: the disjunction of its negations.
-
-    The clause is theory-entailed, so adding it preserves the model set and
-    every count.
-    """
-    return tuple(sorted((-lit for lit in core), key=_lit_order))
-
-
 # ---------------------------------------------------------------------------
 # the search
 
@@ -541,11 +528,11 @@ class _Search:
         theory = self.theory
         for lit in lits:
             if abs(lit) in self.index.reals:
-                conflict = theory.assert_literal(lit)
-                if conflict is not None:
+                refutation = theory.assert_literal(lit)
+                if refutation is not None:
                     self.stats.conflicts += 1
                     if self.cfg.learning:
-                        core = lra.minimize_core(self.amap, conflict.core, check=theory._check)
+                        core = lra.minimize_core(self.amap, refutation.core, check=theory._check)
                         # lit is in the core, since the trail before it is feasible
                         latest = next(l for l in reversed(theory.trail) if l in core)
                         self.engine.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))

@@ -587,8 +587,10 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     """Inverse of export_nnf, up to node reordering; counts are preserved.
 
     Sidecar atoms are interned in variable order, so atom id i is variable i;
-    two variables with the same atom are a format error, and so is a
-    ``c implied`` tag that names no ``L`` line or other than one node.
+    two variables with the same atom are a format error, and so are a
+    ``c implied`` tag that names no ``L`` line or other than one node, a
+    header edge count other than the file's, and more sidecar atoms than
+    header variables.
     """
     implied_file_idx: set[int] = set()
     tagged = False
@@ -630,11 +632,13 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     if len(header) != 4 or header[0] != "nnf":
         raise FormatError(f"bad header: {lines[0]!r}")
     try:
-        v_decl, _e_decl, n_vars = int(header[1]), int(header[2]), int(header[3])
+        v_decl, e_decl, n_vars = int(header[1]), int(header[2]), int(header[3])
     except ValueError as exc:
         raise FormatError(f"bad header: {lines[0]!r}") from exc
     if len(lines) - 1 != v_decl:
         raise FormatError(f"header declares {v_decl} nodes, found {len(lines) - 1}")
+    if len(table) > n_vars:
+        raise FormatError(f"sidecar names {len(table)} atoms, header declares {n_vars} variables")
     for k in sorted(implied_file_idx):
         if not (0 <= k < v_decl and lines[1 + k].startswith("L")):
             raise FormatError(f"c implied {k} names no L line")
@@ -642,6 +646,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     num_atom_vars = len(table) or n_vars
     builder = GraphBuilder(n_vars, num_atom_vars)
     ids: list[int] = []
+    edges = 0
 
     def child(tok: str) -> int:
         try:
@@ -669,6 +674,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
                 raise FormatError(f"bad And line: {line!r}") from exc
             if len(parts) != 2 + c:
                 raise FormatError(f"And arity mismatch: {line!r}")
+            edges += c
             ids.append(builder.and_node([child(t) for t in parts[2:]]))
         elif parts[0] == "O" and len(parts) >= 3:
             try:
@@ -677,6 +683,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
                 raise FormatError(f"bad Or line: {line!r}") from exc
             if len(parts) != 3 + c:
                 raise FormatError(f"Or arity mismatch: {line!r}")
+            edges += c
             if c == 0:
                 ids.append(builder.false_id)
             elif c == 2:
@@ -688,5 +695,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
 
     if not ids:
         raise FormatError("nnf file has no nodes")
+    if edges != e_decl:
+        raise FormatError(f"header declares {e_decl} edges, found {edges}")
     graph = builder.finish(ids[-1], table, has_tags=tagged or bool(implied_file_idx))
     return graph, table

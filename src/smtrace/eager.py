@@ -40,8 +40,7 @@ from functools import reduce
 from itertools import combinations, product
 from operator import or_
 
-from .abstraction import ClauseDb
-from .compiler import learn_theory_clause
+from .abstraction import ClauseDb, learn_theory_clause
 from .frontend import EQ, AtomTable
 from .lra import Point, check_feasible, literal_holds, literal_key
 

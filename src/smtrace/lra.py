@@ -25,10 +25,11 @@ some of its variables; with the conjunction's disequalities kept as
 literals, that is the theory context of a component (``project_trail``).
 The compiler's cache keys on it, and the search checks on it: each
 projected row keeps its combination vector over the rows it was derived
-from, and the projection keeps the elimination stages.  A check on a
-context (``check_feasible``'s ``context``) then certifies an infeasibility
-with the rows of the projected literals, and ``TheoryState`` extends its
-witness to the eliminated reals by back-substitution through the stages.
+from, and the projection keeps the elimination stages.  Every check runs
+on a context (``check_feasible``'s ``context``, by default ``NO_PROJECTION``,
+of no literals) and certifies an infeasibility with the rows of the
+projected literals, and ``TheoryState`` extends its witness to the
+eliminated reals by back-substitution through the stages.
 A sub-component's context is projected from its parent's plus the literals
 asserted since, so no check or projection reads the whole trail.
 
@@ -146,8 +147,31 @@ class FeasibilityResult:
 
 
 @dataclass(frozen=True)
-class Conflict:
-    core: frozenset[int]
+class Projection:
+    """What a set of trail literals says about some reals (``project_trail``).
+
+    ``key`` is the canonical form that the component cache compares, and
+    the only field equality and hashing read.  ``rows`` are the projected
+    inequality rows ``(coeffs, const, strict, comb)``, one per direction of
+    ``key``, each with its combination vector over the rows of the literals
+    it was projected from (``_Row``).  ``stages`` are the Fourier-Motzkin
+    stages ``(var, rows)`` that eliminated the other reals of those
+    literals, in elimination order, for back-substitution.  ``sources`` are
+    the literals projected.
+    """
+
+    key: tuple
+    rows: tuple = field(default=(), compare=False)
+    stages: tuple = field(default=(), compare=False)
+    sources: frozenset[int] = field(default=frozenset(), compare=False)
+
+    @property
+    def diseqs(self) -> tuple[int, ...]:
+        """The disequalities kept as literals: the key's tail."""
+        return self.key[len(self.rows) :]
+
+
+NO_PROJECTION = Projection(())  # of no literals: what the root of a search starts from
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +468,23 @@ def _avoid_hyperplanes(
     return point
 
 
-def check_feasible(table, literals: Iterable[int], context: Projection | None = None) -> FeasibilityResult:
+def check_feasible(table, literals: Iterable[int], context: Projection = NO_PROJECTION) -> FeasibilityResult:
     """Exact feasibility of a conjunction of linear literals, with evidence.
 
-    With a ``context`` (a ``project_trail`` result), the literals are checked
-    together with the context's rows.  The context's rows enter the
-    elimination with their combination vectors, so a certificate cites the
-    rows of the literals the context was projected from, and is audited
-    against them and ``literals``; the witness satisfies ``literals`` and
-    the context's rows.
+    The literals are checked together with the rows of ``context``, a
+    ``project_trail`` result, by default of no literals.  The context's
+    rows enter the elimination with their combination vectors, so a
+    certificate cites the rows of the literals the context was projected
+    from, and is audited against them and ``literals``; the witness
+    satisfies ``literals`` and the context's rows.
     """
     lits = sorted(set(literals), key=literal_key)
     rows, diseqs = _split_literals(table, lits)
-    if context is not None:
-        rows = [*context.rows, *rows]
+    rows = [*context.rows, *rows]
 
     def refuted(cert: Certificate) -> FeasibilityResult:
         result = FeasibilityResult(False, certificate=cert, rows=len(rows))
-        _audit(table, lits if context is None else context.sources.union(lits), result)
+        _audit(table, context.sources.union(lits), result)
         return result
 
     status, payload = _fourier_motzkin(rows)
@@ -507,36 +530,8 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 # projection
 
 
-@dataclass(frozen=True)
-class Projection:
-    """What a set of trail literals says about some reals (``project_trail``).
-
-    ``key`` is the canonical form that the component cache compares, and
-    the only field equality and hashing read.  ``rows`` are the projected
-    inequality rows ``(coeffs, const, strict, comb)``, one per direction of
-    ``key``, each with its combination vector over the rows of the literals
-    it was projected from (``_Row``).  ``stages`` are the Fourier-Motzkin
-    stages ``(var, rows)`` that eliminated the other reals of those
-    literals, in elimination order, for back-substitution.  ``sources`` are
-    the literals projected.
-    """
-
-    key: tuple
-    rows: tuple = field(default=(), compare=False)
-    stages: tuple = field(default=(), compare=False)
-    sources: frozenset[int] = field(default=frozenset(), compare=False)
-
-    @property
-    def diseqs(self) -> tuple[int, ...]:
-        """The disequalities kept as literals: the key's tail."""
-        return self.key[len(self.rows) :]
-
-
-NO_PROJECTION = Projection(())  # of no literals: what the root of a search starts from
-
-
 def project_trail(
-    table, literals: Sequence[int], keep: AbstractSet[int], context: Projection | None = None
+    table, literals: Sequence[int], keep: AbstractSet[int], context: Projection = NO_PROJECTION
 ) -> Projection | None:
     """The projection of ``literals`` onto the real variables in ``keep``;
     None if the elimination finds their inequalities infeasible.  The
@@ -556,8 +551,9 @@ def project_trail(
     ``literals`` plus L equally feasible.  Redundant rows are kept, so equal
     projections may still have different keys.
 
-    ``context``, a projection of some of ``literals`` (its ``sources``)
-    onto reals that include the reals of the others, stands for them: its
+    ``context``, a projection of some of ``literals`` (its ``sources``;
+    by default none) onto reals that include the reals of the others,
+    stands for them: its
     rows that combine some of ``literals`` are projected with the rows of
     the other literals, and its stages that do are kept ahead of the new
     ones.  A row or a stage combines the literals of one entangled block,
@@ -565,14 +561,10 @@ def project_trail(
     exact, since the first step keeps every real the second one reads.
     """
     sources = frozenset(literals)
-    covered = context.sources if context is not None else frozenset()
-    live, diseq_rows = _split_literals(table, [lit for lit in literals if lit not in covered])
-    diseqs = [_source(below) for below, _ in diseq_rows]
-    stages = []
-    if context is not None:
-        live = [row for row in context.rows if _source(row) in sources] + live
-        diseqs += [lit for lit in context.diseqs if lit in sources]
-        stages = [stage for stage in context.stages if _source(stage[1][0]) in sources]
+    live, diseq_rows = _split_literals(table, [lit for lit in literals if lit not in context.sources])
+    live = [row for row in context.rows if _source(row) in sources] + live
+    diseqs = [_source(below) for below, _ in diseq_rows] + [lit for lit in context.diseqs if lit in sources]
+    stages = [stage for stage in context.stages if _source(stage[1][0]) in sources]
     keep = set(keep).union(*(table.atom(abs(lit)).term.real_vars for lit in diseqs))
     for var in sorted({v for row in live for v in row[0]} - keep):
         uppers, lowers, live, bad = _eliminate(live, var)
@@ -627,8 +619,9 @@ class TheoryState:
     nothing at mark 0, so there it is the whole trail.  Each branch of the
     compiler sets its component's projection onto the reals of its atoms,
     where every later literal lives, so the answer is the trail's.  A
-    refutation cites trail literals (``check_feasible``).  A witness is
-    extended to the whole trail: the top point keeps the reals the context
+    literal the trail refutes is answered with the refutation itself, its
+    certificate audited against trail literals (``check_feasible``).  A
+    witness is extended to the whole trail: the top point keeps the reals the context
     does not read, and the context's stages move the eliminated reals the
     witness put out of bounds; the extended point is audited against the
     trail and the literal.  Points are never mutated (entries share them),
@@ -649,7 +642,7 @@ class TheoryState:
         """The audited point satisfying every trail literal."""
         return self._points[-1]
 
-    def _check(self, lits: frozenset[int], context: Projection | None = None) -> FeasibilityResult:
+    def _check(self, lits: frozenset[int], context: Projection = NO_PROJECTION) -> FeasibilityResult:
         self.checks += 1
         result = check_feasible(self.table, lits, context=context)
         self.rows_max = max(self.rows_max, result.rows)
@@ -685,16 +678,17 @@ class TheoryState:
             return True
         return False
 
-    def assert_literal(self, lit: int) -> Conflict | None:
+    def assert_literal(self, lit: int) -> FeasibilityResult | None:
+        """Push ``lit`` onto the trail; or, if the trail plus ``lit`` is
+        infeasible, leave the trail as it is and return the refutation,
+        whose certificate ``check_feasible`` audited.  Its core holds
+        ``lit``, since the trail before it is feasible."""
         if self._holds_at_top(lit):
             point = self.point
         else:
             result = self._query(lit)
             if not result.sat:
-                core = result.core
-                if lit not in core:  # certificates of a newly infeasible system use lit
-                    core = core | {lit}
-                return Conflict(core)
+                return result
             point = result.witness
         self.trail.append(lit)
         self._points.append(point)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, strategies as hst
 
 import smtrace as st
-from smtrace.abstraction import PropFormula, to_cnf, to_dimacs
+from smtrace.abstraction import to_cnf, to_dimacs
 from smtrace.frontend import (
+    AtomTable,
     FAnd,
     FFalse,
     FImplies,
@@ -14,6 +15,7 @@ from smtrace.frontend import (
     FNot,
     FOr,
     FTrue,
+    Formula,
     Literal,
     evaluate_formula,
 )
@@ -21,6 +23,14 @@ from smtrace.frontend import (
 
 def lit(signed):
     return FLit(Literal(abs(signed), signed > 0))
+
+
+def prop_formula(root, n):
+    """The formula ``root`` over n Boolean atoms, ids 1..n."""
+    table = AtomTable()
+    for i in range(1, n + 1):
+        table.intern_bool(f"b{i}")
+    return Formula(root, table)
 
 
 def test_abstract_gap01(gap01):
@@ -42,7 +52,7 @@ def test_abstract_pure_propositional():
 
 def test_abstract_gap_xy(gap_xy):
     prop, amap = st.boolean_abstract(gap_xy)
-    assert prop.num_vars == 3
+    assert len(prop.table) == 3
     assert len(amap) == 3
     assert all(amap.is_linear_var(v) for v in (1, 2, 3))
     assert amap.linear_vars() == [1, 2, 3]
@@ -50,7 +60,7 @@ def test_abstract_gap_xy(gap_xy):
 
 
 def test_cnf_already_clausal():
-    p = PropFormula(FAnd((FOr((lit(1), lit(-2))), lit(3))), 3)
+    p = prop_formula(FAnd((FOr((lit(1), lit(-2))), lit(3))), 3)
     db = to_cnf(p)
     assert {frozenset(c) for c in db.clauses} == {frozenset({1, -2}), frozenset({3})}
     assert db.num_vars == 3 and list(db.aux_vars) == []
@@ -58,7 +68,7 @@ def test_cnf_already_clausal():
 
 def test_cnf_tseitin():
     # (A and B) or C: one auxiliary defining the conjunction
-    p = PropFormula(FOr((FAnd((lit(1), lit(2))), lit(3))), 3)
+    p = prop_formula(FOr((FAnd((lit(1), lit(2))), lit(3))), 3)
     db = to_cnf(p)
     assert db.num_vars == 4 and list(db.aux_vars) == [4]
     expected = {
@@ -71,17 +81,17 @@ def test_cnf_tseitin():
 
 
 def test_cnf_false():
-    db = to_cnf(PropFormula(FFalse(), 2))
+    db = to_cnf(prop_formula(FFalse(), 2))
     assert db.clauses == [()]
 
 
 def test_cnf_true():
-    db = to_cnf(PropFormula(FTrue(), 2))
+    db = to_cnf(prop_formula(FTrue(), 2))
     assert db.clauses == []
 
 
 def test_cnf_constant_folding():
-    p = PropFormula(FAnd((FOr((FTrue(), lit(1))), lit(2))), 2)
+    p = prop_formula(FAnd((FOr((FTrue(), lit(1))), lit(2))), 2)
     db = to_cnf(p)
     assert {frozenset(c) for c in db.clauses} == {frozenset({2})}
 
@@ -319,7 +329,7 @@ def fnodes(draw, depth=3, n_vars=4):
 @given(fnodes())
 def test_tseitin_preserves_projected_models(root):
     n = 4
-    p = PropFormula(root, n)
+    p = prop_formula(root, n)
     db = to_cnf(p)
     assert _shape(db) == _shape(reference_cnf(root, n))
     assume(db.num_vars <= 12)  # keep the truth-table check tractable

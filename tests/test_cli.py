@@ -244,6 +244,8 @@ def test_usage_errors(capsys, tmp_path, gap_xy_path):
         ["count", "{path}", "--mode", "eager", "--eager-k", "-1"],
         ["compile", "{path}", "-o", "{out}", "--eager-k", "-5"],
         ["count", "{path}", "--mode", "eager", "--eager-k", "two"],
+        ["enumerate", "{path}", "--max", "\u0663"],  # Arabic-Indic digit three
+        ["count", "{path}", "--mode", "eager", "--eager-k", "\uff13"],  # fullwidth digit three
     ],
 )
 def test_negative_or_non_integer_counts_are_usage_errors(argv, gap_xy_path, tmp_path, capsys):

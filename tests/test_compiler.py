@@ -797,6 +797,34 @@ def test_no_core_minimisation_without_learning(monkeypatch):
     assert conflicts > 0
 
 
+def test_every_conflict_is_an_audited_refutation(monkeypatch):
+    """A theory conflict is the refutation of the trail plus the asserted
+    literal: infeasible, with a core of that literal and trail literals
+    only and a certificate that verifies on the core; the trail stays as
+    it was."""
+    assert_literal = st.lra.TheoryState.assert_literal
+    conflicts = 0
+
+    def checking(self, lit):
+        nonlocal conflicts
+        trail = list(self.trail)
+        r = assert_literal(self, lit)
+        if r is not None:
+            conflicts += 1
+            assert not r.sat
+            assert lit in r.core and r.core <= set(trail) | {lit}, (lit, trail, r.core)
+            assert st.verify_certificate(self.table, r.core, r.certificate)
+            assert self.trail == trail
+        return r
+
+    monkeypatch.setattr(st.lra.TheoryState, "assert_literal", checking)
+    for seed in range(200):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            pipeline(f)
+    pipeline(st.parse_smt2(_real_chain(10)))
+    assert conflicts > 200, conflicts
+
+
 def test_learned_clauses_join_the_watched_engine():
     """Each learned clause is watched from then on, so the search meets
     fewer theory conflicts with learning on, and counts do not move."""

@@ -551,6 +551,12 @@ def test_import_format_errors():
     for tag in ("c implied 0 0", "c implied"):
         with pytest.raises(st.FormatError, match="bad implied tag"):
             st.import_nnf("nnf 1 0 1\nL 1\n", f"1 bool a\n{tag}\n")
+    # a header edge count the file does not have
+    with pytest.raises(st.FormatError, match="header declares 99 edges, found 0"):
+        st.import_nnf("nnf 1 99 1\nL 1\n", "1 bool a\n")
+    # more sidecar atoms than header variables
+    with pytest.raises(st.FormatError, match="sidecar names 2 atoms, header declares 1 variables"):
+        st.import_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n", "1 bool a\n2 bool b\n")
 
 
 def test_import_rejects_a_duplicated_atom_line():
