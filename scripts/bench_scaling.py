@@ -22,7 +22,9 @@ For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1) is compiled in lazy mode with the default settings, under the
 same budget; the median repeat is reported with the graph's decisions,
 theory checks, the most rows one check started from (``theory_rows_max``)
-and edges.  Results go to a JSON file
+and edges.  A row whose n is twice the previous size's n, for the same
+chain and settings, also reports ``compile_growth``: its median compile
+time over that row's, the growth per doubling.  Results go to a JSON file
 together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
@@ -164,6 +166,20 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
     return row
 
 
+def add_growth(rows: list[dict]) -> None:
+    """Set ``compile_growth`` on each row whose n is twice the n of the
+    previous size's row with the same settings, when both were measured."""
+    previous = {}
+    for row in rows:
+        before, previous[row.get("components")] = previous.get(row.get("components")), row
+        if before and row["n"] == 2 * before["n"] and "compile_s_median" in before and "compile_s_median" in row:
+            row["compile_growth"] = row["compile_s_median"] / before["compile_s_median"]
+
+
+def _growth(row: dict) -> str:
+    return f"  growth {row['compile_growth']:.2f}x" if "compile_growth" in row else ""
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
@@ -183,6 +199,8 @@ def main() -> None:
         if "failure" in rows[-1]:
             off_failed_at = n
     real_rows = [measure_real(n, args.repeats, args.budget) for n in args.real_sizes]
+    add_growth(rows)
+    add_growth(real_rows)
     result = {
         "git_sha": git_sha(Path(st.__file__).resolve().parent),
         "python": platform.python_version(),
@@ -206,6 +224,7 @@ def main() -> None:
                 f"{head} compile {row['compile_s_median']:.3f} s  count {row['count_s_median']:.4f} s"
                 f" (+{row['count_rss_growth_mb']:.1f} MB peak RSS)  enumerate {row['enumerate_s_median']:.4f} s"
                 f"  decisions {row['decisions']}  split calls {row['split_calls']}  split {row['split_s']:.3f} s"
+                + _growth(row)
             )
     for row in real_rows:
         head = f"real chain n={row['n']:<3}"
@@ -215,7 +234,7 @@ def main() -> None:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
                 f"  theory checks {row['theory_checks']} (at most {row['theory_rows_max']} rows)"
-                f"  edges {row['edges']}"
+                f"  edges {row['edges']}" + _growth(row)
             )
 
 

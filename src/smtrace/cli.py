@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,17 @@ from .frontend import SmtError, parse_smt2
 
 class _UsageError(Exception):
     pass
+
+
+class _InputError(Exception):
+    """An input file that is not UTF-8 text."""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +109,7 @@ def _config(args) -> CompileConfig:
 
 
 def _pipeline(path: str, cfg: CompileConfig, eager_k: int | None):
-    formula = parse_smt2(Path(path).read_text())
+    formula = parse_smt2(_read(path))
     prop, amap = boolean_abstract(formula)
     db = to_cnf(prop)
     if cfg.mode == "eager":
@@ -115,20 +127,23 @@ def _emit_stats(stats, fmt: str) -> None:
             print(f"{key} {record[key]}")
 
 
+_WEIGHT_LINE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+(?:/[0-9]+|\.[0-9]+)?)")  # ASCII numerals only
+
+
 def _load_weights(path: str, num_atom_vars: int) -> WeightMap:
     wmap = WeightMap()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         where = f"{path}:{lineno}"
-        parts = line.split()
-        if len(parts) != 2:
-            raise DdnnfError(f"{where}: expected '<signed-var> <p/q>'")
+        match = _WEIGHT_LINE.fullmatch(line)
+        if not match:
+            raise DdnnfError(f"{where}: expected '<signed-var> <p/q>' in ASCII digits")
+        signed = int(match[1])
         try:
-            signed = int(parts[0])
-            value = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError) as exc:
+            value = Fraction(match[2])
+        except ZeroDivisionError as exc:
             raise DdnnfError(f"{where}: {exc}") from exc
         if not 1 <= abs(signed) <= num_atom_vars:
             raise DdnnfError(f"{where}: {signed} is not a literal of atom variables 1..{num_atom_vars}")
@@ -141,7 +156,7 @@ def _load_weights(path: str, num_atom_vars: int) -> WeightMap:
 
 
 def _load_graph(args):
-    graph, _ = import_nnf(Path(args.nnf).read_text(), Path(args.atoms).read_text())
+    graph, _ = import_nnf(_read(args.nnf), _read(args.atoms))
     return graph
 
 
@@ -210,7 +225,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    formula = parse_smt2(Path(args.input).read_text())
+    formula = parse_smt2(_read(args.input))
     agnostic, aware = oracle.brute_counts(formula)
     print(f"agnostic {agnostic}")
     print(f"aware {aware}")
@@ -238,7 +253,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SmtError, DdnnfError, oracle.TooLargeError, OSError) as exc:
+    except (SmtError, DdnnfError, oracle.TooLargeError, OSError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,29 +22,35 @@ assignments to those atoms.  The context is projected with the cache off
 too, because the theory solver checks on it: each branch of a component
 sets it as the solver's context, so every check of the branch reads the
 projection plus the literals the branch asserted, and a sub-component's
-context is projected from its parent's plus those literals.  Splitting,
-decisions and theory-candidate collection read the clauses through a
-per-variable occurrence index built once per compile (``ClauseIndex``).
-Splits are stamped flood fills, and there is one kind: the root of the
-search is a component too, of every variable, every clause id and an empty
-context, so it is split as a decided component is.  A split starts from the
-component and fills only around the variables its branch assigned (at the
-root, also from every unassigned variable), and the one part no fill
-reached is sliced out of the component's scope and clause ids.  A decision
-thus pays for the small parts plus one slicing copy of its component, and
-the split's fill work on the Boolean chain grows linearly.  Each part's
-context is projected from the component's, plus the branch's literals over
-the part's reals.  The decision order is DLCS over the component's clauses,
-except that a linear atom in none of them that shares a real with the
+context is projected from its parent's plus those literals.  Splitting
+reads the clauses through a per-variable occurrence index built once per
+compile (``ClauseIndex``), which also keeps each variable's count of
+unsatisfied clauses up to date as literals are assigned and undone, as in
+Chaff.  Splits are stamped flood fills, and there is one kind: the root of
+the search is a component too, of every variable, every clause id and an
+empty context, so it is split as a decided component is.  A split starts
+from the component and fills only around the variables its branch assigned
+(at the root, also from every unassigned variable), and the one part no
+fill reached is sliced out of the component's scope and clause ids; a
+branch that assigned the whole scope is not split.  Each part's context is
+projected from the component's, plus the branch's literals over the part's
+reals.  The decision order is DLCS on the kept counts, except that a linear
+atom in none of the component's clauses that shares a real with the
 component's trail context is decided first: leaving it open would keep that
-real apart in the cache keys of otherwise equal subproblems.
+real apart in the cache keys of otherwise equal subproblems.  A component
+that is one Boolean atom in no clause is a leaf, its two literals, with no
+branches.  A decision thus pays for the occurrence lists of the literals
+its branches assign, the small parts of their splits, and what is linear
+in its component but runs in C: the DLCS maximum, one slicing copy and the
+cache key's hash.  The split's fill work on the Boolean chain grows
+linearly.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
@@ -226,6 +232,12 @@ class ClauseIndex:
     ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
     marked: each split advances ``stamp``, so nothing is cleared between
     splits.
+
+    ``true[ci]`` counts the true literals of clause ci and ``counts[v]`` the
+    unsatisfied clauses variable v occurs in (with multiplicity), both
+    under the assignment the search has made through ``update``; they start
+    at none assigned.  These are DLCS's counts, kept on assign and undo as
+    in Chaff, so a decision does not recount its component.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -243,6 +255,21 @@ class ClauseIndex:
         self.var_stamp = [0] * (self.real_base + len(amap.real_names))
         self.clause_stamp = [0] * len(self.clauses)
         self.stamp = 0
+        self.true = [0] * len(self.clauses)
+        self.counts = [len(ids) for ids in self.occurs]
+
+    def update(self, lit: int, step: int) -> None:
+        """Count lit as assigned (``step`` 1) or unassigned (-1): a clause it
+        makes satisfied, or unsatisfied again, moves each of its variables'
+        counts by ``-step``."""
+        clauses, true, counts = self.clauses, self.true, self.counts
+        for ci in self.occurs[abs(lit)]:
+            clause = clauses[ci]
+            if lit in clause:
+                true[ci] += step
+                if true[ci] == (step > 0):  # 0 -> 1 on assign, 1 -> 0 on undo
+                    for l in clause:
+                        counts[abs(l)] -= step
 
 
 def _live_view(clause, values) -> tuple[int, ...]:
@@ -471,25 +498,25 @@ def decide(component: Component, index: ClauseIndex) -> int:
 
     The positive literal of the lowest-id *pinned* variable if there is
     one, else of the variable occurring most often in the component's
-    clauses (ties: lowest id), counted over ``index.clauses``: a scope
-    variable is unassigned and a clause of the component unsatisfied, so
-    these are the counts over the live views.  A variable is pinned when it
-    occurs in none of them and is a linear atom sharing a real with one of
-    the trail literals of the component's context, its
-    ``polyhedron.sources`` (``index.reals``).
-    Deciding pinned atoms first settles the reals that keep the projected
-    cache keys of otherwise equal subproblems apart.  With an empty trail
-    nothing is pinned and the choice is plain DLCS.
+    clauses (ties: lowest id), read from ``index.counts``: a scope
+    variable is unassigned, and each unsatisfied clause it occurs in is a
+    clause of its component, so its count is its count over the
+    component's live views.  A variable is pinned when it occurs in none of
+    them and is a linear atom sharing a real with one of the trail literals
+    of the component's context, its ``polyhedron.sources``
+    (``index.reals``).  Deciding pinned atoms first settles the reals that
+    keep the projected cache keys of otherwise equal subproblems apart.
+    With an empty trail nothing is pinned and the choice is plain DLCS.
     """
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
-    counts = Counter(map(abs, chain.from_iterable(map(index.clauses.__getitem__, component.ids))))
+    counts = index.counts
     sources = component.polyhedron.sources
     if sources:
         reals = index.reals
         pinned = frozenset().union(*(reals[abs(lit)] for lit in sources))
         for v in component.scope:
-            if v not in counts and not pinned.isdisjoint(reals.get(v, ())):
+            if not counts[v] and not pinned.isdisjoint(reals.get(v, ())):
                 return v
     return max(component.scope, key=counts.__getitem__)  # the first maximum: scope ascends
 
@@ -517,10 +544,13 @@ class _Search:
     def _assign(self, lit: int) -> None:
         self.values[abs(lit)] = lit > 0
         self.trail.append(lit)
+        self.index.update(lit, 1)
 
     def _undo_to(self, mark: int) -> None:
         while len(self.trail) > mark:
-            self.values[abs(self.trail.pop())] = None
+            lit = self.trail.pop()
+            self.values[abs(lit)] = None
+            self.index.update(lit, -1)
 
     # -- propagation
 
@@ -542,24 +572,22 @@ class _Search:
 
     def _theory_candidates(self, scope: Sequence[int]) -> list[int]:
         """Unassigned linear atoms of the ascending scope that occur in an
-        unsatisfied clause and all of whose reals the trail mentions,
-        ascending.
+        unsatisfied clause (``index.counts``) and all of whose reals the
+        trail mentions, ascending.
 
         The component is closed under trail entanglement, so the trail
         literals over its reals are the context's sources and those asserted
         since.  A real the feasible trail leaves free lets an atom over it
-        take either value, so that atom is never entailed.
+        take either value, so that atom is never entailed.  Without an atom
+        of the first kind the trail is not read.
         """
-        index, values, theory = self.index, self.values, self.theory
-        context, mark = theory.context
-        reals = index.reals
-        mentioned = frozenset().union(*(reals[abs(lit)] for lit in chain(context.sources, theory.trail[mark:])))
-        cand = []
-        for var in scope:
-            if var in reals and values[var] is None and reals[var] <= mentioned:
-                if any(_live_view(index.clauses[ci], values) for ci in index.occurs[var]):
-                    cand.append(var)
-        return cand
+        values, reals, counts = self.values, self.index.reals, self.index.counts
+        atoms = [var for var in scope if var in reals and values[var] is None and counts[var]]
+        if not atoms:
+            return []
+        context, mark = self.theory.context
+        mentioned = frozenset().union(*(reals[abs(lit)] for lit in chain(context.sources, self.theory.trail[mark:])))
+        return [var for var in atoms if reals[var] <= mentioned]
 
     def _fixpoint(self, scope: Sequence[int], queue: list[int], implied: set[int]) -> bool:
         """Propagate ``queue``, the literals just assigned, within the scope,
@@ -598,10 +626,15 @@ class _Search:
                 self.stats.cache_hits += 1
                 return hit
             self.stats.cache_misses += 1
-        lit = decide(comp, self.index)
         self.stats.decisions += 1
-        hi = yield self._branch((lit,), comp)
-        lo = yield self._branch((-lit,), comp)
+        if len(comp.scope) == 1 and not comp.ids and comp.scope[0] not in self.index.reals:
+            # a free Boolean atom: either branch would assign it alone and imply nothing
+            lit = comp.scope[0]
+            hi, lo = self.builder.lit(lit), self.builder.lit(-lit)
+        else:
+            lit = decide(comp, self.index)
+            hi = yield self._branch((lit,), comp)
+            lo = yield self._branch((-lit,), comp)
         node = self.builder.or_node(abs(lit), hi, lo)
         if self.cfg.cache:
             self.cache[key] = node
@@ -615,6 +648,11 @@ class _Search:
         has no parent and scopes every variable, the input's unit clauses,
         which count as Boolean propagations (``units``).  Theory queries run
         on the parent's projection, set here since none runs after a split.
+        Every literal the branch assigns lies in the scope: the input
+        clauses it propagates are the scope's, and a learned clause negates
+        a minimal core, whose atoms the trail entangles with the literal
+        that made the clause unit.  So a branch that assigned as many
+        literals as the scope holds left nothing to split.
         """
         scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
         mark = len(self.trail)
@@ -636,11 +674,14 @@ class _Search:
         node = self.builder.false_id
         implied: set[int] = set()
         if self._fixpoint(scope, queue, implied):
-            parts = [self.builder.lit(lit, implied=lit in implied) for lit in self.trail[mark:]]
-            branch_theory = theory.trail[theory_mark:] if theory is not None else ()
-            comps = split_components(
-                self.db, self.amap, self.values, branch_theory, self.cfg, self.index, parent, self.trail[mark:]
-            )
+            assigned = self.trail[mark:]
+            parts = [self.builder.lit(lit, implied=lit in implied) for lit in assigned]
+            comps = []
+            if len(assigned) < len(scope):
+                branch_theory = theory.trail[theory_mark:] if theory is not None else ()
+                comps = split_components(
+                    self.db, self.amap, self.values, branch_theory, self.cfg, self.index, parent, assigned
+                )
             if len(comps) > 1:
                 self.stats.components += len(comps)
             for comp in comps:

@@ -45,7 +45,7 @@ def test_count_weights(gap_xy_path, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3/2"
 
 
-@pytest.mark.parametrize("line", ["1 -1/2", "0 1/2", "7 1/3"])
+@pytest.mark.parametrize("line", ["1 -1/2", "0 1/2", "7 1/3", "1 \u0663/\u0664", "\u0661 1/2", "1 1e-2000000"])
 def test_count_rejects_bad_weight_lines(line, tmp_path, capsys):
     src = tmp_path / "ab.smt2"
     src.write_text("(declare-const A Bool)(declare-const B Bool)(assert (or A B))")
@@ -54,6 +54,30 @@ def test_count_rejects_bad_weight_lines(line, tmp_path, capsys):
     assert run(["count", str(src), "--weights", str(weights)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {weights}:2: ")
+
+
+@pytest.mark.parametrize("case", ["compile", "count", "enumerate", "oracle", "weights", "nnf", "atoms"])
+def test_a_file_that_is_not_utf8_is_a_format_error(case, gap_xy_path, tmp_path, capsys):
+    """Every file a subcommand reads, if it is not UTF-8 text, exits 2 with
+    a message naming it, not with a traceback."""
+    graph = tmp_path / "g.nnf"
+    assert run(["compile", str(gap_xy_path), "-o", str(graph)]) == 0
+    sidecar = graph.with_suffix(".atoms")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"1 1/2\n-1 \xfe/2\n" if case == "weights" else b"(declare-const x Real)\n(assert (<= x \xff))\n")
+    argv = {
+        "compile": ["compile", str(bad), "-o", str(tmp_path / "out.nnf")],
+        "count": ["count", str(bad)],
+        "enumerate": ["enumerate", str(bad)],
+        "oracle": ["oracle", str(bad)],
+        "weights": ["count", str(gap_xy_path), "--weights", str(bad)],
+        "nnf": ["count", "--nnf", str(bad), "--atoms", str(sidecar)],
+        "atoms": ["count", "--nnf", str(graph), "--atoms", str(bad)],
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {bad}: not UTF-8 text")
 
 
 def test_count_rejects_a_second_weight_for_a_literal(gap_xy_path, tmp_path, capsys):

@@ -91,12 +91,25 @@ def test_unit_propagate_under_assignment():
 # decide
 
 
+def _index(clauses, values, reals=None):
+    """The stand-in for the compile's clause index that ``decide`` reads:
+    the real map, and per variable the number of its occurrences in the
+    clauses that ``values`` (indexed by variable) leaves unsatisfied, as
+    the search keeps them."""
+    counts = [0] * len(values)
+    for cl in clauses:
+        if not any(values[abs(l)] == (l > 0) for l in cl):
+            for l in cl:
+                counts[abs(l)] += 1
+    return SimpleNamespace(counts=counts, reals=reals or {})
+
+
 def _component(clauses, scope, sources=(), reals=None):
-    """A component owning every clause of ``clauses``, and the stand-in for
-    the compile's clause index that ``decide`` reads: the clauses and the
-    real map."""
+    """A component owning every clause of ``clauses``, with nothing
+    assigned, and its clause index stand-in (``_index``)."""
     comp = Component(tuple(scope), tuple(range(len(clauses))), st.lra.Projection((), sources=frozenset(sources)))
-    return comp, SimpleNamespace(clauses=[tuple(c) for c in clauses], reals=reals or {})
+    n = max((abs(v) for v in itertools.chain(scope, *clauses)), default=0)
+    return comp, _index(clauses, _unassigned(n), reals)
 
 
 def test_decide_dlcs_occurrences():
@@ -194,8 +207,46 @@ def test_decide_with_empty_trail_matches_reference(data):
     assume(scope)
     reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
     comp = Component(tuple(sorted(scope)), tuple(ids), st.lra.NO_PROJECTION)
-    index = SimpleNamespace(clauses=[tuple(cl) for cl in clauses], reals=reals)
-    assert decide(comp, index) == reference_decide(comp, clauses, values)
+    assert decide(comp, _index(clauses, values, reals)) == reference_decide(comp, clauses, values)
+
+
+def test_decide_counts_match_a_recount(monkeypatch):
+    """At every decision, each scope variable's maintained count is its
+    number of occurrences in the live views of the component's clauses,
+    the count ``decide`` used to make afresh.  Every literal a branch
+    assigns lies in its parent's scope, which lets a branch that assigned
+    as many literals as the scope holds skip the split."""
+    compiler = st.compiler
+    original_decide, original_split = compiler.decide, compiler.split_components
+    seen = {"values": None, "decisions": 0, "splits": 0}
+
+    def checked_split(db, amap, assignment, trail, cfg=None, index=None, parent=None, assigned=()):
+        seen["values"] = assignment  # the search's one list, assigned in place
+        if parent is not None:
+            assert {abs(lit) for lit in assigned} <= set(parent.scope)
+            seen["splits"] += 1
+        return original_split(db, amap, assignment, trail, cfg, index, parent, assigned)
+
+    def checked_decide(component, index):
+        values = seen["values"]
+        views = (compiler._live_view(index.clauses[ci], values) for ci in component.ids)
+        recount = Counter(abs(l) for view in views for l in view)
+        assert {v: index.counts[v] for v in component.scope} == {v: recount[v] for v in component.scope}
+        seen["decisions"] += 1
+        return original_decide(component, index)
+
+    monkeypatch.setattr(compiler, "split_components", checked_split)
+    monkeypatch.setattr(compiler, "decide", checked_decide)
+    for seed in range(200):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            pipeline(f)
+            if seed < 60:
+                pipeline(f, mode="eager")
+    for n in (6, 8, 10):
+        pipeline(st.parse_smt2(_real_chain(n)))
+    for n in (100, 200, 400):
+        st.compile(*bool_chain(n))
+    assert seen["decisions"] > 1000 and seen["splits"] > 1000, seen
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,24 @@ def test_script_runs(script, args, tmp_path):
     "script, args",
     [
         ("bench_eager.py", ["--instances", "2", "--repeats", "1"]),
-        ("bench_scaling.py", ["--sizes", "20", "--real-sizes", "6", "--repeats", "1", "--budget", "5"]),
+        ("bench_scaling.py", ["--sizes", "10", "20", "--real-sizes", "6", "12", "--repeats", "1", "--budget", "5"]),
     ],
 )
 def test_bench_script_writes_json(script, args, tmp_path):
     out = tmp_path / "bench.json"
     proc = _run(script, *args, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())
+    result = json.loads(out.read_text())
+    assert result
+    if script == "bench_scaling.py":  # n = 20 and 12 double the sizes before them
+        rows = result["runs"] + result["real_chain"]
+        median = {(row.get("components"), row["n"]): row["compile_s_median"] for row in rows}
+        grown = [row for row in rows if "compile_growth" in row]
+        assert [(row.get("components"), row["n"]) for row in grown] == [(True, 20), (False, 20), (None, 12)]
+        for row in grown:
+            before = median[row.get("components"), row["n"] // 2]
+            assert row["compile_growth"] == row["compile_s_median"] / before
+        assert proc.stdout.count(" growth ") == 3
 
 
 def test_bench_scaling_skips_components_off_after_its_first_failure(tmp_path):
