@@ -22,28 +22,28 @@ assignments to those atoms.  The context is projected with the cache off
 too, because the theory solver checks on it: each branch of a component
 sets it as the solver's context, so every check of the branch reads the
 projection plus the literals the branch asserted, and a sub-component's
-context is projected from its parent's plus those literals.  Splitting
-reads the clauses through a per-variable occurrence index built once per
-compile (``ClauseIndex``), which also keeps each variable's count of
-unsatisfied clauses up to date as literals are assigned and undone, as in
-Chaff.  Splits are stamped flood fills, and there is one kind: the root of
-the search is a component too, of every variable, every clause id and an
-empty context, so it is split as a decided component is.  A split starts
-from the component and fills only around the variables its branch assigned
-(at the root, also from every unassigned variable), and the one part no
-fill reached is sliced out of the component's scope and clause ids; a
-branch that assigned the whole scope is not split.  Each part's context is
+context is projected from its parent's plus those literals.  One clause
+store per compile (``WatchedClauses``) holds the Boolean state: clauses,
+assignment, watches and a per-variable occurrence index, through which
+splitting reads the clauses.  It keeps each variable's count of unsatisfied
+clauses up to date as literals are assigned and undone, as in Chaff.  Splits
+are stamped flood fills, and there is one kind: the root of the search is a
+component too, of every variable, every input clause id and an empty
+context, so it is split as a decided component is.  A split starts from the
+component and fills only around the variables its branch assigned (at the
+root, also from every unassigned variable), and the one part no fill
+reached is sliced out of the component's scope and clause ids; a branch
+that assigned the whole scope is not split.  Each part's context is
 projected from the component's, plus the branch's literals over the part's
 reals.  The decision order is DLCS on the kept counts, except that a linear
 atom in none of the component's clauses that shares a real with the
 component's trail context is decided first: leaving it open would keep that
 real apart in the cache keys of otherwise equal subproblems.  A component
 that is one Boolean atom in no clause is a leaf, its two literals, with no
-branches.  A decision thus pays for the occurrence lists of the literals
-its branches assign, the small parts of their splits, and what is linear
-in its component but runs in C: the DLCS maximum, one slicing copy and the
-cache key's hash.  The split's fill work on the Boolean chain grows
-linearly.
+branches.  A decision thus pays for the occurrence lists of the literals its
+branches assign, the small parts of their splits, and what is linear in its
+component but runs in C: the DLCS maximum, one slicing copy and the cache
+key's hash.  The split's fill work on the Boolean chain grows linearly.
 """
 
 from __future__ import annotations
@@ -131,30 +131,56 @@ class Component:
 
 
 # ---------------------------------------------------------------------------
-# unit propagation (two watched literals)
+# the clause store: unit propagation (two watched literals) and the indexes
 
 
 class WatchedClauses:
-    """Two-watched-literal bookkeeping over a growing clause list.
+    """The Boolean state of one compile, changed only through ``assign``,
+    ``undo_to`` and ``propagate``.
 
-    Watches never need undoing on backtrack.  Unit and empty input clauses
-    are recorded at construction for the caller to bootstrap with; every
-    other clause, input or added, is watched on its first two literals.
+    ``clauses`` holds ``db.clauses`` at their ids, then the clauses ``add``
+    appends.  ``values[v]`` is variable v's value or None, and ``trail`` the
+    assigned literals in order.  Each clause of two literals or more is
+    watched on two of them; watches never need undoing on backtrack.  Unit
+    and empty input clauses are the caller's to assert.
+
+    The rest covers the input clauses only.  ``occurs[v]`` lists, ascending,
+    the clauses variable v occurs in, so a split touches only the clauses of
+    the variables it visits.  ``reals[v]`` holds the real variables of each
+    linear atom variable v of ``db``, and ``atoms_over[r]`` the linear atom
+    variables over real r, ascending; both are empty without a theory.  A
+    split's flood fill treats real r as node ``real_base + r``.
+    ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
+    marked: each split advances ``stamp``, so nothing is cleared between
+    splits.  ``true[ci]`` counts the true literals of clause ci and
+    ``counts[v]`` the unsatisfied clauses v occurs in (with multiplicity):
+    DLCS's counts, kept on assign and undo as in Chaff.
     """
 
-    def __init__(self, clauses: Sequence[tuple[int, ...]]) -> None:
-        self.clauses: list[tuple[int, ...]] = []
+    def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
+        self.clauses = list(db.clauses)
+        self.values: list[bool | None] = [None] * (db.num_vars + 1)
+        self.trail: list[int] = []
+        self.pairs = [list(cl[:2]) for cl in self.clauses]
         self.watches: dict[int, list[int]] = defaultdict(list)
-        self.pairs: list[list[int]] = []
-        self.units: list[int] = []
-        self.has_empty = False
-        for cl in clauses:
+        self.occurs: list[list[int]] = [[] for _ in self.values]
+        for ci, cl in enumerate(self.clauses):
             if len(cl) > 1:
-                self.add(cl)
-            elif cl:
-                self.units.append(cl[0])
-            else:
-                self.has_empty = True
+                self.watches[cl[0]].append(ci)
+                self.watches[cl[1]].append(ci)
+            for l in cl:
+                self.occurs[abs(l)].append(ci)
+        self.reals = {a.id: a.term.real_vars for a in amap.atoms[: db.num_atom_vars] if a.is_linear}
+        self.atoms_over: list[list[int]] = [[] for _ in amap.real_names]
+        for v, rs in self.reals.items():  # atom ids ascend
+            for r in rs:
+                self.atoms_over[r].append(v)
+        self.real_base = db.num_vars + 1
+        self.var_stamp = [0] * (self.real_base + len(amap.real_names))
+        self.clause_stamp = [0] * len(self.clauses)
+        self.stamp = 0
+        self.true = [0] * len(self.clauses)
+        self.counts = [len(ids) for ids in self.occurs]
 
     def add(self, clause: Sequence[int]) -> None:
         """Watch a clause of at least two literals from now on.
@@ -173,10 +199,37 @@ class WatchedClauses:
         self.watches[clause[0]].append(ci)
         self.watches[clause[1]].append(ci)
 
-    def propagate(self, values, assign, queue: list[int]):
-        """Run to fixpoint from the literals in queue; returns the falsified
-        clause on conflict, else None.  assign(lit) must record lit as true
-        (including values[]); implied literals are appended to queue."""
+    def _count(self, lit: int, step: int) -> None:
+        """Count lit as assigned (``step`` 1) or unassigned (-1): a clause it
+        makes satisfied, or unsatisfied again, moves each of its variables'
+        counts by ``-step``."""
+        clauses, true, counts = self.clauses, self.true, self.counts
+        for ci in self.occurs[abs(lit)]:
+            clause = clauses[ci]
+            if lit in clause:
+                true[ci] += step
+                if true[ci] == (step > 0):  # 0 -> 1 on assign, 1 -> 0 on undo
+                    for l in clause:
+                        counts[abs(l)] -= step
+
+    def assign(self, lit: int) -> None:
+        self.values[abs(lit)] = lit > 0
+        self.trail.append(lit)
+        self._count(lit, 1)
+
+    def undo_to(self, mark: int) -> None:
+        """Unassign the trail's literals past its first ``mark``."""
+        trail = self.trail
+        while len(trail) > mark:
+            lit = trail.pop()
+            self.values[abs(lit)] = None
+            self._count(lit, -1)
+
+    def propagate(self, queue: list[int]):
+        """Run to fixpoint from the assigned literals in queue, assigning
+        each implied literal and appending it to queue; returns the falsified
+        clause on conflict, else None."""
+        values = self.values
         qi = 0
         while qi < len(queue):
             falsified = -queue[qi]
@@ -210,7 +263,7 @@ class WatchedClauses:
                     continue
                 if oval is not None:  # other watch is false too
                     return self.clauses[ci]
-                assign(other)
+                self.assign(other)
                 queue.append(other)
                 j += 1
         return None
@@ -218,58 +271,6 @@ class WatchedClauses:
 
 # ---------------------------------------------------------------------------
 # component splitting
-
-
-class ClauseIndex:
-    """The clause list of one compile, indexed by variable and by real.
-
-    ``clauses`` is ``db.clauses`` as given.  ``occurs[v]`` lists, ascending,
-    the clauses variable v occurs in, so a split touches only the clauses of
-    the variables it visits.  ``reals[v]`` holds the real variables of each
-    linear atom variable v of ``db``, and ``atoms_over[r]`` the linear atom
-    variables over real r, ascending; both are empty without a theory.  A
-    split's flood fill treats real r as node ``real_base + r``.
-    ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
-    marked: each split advances ``stamp``, so nothing is cleared between
-    splits.
-
-    ``true[ci]`` counts the true literals of clause ci and ``counts[v]`` the
-    unsatisfied clauses variable v occurs in (with multiplicity), both
-    under the assignment the search has made through ``update``; they start
-    at none assigned.  These are DLCS's counts, kept on assign and undo as
-    in Chaff, so a decision does not recount its component.
-    """
-
-    def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
-        self.clauses = db.clauses
-        self.occurs: list[list[int]] = [[] for _ in range(db.num_vars + 1)]
-        for ci, cl in enumerate(self.clauses):
-            for l in cl:
-                self.occurs[abs(l)].append(ci)
-        self.reals = {a.id: a.term.real_vars for a in amap.atoms[: db.num_atom_vars] if a.is_linear}
-        self.atoms_over: list[list[int]] = [[] for _ in amap.real_names]
-        for v, rs in self.reals.items():  # atom ids ascend
-            for r in rs:
-                self.atoms_over[r].append(v)
-        self.real_base = db.num_vars + 1
-        self.var_stamp = [0] * (self.real_base + len(amap.real_names))
-        self.clause_stamp = [0] * len(self.clauses)
-        self.stamp = 0
-        self.true = [0] * len(self.clauses)
-        self.counts = [len(ids) for ids in self.occurs]
-
-    def update(self, lit: int, step: int) -> None:
-        """Count lit as assigned (``step`` 1) or unassigned (-1): a clause it
-        makes satisfied, or unsatisfied again, moves each of its variables'
-        counts by ``-step``."""
-        clauses, true, counts = self.clauses, self.true, self.counts
-        for ci in self.occurs[abs(lit)]:
-            clause = clauses[ci]
-            if lit in clause:
-                true[ci] += step
-                if true[ci] == (step > 0):  # 0 -> 1 on assign, 1 -> 0 on undo
-                    for l in clause:
-                        counts[abs(l)] -= step
 
 
 def _live_view(clause, values) -> tuple[int, ...]:
@@ -303,7 +304,7 @@ def split_components(
     assignment,
     trail: Sequence[int],
     cfg: CompileConfig | None = None,
-    index: ClauseIndex | None = None,
+    index: WatchedClauses | None = None,
     parent: Component | None = None,
     assigned: Sequence[int] = (),
 ) -> list[Component]:
@@ -314,8 +315,9 @@ def split_components(
     a theory trail literal (which is what entangles otherwise independent
     clause sets).
     Unassigned atoms outside all unsatisfied clauses still form components, so
-    totality branching stays scoped.  ``index`` is the compile's
-    ``ClauseIndex`` of ``db``.
+    totality branching stays scoped.  ``index`` is the compile's clause
+    store of ``db``, whose indexes the split reads; the search passes its
+    ``index.values`` as ``assignment``.
 
     ``parent`` is the component being decided, ``assigned`` the literals
     its branch asserted and ``trail`` the theory literals among them, in
@@ -349,7 +351,7 @@ def split_components(
     ``sources`` in any order, plus the part's other literals.
     """
     cfg = cfg or CompileConfig()
-    index = index or ClauseIndex(db, amap)
+    index = index or WatchedClauses(db, amap)
     values = assignment
     if not isinstance(assignment, list):
         values = [None] * (db.num_vars + 1)
@@ -363,7 +365,7 @@ def split_components(
 
     seeds = []
     if parent is None:  # the root: every variable, every clause id and every assignment so far
-        parent = Component(tuple(range(1, db.num_vars + 1)), tuple(range(len(clauses))), lra.NO_PROJECTION)
+        parent = Component(tuple(range(1, db.num_vars + 1)), tuple(range(len(db.clauses))), lra.NO_PROJECTION)
         assigned = [v if values[v] else -v for v in parent.scope if values[v] is not None]
         seeds = [v for v in parent.scope if values[v] is None]
         for v in seeds:
@@ -493,7 +495,7 @@ def cache_key(component: Component) -> tuple:
 # branching and clause learning
 
 
-def decide(component: Component, index: ClauseIndex) -> int:
+def decide(component: Component, index: WatchedClauses) -> int:
     """Pick the decision literal for a component (DLCS, pinned atoms first).
 
     The positive literal of the lowest-id *pinned* variable if there is
@@ -530,27 +532,11 @@ class _Search:
         self.db = db
         self.amap = amap
         self.cfg = cfg
-        self.values: list[bool | None] = [None] * (db.num_vars + 1)
-        self.trail: list[int] = []
-        self.engine = WatchedClauses(db.clauses)
-        self.index = ClauseIndex(db, amap)
+        self.index = WatchedClauses(db, amap)
         self.theory = lra.TheoryState(amap) if cfg.mode == "lazy" and amap.linear_vars() else None
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
-
-    # -- assignment bookkeeping
-
-    def _assign(self, lit: int) -> None:
-        self.values[abs(lit)] = lit > 0
-        self.trail.append(lit)
-        self.index.update(lit, 1)
-
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            lit = self.trail.pop()
-            self.values[abs(lit)] = None
-            self.index.update(lit, -1)
 
     # -- propagation
 
@@ -565,7 +551,7 @@ class _Search:
                         core = lra.minimize_core(self.amap, refutation.core, check=theory._check)
                         # lit is in the core, since the trail before it is feasible
                         latest = next(l for l in reversed(theory.trail) if l in core)
-                        self.engine.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))
+                        self.index.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))
                         self.stats.learned += 1
                     return False
         return True
@@ -581,7 +567,7 @@ class _Search:
         take either value, so that atom is never entailed.  Without an atom
         of the first kind the trail is not read.
         """
-        values, reals, counts = self.values, self.index.reals, self.index.counts
+        values, reals, counts = self.index.values, self.index.reals, self.index.counts
         atoms = [var for var in scope if var in reals and values[var] is None and counts[var]]
         if not atoms:
             return []
@@ -592,13 +578,10 @@ class _Search:
     def _fixpoint(self, scope: Sequence[int], queue: list[int], implied: set[int]) -> bool:
         """Propagate ``queue``, the literals just assigned, within the scope,
         reading each once; theory propagations also go in ``implied``."""
-
-        def on_implied(lit: int) -> None:
-            self._assign(lit)
-            self.stats.bool_props += 1
-
         while True:
-            conflict = self.engine.propagate(self.values, on_implied, queue)
+            size = len(queue)
+            conflict = self.index.propagate(queue)
+            self.stats.bool_props += len(queue) - size
             if conflict is not None:
                 self.stats.conflicts += 1
                 return False
@@ -610,7 +593,7 @@ class _Search:
                 if props:
                     self.stats.theory_props += len(props)
                     for lit in props:
-                        self._assign(lit)
+                        self.index.assign(lit)
                     implied.update(props)
                     queue = props
                     continue
@@ -641,8 +624,8 @@ class _Search:
         return node
 
     def _branch(self, lits: Sequence[int], parent: Component | None, units: bool = False):
-        """Assert lits, propagate within the parent's scope and compile what
-        remains.
+        """Assert lits in the clause store, propagate within the parent's
+        scope, compile what remains and undo what the branch assigned.
 
         lits is a decision ``(lit,)`` in ``parent``, or at the root, which
         has no parent and scopes every variable, the input's unit clauses,
@@ -655,32 +638,33 @@ class _Search:
         literals as the scope holds left nothing to split.
         """
         scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
-        mark = len(self.trail)
+        index = self.index
+        mark = len(index.trail)
         theory, theory_mark = self.theory, 0
         if theory is not None:
             theory_mark = len(theory.trail)
             theory.context = (parent.polyhedron if parent is not None else lra.NO_PROJECTION, theory_mark)
         queue = []
         for lit in lits:
-            val = self.values[abs(lit)]
+            val = index.values[abs(lit)]
             if val is None:
-                self._assign(lit)
+                index.assign(lit)
                 self.stats.bool_props += units
                 queue.append(lit)
             elif val != (lit > 0):  # two unit clauses clash
                 self.stats.conflicts += 1
-                self._undo_to(mark)
+                index.undo_to(mark)
                 return self.builder.false_id
         node = self.builder.false_id
         implied: set[int] = set()
         if self._fixpoint(scope, queue, implied):
-            assigned = self.trail[mark:]
+            assigned = index.trail[mark:]
             parts = [self.builder.lit(lit, implied=lit in implied) for lit in assigned]
             comps = []
             if len(assigned) < len(scope):
                 branch_theory = theory.trail[theory_mark:] if theory is not None else ()
                 comps = split_components(
-                    self.db, self.amap, self.values, branch_theory, self.cfg, self.index, parent, assigned
+                    self.db, self.amap, index.values, branch_theory, self.cfg, index, parent, assigned
                 )
             if len(comps) > 1:
                 self.stats.components += len(comps)
@@ -691,7 +675,7 @@ class _Search:
                 parts.append(child)
             else:
                 node = self.builder.and_node(parts)
-        self._undo_to(mark)
+        index.undo_to(mark)
         if theory is not None:
             theory.pop_to(theory_mark)
         return node
@@ -700,9 +684,9 @@ class _Search:
         """Drive the search from the root branch over every variable.  Each
         frame yields the generator of its sub-call and is sent that call's
         result, so the frames live on a list and depth costs no recursion."""
-        if self.engine.has_empty:
+        if not all(self.db.clauses):  # an empty clause
             return self.builder.false_id
-        frames = [self._branch(self.engine.units, None, units=True)]
+        frames = [self._branch([cl[0] for cl in self.db.clauses if len(cl) == 1], None, units=True)]
         result = None
         while True:
             try:

@@ -16,6 +16,7 @@ returns read-only ``Model`` mappings that share one variable index.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -536,7 +537,12 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
     atom_lines = []
     for var in range(1, g.num_atom_vars + 1):
         if amap is not None and var <= len(amap):
-            atom_lines.append(f"{var} {atom_to_str(amap.atom(var), amap.real_names)}")
+            atom = amap.atom(var)
+            names = [atom.name] if atom.kind == BOOL else [amap.real_names[r] for r, _ in atom.term.coeffs]
+            for name in names:
+                if "|" in name or len(f"|{name}|".splitlines()) > 1:
+                    raise FormatError(f"symbol {name!r} holds a '|' or a line break: a .atoms line cannot hold it")
+            atom_lines.append(f"{var} {atom_to_str(atom, amap.real_names)}")
         else:
             atom_lines.append(f"{var} bool v{var}")
     if g.has_tags:
@@ -547,18 +553,44 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
     return nnf_text, atoms_text
 
 
+_INT = re.compile(r"-?[0-9]+")
+# a sidecar field: non-whitespace, where a name between bars may hold
+# whitespace, as ``atom_to_str`` writes it; an unclosed bar is a field of its own
+_FIELD = re.compile(r"(?:[^\s|]|\|[^|]*\|)+|\S")
+
+
+def _int(text: str, message: str) -> int:
+    """text as an integer of ASCII digits after an optional '-'; anything
+    else is a ``FormatError`` with ``message``."""
+    try:
+        if _INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise FormatError(message)
+
+
+def _symbol(field: str, line: str) -> str:
+    """The name a sidecar field writes, bare or between bars."""
+    if len(field) > 1 and field[0] == field[-1] == "|" and "|" not in field[1:-1]:
+        return field[1:-1]
+    if not field or "|" in field:
+        raise FormatError(f"bad symbol {field!r} in {line!r}")
+    return field
+
+
 def _intern_atom_line(line: str, table: AtomTable) -> int:
     """Intern the atom of a ``<var> <atom>`` sidecar line in the parser's
     canonical form; returns its id.  A real named twice and a constant atom
     are format errors."""
-    parts = line.split()
+    parts = _FIELD.findall(line)
     if len(parts) < 3:
         raise FormatError(f"bad atom line: {line!r}")
     kind = parts[1]
     if kind == BOOL:
         if len(parts) != 3:
             raise FormatError(f"bad bool atom line: {line!r}")
-        return table.intern_bool(parts[2])
+        return table.intern_bool(_symbol(parts[2], line))
     if kind not in (LEQ, EQ):
         raise FormatError(f"unknown atom kind {kind!r}")
     coeffs: dict[int, int] = {}
@@ -566,17 +598,11 @@ def _intern_atom_line(line: str, table: AtomTable) -> int:
         if "*" not in chunk:
             raise FormatError(f"bad coefficient {chunk!r} in {line!r}")
         c, name = chunk.split("*", 1)
-        rid = table.real_var(name)
+        rid = table.real_var(_symbol(name, line))
         if rid in coeffs:
             raise FormatError(f"real {name!r} named twice in {line!r}")
-        try:
-            coeffs[rid] = int(c)
-        except ValueError as exc:
-            raise FormatError(f"bad coefficient {chunk!r}") from exc
-    try:
-        const = int(parts[-1])
-    except ValueError as exc:
-        raise FormatError(f"bad constant in {line!r}") from exc
+        coeffs[rid] = _int(c, f"bad coefficient {chunk!r}")
+    const = _int(parts[-1], f"bad constant in {line!r}")
     canon = (canonical_leq if kind == LEQ else canonical_eq)(LinTerm.make(coeffs, const))
     if isinstance(canon, bool):
         raise FormatError(f"constant atom in {line!r}")
@@ -604,16 +630,11 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
             if parts[:2] == ["c", "tagged"]:
                 tagged = True
             elif parts[:2] == ["c", "implied"]:
-                try:
-                    (nid,) = parts[2:]
-                    implied_file_idx.add(int(nid))
-                except ValueError as exc:
-                    raise FormatError(f"bad implied tag: {line!r}") from exc
+                if len(parts) != 3:
+                    raise FormatError(f"bad implied tag: {line!r}")
+                implied_file_idx.add(_int(parts[2], f"bad implied tag: {line!r}"))
             continue
-        try:
-            var = int(line.split()[0])
-        except ValueError as exc:
-            raise FormatError(f"bad atom line: {line!r}") from exc
+        var = _int(line.split()[0], f"bad atom line: {line!r}")
         if var in atom_lines:
             raise FormatError(f"variable {var} mapped twice")
         atom_lines[var] = line
@@ -631,10 +652,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     header = lines[0].split()
     if len(header) != 4 or header[0] != "nnf":
         raise FormatError(f"bad header: {lines[0]!r}")
-    try:
-        v_decl, e_decl, n_vars = int(header[1]), int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise FormatError(f"bad header: {lines[0]!r}") from exc
+    v_decl, e_decl, n_vars = (_int(field, f"bad header: {lines[0]!r}") for field in header[1:])
     if len(lines) - 1 != v_decl:
         raise FormatError(f"header declares {v_decl} nodes, found {len(lines) - 1}")
     if len(table) > n_vars:
@@ -649,10 +667,7 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     edges = 0
 
     def child(tok: str) -> int:
-        try:
-            idx = int(tok)
-        except ValueError as exc:
-            raise FormatError(f"bad child index {tok!r}") from exc
+        idx = _int(tok, f"bad child index {tok!r}")
         if not 0 <= idx < len(ids):
             raise FormatError(f"child index {idx} out of range")
         return ids[idx]
@@ -660,27 +675,18 @@ def import_nnf(nnf_text: str, atoms_text: str) -> tuple[DdnnfGraph, AtomTable]:
     for file_idx, line in enumerate(lines[1:]):
         parts = line.split()
         if parts[0] == "L" and len(parts) == 2:
-            try:
-                lit = int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"bad literal line: {line!r}") from exc
+            lit = _int(parts[1], f"bad literal line: {line!r}")
             if lit == 0 or abs(lit) > n_vars:
                 raise FormatError(f"literal {lit} out of range")
             ids.append(builder.lit(lit, implied=file_idx in implied_file_idx))
         elif parts[0] == "A" and len(parts) >= 2:
-            try:
-                c = int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"bad And line: {line!r}") from exc
+            c = _int(parts[1], f"bad And line: {line!r}")
             if len(parts) != 2 + c:
                 raise FormatError(f"And arity mismatch: {line!r}")
             edges += c
             ids.append(builder.and_node([child(t) for t in parts[2:]]))
         elif parts[0] == "O" and len(parts) >= 3:
-            try:
-                decision, c = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"bad Or line: {line!r}") from exc
+            decision, c = (_int(field, f"bad Or line: {line!r}") for field in parts[1:3])
             if len(parts) != 3 + c:
                 raise FormatError(f"Or arity mismatch: {line!r}")
             edges += c

@@ -255,13 +255,19 @@ def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bo
     return Literal(table.intern_linear(kind, canon), positive)
 
 
+def _symbol_to_str(name: str) -> str:
+    """A symbol as one whitespace-free field: bare, or ``|name|``, the form
+    ``parse_smt2`` reads, when it is empty or holds whitespace."""
+    return name if name and not any(ch.isspace() for ch in name) else f"|{name}|"
+
+
 def atom_to_str(atom: Atom, real_names: list[str]) -> str:
     """Canonical one-line serialization, shared by DIMACS and sidecar files."""
     if atom.kind == BOOL:
-        return f"bool {atom.name}"
+        return f"bool {_symbol_to_str(atom.name)}"
     parts = [atom.kind]
     for v, c in atom.term.coeffs:
-        parts.append(f"{c}*{real_names[v]}")
+        parts.append(f"{c}*{_symbol_to_str(real_names[v])}")
     parts.append(str(atom.term.const))
     return " ".join(parts)
 
@@ -495,8 +501,10 @@ class _Parser:
         raise UnsupportedFeatureError(f"unsupported command {_show(head)}")
 
     def declare(self, name, sort) -> None:
-        if not isinstance(name, str) or isinstance(name, list):
+        if not isinstance(name, str):
             raise SmtSyntaxError(f"bad symbol {_show(name)!r}")
+        if name in ("true", "false") or _numeral(name) is not None:
+            raise SmtSyntaxError(f"cannot declare {_show(name)!r}: it reads as a constant")
         if sort not in ("Real", "Bool"):
             raise UnsupportedFeatureError(f"sort {_show(sort)} (only Real and Bool)")
         if name in self.sorts:

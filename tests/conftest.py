@@ -12,6 +12,10 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
+# names only a quoted symbol spells: a parenthesis, whitespace, a comment
+# start, nothing at all; and a plain name for comparison
+QUOTED_NAMES = ["(", ")", "a b", ";", "x", ""]
+
 GAP_XY_SMT2 = """
 (set-logic QF_LRA)
 (declare-const x Real)

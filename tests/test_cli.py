@@ -301,6 +301,30 @@ def test_parse_and_format_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_quoted_name_survives_compile_and_count(tmp_path, capsys):
+    src, out = tmp_path / "q.smt2", tmp_path / "q.nnf"
+    src.write_text("(declare-const |p q| Bool)(declare-const x Real)(assert (or |p q| (< x 0)))")
+    assert run(["compile", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["count", "--nnf", str(out), "--atoms", str(out.with_suffix(".atoms"))]) == 0
+    assert capsys.readouterr().out == "3\n"
+
+
+def test_compile_refuses_a_name_no_atoms_line_can_hold(tmp_path, capsys):
+    src, out = tmp_path / "q.smt2", tmp_path / "q.nnf"
+    src.write_text("(declare-const |x\ny| Bool)(assert |x\ny|)")
+    assert run(["compile", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: symbol 'x\\ny' holds")
+    assert not out.exists() and not out.with_suffix(".atoms").exists()
+
+
+def test_a_declared_constant_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "t.smt2"
+    src.write_text("(declare-const true Bool)(assert (not true))")
+    assert run(["count", str(src)]) == 2
+    assert "reads as a constant" in capsys.readouterr().err
+
+
 def nested_text(depth: int) -> str:
     """``(and B0 (or A0 (and B1 (or A1 ... A<depth>))))``: valid input whose
     formula is nested two levels per step."""

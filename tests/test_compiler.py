@@ -26,50 +26,41 @@ from conftest import bool_chain, entangled_setup, pipeline
 
 
 def unit_propagate(db, assignment):
-    """(implied literals in order, falsified clause or None) of the watched
-    engine, with its unit clauses asserted first as the search does."""
-    values = [None] * (db.num_vars + 1)
-    for var, val in assignment.items():
-        values[var] = val
-    engine = WatchedClauses(db.clauses)
-    implied = []
-
-    def assign(lit):
-        values[abs(lit)] = lit > 0
-        implied.append(lit)
-
-    queue = []
-    for u in engine.units:
-        if values[abs(u)] is None:
-            assign(u)
+    """(implied literals in order, falsified clause or None) of the clause
+    store of ``db`` under ``assignment``, with its unit clauses asserted
+    first as the search does."""
+    store = WatchedClauses(db, AtomTable())
+    given = [var if val else -var for var, val in sorted(assignment.items())]
+    for lit in given:
+        store.assign(lit)
+    mark, queue = len(store.trail), []
+    for u in (cl[0] for cl in db.clauses if len(cl) == 1):
+        if store.values[abs(u)] is None:
+            store.assign(u)
             queue.append(u)
-        elif values[abs(u)] != (u > 0):
-            return implied, (u,)
-    queue += [var if val else -var for var, val in sorted(assignment.items())]
-    return implied, engine.propagate(values, assign, queue)
+        elif store.values[abs(u)] != (u > 0):
+            return store.trail[mark:], (u,)
+    conflict = store.propagate(queue + given)
+    return store.trail[mark:], conflict
 
 
 @pytest.mark.parametrize("added", [False, True])
 def test_added_clause_propagates_and_conflicts_like_an_initial_one(added):
     clause = (1, 2, 3)
 
-    def engine():
-        e = WatchedClauses([(4,), (5, 6)] if added else [(4,), (5, 6), clause])
+    def store(lits):
+        db = st.ClauseDb(6, 6, [(4,), (5, 6)] if added else [(4,), (5, 6), clause])
+        s = WatchedClauses(db, AtomTable())
         if added:
-            e.add(clause)
-        return e
+            s.add(clause)
+        for lit in lits:
+            s.assign(lit)
+        return s
 
-    values = [None, False, False, None, None, None, None]
-    implied = []
-
-    def assign(lit):
-        values[abs(lit)] = lit > 0
-        implied.append(lit)
-
-    assert engine().propagate(values, assign, [-1, -2]) is None
-    assert implied == [3]
-    values = [None, False, False, False, None, None, None]
-    assert engine().propagate(values, assign, [-1, -2, -3]) == clause
+    s = store([-1, -2])
+    assert s.propagate([-1, -2]) is None
+    assert s.trail == [-1, -2, 3]
+    assert store([-1, -2, -3]).propagate([-1, -2, -3]) == clause
 
 
 def test_unit_propagate_chain():
@@ -390,7 +381,7 @@ def test_split_matches_reference_on_random_partial_assignments():
     rng = random.Random(5)
     configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
     for name, db, amap in _split_cases():
-        index = st.compiler.ClauseIndex(db, amap)
+        index = WatchedClauses(db, amap)
         for _ in range(6):
             assigned = rng.sample(range(1, db.num_vars + 1), rng.randint(0, db.num_vars))
             assignment = {v: rng.random() < 0.5 for v in assigned}
@@ -413,7 +404,7 @@ def test_split_from_a_parent_matches_the_reference():
     configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
     checked = 0
     for name, db, amap in _split_cases():
-        index = st.compiler.ClauseIndex(db, amap)
+        index = WatchedClauses(db, amap)
         for _ in range(4):
             theory = rng.random() < 0.7
             n = db.num_vars
@@ -440,7 +431,7 @@ def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
     """Each split reads the occurrence lists only around the branch's
     assignment, so the lookups over a whole compile of the chain grow about
     linearly in n, not quadratically."""
-    original = st.compiler.ClauseIndex.__init__
+    original = WatchedClauses.__init__
     lookups = 0
 
     class Counting(list):
@@ -453,7 +444,7 @@ def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
         original(self, db, amap)
         self.occurs = Counting(self.occurs)
 
-    monkeypatch.setattr(st.compiler.ClauseIndex, "__init__", counting_init)
+    monkeypatch.setattr(WatchedClauses, "__init__", counting_init)
     totals = []
     for n in (200, 400):
         lookups = 0
@@ -500,7 +491,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
     def checked(self, scope):
         nonlocal calls
         calls += 1
-        values, db = self.values, self.db
+        values, db = self.index.values, self.db
         mentioned = frozenset().union(*(_real_vars(self.amap, abs(l)) for l in self.theory.trail))
         want = {
             abs(l)
@@ -627,7 +618,7 @@ def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch)
         nonlocal opened, with_context
         opened += 1
         search = searches[-1]
-        values, clauses, reals = search.values, search.index.clauses, search.index.reals
+        values, clauses, reals = search.index.values, search.index.clauses, search.index.reals
         scope = set(comp.scope)
         assert list(comp.ids) == sorted(set(comp.ids))
         assert all(values[v] is None for v in comp.scope)
@@ -779,10 +770,7 @@ def test_empty_trail_graphs_match_reference_decide(monkeypatch):
         return [pipeline(f, mode=mode)[0] for f, mode in runs] + [st.compile(*bool_chain(40))]
 
     new = graphs()
-    searches = _record_searches(monkeypatch)
-    monkeypatch.setattr(
-        st.compiler, "decide", lambda comp, index: reference_decide(comp, index.clauses, searches[-1].values)
-    )
+    monkeypatch.setattr(st.compiler, "decide", lambda comp, index: reference_decide(comp, index.clauses, index.values))
     old = graphs()
     runs.append((None, "bool-chain"))
     for (f, mode), a, b in zip(runs, new, old):
@@ -884,16 +872,47 @@ def test_learned_clauses_join_the_watched_engine():
         for f in (st.random_formula(seed), st.random_nested_formula(seed)):
             prop, amap = st.boolean_abstract(f)
             db = st.to_cnf(prop)
-            watched = sum(len(cl) > 1 for cl in db.clauses)
             counts = []
             for learning in (True, False):
                 search = st.compiler._Search(db, amap, st.CompileConfig(learning=learning))
                 root = search.run()
                 counts.append(st.count(search.builder.finish(root, amap, has_tags=True)))
-                assert len(search.engine.clauses) == watched + search.stats.learned
+                assert len(search.index.clauses) == len(db.clauses) + search.stats.learned
                 conflicts[learning] += search.stats.conflicts
             assert counts[0] == counts[1]
     assert conflicts[True] < conflicts[False]
+
+
+def test_a_compile_leaves_the_store_as_it_found_it(monkeypatch):
+    """Every literal a search assigns through the clause store is undone:
+    after the run nothing is assigned, no input clause counts a true
+    literal, each variable counts every clause it occurs in, and the store
+    holds the input clauses plus one per learned core."""
+    run = st.compiler._Search.run
+    checked = 0
+
+    def checked_run(self):
+        nonlocal checked
+        root = run(self)
+        store = self.index
+        assert store.trail == [] and set(store.values) == {None}
+        assert not any(store.true)
+        assert store.counts == [len(ids) for ids in store.occurs]
+        assert len(store.clauses) == len(self.db.clauses) + self.stats.learned
+        checked += 1
+        return root
+
+    monkeypatch.setattr(st.compiler._Search, "run", checked_run)
+    for seed in range(200):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            pipeline(f)
+            if seed < 60:
+                pipeline(f, mode="eager")
+    for n in (6, 8, 10):
+        pipeline(st.parse_smt2(_real_chain(n)))
+    for n in (100, 200, 400):
+        st.compile(*bool_chain(n))
+    assert checked == 400 + 120 + 6
 
 
 # ---------------------------------------------------------------------------

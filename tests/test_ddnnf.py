@@ -9,7 +9,7 @@ import pytest
 import smtrace as st
 from smtrace import ddnnf
 from smtrace.ddnnf import KAND, KFALSE, KLIT, KOR, KTRUE, GraphBuilder
-from conftest import bool_chain, pipeline
+from conftest import QUOTED_NAMES, bool_chain, pipeline
 
 
 def or_both(builder, var):
@@ -557,6 +557,44 @@ def test_import_format_errors():
     # more sidecar atoms than header variables
     with pytest.raises(st.FormatError, match="sidecar names 2 atoms, header declares 1 variables"):
         st.import_nnf("nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n", "1 bool a\n2 bool b\n")
+    # every integer field is an ASCII numeral: no other digits, no '_' or '+'
+    orr = "nnf 3 2 1\nL 1\nL -1\nO 1 2 0 1\n"
+    for nnf, atoms, message in [
+        ("nnf 1 0 1\nL \u0661\n", "", "bad literal line"),
+        ("nnf 1 0 1\nL +1\n", "", "bad literal line"),
+        ("nnf 1 0 \u0661\nL 1\n", "", "bad header"),
+        ("nnf 1 0 1_0\nL 1\n", "", "bad header"),
+        ("nnf 2 1 1\nL 1\nA \u0661 0\n", "", "bad And line"),
+        ("nnf 2 1 1\nL 1\nA 1 \u0660\n", "", "bad child index"),
+        (orr.replace("O 1", "O \u0661"), "", "bad Or line"),
+        (orr, "1 bool a\nc implied \u0660\n", "bad implied tag"),
+        (orr, "\u0661 bool a\n", "bad atom line"),
+        (orr, "1 leq \u0662*x 1\n", "bad coefficient"),
+        (orr, "1 leq 1*x 1_0\n", "bad constant"),
+    ]:
+        with pytest.raises(st.FormatError, match=message):
+            st.import_nnf(nnf, atoms)
+
+
+@pytest.mark.parametrize("name", QUOTED_NAMES)
+def test_quoted_names_survive_export_and_import(name):
+    """A name that is empty or holds whitespace is written between bars, as
+    the parser reads it, and read back without them."""
+    f = st.parse_smt2(f"(declare-const |{name}| Bool)(declare-const |r {name}| Real)(assert (or |{name}| (< |r {name}| 0)))")
+    g, _, amap = pipeline(f)
+    g2, amap2 = st.import_nnf(*st.export_nnf(g, amap))
+    assert st.count(g2) == st.count(g) == 3
+    assert [a.name for a in amap2.atoms if not a.is_linear] == [name]
+    assert amap2.real_names == [f"r {name}"]
+
+
+@pytest.mark.parametrize("sort", ["Bool", "Real"])
+@pytest.mark.parametrize("name", ["x\ny", "x\r", "x\u2028y"])
+def test_export_refuses_a_name_no_line_can_hold(name, sort):
+    use = f"|{name}|" if sort == "Bool" else f"(< |{name}| 0)"
+    g, _, amap = pipeline(st.parse_smt2(f"(declare-const |{name}| {sort})(assert {use})"))
+    with pytest.raises(st.FormatError, match="line break"):
+        st.export_nnf(g, amap)
 
 
 def test_import_rejects_a_duplicated_atom_line():

@@ -23,7 +23,7 @@ from smtrace.frontend import (
     normalize_comparison,
 )
 from smtrace.lra import literal_holds
-from conftest import GAP_XY_SMT2, GAP01_SMT2, evaluate, point_of
+from conftest import GAP_XY_SMT2, GAP01_SMT2, QUOTED_NAMES, evaluate, point_of
 
 
 def term(table, coeffs, const=0):
@@ -159,7 +159,7 @@ def test_ignored_commands():
     assert len(st.atoms_of(f)) == 1
 
 
-@pytest.mark.parametrize("name", ["(", ")", "a b", ";", "x"])
+@pytest.mark.parametrize("name", QUOTED_NAMES)
 def test_quoted_symbols(name):
     """A quoted symbol is a symbol whatever it spells, even a parenthesis,
     and ``|x|`` names the same symbol as ``x``."""
@@ -167,6 +167,25 @@ def test_quoted_symbols(name):
     f = st.parse_smt2(f"(declare-const |{name}| Bool)(assert (or {plain} |{name}|)) ; comment")
     assert [a.name for a in st.atoms_of(f)] == [name]
     assert st.brute_counts(f) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "decl",
+    [
+        "(declare-const true Bool)",
+        "(declare-const false Bool)",
+        "(declare-const |true| Bool)",
+        "(declare-const |1| Real)",
+        "(declare-const 2.5 Real)",
+        "(declare-const -3 Real)",
+        "(declare-fun |0.0| () Bool)",
+    ],
+)
+def test_a_name_that_reads_as_a_constant_cannot_be_declared(decl):
+    """Every use of such a name would read the constant, so the declared
+    symbol could never be used."""
+    with pytest.raises(st.SmtSyntaxError, match="reads as a constant"):
+        st.parse_smt2(decl + "(assert true)")
 
 
 @pytest.mark.parametrize(
