@@ -167,7 +167,8 @@ def to_cnf(f: Formula) -> ClauseDb:
 
 
 def to_dimacs(db: ClauseDb, amap: AtomTable) -> str:
-    """DIMACS dump with the atom table as `c atom` comment lines."""
+    """DIMACS dump with the atom table as `c atom` comment lines; a symbol
+    that no line can hold is a ``ValueError`` (``atom_to_str``)."""
     lines = [f"c atom {a.id} {atom_to_str(a, amap.real_names)}" for a in amap.atoms[: db.num_atom_vars]]
     lines.append(f"p cnf {db.num_vars} {len(db.clauses)}")
     for cl in db.clauses:

@@ -548,7 +548,10 @@ class _Search:
                 if refutation is not None:
                     self.stats.conflicts += 1
                     if self.cfg.learning:
-                        core = lra.minimize_core(self.amap, refutation.core, check=theory._check)
+                        # the refutation's core is audited already: its first check is the refutation
+                        first = refutation.core
+                        check = lambda lits: refutation if lits == first else theory._check(lits)
+                        core = lra.minimize_core(self.amap, first, check=check)
                         # lit is in the core, since the trail before it is feasible
                         latest = next(l for l in reversed(theory.trail) if l in core)
                         self.index.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))

@@ -537,12 +537,10 @@ def export_nnf(g: DdnnfGraph, amap: AtomTable | None = None) -> tuple[str, str]:
     atom_lines = []
     for var in range(1, g.num_atom_vars + 1):
         if amap is not None and var <= len(amap):
-            atom = amap.atom(var)
-            names = [atom.name] if atom.kind == BOOL else [amap.real_names[r] for r, _ in atom.term.coeffs]
-            for name in names:
-                if "|" in name or len(f"|{name}|".splitlines()) > 1:
-                    raise FormatError(f"symbol {name!r} holds a '|' or a line break: a .atoms line cannot hold it")
-            atom_lines.append(f"{var} {atom_to_str(atom, amap.real_names)}")
+            try:
+                atom_lines.append(f"{var} {atom_to_str(amap.atom(var), amap.real_names)}")
+            except ValueError as exc:
+                raise FormatError(f"{exc}: a .atoms line cannot hold it") from None
         else:
             atom_lines.append(f"{var} bool v{var}")
     if g.has_tags:

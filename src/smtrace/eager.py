@@ -25,13 +25,15 @@ cores and their order are those of trying every combination:
   is not, so by Helly at most d members of C entail ``t <= 0``; likewise
   for ``t >= 0``, so the core has at most 2d + 1 members.
 
-Feasible candidates are mostly decided without Fourier-Motzkin: the audited
-point of every feasible candidate of the previous size is kept (that size
-only, to bound memory; the empty set starts with the origin), and a set S is
-feasible if for some literal l in S the point of S - {l} satisfies l.  That
-point satisfies every literal of S - {l}, so evaluating l completes its
-audit for S.  Every other candidate runs ``check_feasible``, whose witness
-or certificate is audited there.
+Feasible candidates are mostly decided without Fourier-Motzkin.  Each atom
+has one bit, in sorted atom order, and every point the enumeration has
+audited is kept as a cell, the mask of the atoms true there: the origin,
+and each witness ``check_feasible`` returns.  A candidate whose atoms are
+the mask ``within`` and whose positive literals are ``pos`` holds at a cell
+``c`` exactly when ``c & within == pos``: the cell's point then satisfies
+each of its literals by exact evaluation, so a cell left by any earlier
+candidate, of any size, decides it feasible.  Every other candidate runs
+``check_feasible``, whose witness or certificate is audited there.
 """
 
 from __future__ import annotations
@@ -59,61 +61,46 @@ def _connected(masks: list[int]) -> bool:
     return True
 
 
-def _reused_entry(table, points, lits: frozenset[int]):
-    """The entry of a stored set ``lits - {l}`` whose point satisfies l, if any.
-
-    Each entry caches the truth of the atoms evaluated at its point."""
-    for lit in lits:
-        entry = points.get(lits - {lit})
-        if entry is None:
-            continue
-        point, truth = entry
-        value = truth.get(abs(lit))
-        if value is None:
-            value = truth[abs(lit)] = literal_holds(table, abs(lit), point)
-        if value == (lit > 0):
-            return entry
-    return None
-
-
 def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[int]]:
     """All minimal theory-infeasible literal sets of size <= k over the atoms."""
     atoms = sorted(atom_ids)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
     masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
-    choices = {a: (a, -a) for a in atoms}
-    is_eq = {a: table.atom(a).kind == EQ for a in atoms}
+    eqs = sum(bit[a] for a in atoms if table.atom(a).kind == EQ)
     top = min(k, len(atoms), 2 * reduce(or_, masks.values(), 0).bit_count() + 1)
-    cores: list[tuple[frozenset[int], frozenset[int]]] = []  # (core, its atoms)
-    # feasible sets of the previous size -> (audited point, atom truths there);
-    # a set decided by reuse shares its subset's entry
-    points = {frozenset(): (Point(), {})}
+
+    def cell(point: Point) -> int:
+        return sum(bit[a] for a in atoms if literal_holds(table, a, point))
+
+    cells = [cell(Point())]  # the origin, then every witness
+    cores: list[tuple[frozenset[int], int, int]] = []  # (core, the masks of its atoms and its positive literals)
     for size in range(1, top + 1):
-        found = {}
         for combo in combinations(atoms, size):
             combo_masks = [masks[a] for a in combo]
             d = reduce(or_, combo_masks).bit_count()
-            if size > 2 * d + 1 or not _connected(combo_masks):
+            within = sum(bit[a] for a in combo)
+            combo_eqs = eqs & within
+            if size > 2 * d + 1 or (size > d + 1 and not combo_eqs) or not _connected(combo_masks):
                 continue
-            within = frozenset(combo)
-            prior = [core for core, core_atoms in cores if core_atoms <= within]
-            eqs = [i for i, a in enumerate(combo) if is_eq[a]]
-            for choice in product(*(choices[a] for a in combo)):
-                negated_eqs = sum(1 for i in eqs if choice[i] < 0)
+            prior = [(core_bits, core_pos) for _, core_bits, core_pos in cores if core_bits & within == core_bits]
+            seen = {c & within for c in cells}
+            # polarities in product order, the positive literal first
+            for pos in map(sum, product(*((bit[a], 0) for a in combo))):
+                if pos in seen:
+                    continue
+                negated_eqs = (combo_eqs & ~pos).bit_count()
                 if negated_eqs > 1 or (negated_eqs == 0 and size > d + 1):
                     continue
-                lits = frozenset(choice)
-                if any(core <= lits for core in prior):
+                if any(pos & core_bits == core_pos for core_bits, core_pos in prior):
                     continue
-                entry = _reused_entry(table, points, lits)
-                if entry is None:
-                    result = check_feasible(table, lits)
-                    if not result.sat:
-                        cores.append((lits, within))
-                        continue
-                    entry = (result.witness, {})
-                found[lits] = entry
-        points = found
-    return [core for core, _ in cores]
+                lits = frozenset(a if pos & bit[a] else -a for a in combo)
+                result = check_feasible(table, lits)
+                if result.sat:
+                    cells.append(cell(result.witness))
+                    seen.add(pos)
+                else:
+                    cores.append((lits, within, pos))
+    return [core for core, _, _ in cores]
 
 
 def eager_encode(db: ClauseDb, amap: AtomTable, k: int | None = None) -> ClauseDb:

@@ -257,12 +257,17 @@ def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bo
 
 def _symbol_to_str(name: str) -> str:
     """A symbol as one whitespace-free field: bare, or ``|name|``, the form
-    ``parse_smt2`` reads, when it is empty or holds whitespace."""
+    ``parse_smt2`` reads, when it is empty or holds whitespace.  A name
+    holding a '|' or a line break (anything ``str.splitlines`` breaks at)
+    fits no such field and is a ``ValueError``."""
+    if "|" in name or len(f"|{name}|".splitlines()) > 1:
+        raise ValueError(f"symbol {name!r} holds a '|' or a line break")
     return name if name and not any(ch.isspace() for ch in name) else f"|{name}|"
 
 
 def atom_to_str(atom: Atom, real_names: list[str]) -> str:
-    """Canonical one-line serialization, shared by DIMACS and sidecar files."""
+    """Canonical one-line serialization, shared by DIMACS and sidecar files;
+    a ``ValueError`` for a symbol that no line can hold."""
     if atom.kind == BOOL:
         return f"bool {_symbol_to_str(atom.name)}"
     parts = [atom.kind]
@@ -384,17 +389,25 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# No term nested this deep converts (the converters recurse per level), and
+# hashing a much deeper tuple would overflow the C stack.
+_MAX_DEPTH = 10_000
+
+
 def _read_sexprs(tokens: list[str]):
+    """The s-expressions of ``tokens``, each list closed as a tuple."""
     exprs: list = []
     open_lists: list[list] = []  # explicit stack, so nesting depth costs no recursion
     for tok in tokens:
         if tok == "(":
+            if len(open_lists) == _MAX_DEPTH:
+                raise UnsupportedFeatureError("terms nested too deeply")
             open_lists.append([])
             continue
         if tok == ")":
             if not open_lists:
                 raise SmtSyntaxError("unexpected ')'")
-            tok = open_lists.pop()
+            tok = tuple(open_lists.pop())
         elif not tok:  # a comment
             continue
         elif tok[0] == "|":
@@ -436,7 +449,7 @@ def _show(expr, limit: int = 40) -> str:
         if item is _END:
             stack.pop()
             text = ")" if stack else ""
-        elif isinstance(item, list):
+        elif isinstance(item, tuple):
             stack.append(iter(item))
             text = "("
         else:
@@ -454,6 +467,8 @@ class _Parser:
         self.table = AtomTable()
         self.sorts: dict[str, str] = {}
         self.asserts: list[FNode] = []
+        # comparison -> its node; a repeat would intern nothing new
+        self.comparisons: dict[tuple, FNode] = {}
 
     def run(self, text: str) -> Formula:
         try:
@@ -470,7 +485,7 @@ class _Parser:
         return Formula(root, self.table)
 
     def command(self, expr) -> None:
-        if not isinstance(expr, list) or not expr:
+        if not isinstance(expr, tuple) or not expr:
             raise SmtSyntaxError(f"expected a command, got {_show(expr)!r}")
         head = expr[0]
         if not isinstance(head, str):
@@ -489,7 +504,7 @@ class _Parser:
         if head == "declare-fun":
             if len(expr) != 4:
                 raise SmtSyntaxError("declare-fun expects name, arguments and sort")
-            if expr[2] != []:
+            if expr[2] != ():
                 raise UnsupportedFeatureError("uninterpreted functions of arity > 0")
             self.declare(expr[1], expr[3])
             return
@@ -550,14 +565,17 @@ class _Parser:
                 node = FImplies(self.bool_term(a), node)
             return node
         if head in ("<", ">", "<=", ">=", "=", "distinct"):
+            node = self.comparisons.get(expr)
+            if node is not None:
+                return node
             if len(args) != 2:
                 raise UnsupportedFeatureError(f"chained {head} comparison")
             if head == "=" and self.is_bool_expr(args[0]):
                 raise UnsupportedFeatureError("Boolean equality")
             lit = _comparison(self.table, head, self.real_term(args[0]), self.real_term(args[1]))
-            if isinstance(lit, bool):
-                return FTrue() if lit else FFalse()
-            return FLit(lit)
+            node = (FTrue() if lit else FFalse()) if isinstance(lit, bool) else FLit(lit)
+            self.comparisons[expr] = node
+            return node
         if head in ("+", "-", "*", "/"):
             self.real_term(expr)  # raises on nonlinearity first
             raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")

@@ -353,6 +353,26 @@ def test_dimacs_dump(gap01):
     assert lines[4:] == ["1 2 0", "1 3 0"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(declare-const |x\ny| Bool)(declare-const A Bool)(assert (or |x\ny| A))",
+        "(declare-const |x\u2028y| Real)(declare-const A Bool)(assert (or (< |x\u2028y| 0) A))",
+    ],
+)
+def test_dimacs_refuses_a_name_no_line_can_hold(text):
+    prop, amap = st.boolean_abstract(st.parse_smt2(text))
+    with pytest.raises(ValueError, match="line break"):
+        to_dimacs(to_cnf(prop), amap)
+
+
+def test_dimacs_refuses_a_name_holding_a_bar():
+    table = st.AtomTable()
+    table.intern_bool("a|b")
+    with pytest.raises(ValueError, match="holds a '[|]'"):
+        to_dimacs(st.ClauseDb(1, 1, [(1,)]), table)
+
+
 def test_clausedb_invariants():
     with pytest.raises(ValueError):
         st.ClauseDb(2, 2, [(1, 1)])

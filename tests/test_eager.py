@@ -1,12 +1,15 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 import smtrace as st
 from smtrace import eager
-from smtrace.frontend import AtomTable, LinTerm, normalize_comparison
+from smtrace.frontend import EQ, AtomTable, LinTerm, normalize_comparison
+from smtrace.lra import Point, check_feasible, literal_holds, witness_satisfies
 from conftest import pipeline
 
 
@@ -24,6 +27,38 @@ def reference_cores(table, atom_ids, k):
                 if not eager.check_feasible(table, lits).sat:
                     cores.append(lits)
     return cores
+
+
+def one_smaller_calls(table, atom_ids):
+    """check_feasible calls of the enumerator, bounds and order included, if
+    a candidate could be decided feasible only at the audited point of a
+    feasible subset one literal smaller (the origin at size 1)."""
+    atoms = sorted(atom_ids)
+    masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
+    calls, cores, points = 0, [], {frozenset(): Point()}
+    for size in range(1, len(atoms) + 1):
+        found = {}
+        for combo in combinations(atoms, size):
+            d = reduce(or_, (masks[a] for a in combo)).bit_count()
+            if size > 2 * d + 1 or not eager._connected([masks[a] for a in combo]):
+                continue
+            for pols in product((True, False), repeat=size):
+                lits = frozenset(a if p else -a for a, p in zip(combo, pols))
+                negated_eqs = sum(1 for lit in lits if lit < 0 and table.atom(-lit).kind == EQ)
+                if negated_eqs > 1 or (negated_eqs == 0 and size > d + 1) or any(c <= lits for c in cores):
+                    continue
+                subsets = [(lits - {lit}, lit) for lit in lits]
+                point = next((points[sub] for sub, lit in subsets if sub in points and literal_holds(table, lit, points[sub])), None)
+                if point is None:
+                    calls += 1
+                    result = check_feasible(table, lits)
+                    if not result.sat:
+                        cores.append(lits)
+                        continue
+                    point = result.witness
+                found[lits] = point
+        points = found
+    return calls
 
 
 def _cmp(table, op, coeffs, rhs=0):
@@ -136,7 +171,8 @@ def _linear(formula):
     "formula",
     [st.random_formula(s) for s in range(0, 40, 3)]
     + [st.random_nested_formula(s) for s in range(0, 40, 3)]
-    + [st.random_formula(s, max_atoms=9) for s in range(1000, 1008)],
+    + [st.random_formula(s, max_atoms=9) for s in range(1000, 1008)]
+    + [st.random_formula(103)],  # the sweep's slowest eager instance, 8 linear atoms
 )
 def test_cores_match_reference(formula):
     amap, linear = _linear(formula)
@@ -202,4 +238,25 @@ def test_bounds_save_feasibility_checks(monkeypatch):
     ref = reference_cores(amap, linear, len(linear))
     ref_calls, calls = calls, 0
     assert st.enumerate_infeasible_cores(amap, linear, len(linear)) == ref
-    assert 0 < calls < ref_calls
+    assert 0 < calls < one_smaller_calls(amap, linear) < ref_calls
+
+
+def test_no_check_is_decided_by_an_audited_point(monkeypatch):
+    """A candidate reaches check_feasible only if no point its enumeration
+    has audited, the origin or an earlier witness, satisfies it."""
+    original = eager.check_feasible
+    points = []
+
+    def auditing(table, lits):
+        assert not any(witness_satisfies(table, lits, p) for p in points), sorted(lits)
+        result = original(table, lits)
+        if result.sat:
+            points.append(result.witness)
+        return result
+
+    monkeypatch.setattr(eager, "check_feasible", auditing)
+    for seed in range(200):
+        for formula in (st.random_formula(seed), st.random_nested_formula(seed)):
+            amap, linear = _linear(formula)
+            points[:] = [Point()]
+            st.enumerate_infeasible_cores(amap, linear, len(linear))

@@ -252,6 +252,18 @@ def test_merged_atoms_share_id():
     assert a.positive and b.positive and not c.positive
 
 
+def test_a_repeated_comparison_parses_as_its_first_occurrence():
+    """A repeat is read back from the first parse; spelled differently it is
+    converted again, and both give one formula over one atom table."""
+    decls = "(declare-const x Real)(declare-const y Real)(declare-const A Bool)"
+    first = "(assert (or (<= x 0) (< y x) A))"
+    repeated = st.parse_smt2(decls + first + "(assert (or (< y x) (not A) (<= x 0) (>= y 1)))")
+    respelled = st.parse_smt2(decls + first + "(assert (or (> x y) (not A) (<= (* 1 x) 0) (>= y 1)))")
+    assert repeated.root == respelled.root
+    assert repeated.table.atoms == respelled.table.atoms
+    assert repeated.table.real_names == respelled.table.real_names
+
+
 def test_negation_involution():
     table = AtomTable()
     lit = normalize_comparison(table, "<", term(table, {"x": 1}), LinTerm.constant(0))

@@ -52,6 +52,18 @@ def test_parse_smt2_bad_numerals_and_deep_nesting(text):
         st.parse_smt2(text)
 
 
+def test_parse_smt2_refuses_nesting_past_the_reader_bound():
+    """The reader refuses more than 10,000 open parentheses, so no term too
+    deep for the converters is hashed as a whole (a comparison is looked up
+    by its s-expression, and a tuple's hash recurses in C)."""
+    deep = "(+ 1 " * 200_000 + "x" + ")" * 200_000
+    with pytest.raises(st.UnsupportedFeatureError, match="nested too deeply"):
+        st.parse_smt2(f"(declare-const x Real)(assert (<= {deep} 0))")
+    with pytest.raises(st.UnsupportedFeatureError, match="nested too deeply"):
+        st.parse_smt2("(set-info :source " + "(" * 10_000 + ")" * 10_000 + ")")
+    st.parse_smt2("(set-info :source " + "(" * 9_999 + ")" * 9_999 + ")")  # ignored, at the bound
+
+
 def test_parse_smt2_nesting_within_the_limit():
     f = st.parse_smt2("(declare-const x Real)(assert " + "(or (<= x 0) " * 300 + "(<= x 1)" + ")" * 301)
     prop, amap = st.boolean_abstract(f)
