@@ -5,7 +5,10 @@ For instance seeds start..start+instances-1 of both random generators, runs
 ``boolean_abstract`` and ``to_cnf`` once, then times ``eager_encode`` alone.
 A first, untimed pass counts the ``check_feasible`` calls the enumerator
 makes and the cores it blocks; the timed passes run without that counter and
-the median pass is reported.  Results go to a JSON file together with the
+the median pass is reported.  Times are scaled to a reference interpreter
+speed by the benchmark's clock (``perfbench/clock.py``, imported, not
+changed), so runs made at different times can be compared; the JSON says so
+as ``"clock": "scaled"``.  Results go to a JSON file together with the
 git SHA of the checkout that holds the imported ``smtrace`` and the Python
 version.
 
@@ -19,11 +22,15 @@ import json
 import platform
 import statistics
 import subprocess
+import sys
 import time
 from pathlib import Path
 
 import smtrace as st
 from smtrace import eager
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from clock import SpeedClock
 
 
 def git_sha(path: Path) -> str:
@@ -73,12 +80,14 @@ def counted_pass(work):
     return per
 
 
-def timed_pass(work) -> dict[str, float]:
+def timed_pass(work) -> dict[str, tuple[float, float]]:
+    """The wall-clock interval of each instance's encoding, to be scaled
+    once the clock has probed past them."""
     per = {}
     for name, db, amap in work:
         t0 = time.perf_counter()
         eager.eager_encode(db, amap)
-        per[name] = time.perf_counter() - t0
+        per[name] = (t0, time.perf_counter())
     return per
 
 
@@ -92,7 +101,13 @@ def main() -> None:
 
     work = instances(args.start, args.instances)
     counts = counted_pass(work)
-    passes = [timed_pass(work) for _ in range(max(1, args.repeats))]
+    clock = SpeedClock()
+    clock.start()
+    try:
+        intervals = [timed_pass(work) for _ in range(max(1, args.repeats))]
+    finally:
+        clock.stop()
+    passes = [{name: clock.scaled(*iv) for name, iv in p.items()} for p in intervals]
     totals = [sum(p.values()) for p in passes]
     median_pass = passes[totals.index(statistics.median_low(totals))]
     slowest = max(median_pass, key=median_pass.get)
@@ -103,6 +118,7 @@ def main() -> None:
         "machine": platform.machine(),
         "window": {"start": args.start, "instances": len(work)},
         "repeats": len(passes),
+        "clock": "scaled",
         "encode_s_median": statistics.median(totals),
         "encode_s_passes": totals,
         "feasibility_calls": sum(c for c, _ in counts.values()),

@@ -2,7 +2,8 @@
 """Time compile, count and capped enumeration on the Boolean chain, and
 compile on the real chain, as they grow.
 
-For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, then
+For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, from
+the benchmark's text (``perfbench/inputs.py``, imported, not changed), then
 compiles it in lazy mode with components on and off.  A first, untimed
 compile counts the ``split_components`` calls and sums the time spent in
 them (``split_s``); the timed repeats compile, ``count`` the fresh graph
@@ -19,7 +20,7 @@ components-off compile fails, the larger sizes are recorded as skipped
 without compiling.
 
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
-(i = 1..n-1) is compiled in lazy mode with the default settings, under the
+(i = 1..n-1), also the benchmark's text, is compiled in lazy mode with the default settings, under the
 same budget; the median repeat is reported with the graph's decisions,
 theory checks, the most rows one check started from (``theory_rows_max``)
 and edges.  A row whose n is twice the previous size's n, for the same
@@ -39,6 +40,7 @@ import platform
 import resource
 import signal
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -46,6 +48,9 @@ import smtrace as st
 from smtrace import compiler
 
 from bench_eager import git_sha
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import bool_chain_text, real_chain_text  # the benchmark's chains
 
 CAP = 1000
 
@@ -68,17 +73,8 @@ def capped(fn, budget: float):
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
-def bool_chain(n: int):
-    decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
-    f = st.parse_smt2(decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n)))
-    prop, amap = st.boolean_abstract(f)
-    return st.to_cnf(prop), amap
-
-
-def real_chain(n: int):
-    decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
-    body = "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
-    prop, amap = st.boolean_abstract(st.parse_smt2(decls + body))
+def cnf(text: str):
+    prop, amap = st.boolean_abstract(st.parse_smt2(text))
     return st.to_cnf(prop), amap
 
 
@@ -109,7 +105,7 @@ def peak_rss_mb() -> float:
 
 
 def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
-    db, amap = bool_chain(n)
+    db, amap = cnf(bool_chain_text(n))
     cfg = st.CompileConfig(components=components)
     row = {"n": n, "components": components}
     try:
@@ -143,7 +139,7 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
 
 
 def measure_real(n: int, repeats: int, budget: float) -> dict:
-    db, amap = real_chain(n)
+    db, amap = cnf(real_chain_text(n))
     row = {"n": n}
     runs = []
     try:
@@ -182,7 +178,7 @@ def _growth(row: dict) -> str:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200])
     ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")

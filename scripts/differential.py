@@ -16,7 +16,8 @@ set has 3406 compiles:
   so that ``parse_smt2`` is on the compared path (group ``lazy parsed``);
 - eager mode on sweep seeds 0-59 of both generators;
 - the real chain ``x_i <= x_{i+1} or x_i >= 5`` at n = 6, 8, 10 and the
-  Boolean chain ``A_i or A_{i+1}`` at n = 100, 200, 400, lazy mode.
+  Boolean chain ``A_i or A_{i+1}`` at n = 100, 200, 400, lazy mode, parsed
+  from the benchmark's text of each chain.
 
 Without the ``learning=False`` and ``lazy parsed`` groups this is the
 2586-compile set.
@@ -53,16 +54,6 @@ CONFIGS = (
 )
 
 
-def real_chain(n: int) -> str:
-    decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
-    return decls + "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
-
-
-def bool_chain(n: int) -> str:
-    decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
-    return decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n))
-
-
 def weights(st, num_atom_vars: int):
     """Mixed denominators; the positive literals of variables 6, 12, ...
     weigh 0, and the negative literals of variables 3, 7, 11, ... have no
@@ -97,7 +88,7 @@ def dump(args) -> dict:
     import smtrace as st  # here, so that --compare runs without smtrace on the path
 
     sys.path.insert(0, str(PERFBENCH))
-    import inputs  # the benchmark's SMT-LIB2 rendering of a formula
+    import inputs  # the benchmark's SMT-LIB2 rendering of a formula, and its chains
 
     def cnf(f):
         prop, amap = st.boolean_abstract(f)
@@ -117,8 +108,8 @@ def dump(args) -> dict:
                 eager = st.eager_encode(db, amap)
                 entries[f"eager/{name}"] = record(st, eager, amap, st.CompileConfig(mode="eager"))
     for group, make, sizes in (
-        ("real chain", real_chain, args.real_sizes),
-        ("bool chain", bool_chain, args.bool_sizes),
+        ("real chain", inputs.real_chain_text, args.real_sizes),
+        ("bool chain", inputs.bool_chain_text, args.bool_sizes),
     ):
         for n in sizes:
             db, amap = cnf(st.parse_smt2(make(n)))

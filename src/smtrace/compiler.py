@@ -11,54 +11,53 @@ decomposed at the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
 co-occurring in asserted trail atoms.  A component is its scope (its
 unassigned variables), the ids of its unsatisfied clauses and its theory
-context.  As in sharpSAT, within one compile a clause id and the scope fix
-the clause's live view, its literals over the scope.  Component results are
-cached under the three, since the same clauses compile differently under
-different entangling decisions.  That context is the trail's
-inequalities projected by Fourier-Motzkin onto the reals of the component's
-own atoms and of the trail's disequalities, in canonical form, followed by
-those disequalities: two trails with equal contexts admit the same
-assignments to those atoms.  The context is projected with the cache off
-too, because the theory solver checks on it: each branch of a component
-sets it as the solver's context, so every check of the branch reads the
-projection plus the literals the branch asserted, and a sub-component's
-context is projected from its parent's plus those literals.  One clause
-store per compile (``WatchedClauses``) holds the Boolean state: clauses,
-assignment, watches and a per-variable occurrence index, through which
-splitting reads the clauses.  It keeps each variable's count of unsatisfied
-clauses up to date as literals are assigned and undone, as in Chaff.  Splits
-are stamped flood fills, and there is one kind: the root of the search is a
-component too, of every variable, every input clause id and an empty
-context, so it is split as a decided component is.  A split starts from the
-component and fills only around the variables its branch assigned (at the
-root, also from every unassigned variable), and the one part no fill
-reached is sliced out of the component's scope and clause ids; a branch
-that assigned the whole scope is not split.  Each part's context is
-projected from the component's, plus the branch's literals over the part's
-reals.  The decision order is DLCS on the kept counts, except that a linear
-atom in none of the component's clauses that shares a real with the
-component's trail context is decided first: leaving it open would keep that
-real apart in the cache keys of otherwise equal subproblems.  A component
-that is one Boolean atom in no clause is a leaf, its two literals, with no
-branches.  A decision thus pays for the occurrence lists of the literals its
-branches assign, the small parts of their splits, and what is linear in its
-component but runs in C: the DLCS maximum, one slicing copy and the cache
-key's hash.  The split's fill work on the Boolean chain grows linearly.
+context; scope and ids are int bitmasks, as graph scopes are.  As in
+sharpSAT, within one compile a clause id and the scope fix the clause's live
+view, its literals over the scope.  Component results are cached under the
+three, since the same clauses compile differently under different
+entangling decisions.  That context is the trail's inequalities projected by
+Fourier-Motzkin onto the reals of the component's own atoms and of the
+trail's disequalities, in canonical form, followed by those disequalities:
+two trails with equal contexts admit the same assignments to those atoms.
+The context is projected with the cache off too, because the theory solver
+checks on it: each branch of a component sets it as the solver's context,
+so every check of the branch reads the projection plus the literals the
+branch asserted, and a sub-component's context is projected from its
+parent's plus those literals.  One clause store per compile
+(``WatchedClauses``) holds the Boolean state: clauses, assignment, watches
+and a per-variable occurrence index, through which splitting reads the
+clauses.  It keeps each variable's count of unsatisfied clauses, and per
+count the mask of the variables that have it, up to date as literals are
+assigned and undone, as in Chaff.  Splits are stamped flood fills, and there
+is one kind: the root of the search is a component too, of every variable,
+every input clause id and an empty context, so it is split as a decided
+component is.  A split starts from the component and fills only around the
+variables its branch assigned (at the root, also from every unassigned
+variable); the one part no fill reached is the component's masks less the
+fills' and the branch's variables and clauses.  A branch that assigned the
+whole scope is not split.  Each part's context is projected from the
+component's, plus the branch's literals over the part's reals.  The decision
+order is DLCS on the kept counts, except that a linear atom in none of the
+component's clauses that shares a real with the component's trail context
+is decided first: leaving it open would keep that real apart in the cache
+keys of otherwise equal subproblems.  A component that is one Boolean atom
+in no clause is a leaf, its two literals, with no branches.  A decision thus
+pays for the occurrence lists of the literals its branches assign, the small
+parts of their splits, and a few operations in C on masks as wide as the
+compile: the rest's cut, DLCS's count levels and the cache key's hash.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import chain
 from typing import Sequence
 
 from . import lra
 from .abstraction import ClauseDb, learn_theory_clause
-from .ddnnf import DdnnfGraph, GraphBuilder
+from .ddnnf import DdnnfGraph, GraphBuilder, variables_of
 from .frontend import AtomTable
 
 
@@ -113,8 +112,9 @@ STAT_KEYS = tuple(f.name for f in fields(CompileStats))
 class Component:
     """A residual subproblem: unassigned variables plus the clauses they own.
 
-    ``scope`` holds the unassigned variables, ascending, and ``ids`` the ids
-    of the unsatisfied clauses over them, ascending.  Every unassigned
+    ``scope`` is the int bitmask of the unassigned variables (bit v for
+    variable v), and ``ids`` that of the ids of the unsatisfied clauses over
+    them (bit ci for clause id ci).  Every unassigned
     variable of such a clause is in the scope, so the clause's live view
     under the current assignment is its literals over the scope.  The root
     of a search is a component too: every variable and every clause id.
@@ -125,8 +125,8 @@ class Component:
     ``lra.NO_PROJECTION`` when there are none.
     """
 
-    scope: tuple[int, ...]
-    ids: tuple[int, ...]
+    scope: int
+    ids: int
     polyhedron: lra.Projection
 
 
@@ -147,14 +147,17 @@ class WatchedClauses:
     The rest covers the input clauses only.  ``occurs[v]`` lists, ascending,
     the clauses variable v occurs in, so a split touches only the clauses of
     the variables it visits.  ``reals[v]`` holds the real variables of each
-    linear atom variable v of ``db``, and ``atoms_over[r]`` the linear atom
-    variables over real r, ascending; both are empty without a theory.  A
-    split's flood fill treats real r as node ``real_base + r``.
+    linear atom variable v of ``db``, ``linear`` is the mask of those
+    variables, and ``atoms_over[r]`` lists the linear atom variables over
+    real r, ascending; all are empty without a theory.  A split's flood
+    fill treats real r as node ``real_base + r``.
     ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
     marked: each split advances ``stamp``, so nothing is cleared between
     splits.  ``true[ci]`` counts the true literals of clause ci and
     ``counts[v]`` the unsatisfied clauses v occurs in (with multiplicity):
-    DLCS's counts, kept on assign and undo as in Chaff.
+    DLCS's counts, kept on assign and undo as in Chaff.  ``levels[c]`` is
+    the mask of the variables whose count is c; a count never rises above
+    its initial ``len(occurs[v])``, so ``levels`` keeps its length.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -180,7 +183,11 @@ class WatchedClauses:
         self.clause_stamp = [0] * len(self.clauses)
         self.stamp = 0
         self.true = [0] * len(self.clauses)
-        self.counts = [len(ids) for ids in self.occurs]
+        counts = self.counts = [len(ids) for ids in self.occurs]
+        levels = self.levels = [0] * (max(counts) + 1)
+        for v in range(1, len(counts)):
+            levels[counts[v]] |= 1 << v
+        self.linear = sum(1 << v for v in self.reals)
 
     def add(self, clause: Sequence[int]) -> None:
         """Watch a clause of at least two literals from now on.
@@ -203,14 +210,18 @@ class WatchedClauses:
         """Count lit as assigned (``step`` 1) or unassigned (-1): a clause it
         makes satisfied, or unsatisfied again, moves each of its variables'
         counts by ``-step``."""
-        clauses, true, counts = self.clauses, self.true, self.counts
+        clauses, true, counts, levels = self.clauses, self.true, self.counts, self.levels
         for ci in self.occurs[abs(lit)]:
             clause = clauses[ci]
             if lit in clause:
                 true[ci] += step
                 if true[ci] == (step > 0):  # 0 -> 1 on assign, 1 -> 0 on undo
-                    for l in clause:
-                        counts[abs(l)] -= step
+                    for u in map(abs, clause):
+                        c = counts[u]
+                        counts[u] = c - step
+                        bit = 1 << u
+                        levels[c] ^= bit
+                        levels[c - step] |= bit
 
     def assign(self, lit: int) -> None:
         self.values[abs(lit)] = lit > 0
@@ -285,19 +296,6 @@ def _live_view(clause, values) -> tuple[int, ...]:
     return tuple(live)
 
 
-def _cut(seq: tuple, positions) -> tuple:
-    """seq without the entries at ``positions``, copied a slice at a time; a
-    cut that only drops a prefix is one slice."""
-    out, start = [], 0
-    for i in sorted(positions):
-        out += seq[start:i]
-        start = i + 1
-    if not out:
-        return seq[start:]
-    out += seq[start:]
-    return tuple(out)
-
-
 def split_components(
     db: ClauseDb,
     amap: AtomTable,
@@ -335,13 +333,13 @@ def split_components(
     parent clause it occurs in, or a real of its atom), since the parent was
     connected, or at the root any unassigned variable.  The seeds, in
     ascending order, start the fills, except the last that no earlier fill
-    reached: its part is the rest of the parent, cut out of the parent's
-    scope and clause ids.  The cut drops the assigned variables, the fills'
-    variables and clauses, and the clauses the assignment left with no live
-    literal; a clause it only shrank keeps its id.  That costs the fills, a
-    bisection per entry cut and one slicing copy of the parent.  With
-    components disabled, nothing is filled and the rest of the parent is
-    the one component.
+    reached: its part is the rest of the parent, the parent's masks less
+    the assigned variables, the fills' variables and clauses, and the
+    clauses the assignment left with no live literal; a clause it only
+    shrank keeps its id.  That costs the fills and a few operations on masks
+    as wide as the parent.  Parts are ordered by their lowest variable.
+    With components disabled, nothing is filled and the rest of the parent
+    is the one component.
 
     The trail literals a part can read are the parent context's ``sources``
     and ``trail``: the parent is closed under trail entanglement, so no
@@ -365,26 +363,23 @@ def split_components(
 
     seeds = []
     if parent is None:  # the root: every variable, every clause id and every assignment so far
-        parent = Component(tuple(range(1, db.num_vars + 1)), tuple(range(len(db.clauses))), lra.NO_PROJECTION)
-        assigned = [v if values[v] else -v for v in parent.scope if values[v] is not None]
-        seeds = [v for v in parent.scope if values[v] is None]
+        parent = Component((1 << db.num_vars + 1) - 2, (1 << len(db.clauses)) - 1, lra.NO_PROJECTION)
+        assigned = [v if values[v] else -v for v in range(1, db.num_vars + 1) if values[v] is not None]
+        seeds = [v for v in range(1, db.num_vars + 1) if values[v] is None]
         for v in seeds:
             var_stamp[v] = seed
     pscope, pids, context = parent.scope, parent.ids, parent.polyhedron
-    nvars, nclauses = len(pscope), len(pids)
-    gone = []  # positions in pscope of the assigned variables, then of the fills'
-    shrunk = []  # (position in pids, clause id) of the parent clauses they occur in
+    gone = 0  # the assigned variables of the parent, then the fills'
+    shrunk = []  # the parent clauses they occur in
     for lit in assigned:
         v = abs(lit)
-        i = bisect_left(pscope, v)
-        if i == nvars or pscope[i] != v:
+        if not pscope >> v & 1:
             continue
-        gone.append(i)
+        gone |= 1 << v
         for ci in occurs[v]:
-            j = bisect_left(pids, ci)
-            if j < nclauses and pids[j] == ci and clause_stamp[ci] != seed:
+            if pids >> ci & 1 and clause_stamp[ci] != seed:
                 clause_stamp[ci] = seed
-                shrunk.append((j, ci))
+                shrunk.append(ci)
                 for l in clauses[ci]:
                     u = abs(l)
                     if values[u] is None and var_stamp[u] != seed:
@@ -400,7 +395,7 @@ def split_components(
     lits = [*context.sources, *trail]  # the trail literals the parts read
     on_trail = {abs(lit) for lit in lits}
 
-    fills = []  # (variables, real nodes, clause ids) per fill
+    fills = []  # (variable mask, reals, clause id mask) per fill
     for s in seeds:
         if var_stamp[s] == reached:
             continue
@@ -408,7 +403,7 @@ def split_components(
             break
         pending -= var_stamp[s] == seed
         var_stamp[s] = reached
-        nodes, ids = [s], []
+        nodes, ids = [s], 0
         for x in nodes:  # grows as the fill reaches new nodes
             if x < base:
                 for ci in occurs[x]:
@@ -421,7 +416,7 @@ def split_components(
                             view = _live_view(view, values)
                             break
                     if view:
-                        ids.append(ci)
+                        ids |= 1 << ci
                         for l in view:
                             v = abs(l)
                             mark = var_stamp[v]
@@ -445,35 +440,31 @@ def split_components(
                     pending -= mark == seed
                     var_stamp[y] = reached
                     nodes.append(y)
-        nodes.sort()
-        ids.sort()
-        k = bisect_left(nodes, base)
-        fills.append((nodes[:k], nodes[k:], ids))
+        # nodes are distinct, so the sum of their bits is their mask
+        fills.append((sum(1 << x for x in nodes if x < base), {x - base for x in nodes if x >= base}, ids))
 
-    def component(variables, ids, part_lits) -> Component:
+    def component(scope, ids, part_lits) -> Component:
         polyhedron = lra.NO_PROJECTION
         if part_lits:  # never without a theory: its trail is empty
-            own = frozenset().union(*(reals[v] for v in variables if v in reals))
+            own = frozenset().union(*(reals[v] for v in variables_of(scope & index.linear)))
             polyhedron = lra.project_trail(amap, part_lits, own, context)
-        return Component(variables, tuple(ids), polyhedron)
+        return Component(scope, ids, polyhedron)
 
-    comps, filled_reals, left = [], set(), nvars - len(gone)  # left: the parent's variables neither assigned nor filled
-    for variables, real_nodes, ids in fills:
-        left -= len(variables)
-        own_reals = {x - base for x in real_nodes}
+    comps, filled_reals, cut = [], set(), 0
+    for scope, own_reals, ids in fills:
+        gone |= scope
+        cut |= ids
         filled_reals |= own_reals
-        if variables:  # not reals alone
+        if scope:  # not reals alone
             over = [lit for lit in lits if not own_reals.isdisjoint(reals[abs(lit)])]
-            comps.append(component(tuple(variables), ids, over))
-    if left:
-        cut = {j for j, ci in shrunk if not _live_view(clauses[ci], values)}
-        for variables, _, ids in fills:
-            gone += map(partial(bisect_left, pscope), variables)
-            cut.update(map(partial(bisect_left, pids), ids))
-        rest = [lit for lit in lits if filled_reals.isdisjoint(reals[abs(lit)])]
-        comps.append(component(_cut(pscope, gone), _cut(pids, cut), rest))
+            comps.append(component(scope, ids, over))
+    rest = pscope & ~gone
+    if rest:
+        cut |= sum(1 << ci for ci in shrunk if not _live_view(clauses[ci], values))
+        rest_lits = [lit for lit in lits if filled_reals.isdisjoint(reals[abs(lit)])]
+        comps.append(component(rest, pids & ~cut, rest_lits))
     if len(comps) > 1:
-        comps.sort(key=lambda c: c.scope[0])  # a fill seeded at a real, or the rest, may start lower
+        comps.sort(key=lambda c: c.scope & -c.scope)  # a fill seeded at a real, or the rest, may start lower
     return comps
 
 
@@ -481,7 +472,7 @@ def cache_key(component: Component) -> tuple:
     """Identity of a residual subproblem: clause ids, scope and theory
     context.
 
-    The ids ascend, and with the scope they fix each clause's live view.
+    The clause id mask and the scope mask fix each clause's live view.
     The context is the key of ``component.polyhedron``: the canonical
     projection of the trail's inequalities onto the reals of the
     component's atoms and of the trail's disequalities, followed by those
@@ -500,27 +491,31 @@ def decide(component: Component, index: WatchedClauses) -> int:
 
     The positive literal of the lowest-id *pinned* variable if there is
     one, else of the variable occurring most often in the component's
-    clauses (ties: lowest id), read from ``index.counts``: a scope
-    variable is unassigned, and each unsatisfied clause it occurs in is a
-    clause of its component, so its count is its count over the
-    component's live views.  A variable is pinned when it occurs in none of
+    clauses (ties: lowest id): the lowest variable of the highest count
+    level (``index.levels``) that meets the scope.  A scope variable is
+    unassigned, and each unsatisfied clause it occurs in is a clause of its
+    component, so its count is its count over the component's live views.
+    A variable is pinned when it occurs in none of
     them and is a linear atom sharing a real with one of the trail literals
     of the component's context, its ``polyhedron.sources``
     (``index.reals``).  Deciding pinned atoms first settles the reals that
     keep the projected cache keys of otherwise equal subproblems apart.
     With an empty trail nothing is pinned and the choice is plain DLCS.
     """
-    if not component.scope:
+    scope = component.scope
+    if not scope:
         raise NoUnassignedError("component has no unassigned variables")
-    counts = index.counts
     sources = component.polyhedron.sources
     if sources:
-        reals = index.reals
+        counts, reals = index.counts, index.reals
         pinned = frozenset().union(*(reals[abs(lit)] for lit in sources))
-        for v in component.scope:
-            if not counts[v] and not pinned.isdisjoint(reals.get(v, ())):
+        for v in variables_of(scope & index.linear):
+            if not counts[v] and not pinned.isdisjoint(reals[v]):
                 return v
-    return max(component.scope, key=counts.__getitem__)  # the first maximum: scope ascends
+    for level in reversed(index.levels):
+        top = level & scope
+        if top:
+            return (top & -top).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +554,8 @@ class _Search:
                     return False
         return True
 
-    def _theory_candidates(self, scope: Sequence[int]) -> list[int]:
-        """Unassigned linear atoms of the ascending scope that occur in an
+    def _theory_candidates(self, scope: int) -> list[int]:
+        """Unassigned linear atoms of the scope mask that occur in an
         unsatisfied clause (``index.counts``) and all of whose reals the
         trail mentions, ascending.
 
@@ -571,14 +566,14 @@ class _Search:
         of the first kind the trail is not read.
         """
         values, reals, counts = self.index.values, self.index.reals, self.index.counts
-        atoms = [var for var in scope if var in reals and values[var] is None and counts[var]]
+        atoms = [var for var in variables_of(scope & self.index.linear) if values[var] is None and counts[var]]
         if not atoms:
             return []
         context, mark = self.theory.context
         mentioned = frozenset().union(*(reals[abs(lit)] for lit in chain(context.sources, self.theory.trail[mark:])))
         return [var for var in atoms if reals[var] <= mentioned]
 
-    def _fixpoint(self, scope: Sequence[int], queue: list[int], implied: set[int]) -> bool:
+    def _fixpoint(self, scope: int, queue: list[int], implied: set[int]) -> bool:
         """Propagate ``queue``, the literals just assigned, within the scope,
         reading each once; theory propagations also go in ``implied``."""
         while True:
@@ -613,9 +608,9 @@ class _Search:
                 return hit
             self.stats.cache_misses += 1
         self.stats.decisions += 1
-        if len(comp.scope) == 1 and not comp.ids and comp.scope[0] not in self.index.reals:
+        if not comp.ids and not comp.scope & (comp.scope - 1) and not comp.scope & self.index.linear:
             # a free Boolean atom: either branch would assign it alone and imply nothing
-            lit = comp.scope[0]
+            lit = comp.scope.bit_length() - 1
             hi, lo = self.builder.lit(lit), self.builder.lit(-lit)
         else:
             lit = decide(comp, self.index)
@@ -640,7 +635,7 @@ class _Search:
         that made the clause unit.  So a branch that assigned as many
         literals as the scope holds left nothing to split.
         """
-        scope = parent.scope if parent is not None else range(1, self.db.num_vars + 1)
+        scope = parent.scope if parent is not None else (1 << self.db.num_vars + 1) - 2
         index = self.index
         mark = len(index.trail)
         theory, theory_mark = self.theory, 0
@@ -664,7 +659,7 @@ class _Search:
             assigned = index.trail[mark:]
             parts = [self.builder.lit(lit, implied=lit in implied) for lit in assigned]
             comps = []
-            if len(assigned) < len(scope):
+            if len(assigned) < scope.bit_count():
                 branch_theory = theory.trail[theory_mark:] if theory is not None else ()
                 comps = split_components(
                     self.db, self.amap, index.values, branch_theory, self.cfg, index, parent, assigned

@@ -102,14 +102,14 @@ class DdnnfGraph:
         return self._scopes
 
 
-def _variables(mask: int) -> list[int]:
-    """The atom variables of a scope mask, ascending: one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def variables_of(mask: int) -> list[int]:
+    """The variables of a mask (bit v for variable v), ascending, read from
+    its binary digits: a step per set bit would cost an operation on the
+    whole mask, which for a dense mask takes longer."""
+    if not mask:
+        return []
+    low = (mask & -mask).bit_length() - 1
+    return [v for v, digit in enumerate(bin(mask >> low)[:1:-1], low) if digit == "1"]
 
 
 class GraphBuilder:
@@ -241,7 +241,7 @@ def _check_or(g: DdnnfGraph, nid: int, node: Node, report: Report) -> None:
         )
         return
     hi, lo = node.children
-    candidates = [node.decision] if node.decision else _variables(g.scopes()[hi] & g.scopes()[lo])
+    candidates = [node.decision] if node.decision else variables_of(g.scopes()[hi] & g.scopes()[lo])
     for var in candidates:
         pols = [_top_level_polarity(g, c, var) for c in node.children]
         if None not in pols and pols[0] != pols[1]:
@@ -312,7 +312,7 @@ def _scope_violation(scopes: list[int], nid: int, node: Node) -> Violation | Non
         for c in node.children:
             mask = scopes[c]
             if seen & mask:
-                shared = _variables(seen & mask)
+                shared = variables_of(seen & mask)
                 return Violation("decomposability", nid, message=f"And children share atoms {shared}")
             seen |= mask
     elif node.kind == KOR and len(node.children) == 2:
@@ -387,7 +387,7 @@ def weighted_count(g: DdnnfGraph, w: WeightMap) -> Fraction:
     every assignment set each root-scope variable exactly once, so the
     integer result is the weighted count times D to the scope's size.
     """
-    scope = _variables(g.scopes()[g.root])
+    scope = variables_of(g.scopes()[g.root])
     den = math.lcm(*(value.denominator for value in w.weights.values()))
     scaled = {}
     for var in scope:
@@ -437,7 +437,7 @@ def enumerate_models(g: DdnnfGraph, cap: int | None = None) -> list[Model]:
     """
     _totality_gate(g)
     nodes, num_atom_vars = g.nodes, g.num_atom_vars
-    index = {var: pos for pos, var in enumerate(_variables(g.scopes()[g.root]))}
+    index = {var: pos for pos, var in enumerate(variables_of(g.scopes()[g.root]))}
     values = bytearray(len(index))
     models: list[Model] = []
     choices: list[tuple[int, tuple | None]] = [(g.root, None)]

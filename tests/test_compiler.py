@@ -17,6 +17,7 @@ from smtrace.compiler import (
     learn_theory_clause,
     split_components,
 )
+from smtrace.ddnnf import variables_of
 from smtrace.frontend import AtomTable
 from conftest import bool_chain, entangled_setup, pipeline
 
@@ -82,23 +83,36 @@ def test_unit_propagate_under_assignment():
 # decide
 
 
+def _mask(items):
+    """The int bitmask of variables or clause ids: bit i for item i."""
+    out = 0
+    for i in items:
+        out |= 1 << i
+    return out
+
+
 def _index(clauses, values, reals=None):
     """The stand-in for the compile's clause index that ``decide`` reads:
-    the real map, and per variable the number of its occurrences in the
-    clauses that ``values`` (indexed by variable) leaves unsatisfied, as
-    the search keeps them."""
+    the real map and its linear atoms' mask, per variable the number of its
+    occurrences in the clauses that ``values`` (indexed by variable) leaves
+    unsatisfied, as the search keeps them, and per count the mask of the
+    variables with that count."""
     counts = [0] * len(values)
     for cl in clauses:
         if not any(values[abs(l)] == (l > 0) for l in cl):
             for l in cl:
                 counts[abs(l)] += 1
-    return SimpleNamespace(counts=counts, reals=reals or {})
+    levels = [0] * (max(counts) + 1)
+    for v in range(1, len(counts)):
+        levels[counts[v]] |= 1 << v
+    reals = reals or {}
+    return SimpleNamespace(counts=counts, levels=levels, reals=reals, linear=_mask(reals))
 
 
 def _component(clauses, scope, sources=(), reals=None):
     """A component owning every clause of ``clauses``, with nothing
     assigned, and its clause index stand-in (``_index``)."""
-    comp = Component(tuple(scope), tuple(range(len(clauses))), st.lra.Projection((), sources=frozenset(sources)))
+    comp = Component(_mask(scope), _mask(range(len(clauses))), st.lra.Projection((), sources=frozenset(sources)))
     n = max((abs(v) for v in itertools.chain(scope, *clauses)), default=0)
     return comp, _index(clauses, _unassigned(n), reals)
 
@@ -123,14 +137,14 @@ def reference_decide(component, clauses, values):
     if not component.scope:
         raise NoUnassignedError("component has no unassigned variables")
     counts = {}
-    for ci in component.ids:
+    for ci in variables_of(component.ids):
         if any(values[abs(l)] == (l > 0) for l in clauses[ci]):
             continue  # satisfied: its live view is empty
         for l in clauses[ci]:
             if values[abs(l)] is None:
                 counts[abs(l)] = counts.get(abs(l), 0) + 1
     if not counts:
-        return component.scope[0]
+        return variables_of(component.scope)[0]
     return min(counts, key=lambda v: (-counts[v], v))
 
 
@@ -154,7 +168,7 @@ def test_decide_picks_pinned_atom_before_dlcs():
     assert reference_decide(comp, clauses, _unassigned(9)) == 1
     # 4 is in a clause, 5 shares only real 1 with the trail atom, 6 and 7 real 0
     assert decide(comp, index) == 5
-    pinned_by_real_0 = Component((1, 2, 3, 4, 6, 7), comp.ids, comp.polyhedron)
+    pinned_by_real_0 = Component(_mask((1, 2, 3, 4, 6, 7)), comp.ids, comp.polyhedron)
     assert decide(pinned_by_real_0, index) == 6
 
 
@@ -197,7 +211,7 @@ def test_decide_with_empty_trail_matches_reference(data):
     scope |= data.draw(hst.sets(hst.sampled_from(free)))
     assume(scope)
     reals = data.draw(hst.dictionaries(hst.integers(1, n), hst.frozensets(hst.integers(0, 2), min_size=1)))
-    comp = Component(tuple(sorted(scope)), tuple(ids), st.lra.NO_PROJECTION)
+    comp = Component(_mask(scope), _mask(ids), st.lra.NO_PROJECTION)
     assert decide(comp, _index(clauses, values, reals)) == reference_decide(comp, clauses, values)
 
 
@@ -214,15 +228,16 @@ def test_decide_counts_match_a_recount(monkeypatch):
     def checked_split(db, amap, assignment, trail, cfg=None, index=None, parent=None, assigned=()):
         seen["values"] = assignment  # the search's one list, assigned in place
         if parent is not None:
-            assert {abs(lit) for lit in assigned} <= set(parent.scope)
+            assert {abs(lit) for lit in assigned} <= set(variables_of(parent.scope))
             seen["splits"] += 1
         return original_split(db, amap, assignment, trail, cfg, index, parent, assigned)
 
     def checked_decide(component, index):
         values = seen["values"]
-        views = (compiler._live_view(index.clauses[ci], values) for ci in component.ids)
+        views = (compiler._live_view(index.clauses[ci], values) for ci in variables_of(component.ids))
         recount = Counter(abs(l) for view in views for l in view)
-        assert {v: index.counts[v] for v in component.scope} == {v: recount[v] for v in component.scope}
+        scope = variables_of(component.scope)
+        assert {v: index.counts[v] for v in scope} == {v: recount[v] for v in scope}
         seen["decisions"] += 1
         return original_decide(component, index)
 
@@ -253,12 +268,12 @@ def test_split_independent_and_entangled():
 
     comps = split_components(db, amap, assignment, [], st.CompileConfig())
     assert len(comps) == 2
-    assert [c.scope for c in comps] == [(1, 2), (3, 4)]
+    assert [c.scope for c in comps] == [_mask((1, 2)), _mask((3, 4))]
     assert all(c.polyhedron.sources == frozenset() for c in comps)
 
     comps = split_components(db, amap, assignment, [xy], st.CompileConfig())
     assert len(comps) == 1
-    assert comps[0].scope == (1, 2, 3, 4)
+    assert comps[0].scope == _mask((1, 2, 3, 4))
     assert comps[0].polyhedron.sources == {xy}
     # x + y < 5 over the reals of the component's own atoms, as -5 + x + y < 0
     x, y = sorted(_real_vars(amap, abs(xy)))
@@ -276,7 +291,7 @@ def test_split_components_off():
     db = st.ClauseDb(4, 4, [(1, 2), (3, 4)])
     amap = AtomTable()
     comps = split_components(db, amap, {}, [], st.CompileConfig(components=False))
-    assert len(comps) == 1 and comps[0].scope == (1, 2, 3, 4)
+    assert len(comps) == 1 and comps[0].scope == _mask((1, 2, 3, 4))
 
 
 def test_split_free_atom_joins_entangled_component():
@@ -288,7 +303,7 @@ def test_split_free_atom_joins_entangled_component():
     comps = split_components(db, amap, {}, [], st.CompileConfig())
     # the free x+y atom (var 5) bridges the x-side and the y-side
     assert len(comps) == 1
-    assert comps[0].scope == (1, 2, 3, 4, 5)
+    assert comps[0].scope == _mask((1, 2, 3, 4, 5))
 
 
 def _real_vars(amap, var):
@@ -304,7 +319,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
     if scope is None:
         scope_vars = [v for v in range(1, db.num_vars + 1) if values[v] is None]
     else:
-        scope_vars = sorted(v for v in scope if values[v] is None)
+        scope_vars = [v for v in variables_of(scope) if values[v] is None]
     scope_set = set(scope_vars)
     residuals = []  # (clause id, live view)
     for ci, cl in enumerate(db.clauses):
@@ -346,7 +361,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
         if lits:
             own = frozenset().union(*(_real_vars(amap, v) for v in variables))
             polyhedron = st.lra.project_trail(amap, lits, own)
-        return Component(tuple(variables), tuple(ci for ci, _ in views), polyhedron)
+        return Component(_mask(variables), _mask(ci for ci, _ in views), polyhedron)
 
     if not cfg.components:
         if not scope_vars and not residuals:
@@ -412,8 +427,9 @@ def test_split_from_a_parent_matches_the_reference():
             trail = [v if val else -v for v, val in assignment.items() if theory and amap.is_linear_var(v)]
             for cfg in configs:
                 for parent in reference_split(db, amap, assignment, trail, cfg):
-                    size = len(parent.scope)
-                    picked = rng.sample(parent.scope, min(size, rng.choice([1, 1, 2, 3, size // 2 + 1, size])))
+                    scope = variables_of(parent.scope)
+                    size = len(scope)
+                    picked = rng.sample(scope, min(size, rng.choice([1, 1, 2, 3, size // 2 + 1, size])))
                     child = dict(assignment)
                     lits = []
                     for v in picked:
@@ -499,7 +515,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
             if not any(values[abs(l)] == (l > 0) for l in cl)
             for l in cl
             if values[abs(l)] is None
-            and abs(l) in scope
+            and scope >> abs(l) & 1
             and abs(l) <= db.num_atom_vars
             and self.amap.is_linear_var(abs(l))
             and _real_vars(self.amap, abs(l)) <= mentioned
@@ -605,8 +621,8 @@ def test_cache_key_on_projection_with_disequalities():
 
 def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch):
     """The cache key names a component by its clause ids and scope.  That
-    is sound because, whenever the search opens a component, its ids
-    ascend, its scope variables are unassigned, and each of its clauses is
+    is sound because, whenever the search opens a component, its ids are
+    input clause ids, its scope variables are unassigned, and each of its clauses is
     unsatisfied with every unassigned variable in the scope, so the clause
     id and the scope fix the clause's live view.  The theory context the
     key adds is projected from the theory trail's literals over the reals
@@ -619,14 +635,14 @@ def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch)
         opened += 1
         search = searches[-1]
         values, clauses, reals = search.index.values, search.index.clauses, search.index.reals
-        scope = set(comp.scope)
-        assert list(comp.ids) == sorted(set(comp.ids))
-        assert all(values[v] is None for v in comp.scope)
-        for ci in comp.ids:
+        scope = set(variables_of(comp.scope))
+        assert 0 <= comp.ids < 1 << len(search.db.clauses)
+        assert all(values[v] is None for v in scope)
+        for ci in variables_of(comp.ids):
             assert not any(values[abs(l)] == (l > 0) for l in clauses[ci]), ci
             assert {abs(l) for l in clauses[ci] if values[abs(l)] is None} <= scope, ci
         trail = search.theory.trail if search.theory is not None else []
-        own, over = set().union(*(reals.get(v, ()) for v in comp.scope)), set()
+        own, over = set().union(*(reals.get(v, ()) for v in scope)), set()
         while True:  # the trail literals over those reals, then over theirs
             more = {lit for lit in trail if lit not in over and not own.isdisjoint(reals[abs(lit)])}
             if not more:
@@ -886,8 +902,9 @@ def test_learned_clauses_join_the_watched_engine():
 def test_a_compile_leaves_the_store_as_it_found_it(monkeypatch):
     """Every literal a search assigns through the clause store is undone:
     after the run nothing is assigned, no input clause counts a true
-    literal, each variable counts every clause it occurs in, and the store
-    holds the input clauses plus one per learned core."""
+    literal, each variable counts every clause it occurs in, each count
+    level is the mask of exactly the variables with that count, and the
+    store holds the input clauses plus one per learned core."""
     run = st.compiler._Search.run
     checked = 0
 
@@ -898,6 +915,10 @@ def test_a_compile_leaves_the_store_as_it_found_it(monkeypatch):
         assert store.trail == [] and set(store.values) == {None}
         assert not any(store.true)
         assert store.counts == [len(ids) for ids in store.occurs]
+        variables = range(1, len(store.counts))
+        assert store.levels == [
+            _mask(v for v in variables if store.counts[v] == c) for c in range(len(store.levels))
+        ]
         assert len(store.clauses) == len(self.db.clauses) + self.stats.learned
         checked += 1
         return root
