@@ -25,8 +25,11 @@ same budget; the median repeat is reported with the graph's decisions,
 theory checks, the most rows one check started from (``theory_rows_max``)
 and edges.  A row whose n is twice the previous size's n, for the same
 chain and settings, also reports ``compile_growth``: its median compile
-time over that row's, the growth per doubling.  Results go to a JSON file
-together with the git SHA of the checkout that holds the imported
+time over that row's, the growth per doubling.  Every time is scaled to a
+reference interpreter speed by the benchmark's clock (``perfbench/clock.py``,
+imported, not changed), so sizes timed at different moments can be
+compared; the JSON says so as ``"clock": "scaled"``.  Results go to a JSON
+file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
     PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 --repeats 3 --budget 10
@@ -35,6 +38,7 @@ To measure another checkout, point PYTHONPATH at its src/ directory.
 """
 
 import argparse
+import gc
 import json
 import platform
 import resource
@@ -50,6 +54,7 @@ from smtrace import compiler
 from bench_eager import git_sha
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from clock import SpeedClock
 from inputs import bool_chain_text, real_chain_text  # the benchmark's chains
 
 CAP = 1000
@@ -69,6 +74,9 @@ def capped(fn, budget: float):
     signal.setitimer(signal.ITIMER_REAL, budget)
     try:
         return fn()
+    except OverBudget:
+        gc.enable()  # the alarm may have cut short a clock probe, which runs with gc off
+        raise
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
 
@@ -78,8 +86,8 @@ def cnf(text: str):
     return st.to_cnf(prop), amap
 
 
-def split_calls(db, amap, cfg) -> tuple[int, float]:
-    """(calls, seconds) of ``split_components`` in one compile."""
+def split_calls(db, amap, cfg, clock: SpeedClock) -> tuple[int, float]:
+    """(calls, scaled seconds) of ``split_components`` in one compile."""
     calls, seconds = 0, 0.0
     original = compiler.split_components
 
@@ -90,7 +98,7 @@ def split_calls(db, amap, cfg) -> tuple[int, float]:
         try:
             return original(*args, **kwargs)
         finally:
-            seconds += time.perf_counter() - t0
+            seconds += clock.scaled(t0, time.perf_counter())
 
     compiler.split_components = counting
     try:
@@ -104,12 +112,12 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
-def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
+def measure(n: int, components: bool, repeats: int, budget: float, clock: SpeedClock) -> dict:
     db, amap = cnf(bool_chain_text(n))
     cfg = st.CompileConfig(components=components)
     row = {"n": n, "components": components}
     try:
-        row["split_calls"], row["split_s"] = capped(lambda: split_calls(db, amap, cfg), budget)
+        row["split_calls"], row["split_s"] = capped(lambda: split_calls(db, amap, cfg, clock), budget)
         runs = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
@@ -119,7 +127,7 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
             t2 = time.perf_counter()
             row.setdefault("count_rss_growth_mb", peak_rss_mb() - rss0)
             models = st.enumerate_models(graph, cap=CAP)
-            runs.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+            runs.append((clock.scaled(t0, t1), clock.scaled(t1, t2), clock.scaled(t2, time.perf_counter())))
     except OverBudget:
         row["failure"] = f"compile took longer than {budget:g} s"
         return row
@@ -138,7 +146,7 @@ def measure(n: int, components: bool, repeats: int, budget: float) -> dict:
     return row
 
 
-def measure_real(n: int, repeats: int, budget: float) -> dict:
+def measure_real(n: int, repeats: int, budget: float, clock: SpeedClock) -> dict:
     db, amap = cnf(real_chain_text(n))
     row = {"n": n}
     runs = []
@@ -146,7 +154,7 @@ def measure_real(n: int, repeats: int, budget: float) -> dict:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             graph = capped(lambda: st.compile(db, amap), budget)
-            runs.append(time.perf_counter() - t0)
+            runs.append(clock.scaled(t0, time.perf_counter()))
     except OverBudget:
         row["failure"] = f"compile took longer than {budget:g} s"
         return row
@@ -186,21 +194,27 @@ def main() -> None:
     args = ap.parse_args()
 
     rows, off_failed_at = [], None
-    for n in args.sizes:
-        rows.append(measure(n, True, args.repeats, args.budget))
-        if off_failed_at is not None and n > off_failed_at:
-            rows.append({"n": n, "components": False, "skipped": f"components off failed at n = {off_failed_at}"})
-            continue
-        rows.append(measure(n, False, args.repeats, args.budget))
-        if "failure" in rows[-1]:
-            off_failed_at = n
-    real_rows = [measure_real(n, args.repeats, args.budget) for n in args.real_sizes]
+    clock = SpeedClock()
+    clock.start()
+    try:
+        for n in args.sizes:
+            rows.append(measure(n, True, args.repeats, args.budget, clock))
+            if off_failed_at is not None and n > off_failed_at:
+                rows.append({"n": n, "components": False, "skipped": f"components off failed at n = {off_failed_at}"})
+                continue
+            rows.append(measure(n, False, args.repeats, args.budget, clock))
+            if "failure" in rows[-1]:
+                off_failed_at = n
+        real_rows = [measure_real(n, args.repeats, args.budget, clock) for n in args.real_sizes]
+    finally:
+        clock.stop()
     add_growth(rows)
     add_growth(real_rows)
     result = {
         "git_sha": git_sha(Path(st.__file__).resolve().parent),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "clock": "scaled",
         "cap": CAP,
         "repeats": max(1, args.repeats),
         "budget_s": args.budget,

@@ -29,22 +29,23 @@ and a per-variable occurrence index, through which splitting reads the
 clauses.  It keeps each variable's count of unsatisfied clauses, and per
 count the mask of the variables that have it, up to date as literals are
 assigned and undone, as in Chaff.  Splits are stamped flood fills, and there
-is one kind: the root of the search is a component too, of every variable,
-every input clause id and an empty context, so it is split as a decided
-component is.  A split starts from the component and fills only around the
-variables its branch assigned (at the root, also from every unassigned
-variable); the one part no fill reached is the component's masks less the
-fills' and the branch's variables and clauses.  A branch that assigned the
-whole scope is not split.  Each part's context is projected from the
-component's, plus the branch's literals over the part's reals.  The decision
-order is DLCS on the kept counts, except that a linear atom in none of the
-component's clauses that shares a real with the component's trail context
-is decided first: leaving it open would keep that real apart in the cache
-keys of otherwise equal subproblems.  A component that is one Boolean atom
-in no clause is a leaf, its two literals, with no branches.  A decision thus
-pays for the occurrence lists of the literals its branches assign, the small
-parts of their splits, and a few operations in C on masks as wide as the
-compile: the rest's cut, DLCS's count levels and the cache key's hash.
+is one kind: the root of the search is the store's component ``index.root``,
+of every variable, every input clause id and an empty context, so it is
+split as a decided component is.  A split starts from the component and
+fills only around the variables its branch assigned (at the root, which is
+not connected, also from every unassigned variable); the one part no fill
+reached is the component's masks less the fills' and the branch's variables
+and clauses.  A branch that assigned the whole scope is not split.  Each
+part's context is projected from the component's, plus the branch's
+literals over the part's reals.  The decision order is DLCS on the kept
+counts, except that a linear atom in none of the component's clauses that
+shares a real with the component's trail context is decided first: leaving
+it open would keep that real apart in the cache keys of otherwise equal
+subproblems.  A component that is one Boolean atom in no clause is a leaf,
+its two literals, with no branches.  A decision thus pays for the occurrence
+lists of the literals its branches assign, the small parts of their splits,
+and a few operations in C on masks as wide as the compile: the rest's cut,
+DLCS's count levels and the cache key's hash.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class Component:
     them (bit ci for clause id ci).  Every unassigned
     variable of such a clause is in the scope, so the clause's live view
     under the current assignment is its literals over the scope.  The root
-    of a search is a component too: every variable and every clause id.
+    of a search is a component too, the clause store's ``root``: every
+    variable and every clause id.
     ``polyhedron`` is the theory context the cache keys on and the search
     checks on: what the trail literals over the component's reals, closed
     under trail entanglement, say about the reals of its own atoms
@@ -158,6 +160,8 @@ class WatchedClauses:
     DLCS's counts, kept on assign and undo as in Chaff.  ``levels[c]`` is
     the mask of the variables whose count is c; a count never rises above
     its initial ``len(occurs[v])``, so ``levels`` keeps its length.
+    ``root`` is the component the search starts from: every variable,
+    every input clause id and the empty context ``lra.NO_PROJECTION``.
     """
 
     def __init__(self, db: ClauseDb, amap: AtomTable) -> None:
@@ -188,6 +192,7 @@ class WatchedClauses:
         for v in range(1, len(counts)):
             levels[counts[v]] |= 1 << v
         self.linear = sum(1 << v for v in self.reals)
+        self.root = Component((1 << db.num_vars + 1) - 2, (1 << len(self.clauses)) - 1, lra.NO_PROJECTION)
 
     def add(self, clause: Sequence[int]) -> None:
         """Watch a clause of at least two literals from now on.
@@ -297,14 +302,12 @@ def _live_view(clause, values) -> tuple[int, ...]:
 
 
 def split_components(
-    db: ClauseDb,
+    index: WatchedClauses,
     amap: AtomTable,
-    assignment,
+    parent: Component,
+    assigned: Sequence[int],
     trail: Sequence[int],
-    cfg: CompileConfig | None = None,
-    index: WatchedClauses | None = None,
-    parent: Component | None = None,
-    assigned: Sequence[int] = (),
+    components: bool = True,
 ) -> list[Component]:
     """Partition the residual problem of ``parent`` at the variable level.
 
@@ -314,15 +317,14 @@ def split_components(
     clause sets).
     Unassigned atoms outside all unsatisfied clauses still form components, so
     totality branching stays scoped.  ``index`` is the compile's clause
-    store of ``db``, whose indexes the split reads; the search passes its
-    ``index.values`` as ``assignment``.
+    store: the split reads its assignment ``values`` and its indexes.
 
     ``parent`` is the component being decided, ``assigned`` the literals
     its branch asserted and ``trail`` the theory literals among them, in
-    trail order.  Without a parent the root of the search is split: the
-    component of every variable and clause id, whose context
-    ``lra.NO_PROJECTION`` projects nothing, with every literal of
-    ``assignment`` as its branch's and ``trail`` the whole theory trail.
+    trail order.  At the root of the search ``parent`` is ``index.root``,
+    the component of every variable and clause id, whose context
+    ``lra.NO_PROJECTION`` projects nothing, and its branch asserted the
+    whole trail.
 
     Components are flood fills over the index.  A reached variable visits
     the clauses it occurs in, each once per split, and keeps the id of a
@@ -331,15 +333,15 @@ def split_components(
     atoms over it and the reals of the trail atoms over it.  Each part holds
     a seed: a free neighbour of an assigned variable (a free variable of a
     parent clause it occurs in, or a real of its atom), since the parent was
-    connected, or at the root any unassigned variable.  The seeds, in
-    ascending order, start the fills, except the last that no earlier fill
-    reached: its part is the rest of the parent, the parent's masks less
-    the assigned variables, the fills' variables and clauses, and the
-    clauses the assignment left with no live literal; a clause it only
-    shrank keeps its id.  That costs the fills and a few operations on masks
-    as wide as the parent.  Parts are ordered by their lowest variable.
-    With components disabled, nothing is filled and the rest of the parent
-    is the one component.
+    connected, or at the root, which is not, any unassigned variable.  The
+    seeds, in ascending order, start the fills, except the last that no
+    earlier fill reached: its part is the rest of the parent, the parent's
+    masks less the assigned variables, the fills' variables and clauses,
+    and the clauses the assignment left with no live literal; a clause it
+    only shrank keeps its id.  That costs the fills and a few operations on
+    masks as wide as the parent.  Parts are ordered by their lowest
+    variable.  Without ``components`` nothing is filled and the rest of the
+    parent is the one component.
 
     The trail literals a part can read are the parent context's ``sources``
     and ``trail``: the parent is closed under trail entanglement, so no
@@ -348,24 +350,15 @@ def split_components(
     ``polyhedron`` is projected from the parent's, which stands for its
     ``sources`` in any order, plus the part's other literals.
     """
-    cfg = cfg or CompileConfig()
-    index = index or WatchedClauses(db, amap)
-    values = assignment
-    if not isinstance(assignment, list):
-        values = [None] * (db.num_vars + 1)
-        for var, val in assignment.items():
-            values[var] = val
-
+    values = index.values
     clauses, occurs, var_stamp, clause_stamp = index.clauses, index.occurs, index.var_stamp, index.clause_stamp
     reals, atoms_over, base = index.reals, index.atoms_over, index.real_base
     index.stamp += 2
     seed, reached = index.stamp - 1, index.stamp  # seed: a seed no fill reached yet
 
     seeds = []
-    if parent is None:  # the root: every variable, every clause id and every assignment so far
-        parent = Component((1 << db.num_vars + 1) - 2, (1 << len(db.clauses)) - 1, lra.NO_PROJECTION)
-        assigned = [v if values[v] else -v for v in range(1, db.num_vars + 1) if values[v] is not None]
-        seeds = [v for v in range(1, db.num_vars + 1) if values[v] is None]
+    if parent is index.root:  # not connected: every unassigned variable seeds
+        seeds = [v for v in range(1, base) if values[v] is None]
         for v in seeds:
             var_stamp[v] = seed
     pscope, pids, context = parent.scope, parent.ids, parent.polyhedron
@@ -389,7 +382,7 @@ def split_components(
             if var_stamp[base + r] != seed:
                 var_stamp[base + r] = seed
                 seeds.append(base + r)
-    seeds = sorted(seeds) if cfg.components else []  # without components the rest is all
+    seeds = sorted(seeds) if components else []  # without components the rest is all
     pending = len(seeds)  # stamped seeds no fill reached
 
     lits = [*context.sources, *trail]  # the trail literals the parts read
@@ -621,27 +614,27 @@ class _Search:
             self.cache[key] = node
         return node
 
-    def _branch(self, lits: Sequence[int], parent: Component | None, units: bool = False):
+    def _branch(self, lits: Sequence[int], parent: Component):
         """Assert lits in the clause store, propagate within the parent's
         scope, compile what remains and undo what the branch assigned.
 
-        lits is a decision ``(lit,)`` in ``parent``, or at the root, which
-        has no parent and scopes every variable, the input's unit clauses,
-        which count as Boolean propagations (``units``).  Theory queries run
-        on the parent's projection, set here since none runs after a split.
+        lits is a decision ``(lit,)`` in ``parent``, or, when ``parent`` is
+        the store's ``root``, the input's unit clauses, which count as
+        Boolean propagations.  Theory queries run on the parent's
+        projection, set here since none runs after a split.
         Every literal the branch assigns lies in the scope: the input
         clauses it propagates are the scope's, and a learned clause negates
         a minimal core, whose atoms the trail entangles with the literal
         that made the clause unit.  So a branch that assigned as many
         literals as the scope holds left nothing to split.
         """
-        scope = parent.scope if parent is not None else (1 << self.db.num_vars + 1) - 2
-        index = self.index
+        scope, index = parent.scope, self.index
+        units = parent is index.root
         mark = len(index.trail)
         theory, theory_mark = self.theory, 0
         if theory is not None:
             theory_mark = len(theory.trail)
-            theory.context = (parent.polyhedron if parent is not None else lra.NO_PROJECTION, theory_mark)
+            theory.context = (parent.polyhedron, theory_mark)
         queue = []
         for lit in lits:
             val = index.values[abs(lit)]
@@ -661,9 +654,7 @@ class _Search:
             comps = []
             if len(assigned) < scope.bit_count():
                 branch_theory = theory.trail[theory_mark:] if theory is not None else ()
-                comps = split_components(
-                    self.db, self.amap, index.values, branch_theory, self.cfg, index, parent, assigned
-                )
+                comps = split_components(index, self.amap, parent, assigned, branch_theory, self.cfg.components)
             if len(comps) > 1:
                 self.stats.components += len(comps)
             for comp in comps:
@@ -679,12 +670,12 @@ class _Search:
         return node
 
     def run(self) -> int:
-        """Drive the search from the root branch over every variable.  Each
+        """Drive the search from the root branch, over ``index.root``.  Each
         frame yields the generator of its sub-call and is sent that call's
         result, so the frames live on a list and depth costs no recursion."""
         if not all(self.db.clauses):  # an empty clause
             return self.builder.false_id
-        frames = [self._branch([cl[0] for cl in self.db.clauses if len(cl) == 1], None, units=True)]
+        frames = [self._branch([cl[0] for cl in self.db.clauses if len(cl) == 1], self.index.root)]
         result = None
         while True:
             try:

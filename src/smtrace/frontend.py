@@ -333,24 +333,46 @@ def atoms_of(f: Formula) -> tuple[Atom, ...]:
 
 
 def evaluate_formula(node: FNode, assignment: Mapping[int, bool]) -> bool:
-    if isinstance(node, FTrue):
-        return True
-    if isinstance(node, FFalse):
-        return False
-    if isinstance(node, FLit):
-        value = assignment[node.lit.atom]
-        return value if node.lit.positive else not value
-    if isinstance(node, FNot):
-        return not evaluate_formula(node.child, assignment)
-    if isinstance(node, FAnd):
-        return all(evaluate_formula(c, assignment) for c in node.children)
-    if isinstance(node, FOr):
-        return any(evaluate_formula(c, assignment) for c in node.children)
-    if isinstance(node, FImplies):
-        return (not evaluate_formula(node.left, assignment)) or evaluate_formula(
-            node.right, assignment
-        )
-    raise TypeError(f"not a formula node: {node!r}")
+    """The value of ``node`` under ``assignment`` (atom id to value).
+
+    The tree is walked with an explicit stack, so depth costs no recursion.
+    An And, Or or Implies stops at the first child that decides it; Implies
+    reads as Or of its negated left and its right.
+    """
+    frames: list[list] = []  # [node, its children, the child being evaluated]
+    while True:
+        while True:  # down to a leaf, pushing a frame per inner node
+            if isinstance(node, FLit):
+                value = assignment[node.lit.atom]
+                value = value if node.lit.positive else not value
+                break
+            if isinstance(node, FNot):
+                children = (node.child,)
+            elif isinstance(node, (FAnd, FOr)):
+                children = node.children
+            elif isinstance(node, FImplies):
+                children = (node.left, node.right)
+            elif isinstance(node, (FTrue, FFalse)):
+                children = ()
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            if not children:  # true and the empty And; false and the empty Or
+                value = isinstance(node, (FTrue, FAnd))
+                break
+            frames.append([node, children, 0])
+            node = children[0]
+        while frames:  # up, with value the value of the top frame's current child
+            frame = frames[-1]
+            parent, children, i = frame
+            if isinstance(parent, FNot) or (isinstance(parent, FImplies) and i == 0):
+                value = not value
+            if i + 1 < len(children) and value == isinstance(parent, FAnd):  # not decided yet
+                frame[2] = i + 1
+                node = children[i + 1]
+                break
+            frames.pop()
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------

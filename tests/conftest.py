@@ -1,12 +1,18 @@
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 import smtrace as st
+from smtrace.compiler import WatchedClauses
 from smtrace.frontend import AtomTable, FAnd, FLit, FOr, Formula, LinTerm, normalize_comparison
 from smtrace.lra import Point
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import bool_chain_text, real_chain_text  # the benchmark's chains
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -65,10 +71,24 @@ def pipeline(formula, mode="lazy", eager_k=None, **cfg_kwargs):
 
 def bool_chain(n):
     """(db, amap) of the Boolean chain ``A_i or A_{i+1}``, i = 1..n-1."""
-    decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
-    f = st.parse_smt2(decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n)))
-    prop, amap = st.boolean_abstract(f)
+    prop, amap = st.boolean_abstract(st.parse_smt2(bool_chain_text(n)))
     return st.to_cnf(prop), amap
+
+
+def assigned_store(db, amap, assignment):
+    """The clause store of ``db`` with ``assignment`` (variable to value)
+    assigned."""
+    index = WatchedClauses(db, amap)
+    for var, val in assignment.items():
+        index.assign(var if val else -var)
+    return index
+
+
+def root_split(db, amap, assignment, trail, components=True):
+    """The split of the search's root, ``index.root``, whose branch asserted
+    ``assignment`` with the theory literals ``trail`` among it."""
+    index = assigned_store(db, amap, assignment)
+    return st.split_components(index, amap, index.root, index.trail, trail, components)
 
 
 def entangled_setup():

@@ -19,6 +19,7 @@ from smtrace.frontend import (
     Literal,
     evaluate_formula,
 )
+from conftest import bool_chain_text, real_chain_text
 
 
 def lit(signed):
@@ -259,12 +260,8 @@ def _shape(db):
 
 
 def _chain_texts():
-    for n in (6, 8, 10):
-        decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
-        yield decls + "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
-    for n in (100, 200, 400):
-        decls = "".join(f"(declare-const A{i} Bool)" for i in range(1, n + 1))
-        yield decls + "".join(f"(assert (or A{i} A{i + 1}))" for i in range(1, n))
+    yield from map(real_chain_text, (6, 8, 10))
+    yield from map(bool_chain_text, (100, 200, 400))
 
 
 def test_cnf_matches_reference_pipeline():

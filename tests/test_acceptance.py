@@ -17,7 +17,7 @@ import smtrace as st
 from smtrace.ddnnf import GraphBuilder
 from smtrace.frontend import evaluate_formula
 from smtrace.lra import check_feasible, verify_certificate, witness_satisfies
-from conftest import GAP_XY_SMT2, GAP01_SMT2, entangled_setup, pipeline
+from conftest import GAP_XY_SMT2, GAP01_SMT2, entangled_setup, pipeline, root_split
 
 N_INSTANCES = 200
 
@@ -107,8 +107,8 @@ def test_criterion_4_entanglement():
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
     assignment = {abs(lits["xy"]): lits["xy"] > 0}
-    comps_empty = st.split_components(db, amap, assignment, [], st.CompileConfig())
-    comps_trail = st.split_components(db, amap, assignment, [lits["xy"]], st.CompileConfig())
+    comps_empty = root_split(db, amap, assignment, [])
+    comps_trail = root_split(db, amap, assignment, [lits["xy"]])
     ok = entailed and len(comps_empty) == 2 and len(comps_trail) == 1
     report(
         4,

@@ -360,6 +360,35 @@ def test_oracle_refuses_too_many_atoms(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 41 atoms exceeds the oracle bound 24\n"
 
 
+def alternating_text(depth: int) -> str:
+    """``(or A (not (and B (or A (not ... A)))))``, ``depth`` levels of the
+    two steps in turn over the two Booleans A and B."""
+    term = "A"
+    for i in range(depth):
+        term = f"(and B (or A {term}))" if i % 2 else f"(or A (not {term}))"
+    return f"(declare-const A Bool)(declare-const B Bool)(assert {term})"
+
+
+def test_oracle_evaluates_what_the_parser_reads_at_any_depth(tmp_path, capsys):
+    """The oracle walks the formula without recursion: from depth 150 to
+    past the parser's limit it answers or refuses with exit code 2, never a
+    traceback, and its aware count is the compiler's wherever both answer."""
+    src = tmp_path / "alternating.smt2"
+    answered = refused = 0
+    for depth in range(150, 401, 10):
+        src.write_text(alternating_text(depth))
+        oracle_code = run(["oracle", str(src)])
+        oracle_out = capsys.readouterr().out
+        count_code = run(["count", str(src)])
+        count_out = capsys.readouterr().out
+        assert oracle_code in (0, 2) and count_code in (0, 2), depth
+        if oracle_code == count_code == 0:
+            assert oracle_out.splitlines()[1] == f"aware {count_out.strip()}", depth
+            answered += 1
+        refused += oracle_code == 2
+    assert answered >= 10 and refused, (answered, refused)
+
+
 def test_malformed_command_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.smt2"
     bad.write_text("(())")

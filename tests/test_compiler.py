@@ -19,7 +19,7 @@ from smtrace.compiler import (
 )
 from smtrace.ddnnf import variables_of
 from smtrace.frontend import AtomTable
-from conftest import bool_chain, entangled_setup, pipeline
+from conftest import assigned_store, bool_chain, entangled_setup, pipeline, real_chain_text, root_split
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +225,12 @@ def test_decide_counts_match_a_recount(monkeypatch):
     original_decide, original_split = compiler.decide, compiler.split_components
     seen = {"values": None, "decisions": 0, "splits": 0}
 
-    def checked_split(db, amap, assignment, trail, cfg=None, index=None, parent=None, assigned=()):
-        seen["values"] = assignment  # the search's one list, assigned in place
-        if parent is not None:
+    def checked_split(index, amap, parent, assigned, trail, components=True):
+        seen["values"] = index.values  # the search's one list, assigned in place
+        if parent is not index.root:
             assert {abs(lit) for lit in assigned} <= set(variables_of(parent.scope))
             seen["splits"] += 1
-        return original_split(db, amap, assignment, trail, cfg, index, parent, assigned)
+        return original_split(index, amap, parent, assigned, trail, components)
 
     def checked_decide(component, index):
         values = seen["values"]
@@ -249,7 +249,7 @@ def test_decide_counts_match_a_recount(monkeypatch):
             if seed < 60:
                 pipeline(f, mode="eager")
     for n in (6, 8, 10):
-        pipeline(st.parse_smt2(_real_chain(n)))
+        pipeline(st.parse_smt2(real_chain_text(n)))
     for n in (100, 200, 400):
         st.compile(*bool_chain(n))
     assert seen["decisions"] > 1000 and seen["splits"] > 1000, seen
@@ -266,12 +266,12 @@ def test_split_independent_and_entangled():
     xy = lits["xy"].signed
     assignment = {abs(xy): xy > 0}
 
-    comps = split_components(db, amap, assignment, [], st.CompileConfig())
+    comps = root_split(db, amap, assignment, [])
     assert len(comps) == 2
     assert [c.scope for c in comps] == [_mask((1, 2)), _mask((3, 4))]
     assert all(c.polyhedron.sources == frozenset() for c in comps)
 
-    comps = split_components(db, amap, assignment, [xy], st.CompileConfig())
+    comps = root_split(db, amap, assignment, [xy])
     assert len(comps) == 1
     assert comps[0].scope == _mask((1, 2, 3, 4))
     assert comps[0].polyhedron.sources == {xy}
@@ -283,14 +283,14 @@ def test_split_independent_and_entangled():
 def test_split_propositional():
     db = st.ClauseDb(4, 4, [(1, 2), (3, 4)])
     amap = AtomTable()
-    comps = split_components(db, amap, {}, [], st.CompileConfig())
+    comps = root_split(db, amap, {}, [])
     assert len(comps) == 2
 
 
 def test_split_components_off():
     db = st.ClauseDb(4, 4, [(1, 2), (3, 4)])
     amap = AtomTable()
-    comps = split_components(db, amap, {}, [], st.CompileConfig(components=False))
+    comps = root_split(db, amap, {}, [], components=False)
     assert len(comps) == 1 and comps[0].scope == _mask((1, 2, 3, 4))
 
 
@@ -300,7 +300,7 @@ def test_split_free_atom_joins_entangled_component():
     pair, lits = entangled_setup()
     prop, amap = st.boolean_abstract(pair)
     db = st.to_cnf(prop)
-    comps = split_components(db, amap, {}, [], st.CompileConfig())
+    comps = root_split(db, amap, {}, [])
     # the free x+y atom (var 5) bridges the x-side and the y-side
     assert len(comps) == 1
     assert comps[0].scope == _mask((1, 2, 3, 4, 5))
@@ -310,7 +310,7 @@ def _real_vars(amap, var):
     return amap.atom(var).term.real_vars if amap.is_linear_var(var) else frozenset()
 
 
-def reference_split(db, amap, assignment, trail, cfg, scope=None):
+def reference_split(db, amap, assignment, trail, components=True, scope=None):
     """Every clause rescanned and sorted on every call, union-find on tagged
     tuples: the splitter before its clause index."""
     values = [None] * (db.num_vars + 1)
@@ -363,7 +363,7 @@ def reference_split(db, amap, assignment, trail, cfg, scope=None):
             polyhedron = st.lra.project_trail(amap, lits, own)
         return Component(_mask(variables), _mask(ci for ci, _ in views), polyhedron)
 
-    if not cfg.components:
+    if not components:
         if not scope_vars and not residuals:
             return []
         return [component(residuals, scope_vars, frozenset(seen_reals))]
@@ -388,7 +388,7 @@ def _split_cases():
             yield f"sweep{seed}", st.to_cnf(prop), amap
     for n in (12, 40):
         yield f"chain{n}", *bool_chain(n)
-        prop, amap = st.boolean_abstract(st.parse_smt2(_real_chain(n)))
+        prop, amap = st.boolean_abstract(st.parse_smt2(real_chain_text(n)))
         yield f"real_chain{n}", st.to_cnf(prop), amap
 
 
@@ -402,10 +402,14 @@ def test_split_matches_reference_on_random_partial_assignments():
             assignment = {v: rng.random() < 0.5 for v in assigned}
             trail = [v if val else -v for v, val in assignment.items() if amap.is_linear_var(v)]
             trail = rng.sample(trail, rng.randint(0, min(len(trail), 4)))
+            for lit in (v if val else -v for v, val in assignment.items()):
+                index.assign(lit)
             for cfg in configs:
-                want = reference_split(db, amap, assignment, trail, cfg)
-                assert split_components(db, amap, assignment, trail, cfg) == want, name
-                assert split_components(db, amap, assignment, trail, cfg, index) == want, name
+                want = reference_split(db, amap, assignment, trail, cfg.components)
+                assert root_split(db, amap, assignment, trail, cfg.components) == want, name
+                # a store that split before: its stamps are not cleared
+                assert split_components(index, amap, index.root, index.trail, trail, cfg.components) == want, name
+            index.undo_to(0)
 
 
 def test_split_from_a_parent_matches_the_reference():
@@ -419,14 +423,14 @@ def test_split_from_a_parent_matches_the_reference():
     configs = [st.CompileConfig(), st.CompileConfig(cache=False), st.CompileConfig(components=False)]
     checked = 0
     for name, db, amap in _split_cases():
-        index = WatchedClauses(db, amap)
         for _ in range(4):
             theory = rng.random() < 0.7
             n = db.num_vars
             assignment = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n // 2))}
             trail = [v if val else -v for v, val in assignment.items() if theory and amap.is_linear_var(v)]
+            index = assigned_store(db, amap, assignment)
             for cfg in configs:
-                for parent in reference_split(db, amap, assignment, trail, cfg):
+                for parent in reference_split(db, amap, assignment, trail, cfg.components):
                     scope = variables_of(parent.scope)
                     size = len(scope)
                     picked = rng.sample(scope, min(size, rng.choice([1, 1, 2, 3, size // 2 + 1, size])))
@@ -436,8 +440,12 @@ def test_split_from_a_parent_matches_the_reference():
                         child[v] = rng.random() < 0.5
                         lits.append(v if child[v] else -v)
                     branch = [lit for lit in lits if theory and amap.is_linear_var(abs(lit))]
-                    want = reference_split(db, amap, child, trail + branch, cfg, parent.scope)
-                    got = split_components(db, amap, child, branch, cfg, index, parent, lits)
+                    want = reference_split(db, amap, child, trail + branch, cfg.components, parent.scope)
+                    mark = len(index.trail)
+                    for lit in lits:
+                        index.assign(lit)
+                    got = split_components(index, amap, parent, lits, branch, cfg.components)
+                    index.undo_to(mark)
                     assert got == want, name
                     checked += 1
     assert checked > 300
@@ -477,19 +485,19 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
 
     def graphs():
         runs = [pipeline(f, mode=mode)[0] for f in formulas for mode in ("lazy", "eager", "agnostic")]
-        return runs + [st.compile(*bool_chain(40)), pipeline(st.parse_smt2(_real_chain(8)))[0]]
+        return runs + [st.compile(*bool_chain(40)), pipeline(st.parse_smt2(real_chain_text(8)))[0]]
 
     new = graphs()
     searches = _record_searches(monkeypatch)
     calls = 0
 
-    def reference(db, amap, values, trail, cfg, index, parent, assigned):
+    def reference(index, amap, parent, assigned, trail, components=True):
         nonlocal calls
         calls += 1
-        assignment = {v: val for v, val in enumerate(values) if val is not None}
-        theory = searches[-1].theory
-        whole = theory.trail if theory is not None else []
-        return reference_split(db, amap, assignment, whole, cfg, parent.scope if parent else None)
+        assignment = {v: val for v, val in enumerate(index.values) if val is not None}
+        search = searches[-1]
+        whole = search.theory.trail if search.theory is not None else []
+        return reference_split(search.db, amap, assignment, whole, components, parent.scope)
 
     monkeypatch.setattr(st.compiler, "split_components", reference)
     old = graphs()
@@ -528,7 +536,7 @@ def test_theory_candidates_match_a_full_scan(monkeypatch):
     for seed in range(0, 30, 3):
         for f in (st.random_formula(seed), st.random_nested_formula(seed)):
             pipeline(f)
-    pipeline(st.parse_smt2(_real_chain(6)))
+    pipeline(st.parse_smt2(real_chain_text(6)))
     assert calls > 100
 
 
@@ -565,12 +573,12 @@ def test_cache_key_identity_and_projection():
     xy = lits["xy"].signed
     assignment = {abs(xy): xy > 0}
 
-    (c1,) = split_components(db, amap, assignment, [xy], st.CompileConfig())
-    (c2,) = split_components(db, amap, assignment, [xy], st.CompileConfig())
+    (c1,) = root_split(db, amap, assignment, [xy])
+    (c2,) = root_split(db, amap, assignment, [xy])
     assert cache_key(c1) == cache_key(c2)
 
     # same residual clauses, entangling trail literal flipped: different key
-    (c3,) = split_components(db, amap, assignment, [-xy], st.CompileConfig())
+    (c3,) = root_split(db, amap, assignment, [-xy])
     assert cache_key(c3) != cache_key(c1)
 
     # trail literal over disjoint reals is projected away: keys match
@@ -583,12 +591,12 @@ def test_cache_key_identity_and_projection():
     db2 = st.to_cnf(prop2)
     assign2 = dict(assignment)
     assign2[abs(extra)] = extra > 0
-    base = split_components(db2, amap2, assign2, [], st.CompileConfig())
-    with_extra = split_components(db2, amap2, assign2, [extra], st.CompileConfig())
+    base = root_split(db2, amap2, assign2, [])
+    with_extra = root_split(db2, amap2, assign2, [extra])
     assert [cache_key(c) for c in base] == [cache_key(c) for c in with_extra]
 
 
-def test_cache_key_on_projection_with_disequalities():
+def test_cache_key_on_projection_with_disequalities(monkeypatch):
     pair, lits = entangled_setup()
     table = pair.table
     from smtrace.frontend import LinTerm, normalize_comparison
@@ -602,21 +610,35 @@ def test_cache_key_on_projection_with_disequalities():
     # with the x + y atom assigned, the component's own atoms mention x and y
     # separately; a disequality on the trail follows the projected rows
     assignment = {abs(ne): ne > 0, abs(xy): xy > 0}
-    (comp,) = split_components(db, amap, assignment, [ne, xy], st.CompileConfig())
+    (comp,) = root_split(db, amap, assignment, [ne, xy])
     assert (xy, ne) == (-5, -6) and comp.polyhedron.sources == {xy, ne}
     assert comp.polyhedron.key == (*st.lra.project_trail(amap, [xy], {x, y}).key, ne)
     assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron.key)
 
     # the equality x = y instead: the same clauses, a convex context
     assignment[abs(ne)] = ne < 0
-    (convex,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig())
+    (convex,) = root_split(db, amap, assignment, [-ne, xy])
     assert convex.ids == comp.ids and convex.scope == comp.scope
     assert all(isinstance(row, tuple) for row in convex.polyhedron.key)
     assert cache_key(convex) != cache_key(comp)
 
     # the context is projected without the cache too: the search checks on it
-    (off,) = split_components(db, amap, assignment, [-ne, xy], st.CompileConfig(cache=False))
-    assert off.polyhedron.key == convex.polyhedron.key
+    split = st.compiler.split_components
+
+    def contexts(cache):
+        keys = set()
+
+        def recording(*args):
+            comps = split(*args)
+            keys.update(c.polyhedron.key for c in comps)
+            return comps
+
+        monkeypatch.setattr(st.compiler, "split_components", recording)
+        pipeline(pair, cache=cache)
+        return keys
+
+    on, off = contexts(True), contexts(False)
+    assert on <= off and any(isinstance(part, int) for key in off for part in key)
 
 
 def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch):
@@ -681,13 +703,8 @@ def test_disequality_context_counts_and_stays_sound(monkeypatch):
     assert st.count(g) == st.brute_counts(f)[1]
 
 
-def _real_chain(n):
-    decls = "".join(f"(declare-const x{i} Real)" for i in range(1, n + 1))
-    return decls + "".join(f"(assert (or (<= x{i} x{i + 1}) (>= x{i} 5)))" for i in range(1, n))
-
-
 def test_real_chain_hits_the_projected_cache():
-    f = st.parse_smt2(_real_chain(6))
+    f = st.parse_smt2(real_chain_text(6))
     g, _, _ = pipeline(f)
     assert g.stats.cache_hits > 0
     assert g.stats.decisions < 147  # the syntactic key's figure
@@ -708,7 +725,7 @@ def test_real_chain_decides_linearly():
     search grow exponentially fails at n = 6 rather than running for minutes
     at n = 20."""
     for n in range(6, 21):
-        g, _, _ = pipeline(st.parse_smt2(_real_chain(n)))
+        g, _, _ = pipeline(st.parse_smt2(real_chain_text(n)))
         assert g.stats.decisions <= 3 * n, n
         assert st.count(g) == _fibonacci(2 * n), n
 
@@ -745,14 +762,14 @@ def test_every_context_query_answers_as_the_whole_trail(monkeypatch):
         for cfg in configs:
             pipeline(f, **cfg)
     for n in range(6, 25):
-        pipeline(st.parse_smt2(_real_chain(n)))
+        pipeline(st.parse_smt2(real_chain_text(n)))
     assert min(seen.values()) > 50, seen
 
 
 def test_real_chain_checks_stay_small():
     """At n = 48 every check runs on a handful of rows: the whole trail
     would give it about 94."""
-    g, _, _ = pipeline(st.parse_smt2(_real_chain(48)))
+    g, _, _ = pipeline(st.parse_smt2(real_chain_text(48)))
     assert 0 < g.stats.theory_rows_max <= 8, g.stats.theory_rows_max
     assert st.count(g) == _fibonacci(96)
 
@@ -876,7 +893,7 @@ def test_every_conflict_is_an_audited_refutation(monkeypatch):
     for seed in range(200):
         for f in (st.random_formula(seed), st.random_nested_formula(seed)):
             pipeline(f)
-    pipeline(st.parse_smt2(_real_chain(10)))
+    pipeline(st.parse_smt2(real_chain_text(10)))
     assert conflicts > 200, conflicts
 
 
@@ -930,7 +947,7 @@ def test_a_compile_leaves_the_store_as_it_found_it(monkeypatch):
             if seed < 60:
                 pipeline(f, mode="eager")
     for n in (6, 8, 10):
-        pipeline(st.parse_smt2(_real_chain(n)))
+        pipeline(st.parse_smt2(real_chain_text(n)))
     for n in (100, 200, 400):
         st.compile(*bool_chain(n))
     assert checked == 400 + 120 + 6

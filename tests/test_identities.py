@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import smtrace as st
-from smtrace.frontend import FNot, FTrue, Formula
+from smtrace.frontend import FAnd, FNot, FOr, FTrue, Formula
 from conftest import pipeline
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -74,3 +74,39 @@ def test_a_conjunction_over_disjoint_copies_squares_the_count(mode, k):
         assert st.count(pipeline(both, mode=mode, eager_k=k)[0]) == one * one, seed
         atoms.append(len(both.table.atoms))
     assert max(atoms) > 24, atoms
+
+
+def test_inclusion_exclusion_on_one_table():
+    """count(F or G) + count(F and G) = count(F) + count(G) for F and G
+    the two halves of one random formula's clauses, all four over its atom
+    table, in lazy mode: the halves share atoms and reals, so the theory
+    entangles them.  The same holds for weighted counts."""
+    atoms = []
+    for seed in SEEDS:
+        f = st.random_formula(seed, max_atoms=32, max_clauses=24)
+        k = len(f.root.children) // 2
+        left, right = FAnd(f.root.children[:k]), FAnd(f.root.children[k:])
+        roots = (FOr((left, right)), FAnd((left, right)), left, right)
+        either, both, one, other = (pipeline(Formula(root, f.table))[0] for root in roots)
+        assert st.count(either) + st.count(both) == st.count(one) + st.count(other), seed
+        w = _weights(seed, len(f.table))
+        wc = lambda g: st.weighted_count(g, w)
+        assert wc(either) + wc(both) == wc(one) + wc(other), seed
+        atoms.append(len(f.table))
+    assert max(atoms) > 24, atoms
+
+
+CAP = 1024  # models asked of enumerate_models; 2^10, the table below has at most 10 atoms
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_models_of_a_formula_and_its_negation_partition_the_table(seed):
+    """The models ``enumerate_models`` gives of F and of not F, capped, are
+    disjoint and together the models of true over F's table, whose count
+    is within the cap, so no side is cut short."""
+    f = st.random_formula(seed, max_atoms=11, max_clauses=20)
+    yes, no, top = (pipeline(Formula(root, f.table))[0] for root in (f.root, FNot(f.root), FTrue()))
+    assert st.count(top) <= CAP
+    models = [{tuple(sorted(m.items())) for m in st.enumerate_models(g, CAP)} for g in (yes, no, top)]
+    assert not models[0] & models[1]
+    assert models[0] | models[1] == models[2]

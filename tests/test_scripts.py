@@ -51,8 +51,7 @@ def test_bench_script_writes_json(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert result
-    if script == "bench_eager.py":  # timed on the benchmark's scaled clock
-        assert result["clock"] == "scaled"
+    assert result["clock"] == "scaled"  # timed on the benchmark's scaled clock
     if script == "bench_scaling.py":  # n = 20 and 12 double the sizes before them
         rows = result["runs"] + result["real_chain"]
         median = {(row.get("components"), row["n"]): row["compile_s_median"] for row in rows}
