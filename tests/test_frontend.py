@@ -3,7 +3,10 @@ import importlib
 import inspect
 import math
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -24,6 +27,9 @@ from smtrace.frontend import (
 )
 from smtrace.lra import literal_holds
 from conftest import GAP_XY_SMT2, GAP01_SMT2, QUOTED_NAMES, evaluate, point_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import render  # the benchmark's SMT-LIB2 rendering of a formula
 
 
 def term(table, coeffs, const=0):
@@ -145,6 +151,110 @@ def test_atom_order_reads_implications_from_the_right():
         "leq 1*y -1",
     ]
     assert f.table.real_names == ["x", "y"]
+
+
+_CMP_HEADS = ("<", ">", "<=", ">=", "=", "distinct")
+
+
+def _reference_order(text):
+    """(leaves, reals) of ``text`` in the documented walk order: each
+    assert's arguments left to right, except that an ``=>`` takes its last
+    argument first and then the others from right to left.  A leaf is a
+    Boolean symbol or a comparison, as text; reals are the Real symbols of
+    the comparisons in the order met.  Read with a reader of its own."""
+    stack = [[]]
+    for tok in re.findall(r"[()]|[^\s()]+", text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    commands = stack[0]
+    sorts = {c[1]: c[2] for c in commands if c[0] == "declare-const"}
+    leaves, reals = [], []
+
+    def show(e):
+        return e if isinstance(e, str) else "(" + " ".join(map(show, e)) + ")"
+
+    def symbols(e):
+        return [e] if isinstance(e, str) else [s for a in e for s in symbols(a)]
+
+    def walk(e):
+        if isinstance(e, str):
+            if e not in ("true", "false"):
+                leaves.append(e)
+            return
+        head, args = e[0], e[1:]
+        if head in _CMP_HEADS:
+            leaves.append(show(e))
+            reals.extend(s for s in symbols(args) if sorts.get(s) == "Real")
+            return
+        if head == "=>":
+            args = [args[-1]] + args[-2::-1]
+        for a in args:
+            walk(a)
+
+    for c in commands:
+        if c[0] == "assert":
+            walk(c[1])
+    decls = "".join(show(c) for c in commands if c[0] == "declare-const")
+    return decls, leaves, reals
+
+
+def _atom_key(atom, names):
+    """An atom by variable names, so that it reads the same whatever ids its
+    reals got: an equality's row is taken with either sign."""
+    if atom.kind == "bool":
+        return ("bool", atom.name)
+    row = tuple(sorted((names[v], c) for v, c in atom.term.coeffs)), atom.term.const
+    if atom.kind == "eq":
+        negated = tuple((n, -c) for n, c in row[0]), -row[1]
+        row = min(row, negated)
+    return (atom.kind, row)
+
+
+def _expected_table(text):
+    """The atom keys and real names the reference walk predicts, each
+    leaf's atom found by parsing that leaf alone."""
+    decls, leaves, reals = _reference_order(text)
+    atoms = []
+    for leaf in leaves:
+        alone = st.parse_smt2(f"{decls}(assert {leaf})")
+        for a in st.atoms_of(alone):  # none for a comparison of constants
+            atoms.append(_atom_key(a, alone.table.real_names))
+    return list(dict.fromkeys(atoms)), list(dict.fromkeys(reals))
+
+
+_NESTED_IMPLICATIONS = [
+    "(assert (=> A (or B (<= x 0))))",
+    "(assert (=> (<= y 1) (> y 0) (or A (> x 0))))",
+    "(assert (=> (=> A (< x y)) (=> B (and C (<= x 1)))))",
+    "(assert (or (=> A (< x y)) (=> (> y 2) B C) (not (=> C (= x 3)))))",
+    "(assert (not (=> (and A (<= x 0)) (or (= y 1) (distinct x y)) (=> B (>= (+ x y) 2) A))))",
+    "(assert (and (=> C B A (<= (* 2 y) 1) (< x 0))))(assert (=> (> x 0) C))",
+    "(assert (=> (<= x x) (or (=> (<= y 5) A) (< (- x y) 1)) (=> (=> B C) (> y 7))))",
+]
+
+
+@pytest.mark.parametrize("body", _NESTED_IMPLICATIONS)
+def test_atom_order_matches_a_reference_walk_on_nested_implications(body):
+    decls = "".join(f"(declare-const {v} Real)" for v in "xy")
+    decls += "".join(f"(declare-const {v} Bool)" for v in "ABC")
+    f = st.parse_smt2(decls + body)
+    atoms, reals = _expected_table(decls + body)
+    assert [_atom_key(a, f.table.real_names) for a in st.atoms_of(f)] == atoms
+    assert f.table.real_names == reals
+
+
+def test_atom_order_matches_a_reference_walk_on_rendered_nested_formulas():
+    for seed in range(200):
+        text = render(st, st.random_nested_formula(seed))
+        f = st.parse_smt2(text)
+        atoms, reals = _expected_table(text)
+        assert [_atom_key(a, f.table.real_names) for a in st.atoms_of(f)] == atoms, seed
+        assert f.table.real_names == reals, seed
 
 
 def test_parse_determinism():
