@@ -9,6 +9,11 @@ auxiliary variables are functionally determined by the atom variables, so
 model counts projected onto atom variables are preserved without any
 projection machinery.  Formulas that are already in clause shape get no
 auxiliaries.
+
+Both passes, negation normal form and the Tseitin definitions, walk the tree
+on explicit stacks, so depth costs no recursion.  Normal-form nodes are
+built once per distinct subformula, so equal subformulas are one object and
+share one auxiliary.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .frontend import (
     FOr,
     FTrue,
     Formula,
-    UnsupportedFeatureError,
     atom_to_str,
 )
 
@@ -41,10 +45,9 @@ class ClauseDb:
 
     def __post_init__(self) -> None:
         for cl in self.clauses:
-            seen = set(cl)
-            if len(seen) != len(cl):
-                raise ValueError(f"duplicate literal in clause {cl}")
-            if any(-l in seen for l in cl):
+            if len(set(map(abs, cl))) != len(cl):  # a variable twice: which way round?
+                if len(set(cl)) != len(cl):
+                    raise ValueError(f"duplicate literal in clause {cl}")
                 raise ValueError(f"tautological clause {cl}")
 
     @property
@@ -70,46 +73,64 @@ def boolean_abstract(f: Formula) -> tuple[Formula, AtomTable]:
     return f, f.table
 
 
+_TRUE, _FALSE = FTrue(), FFalse()
+
+
 def _nnf(node: FNode, neg: bool):
     """Push negation to literals, fold constants, flatten and dedupe.
 
-    Literals come out as signed variables (ints); inner nodes as FAnd/FOr.
+    Literals come out as signed variables (ints); inner nodes as FAnd/FOr,
+    each distinct one built once, so equal subformulas are one object and
+    compare at once.  The walk keeps a frame per And or Or being converted,
+    ``[its children, neg, conjunction, gathered]`` (an Implies is the Or of
+    its negated left and its right; ``gathered`` is a dict, which keeps the
+    first of equal children, in order), takes literal children in place and
+    stops a frame at its first absorbing constant.
     """
-    if isinstance(node, FTrue):
-        return FFalse() if neg else FTrue()
-    if isinstance(node, FFalse):
-        return FTrue() if neg else FFalse()
-    if isinstance(node, FLit):
-        return -node.lit.signed if neg else node.lit.signed
-    if isinstance(node, FNot):
-        return _nnf(node.child, not neg)
-    if isinstance(node, FImplies):
-        return _nnf(FOr((FNot(node.left), node.right)), neg)
-    if isinstance(node, (FAnd, FOr)):
-        conj = isinstance(node, FAnd) ^ neg
-        gathered: list = []
-        seen: set = set()
-        for child in node.children:
-            sub = _nnf(child, neg)
-            if isinstance(sub, FTrue):
-                if not conj:
-                    return FTrue()
+    made: dict[FNode, FNode] = {}
+    frames: list[list] = []
+    while True:
+        while isinstance(node, FNot):
+            node, neg = node.child, not neg
+        value = None
+        if isinstance(node, FLit):
+            value = node.lit.atom if node.lit.positive != neg else -node.lit.atom
+        elif isinstance(node, (FAnd, FOr)):
+            frames.append([iter(node.children), neg, isinstance(node, FAnd) ^ neg, {}])
+        elif isinstance(node, FImplies):
+            frames.append([iter((FNot(node.left), node.right)), neg, neg, {}])
+        elif isinstance(node, (FTrue, FFalse)):
+            value = _TRUE if isinstance(node, FTrue) ^ neg else _FALSE
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        while frames:  # fold value into the top frame, then go on to its next child
+            children, fneg, conj, gathered = frames[-1]
+            if value is _TRUE or value is _FALSE:
+                if (value is _TRUE) != conj:  # absorbing: the frame's value
+                    frames.pop()
+                    continue
+            elif isinstance(value, FAnd if conj else FOr):
+                gathered.update(dict.fromkeys(value.children))
+            elif value is not None:
+                gathered[value] = None
+            for node in children:
+                neg = fneg
+                while isinstance(node, FNot):
+                    node, neg = node.child, not neg
+                if not isinstance(node, FLit):
+                    break
+                gathered[node.lit.atom if node.lit.positive != neg else -node.lit.atom] = None
+            else:
+                frames.pop()
+                if len(gathered) > 1:
+                    value = FAnd(tuple(gathered)) if conj else FOr(tuple(gathered))
+                    value = made.setdefault(value, value)
+                else:
+                    value = next(iter(gathered)) if gathered else _TRUE if conj else _FALSE
                 continue
-            if isinstance(sub, FFalse):
-                if conj:
-                    return FFalse()
-                continue
-            subs = sub.children if isinstance(sub, FAnd if conj else FOr) else (sub,)
-            for s in subs:
-                if s not in seen:
-                    seen.add(s)
-                    gathered.append(s)
-        if not gathered:
-            return FTrue() if conj else FFalse()
-        if len(gathered) == 1:
-            return gathered[0]
-        return FAnd(tuple(gathered)) if conj else FOr(tuple(gathered))
-    raise TypeError(f"not a formula node: {node!r}")
+            break  # down into node
+        else:
+            return value
 
 
 def to_cnf(f: Formula) -> ClauseDb:
@@ -120,48 +141,56 @@ def to_cnf(f: Formula) -> ClauseDb:
     next_var = len(f.table)
 
     def add_clause(lits: list[int]) -> None:
-        seen: list[int] = []
-        for l in lits:
-            if -l in seen:
-                return  # tautology, always satisfied
-            if l not in seen:
-                seen.append(l)
-        clauses.append(tuple(sorted(seen, key=_lit_order)))
+        """Add the clause of ``lits``, which are distinct, unless it holds a
+        literal and its negation."""
+        if len(set(map(abs, lits))) == len(lits):
+            clauses.append(tuple(sorted(lits, key=abs)))
 
     def define(node: FNode) -> int:
-        """Auxiliary variable biconditionally defined as the subformula."""
+        """The auxiliary variable biconditionally defined as the subformula.
+        Undefined subformulas are defined children first, on a stack of
+        ``(node, its children's literals so far)``."""
         nonlocal next_var
-        cached = defs.get(node)
-        if cached is not None:
-            return cached
-        reps = [rep(c) for c in node.children]
-        next_var += 1
-        v = next_var
-        defs[node] = v
-        if isinstance(node, FAnd):
-            for r in reps:
-                add_clause([-v, r])
-            add_clause([v] + [-r for r in reps])
-        else:
-            add_clause([-v] + reps)
-            for r in reps:
-                add_clause([v, -r])
-        return v
+        v = defs.get(node)
+        if v is not None:
+            return v
+        frames = [(node, [])]
+        while True:
+            node, reps = frames[-1]
+            children = node.children
+            while len(reps) < len(children):
+                child = children[len(reps)]
+                r = child if isinstance(child, int) else defs.get(child)
+                if r is None:
+                    frames.append((child, []))
+                    break
+                reps.append(r)
+            else:
+                frames.pop()
+                next_var += 1
+                v = defs[node] = next_var
+                # each literal of a child is below v, which orders the pairs
+                if isinstance(node, FAnd):
+                    clauses.extend((r, -v) for r in reps)
+                    add_clause([v] + [-r for r in reps])
+                else:
+                    add_clause([-v] + reps)
+                    clauses.extend((-r, v) for r in reps)
+                if not frames:
+                    return v
+                frames[-1][1].append(v)
 
-    def rep(node) -> int:
-        return node if isinstance(node, int) else define(node)
-
-    try:  # _nnf, define and the formula nodes' hashes recurse once per nesting level
-        root = _nnf(f.root, False)
-        if isinstance(root, FFalse):
-            clauses.append(())
-        elif not isinstance(root, FTrue):
-            # the conjuncts of a flattened And are literals or Ors; an Or's
-            # children are literals or And subtrees
-            for conjunct in root.children if isinstance(root, FAnd) else (root,):
-                add_clause([conjunct] if isinstance(conjunct, int) else [rep(c) for c in conjunct.children])
-    except RecursionError:
-        raise UnsupportedFeatureError("formula nested too deeply") from None
+    root = _nnf(f.root, False)
+    if root is _FALSE:
+        clauses.append(())
+    elif root is not _TRUE:
+        # the conjuncts of a flattened And are literals or Ors; an Or's
+        # children are literals or And subtrees
+        for conjunct in root.children if isinstance(root, FAnd) else (root,):
+            if isinstance(conjunct, int):
+                clauses.append((conjunct,))
+            else:
+                add_clause([c if isinstance(c, int) else define(c) for c in conjunct.children])
 
     return ClauseDb(num_vars=next_var, num_atom_vars=len(f.table), clauses=clauses)
 

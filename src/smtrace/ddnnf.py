@@ -103,9 +103,16 @@ class DdnnfGraph:
 
 
 def variables_of(mask: int) -> list[int]:
-    """The variables of a mask (bit v for variable v), ascending, read from
-    its binary digits: a step per set bit would cost an operation on the
-    whole mask, which for a dense mask takes longer."""
+    """The variables of a mask (bit v for variable v), ascending.  A sparse
+    mask is read a set bit at a time; a dense one from its binary digits,
+    since a step per set bit costs an operation on the whole mask."""
+    if mask.bit_count() * 3 < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     if not mask:
         return []
     low = (mask & -mask).bit_length() - 1

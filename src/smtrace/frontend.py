@@ -13,13 +13,23 @@ non-strict atoms (t < 0 is the negation of -t <= 0), so a constraint and its
 complement share a single Boolean variable downstream.  A comparison between
 two constants folds to its truth value, which the parser reads as true or
 false.
+
+Formula nodes are immutable and hash in constant time: each computes its
+hash once, from its children's, when it is built.
+
+The parser reads the text in one pass over its tokens.  It first finds the
+matching ')' of every '(' (which is where unbalanced or too deeply nested
+text is refused), then runs the commands in order and converts each
+asserted term on explicit stacks, so depth costs no recursion.  A parse
+converts each symbol and each comparison text once: repeats are looked up.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from itertools import islice
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -85,7 +95,10 @@ _Sum = tuple[dict[int, int], int, int]
 
 
 def _add(terms: list[_Sum]) -> _Sum:
-    den = math.lcm(*(d for _, _, d in terms))
+    den = 1
+    for _, _, t_den in terms:
+        if den % t_den:
+            den = math.lcm(den, t_den)
     nums: dict[int, int] = {}
     const = 0
     for t_nums, t_const, t_den in terms:
@@ -101,7 +114,7 @@ def _scaled(term: _Sum, p: int, q: int) -> _Sum:
     if p == 0:
         return {}, 0, 1
     nums, const, den = term
-    return {v: c * p for v, c in nums.items()}, const * p, den * q
+    return ({v: c * p for v, c in nums.items()} if nums else nums), const * p, den * q
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +188,18 @@ class AtomTable:
         return [a.id for a in self.atoms if a.is_linear]
 
     def intern_bool(self, name: str) -> int:
-        return self._intern((BOOL, name), lambda aid: Atom(aid, BOOL, name=name))
+        return self._intern((BOOL, name), BOOL, name, None)
 
     def intern_linear(self, kind: str, term: LinTerm) -> int:
         if kind not in (LEQ, EQ):
             raise ValueError(f"not a linear atom kind: {kind}")
-        return self._intern((kind, term), lambda aid: Atom(aid, kind, term=term))
+        return self._intern((kind, term.coeffs, term.const, term.den), kind, None, term)
 
-    def _intern(self, key: object, build) -> int:
+    def _intern(self, key: tuple, kind: str, name: str | None, term: LinTerm | None) -> int:
         aid = self._ids.get(key)
         if aid is None:
             aid = len(self.atoms) + 1
-            self.atoms.append(build(aid))
+            self.atoms.append(Atom(aid, kind, name, term))
             self._ids[key] = aid
         return aid
 
@@ -248,8 +261,17 @@ def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bo
     kind, positive = _CMP_KINDS[op]
     if op in (">=", "<"):
         lhs, rhs = rhs, lhs
-    nums, const, _ = _add([lhs, _scaled(rhs, -1, 1)])  # lhs - rhs, times its positive denominator
-    canon = _primitive(kind, sorted(nums.items()), const)
+    (l_nums, l_const, l_den), (r_nums, r_const, r_den) = lhs, rhs
+    # lhs - rhs times l_den * r_den, which _primitive divides out again
+    const = l_const * r_den - r_const * l_den
+    if not r_nums:
+        items = sorted(l_nums.items()) if r_den == 1 else sorted((v, c * r_den) for v, c in l_nums.items())
+    else:
+        nums = {v: c * r_den for v, c in l_nums.items()}
+        for v, c in r_nums.items():
+            nums[v] = nums.get(v, 0) - c * l_den
+        items = sorted((v, c) for v, c in nums.items() if c)
+    canon = _primitive(kind, items, const)
     if isinstance(canon, bool):
         return canon == positive
     return Literal(table.intern_linear(kind, canon), positive)
@@ -281,44 +303,96 @@ def atom_to_str(atom: Atom, real_names: list[str]) -> str:
 # formula trees
 
 
+_set = object.__setattr__
+
+
 class FNode:
+    """A node of a formula tree: immutable and equal by structure, with its
+    hash computed once, at construction, from its children's hashes, so a
+    lookup costs the same at any depth."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FTrue(FNode):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class FTrue(FNode):
-    pass
+    def __init__(self) -> None:
+        _set(self, "_hash", hash(FTrue))
 
 
-@dataclass(frozen=True)
 class FFalse(FNode):
-    pass
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set(self, "_hash", hash(FFalse))
 
 
-@dataclass(frozen=True)
 class FLit(FNode):
-    lit: Literal
+    __slots__ = ("lit",)
+
+    def __init__(self, lit: Literal) -> None:
+        _set(self, "lit", lit)
+        _set(self, "_hash", hash(lit.atom if lit.positive else -lit.atom))
 
 
-@dataclass(frozen=True)
 class FNot(FNode):
-    child: FNode
+    __slots__ = ("child",)
+
+    def __init__(self, child: FNode) -> None:
+        _set(self, "child", child)
+        _set(self, "_hash", hash((FNot, child._hash)))
 
 
-@dataclass(frozen=True)
 class FAnd(FNode):
-    children: tuple[FNode, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[FNode, ...]) -> None:
+        _set(self, "children", children)
+        _set(self, "_hash", hash((FAnd, children)))
 
 
-@dataclass(frozen=True)
 class FOr(FNode):
-    children: tuple[FNode, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[FNode, ...]) -> None:
+        _set(self, "children", children)
+        _set(self, "_hash", hash((FOr, children)))
 
 
-@dataclass(frozen=True)
 class FImplies(FNode):
-    left: FNode
-    right: FNode
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: FNode, right: FNode) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((FImplies, left._hash, right._hash)))
 
 
 @dataclass
@@ -389,6 +463,9 @@ _UNSUPPORTED_HEADS = {
     "pop",
     "define-fun",
 }
+_CMP_HEADS = frozenset(("<", ">", "<=", ">=", "=", "distinct"))
+_BOOL_HEADS = _CMP_HEADS | {"and", "or", "not", "=>"}
+_ARITH_HEADS = frozenset(("+", "-", "*", "/"))
 
 
 # A token is the group: a parenthesis, a string literal, a quoted symbol
@@ -398,46 +475,46 @@ _UNSUPPORTED_HEADS = {
 _TOKEN = re.compile(r';[^\n]*|([()]|"[^"]*"|\|[^|]*\||[^\s();"|]+|["|])')
 
 
-def _tokenize(text: str) -> list[str]:
-    """The tokens of ``text``, with '' for each comment.  A quoted symbol
-    keeps its bars, so ``|(|`` is not a parenthesis; ``_read_sexprs``
-    strips them, so ``|x|`` and ``x`` name one symbol."""
+def _tokenize(text: str) -> tuple[str, ...]:
+    """The tokens of ``text``, comments dropped.  A quoted symbol keeps its
+    bars, so ``|(|`` is not a parenthesis; the parser strips them, so
+    ``|x|`` and ``x`` name one symbol."""
+    if ";" not in text and '"' not in text and "|" not in text:  # most texts: parentheses and words
+        return tuple(text.replace("(", " ( ").replace(")", " ) ").split())
     tokens = _TOKEN.findall(text)
-    # most texts hold neither character, and the text is the faster scan
-    unclosed = [tok for tok in ('"', "|") if tok in text and tok in tokens]
+    unclosed = [tok for tok in ('"', "|") if tok in tokens]
     if unclosed:
         what = "string literal" if min(unclosed, key=tokens.index) == '"' else "quoted symbol"
         raise SmtSyntaxError(f"unterminated {what}")
-    return tokens
+    return tuple(tok for tok in tokens if tok)
 
 
-# No term nested this deep converts (the converters recurse per level), and
-# hashing a much deeper tuple would overflow the C stack.
+def _name(tok: str) -> str:
+    """The symbol a token names: a quoted symbol without its bars."""
+    return tok[1:-1] if tok[:1] == "|" else tok
+
+
+# Text nested deeper than this is refused before any conversion.
 _MAX_DEPTH = 10_000
 
 
-def _read_sexprs(tokens: list[str]):
-    """The s-expressions of ``tokens``, each list closed as a tuple."""
-    exprs: list = []
-    open_lists: list[list] = []  # explicit stack, so nesting depth costs no recursion
-    for tok in tokens:
+def _closing(tokens: tuple[str, ...]) -> list[int]:
+    """At the position of each '(', the position of its ')'; the entries at
+    other positions are unused.  Raises on unbalanced or too deep text."""
+    close = [0] * len(tokens)
+    opens: list[int] = []
+    for i, tok in enumerate(tokens):
         if tok == "(":
-            if len(open_lists) == _MAX_DEPTH:
+            if len(opens) == _MAX_DEPTH:
                 raise UnsupportedFeatureError("terms nested too deeply")
-            open_lists.append([])
-            continue
-        if tok == ")":
-            if not open_lists:
+            opens.append(i)
+        elif tok == ")":
+            if not opens:
                 raise SmtSyntaxError("unexpected ')'")
-            tok = tuple(open_lists.pop())
-        elif not tok:  # a comment
-            continue
-        elif tok[0] == "|":
-            tok = tok[1:-1]
-        (open_lists[-1] if open_lists else exprs).append(tok)
-    if open_lists:
+            close[opens.pop()] = i
+    if opens:
         raise SmtSyntaxError("unbalanced parenthesis")
-    return exprs
+    return close
 
 
 _DIGITS = frozenset("0123456789")
@@ -446,9 +523,12 @@ _DIGITS = frozenset("0123456789")
 def _numeral(tok: str) -> tuple[int, int] | None:
     """(numerator, denominator) of a decimal numeral of ASCII digits."""
     body = tok[1:] if tok.startswith("-") else tok
-    a, dot, b = body.partition(".")
-    if not (a and _DIGITS.issuperset(a) and (not dot or (b and _DIGITS.issuperset(b)))):
-        return None
+    if body.isdigit() and body.isascii():  # the usual form: an integer
+        a, b = body, ""
+    else:
+        a, dot, b = body.partition(".")
+        if not (a and _DIGITS.issuperset(a) and (not dot or (b and _DIGITS.issuperset(b)))):
+            return None
     try:
         num = int(a + b)
     except ValueError as exc:  # more digits than int() reads
@@ -456,208 +536,318 @@ def _numeral(tok: str) -> tuple[int, int] | None:
     return (-num if tok.startswith("-") else num), 10 ** len(b)
 
 
-_END = object()
-
-
-def _show(expr, limit: int = 40) -> str:
-    """An s-expression or token written back as text, cut after ``limit``
-    characters, for error messages.  It reads no more of ``expr`` than it
-    shows, so neither size nor depth costs time or recursion."""
+def _show(tokens, i: int = 0, limit: int = 40) -> str:
+    """The expression at ``tokens[i]`` written back as text, cut after
+    ``limit`` characters, for error messages.  It reads no more tokens than
+    it shows, so neither size nor depth costs time."""
     parts: list[str] = []
-    size = 0
-    stack = [iter((expr,))]
-    while stack and size <= limit:
-        item = next(stack[-1], _END)
-        if item is _END:
-            stack.pop()
-            text = ")" if stack else ""
-        elif isinstance(item, tuple):
-            stack.append(iter(item))
-            text = "("
-        else:
-            text = str(item)
+    size = depth = 0
+    for tok in islice(tokens, i, None):
+        text = _name(tok)
         if parts and text not in ("", ")") and not parts[-1].endswith("("):
             text = " " + text
         parts.append(text)
         size += len(text)
+        depth += (tok == "(") - (tok == ")")
+        if depth == 0 or size > limit:
+            break
     out = "".join(parts)
-    return out if not stack and size <= limit else out[:limit] + "..."
+    return out if size <= limit else out[:limit] + "..."
 
 
 class _Parser:
-    def __init__(self) -> None:
+    """One pass over the tokens: commands in order, and each asserted term
+    converted on an explicit stack of open lists (``term``)."""
+
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
+        self.close = _closing(self.tokens)
         self.table = AtomTable()
         self.sorts: dict[str, str] = {}
-        self.asserts: list[FNode] = []
-        # comparison -> its node; a repeat would intern nothing new
-        self.comparisons: dict[tuple, FNode] = {}
+        # token -> its node as a Boolean term, or its sum as a Real term, and
+        # comparison (its token slice) -> its node; only what converted is
+        # kept, and a repeat would intern nothing new
+        self.leaves: dict[str, FNode] = {}
+        self.sums: dict[str, _Sum] = {}
+        self.comparisons: dict[tuple[str, ...], FNode] = {}
 
-    def run(self, text: str) -> Formula:
-        try:
-            for expr in _read_sexprs(_tokenize(text)):
-                self.command(expr)
-        except RecursionError:  # term conversion recurses once per nesting level
-            raise UnsupportedFeatureError("terms nested too deeply") from None
-        if not self.asserts:
-            root: FNode = FTrue()
-        elif len(self.asserts) == 1:
-            root = self.asserts[0]
-        else:
-            root = FAnd(tuple(self.asserts))
-        return Formula(root, self.table)
+    def run(self) -> Formula:
+        asserts: list[FNode] = []
+        tokens, close, p = self.tokens, self.close, 0
+        while p < len(tokens):
+            if tokens[p] != "(" or p + 1 == close[p]:
+                raise SmtSyntaxError(f"expected a command, got {_show(tokens, p)!r}")
+            term = self.command(p)
+            if term is not None:
+                asserts.append(term)
+            p = close[p] + 1
+        if not asserts:
+            return Formula(FTrue(), self.table)
+        return Formula(asserts[0] if len(asserts) == 1 else FAnd(tuple(asserts)), self.table)
 
-    def command(self, expr) -> None:
-        if not isinstance(expr, tuple) or not expr:
-            raise SmtSyntaxError(f"expected a command, got {_show(expr)!r}")
-        head = expr[0]
-        if not isinstance(head, str):
-            raise SmtSyntaxError(f"command head must be a symbol, got {_show(head)!r}")
+    def args(self, p: int) -> list[int]:
+        """The positions of the arguments of the list opened at ``p``."""
+        tokens, close = self.tokens, self.close
+        out = []
+        a, end = p + 2, close[p]
+        while a < end:
+            out.append(a)
+            a = close[a] + 1 if tokens[a] == "(" else a + 1
+        return out
+
+    def command(self, p: int) -> FNode | None:
+        """Run the command opened at ``p``; an assert's term is returned."""
+        tokens = self.tokens
+        head = tokens[p + 1]
+        if head == "declare-const" and self.close[p] == p + 4 and tokens[p + 2] != "(":  # the usual form
+            self.declare(p + 2, p + 3)
+            return None
+        if head == "(":
+            raise SmtSyntaxError(f"command head must be a symbol, got {_show(tokens, p + 1)!r}")
+        head = _name(head)
         if head in _IGNORED_COMMANDS:
-            return
+            return None
+        args = self.args(p)
         if head == "set-logic":
-            if len(expr) != 2 or expr[1] != "QF_LRA":
-                raise UnsupportedFeatureError(f"logic {_show(expr[1:])} is not QF_LRA")
-            return
-        if head == "declare-const":
-            if len(expr) != 3:
+            if len(args) != 1 or _name(tokens[args[0]]) != "QF_LRA":
+                raise UnsupportedFeatureError(f"logic {_show(('(',) + tokens[p + 2 :])} is not QF_LRA")
+        elif head == "declare-const":
+            if len(args) != 2:
                 raise SmtSyntaxError("declare-const expects a name and a sort")
-            self.declare(expr[1], expr[2])
-            return
-        if head == "declare-fun":
-            if len(expr) != 4:
+            self.declare(*args)
+        elif head == "declare-fun":
+            if len(args) != 3:
                 raise SmtSyntaxError("declare-fun expects name, arguments and sort")
-            if expr[2] != ():
+            if tokens[args[1]] != "(" or self.close[args[1]] != args[1] + 1:
                 raise UnsupportedFeatureError("uninterpreted functions of arity > 0")
-            self.declare(expr[1], expr[3])
-            return
-        if head == "assert":
-            if len(expr) != 2:
+            self.declare(args[0], args[2])
+        elif head == "assert":
+            if len(args) != 1:
                 raise SmtSyntaxError("assert expects exactly one term")
-            self.asserts.append(self.bool_term(expr[1]))
-            return
-        raise UnsupportedFeatureError(f"unsupported command {_show(head)}")
+            return self.term(args[0])
+        else:
+            raise UnsupportedFeatureError(f"unsupported command {_show(tokens, p + 1)}")
+        return None
 
-    def declare(self, name, sort) -> None:
-        if not isinstance(name, str):
-            raise SmtSyntaxError(f"bad symbol {_show(name)!r}")
+    def declare(self, at: int, sort_at: int) -> None:
+        tokens = self.tokens
+        if tokens[at] == "(":
+            raise SmtSyntaxError(f"bad symbol {_show(tokens, at)!r}")
+        name = _name(tokens[at])
         if name in ("true", "false") or _numeral(name) is not None:
-            raise SmtSyntaxError(f"cannot declare {_show(name)!r}: it reads as a constant")
+            raise SmtSyntaxError(f"cannot declare {_show(tokens, at)!r}: it reads as a constant")
+        sort = _name(tokens[sort_at])
         if sort not in ("Real", "Bool"):
-            raise UnsupportedFeatureError(f"sort {_show(sort)} (only Real and Bool)")
+            raise UnsupportedFeatureError(f"sort {_show(tokens, sort_at)} (only Real and Bool)")
         if name in self.sorts:
-            raise SmtSyntaxError(f"symbol {_show(name)} declared twice")
+            raise SmtSyntaxError(f"symbol {_show(tokens, at)} declared twice")
         self.sorts[name] = sort
 
-    def bool_term(self, expr) -> FNode:
-        if isinstance(expr, str):
-            if expr == "true":
-                return FTrue()
-            if expr == "false":
-                return FFalse()
-            sort = self.sorts.get(expr)
-            if sort is None:
-                if _numeral(expr) is not None:
-                    raise SmtSyntaxError(f"number {_show(expr)} where a Boolean term is expected")
-                raise UndeclaredSymbolError(f"undeclared symbol {_show(expr)!r}")
-            if sort != "Bool":
-                raise SmtSyntaxError(f"{_show(expr)} is Real, expected a Boolean term")
-            return FLit(Literal(self.table.intern_bool(expr), True))
-        if not expr:
-            raise SmtSyntaxError("empty application")
-        head = expr[0]
-        args = expr[1:]
-        if not isinstance(head, str):
-            raise SmtSyntaxError(f"term head must be a symbol, got {_show(head)!r}")
-        if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedFeatureError(f"unsupported construct {_show(head)!r}")
-        if head == "and" or head == "or":
-            if not args:
-                raise SmtSyntaxError(f"{head} expects at least one argument")
-            children = tuple(self.bool_term(a) for a in args)
-            return FAnd(children) if head == "and" else FOr(children)
-        if head == "not":
-            if len(args) != 1:
-                raise SmtSyntaxError("not expects one argument")
-            return FNot(self.bool_term(args[0]))
-        if head == "=>":
-            if len(args) < 2:
-                raise SmtSyntaxError("=> expects at least two arguments")
-            node = self.bool_term(args[-1])
-            for a in reversed(args[:-1]):
-                node = FImplies(self.bool_term(a), node)
-            return node
-        if head in ("<", ">", "<=", ">=", "=", "distinct"):
-            node = self.comparisons.get(expr)
-            if node is not None:
+    def term(self, p: int) -> FNode:
+        """The Boolean term at ``p``, in one pass on an explicit stack.
+
+        A frame is ``[head, converted arguments, position of its '(',
+        pending argument positions]`` for an And, Or, Not or ``=>``: its
+        number of arguments is checked at its '(', and it is reduced at its
+        ')'.  An ``=>`` visits its arguments last first (``pending``), so
+        they arrive in reverse.  A comparison is converted whole.
+        """
+        tokens, close, leaves, comparisons = self.tokens, self.close, self.leaves, self.comparisons
+        frames: list[list] = []
+        while True:
+            tok = tokens[p]
+            if tok == "(":
+                head = tokens[p + 1]
+                if head not in _BOOL_HEADS:
+                    head = self.bool_head(p)
+                end = close[p]
+                if head == "not":
+                    a = p + 2
+                    if (close[a] if tokens[a] == "(" else a) + 1 != end:
+                        raise SmtSyntaxError("not expects one argument")
+                    frames.append([head, [], p, None])
+                    p = a
+                    continue
+                if head == "or" or head == "and":
+                    if p + 2 == end:
+                        raise SmtSyntaxError(f"{head} expects at least one argument")
+                    frames.append([head, [], p, None])
+                    p += 2
+                    continue
+                if head == "=>":
+                    pending = self.args(p)
+                    if len(pending) < 2:
+                        raise SmtSyntaxError("=> expects at least two arguments")
+                    frames.append([head, [], p, pending])
+                    p = pending.pop()
+                    continue
+                node = comparisons.get(tokens[p : end + 1]) or self.comparison(p, head)
+                p = end
+            elif tok == ")":
+                head, items, _, _ = frames.pop()
+                if head == "or":
+                    node = FOr(tuple(items))
+                elif head == "not":
+                    node = FNot(items[0])
+                elif head == "and":
+                    node = FAnd(tuple(items))
+                else:
+                    node = items[0]
+                    for left in items[1:]:
+                        node = FImplies(left, node)
+            else:
+                node = leaves.get(tok) or self.bool_leaf(tok)
+            # node is the term that ends at p: hand it to its frame
+            if not frames:
                 return node
-            if len(args) != 2:
-                raise UnsupportedFeatureError(f"chained {head} comparison")
-            if head == "=" and self.is_bool_expr(args[0]):
-                raise UnsupportedFeatureError("Boolean equality")
-            lit = _comparison(self.table, head, self.real_term(args[0]), self.real_term(args[1]))
-            node = (FTrue() if lit else FFalse()) if isinstance(lit, bool) else FLit(lit)
-            self.comparisons[expr] = node
-            return node
-        if head in ("+", "-", "*", "/"):
-            self.real_term(expr)  # raises on nonlinearity first
-            raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")
-        raise UndeclaredSymbolError(f"undeclared symbol {_show(head)!r}")
+            frame = frames[-1]
+            frame[1].append(node)
+            pending = frame[3]
+            p = p + 1 if pending is None else pending.pop() if pending else close[frame[2]]
 
-    def is_bool_expr(self, expr) -> bool:
-        if isinstance(expr, str):
-            return expr in ("true", "false") or self.sorts.get(expr) == "Bool"
-        return bool(expr) and expr[0] in ("and", "or", "not", "=>", "<", ">", "<=", ">=", "=", "distinct")
-
-    def real_term(self, expr) -> _Sum:
-        if isinstance(expr, str):
-            num = _numeral(expr)
-            if num is not None:
-                return {}, *num
-            sort = self.sorts.get(expr)
-            if sort is None:
-                raise UndeclaredSymbolError(f"undeclared symbol {_show(expr)!r}")
-            if sort != "Real":
-                raise SmtSyntaxError(f"{_show(expr)} is Bool, expected a Real term")
-            return {self.table.real_var(expr): 1}, 0, 1
-        if not expr:
+    def bool_head(self, p: int) -> str:
+        """The head of the list at ``p`` in a Boolean place, when it is not
+        written as a Boolean operator: the one a quoted symbol names, else
+        an error."""
+        tokens = self.tokens
+        if p + 1 == self.close[p]:
             raise SmtSyntaxError("empty application")
-        head = expr[0]
-        args = expr[1:]
-        if not isinstance(head, str):
-            raise SmtSyntaxError(f"term head must be a symbol, got {_show(head)!r}")
+        if tokens[p + 1] == "(":
+            raise SmtSyntaxError(f"term head must be a symbol, got {_show(tokens, p + 1)!r}")
+        head = _name(tokens[p + 1])
         if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedFeatureError(f"unsupported construct {_show(head)!r}")
-        if head in ("+", "-", "*") and not args:
-            raise SmtSyntaxError(f"{head} expects at least one argument")
-        if head == "+":
-            return _add([self.real_term(a) for a in args])
-        if head == "-":
-            terms = [self.real_term(a) for a in args]
-            if len(terms) == 1:
-                return _scaled(terms[0], -1, 1)
-            return _add(terms[:1] + [_scaled(t, -1, 1) for t in terms[1:]])
-        if head == "*":
-            terms = [self.real_term(a) for a in args]
-            nonconst = [t for t in terms if t[0]]
-            if len(nonconst) > 1:
-                raise UnsupportedFeatureError("nonlinear term (product of variables)")
-            p = q = 1
-            for nums, const, den in terms:
-                if not nums:
-                    p *= const
-                    q *= den
-            return _scaled(nonconst[0], p, q) if nonconst else ({}, p, q)
-        if head == "/":
-            if len(args) != 2:
+            raise UnsupportedFeatureError(f"unsupported construct {_show(tokens, p + 1)!r}")
+        if head in _BOOL_HEADS:
+            return head
+        if head in _ARITH_HEADS:
+            self.real_term(p)  # raises on nonlinearity first
+            raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")
+        raise UndeclaredSymbolError(f"undeclared symbol {_show(tokens, p + 1)!r}")
+
+    def comparison(self, p: int, head: str) -> FNode:
+        """The node of the comparison at ``p``, kept under its tokens, which
+        a repeat looks up (``term``) and does not read again."""
+        args = self.args(p)
+        if len(args) != 2:
+            raise UnsupportedFeatureError(f"chained {head} comparison")
+        if head == "=" and self.is_bool_expr(args[0]):
+            raise UnsupportedFeatureError("Boolean equality")
+        lit = _comparison(self.table, head, self.real_term(args[0]), self.real_term(args[1]))
+        node = (FTrue() if lit else FFalse()) if isinstance(lit, bool) else FLit(lit)
+        self.comparisons[self.tokens[p : self.close[p] + 1]] = node
+        return node
+
+    def real_term(self, p: int) -> _Sum:
+        """The Real term at ``p``, on an explicit stack of frames ``(head,
+        converted arguments)``, each reduced at its ')'."""
+        tokens, close, sums = self.tokens, self.close, self.sums
+        frames: list[tuple[str, list[_Sum]]] = []
+        while True:
+            tok = tokens[p]
+            if tok == "(":
+                head = tokens[p + 1]
+                if head not in _ARITH_HEADS or head == "/" or p + 2 == close[p]:
+                    head = self.real_head(p)
+                frames.append((head, []))
+                p += 2
+                continue
+            if tok == ")":
+                head, items = frames.pop()
+                total = _arithmetic(head, items)
+            else:
+                total = sums.get(tok) or self.real_leaf(tok)
+            if not frames:
+                return total
+            frames[-1][1].append(total)
+            p += 1
+
+    def real_head(self, p: int) -> str:
+        """The checked head of the list at ``p`` in a Real place."""
+        tokens = self.tokens
+        if p + 1 == self.close[p]:
+            raise SmtSyntaxError("empty application")
+        if tokens[p + 1] == "(":
+            raise SmtSyntaxError(f"term head must be a symbol, got {_show(tokens, p + 1)!r}")
+        head = _name(tokens[p + 1])
+        if head in _UNSUPPORTED_HEADS:
+            raise UnsupportedFeatureError(f"unsupported construct {_show(tokens, p + 1)!r}")
+        if head in ("+", "-", "*"):
+            if p + 2 == self.close[p]:
+                raise SmtSyntaxError(f"{head} expects at least one argument")
+        elif head == "/":
+            if len(self.args(p)) != 2:
                 raise SmtSyntaxError("/ expects two arguments")
-            num = self.real_term(args[0])
-            den_nums, p, q = self.real_term(args[1])
-            if den_nums:
-                raise UnsupportedFeatureError("division by a non-constant")
-            if p == 0:
-                raise SmtSyntaxError("division by zero")
-            return _scaled(num, q if p > 0 else -q, abs(p))
-        raise SmtSyntaxError(f"{_show(head)} is not a Real operator")
+        else:
+            raise SmtSyntaxError(f"{_show(tokens, p + 1)} is not a Real operator")
+        return head
+
+    def is_bool_expr(self, at: int) -> bool:
+        tokens = self.tokens
+        if tokens[at] != "(":
+            name = _name(tokens[at])
+            return name in ("true", "false") or self.sorts.get(name) == "Bool"
+        return _name(tokens[at + 1]) in _BOOL_HEADS
+
+    def bool_leaf(self, tok: str) -> FNode:
+        name = _name(tok)
+        if name == "true":
+            node: FNode = FTrue()
+        elif name == "false":
+            node = FFalse()
+        else:
+            sort = self.sorts.get(name)
+            if sort is None:
+                if _numeral(name) is not None:
+                    raise SmtSyntaxError(f"number {_show((tok,))} where a Boolean term is expected")
+                raise UndeclaredSymbolError(f"undeclared symbol {_show((tok,))!r}")
+            if sort != "Bool":
+                raise SmtSyntaxError(f"{_show((tok,))} is Real, expected a Boolean term")
+            node = FLit(Literal(self.table.intern_bool(name), True))
+        self.leaves[tok] = node
+        return node
+
+    def real_leaf(self, tok: str) -> _Sum:
+        name = _name(tok)
+        num = _numeral(name)
+        if num is not None:
+            total: _Sum = ({}, *num)
+        else:
+            sort = self.sorts.get(name)
+            if sort is None:
+                raise UndeclaredSymbolError(f"undeclared symbol {_show((tok,))!r}")
+            if sort != "Real":
+                raise SmtSyntaxError(f"{_show((tok,))} is Bool, expected a Real term")
+            total = {self.table.real_var(name): 1}, 0, 1
+        self.sums[tok] = total
+        return total
+
+
+def _arithmetic(head: str, terms: list[_Sum]) -> _Sum:
+    """The sum of an arithmetic operator over its converted arguments."""
+    if head == "+":
+        return _add(terms)
+    if head == "-":
+        if len(terms) == 1:
+            return _scaled(terms[0], -1, 1)
+        return _add(terms[:1] + [_scaled(t, -1, 1) for t in terms[1:]])
+    if head == "*":
+        factor = None  # the one factor with variables, if any
+        p = q = 1
+        for term in terms:
+            if not term[0]:
+                p *= term[1]
+                q *= term[2]
+            elif factor is None:
+                factor = term
+            else:
+                raise UnsupportedFeatureError("nonlinear term (product of variables)")
+        return ({}, p, q) if factor is None else _scaled(factor, p, q)
+    num, (den_nums, p, q) = terms
+    if den_nums:
+        raise UnsupportedFeatureError("division by a non-constant")
+    if p == 0:
+        raise SmtSyntaxError("division by zero")
+    return _scaled(num, q if p > 0 else -q, abs(p))
 
 
 def parse_smt2(text: str) -> Formula:
@@ -668,6 +858,8 @@ def parse_smt2(text: str) -> Formula:
     arguments left to right, except that an ``=>`` converts its last
     argument first and then the others from right to left.  So
     ``(=> A (or B (<= x 0)))`` gives B id 1, ``x <= 0`` id 2 and A id 3.
-    Real variables are numbered in the same walk.
+    Real variables are numbered in the same walk.  The walk keeps its own
+    stack, so any nesting up to the reader's bound of 10,000 open
+    parentheses converts.
     """
-    return _Parser().run(text)
+    return _Parser(text).run()

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as hst
 
 import smtrace as st
 from smtrace import ddnnf
@@ -20,6 +21,15 @@ def or_both(builder, var):
 def single_or():
     b = GraphBuilder(1, 1)
     return b.finish(or_both(b, 1), None, has_tags=False)
+
+
+_sparse_masks = hst.sets(hst.integers(0, 900), max_size=8).map(lambda vs: sum(1 << v for v in vs))
+
+
+@given(hst.one_of(hst.integers(0, 1 << 900), _sparse_masks))
+def test_variables_of_lists_the_set_bits_in_order(mask):
+    """Sparse masks take the bit-at-a-time path, dense ones the digits."""
+    assert ddnnf.variables_of(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 # ---------------------------------------------------------------------------

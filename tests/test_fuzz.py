@@ -42,14 +42,29 @@ def test_parse_smt2_raises_only_smt_errors(text):
         "(declare-const x Real)(assert (<= x \u0663))",  # an Arabic-Indic three
         "(declare-const x Real)(assert (<= x \uff13))",  # a fullwidth three
         "(declare-const x Real)(assert (<= x " + "9" * 5000 + "))",  # beyond int()'s digit limit
-        "(declare-const A Bool)(assert " + "(not " * 3000 + "A" + ")" * 3001,
-        "(declare-const x Real)(assert (<= " + "(+ 1 " * 3000 + "x" + ")" * 3000 + " 0))",
         "(" * 100_000 + ")" * 100_000,
     ],
 )
 def test_parse_smt2_bad_numerals_and_deep_nesting(text):
     with pytest.raises(st.SmtError):
         st.parse_smt2(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(declare-const A Bool)(assert " + "(not " * 3000 + "A" + ")" * 3001,
+        "(declare-const x Real)(assert (<= " + "(+ 1 " * 3000 + "x" + ")" * 3000 + " 0))",
+    ],
+    ids=["not", "sum"],
+)
+def test_deep_terms_parse_compile_and_count(text):
+    """Nesting within the reader's bound converts: 3000 negations of A are
+    A, and 3000 additions of 1 to x make the one atom x + 3000 <= 0."""
+    f = st.parse_smt2(text)
+    assert len(f.table) == 1
+    prop, amap = st.boolean_abstract(f)
+    assert st.count(st.compile(st.to_cnf(prop), amap)) == 1
 
 
 def test_parse_smt2_refuses_nesting_past_the_reader_bound():
