@@ -45,7 +45,7 @@ class ClauseDb:
 
     def __post_init__(self) -> None:
         for cl in self.clauses:
-            if len(set(map(abs, cl))) != len(cl):  # a variable twice: which way round?
+            if len(set(map(abs, cl))) != len(cl):  # a variable twice: repeated or negated
                 if len(set(cl)) != len(cl):
                     raise ValueError(f"duplicate literal in clause {cl}")
                 raise ValueError(f"tautological clause {cl}")

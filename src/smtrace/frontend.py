@@ -313,6 +313,9 @@ class FNode:
 
     __slots__ = ("_hash",)
 
+    def __init__(self) -> None:  # a constant: no fields
+        _set(self, "_hash", hash(type(self)))
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -326,11 +329,9 @@ class FNode:
         return tuple(getattr(self, name) for name in type(self).__slots__)
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash and self._fields() == other._fields()
+        )
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
@@ -343,15 +344,9 @@ class FNode:
 class FTrue(FNode):
     __slots__ = ()
 
-    def __init__(self) -> None:
-        _set(self, "_hash", hash(FTrue))
-
 
 class FFalse(FNode):
     __slots__ = ()
-
-    def __init__(self) -> None:
-        _set(self, "_hash", hash(FFalse))
 
 
 class FLit(FNode):
@@ -517,23 +512,20 @@ def _closing(tokens: tuple[str, ...]) -> list[int]:
     return close
 
 
-_DIGITS = frozenset("0123456789")
-
-
 def _numeral(tok: str) -> tuple[int, int] | None:
     """(numerator, denominator) of a decimal numeral of ASCII digits."""
-    body = tok[1:] if tok.startswith("-") else tok
-    if body.isdigit() and body.isascii():  # the usual form: an integer
-        a, b = body, ""
-    else:
-        a, dot, b = body.partition(".")
-        if not (a and _DIGITS.issuperset(a) and (not dot or (b and _DIGITS.issuperset(b)))):
-            return None
+    negative = tok.startswith("-")
+    body = tok[1:] if negative else tok
+    if not body[:1].isdigit():  # names, mostly
+        return None
+    a, dot, b = body.partition(".")
+    if not (a.isascii() and a.isdigit() and (not dot or (b.isascii() and b.isdigit()))):
+        return None
     try:
         num = int(a + b)
     except ValueError as exc:  # more digits than int() reads
         raise SmtSyntaxError(f"bad numeral {tok[:40]!r}") from exc
-    return (-num if tok.startswith("-") else num), 10 ** len(b)
+    return (-num if negative else num), 10 ** len(b)
 
 
 def _show(tokens, i: int = 0, limit: int = 40) -> str:
@@ -570,20 +562,18 @@ class _Parser:
         self.leaves: dict[str, FNode] = {}
         self.sums: dict[str, _Sum] = {}
         self.comparisons: dict[tuple[str, ...], FNode] = {}
+        self.asserts: list[FNode] = []
 
     def run(self) -> Formula:
-        asserts: list[FNode] = []
         tokens, close, p = self.tokens, self.close, 0
         while p < len(tokens):
             if tokens[p] != "(" or p + 1 == close[p]:
                 raise SmtSyntaxError(f"expected a command, got {_show(tokens, p)!r}")
-            term = self.command(p)
-            if term is not None:
-                asserts.append(term)
+            self.command(p)
             p = close[p] + 1
-        if not asserts:
+        if not self.asserts:
             return Formula(FTrue(), self.table)
-        return Formula(asserts[0] if len(asserts) == 1 else FAnd(tuple(asserts)), self.table)
+        return Formula(self.asserts[0] if len(self.asserts) == 1 else FAnd(tuple(self.asserts)), self.table)
 
     def args(self, p: int) -> list[int]:
         """The positions of the arguments of the list opened at ``p``."""
@@ -595,18 +585,17 @@ class _Parser:
             a = close[a] + 1 if tokens[a] == "(" else a + 1
         return out
 
-    def command(self, p: int) -> FNode | None:
-        """Run the command opened at ``p``; an assert's term is returned."""
+    def command(self, p: int) -> None:
+        """Run the command opened at ``p``."""
         tokens = self.tokens
         head = tokens[p + 1]
         if head == "declare-const" and self.close[p] == p + 4 and tokens[p + 2] != "(":  # the usual form
-            self.declare(p + 2, p + 3)
-            return None
+            return self.declare(p + 2, p + 3)
         if head == "(":
             raise SmtSyntaxError(f"command head must be a symbol, got {_show(tokens, p + 1)!r}")
         head = _name(head)
         if head in _IGNORED_COMMANDS:
-            return None
+            return
         args = self.args(p)
         if head == "set-logic":
             if len(args) != 1 or _name(tokens[args[0]]) != "QF_LRA":
@@ -624,10 +613,9 @@ class _Parser:
         elif head == "assert":
             if len(args) != 1:
                 raise SmtSyntaxError("assert expects exactly one term")
-            return self.term(args[0])
+            self.asserts.append(self.term(args[0]))
         else:
             raise UnsupportedFeatureError(f"unsupported command {_show(tokens, p + 1)}")
-        return None
 
     def declare(self, at: int, sort_at: int) -> None:
         tokens = self.tokens
@@ -659,30 +647,26 @@ class _Parser:
             if tok == "(":
                 head = tokens[p + 1]
                 if head not in _BOOL_HEADS:
-                    head = self.bool_head(p)
+                    head = self.head(p, real=False)
                 end = close[p]
-                if head == "not":
-                    a = p + 2
-                    if (close[a] if tokens[a] == "(" else a) + 1 != end:
-                        raise SmtSyntaxError("not expects one argument")
-                    frames.append([head, [], p, None])
-                    p = a
-                    continue
-                if head == "or" or head == "and":
-                    if p + 2 == end:
+                if head in _CMP_HEADS:
+                    node = comparisons.get(tokens[p : end + 1]) or self.comparison(p, head)
+                    p = end
+                else:
+                    pending = None
+                    if head == "not":
+                        a = p + 2
+                        if (close[a] if tokens[a] == "(" else a) + 1 != end:
+                            raise SmtSyntaxError("not expects one argument")
+                    elif head == "=>":
+                        pending = self.args(p)
+                        if len(pending) < 2:
+                            raise SmtSyntaxError("=> expects at least two arguments")
+                    elif p + 2 == end:
                         raise SmtSyntaxError(f"{head} expects at least one argument")
-                    frames.append([head, [], p, None])
-                    p += 2
-                    continue
-                if head == "=>":
-                    pending = self.args(p)
-                    if len(pending) < 2:
-                        raise SmtSyntaxError("=> expects at least two arguments")
                     frames.append([head, [], p, pending])
-                    p = pending.pop()
+                    p = pending.pop() if pending else p + 2
                     continue
-                node = comparisons.get(tokens[p : end + 1]) or self.comparison(p, head)
-                p = end
             elif tok == ")":
                 head, items, _, _ = frames.pop()
                 if head == "or":
@@ -704,25 +688,6 @@ class _Parser:
             frame[1].append(node)
             pending = frame[3]
             p = p + 1 if pending is None else pending.pop() if pending else close[frame[2]]
-
-    def bool_head(self, p: int) -> str:
-        """The head of the list at ``p`` in a Boolean place, when it is not
-        written as a Boolean operator: the one a quoted symbol names, else
-        an error."""
-        tokens = self.tokens
-        if p + 1 == self.close[p]:
-            raise SmtSyntaxError("empty application")
-        if tokens[p + 1] == "(":
-            raise SmtSyntaxError(f"term head must be a symbol, got {_show(tokens, p + 1)!r}")
-        head = _name(tokens[p + 1])
-        if head in _UNSUPPORTED_HEADS:
-            raise UnsupportedFeatureError(f"unsupported construct {_show(tokens, p + 1)!r}")
-        if head in _BOOL_HEADS:
-            return head
-        if head in _ARITH_HEADS:
-            self.real_term(p)  # raises on nonlinearity first
-            raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")
-        raise UndeclaredSymbolError(f"undeclared symbol {_show(tokens, p + 1)!r}")
 
     def comparison(self, p: int, head: str) -> FNode:
         """The node of the comparison at ``p``, kept under its tokens, which
@@ -747,7 +712,7 @@ class _Parser:
             if tok == "(":
                 head = tokens[p + 1]
                 if head not in _ARITH_HEADS or head == "/" or p + 2 == close[p]:
-                    head = self.real_head(p)
+                    head = self.head(p, real=True)
                 frames.append((head, []))
                 p += 2
                 continue
@@ -761,8 +726,10 @@ class _Parser:
             frames[-1][1].append(total)
             p += 1
 
-    def real_head(self, p: int) -> str:
-        """The checked head of the list at ``p`` in a Real place."""
+    def head(self, p: int, real: bool) -> str:
+        """The checked head of the list at ``p``, in a Real or a Boolean
+        place: the slow path, for heads not written as a plain operator
+        that takes the arguments it has."""
         tokens = self.tokens
         if p + 1 == self.close[p]:
             raise SmtSyntaxError("empty application")
@@ -771,7 +738,13 @@ class _Parser:
         head = _name(tokens[p + 1])
         if head in _UNSUPPORTED_HEADS:
             raise UnsupportedFeatureError(f"unsupported construct {_show(tokens, p + 1)!r}")
-        if head in ("+", "-", "*"):
+        if not real:
+            if head in _ARITH_HEADS:
+                self.real_term(p)  # raises on nonlinearity first
+                raise SmtSyntaxError(f"arithmetic term ({head} ...) where a Boolean term is expected")
+            if head not in _BOOL_HEADS:
+                raise UndeclaredSymbolError(f"undeclared symbol {_show(tokens, p + 1)!r}")
+        elif head in ("+", "-", "*"):
             if p + 2 == self.close[p]:
                 raise SmtSyntaxError(f"{head} expects at least one argument")
         elif head == "/":
