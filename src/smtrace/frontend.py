@@ -17,21 +17,21 @@ false.
 Formula nodes are immutable and hash in constant time: each computes its
 hash once, from its children's, when it is built.
 
-The parser reads the text in one pass over its tokens.  It first finds the
-matching ')' of every '(' (which is where unbalanced or too deeply nested
-text is refused), then runs the commands in order and converts each
-asserted term on explicit stacks, so depth costs no recursion.  A parse
-converts each symbol and each comparison text once: repeats are looked up.
+The parser makes one pass over the tokens to match every '(' with its ')',
+which is where unbalanced or too deeply nested text is refused, and one to
+run the commands in order, converting each asserted term on explicit
+stacks, so depth costs no recursion.  A parse converts each symbol and each
+comparison text once: repeats are looked up.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import islice
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Mapping
 
 
@@ -252,7 +252,7 @@ def normalize_comparison(table: AtomTable, op: str, lhs: LinTerm, rhs: LinTerm) 
     t < 0 == not(-t <= 0), = to a positive LinEq and != to a negated LinEq.
     A comparison between constants is its truth value and interns no atom.
     """
-    return _comparison(table, op, *((dict(t.coeffs), t.const, t.den) for t in (lhs, rhs)))
+    return _comparison(table, op, *(({v: c for v, c in t.coeffs if c}, t.const, t.den) for t in (lhs, rhs)))
 
 
 def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bool:
@@ -477,7 +477,8 @@ def _tokenize(text: str) -> tuple[str, ...]:
     if ";" not in text and '"' not in text and "|" not in text:  # most texts: parentheses and words
         return tuple(text.replace("(", " ( ").replace(")", " ) ").split())
     tokens = _TOKEN.findall(text)
-    unclosed = [tok for tok in ('"', "|") if tok in tokens]
+    # most texts hold neither character, and the text is the faster scan
+    unclosed = [tok for tok in ('"', "|") if tok in text and tok in tokens]
     if unclosed:
         what = "string literal" if min(unclosed, key=tokens.index) == '"' else "quoted symbol"
         raise SmtSyntaxError(f"unterminated {what}")

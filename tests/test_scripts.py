@@ -43,6 +43,7 @@ def test_script_runs(script, args, tmp_path):
     [
         ("bench_eager.py", ["--instances", "2", "--repeats", "1"]),
         ("bench_scaling.py", ["--sizes", "10", "20", "--real-sizes", "6", "12", "--repeats", "1", "--budget", "5"]),
+        ("bench_frontend.py", ["--instances", "2", "--repeats", "1"]),
     ],
 )
 def test_bench_script_writes_json(script, args, tmp_path):
@@ -61,6 +62,12 @@ def test_bench_script_writes_json(script, args, tmp_path):
             before = median[row.get("components"), row["n"] // 2]
             assert row["compile_growth"] == row["compile_s_median"] / before
         assert proc.stdout.count(" growth ") == 3
+    if script == "bench_frontend.py":  # one record per label, each stage of each group timed
+        (record,) = result["runs"].values()
+        assert [record[g]["instances"] for g in ("sweep", "real-chain", "bool-chain")] == [4, 3, 3]
+        sweep = record["sweep"]
+        assert sweep["text_to_cnf_s"] == pytest.approx(sweep["parse_s"] + sweep["cnf_s"])
+        assert sweep["parse_s"] > 0 and sweep["cnf_s"] > 0
 
 
 def test_bench_scaling_skips_components_off_after_its_first_failure(tmp_path):
