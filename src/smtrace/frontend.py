@@ -264,13 +264,10 @@ def _comparison(table: AtomTable, op: str, lhs: _Sum, rhs: _Sum) -> Literal | bo
     (l_nums, l_const, l_den), (r_nums, r_const, r_den) = lhs, rhs
     # lhs - rhs times l_den * r_den, which _primitive divides out again
     const = l_const * r_den - r_const * l_den
-    if not r_nums:
-        items = sorted(l_nums.items()) if r_den == 1 else sorted((v, c * r_den) for v, c in l_nums.items())
-    else:
-        nums = {v: c * r_den for v, c in l_nums.items()}
-        for v, c in r_nums.items():
-            nums[v] = nums.get(v, 0) - c * l_den
-        items = sorted((v, c) for v, c in nums.items() if c)
+    nums = {v: c * r_den for v, c in l_nums.items()}
+    for v, c in r_nums.items():
+        nums[v] = nums.get(v, 0) - c * l_den
+    items = sorted((v, c) for v, c in nums.items() if c)
     canon = _primitive(kind, items, const)
     if isinstance(canon, bool):
         return canon == positive
@@ -590,8 +587,6 @@ class _Parser:
         """Run the command opened at ``p``."""
         tokens = self.tokens
         head = tokens[p + 1]
-        if head == "declare-const" and self.close[p] == p + 4 and tokens[p + 2] != "(":  # the usual form
-            return self.declare(p + 2, p + 3)
         if head == "(":
             raise SmtSyntaxError(f"command head must be a symbol, got {_show(tokens, p + 1)!r}")
         head = _name(head)

@@ -12,7 +12,7 @@ from smtrace.frontend import AtomTable, FAnd, FLit, FOr, Formula, LinTerm, norma
 from smtrace.lra import Point
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from inputs import bool_chain_text, real_chain_text  # the benchmark's chains
+from inputs import bool_chain_text, real_chain_text, render  # the benchmark's chains and rendering
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")

@@ -4,9 +4,7 @@ import inspect
 import math
 import random
 import re
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -26,10 +24,7 @@ from smtrace.frontend import (
     normalize_comparison,
 )
 from smtrace.lra import literal_holds
-from conftest import GAP_XY_SMT2, GAP01_SMT2, QUOTED_NAMES, evaluate, point_of
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from inputs import render  # the benchmark's SMT-LIB2 rendering of a formula
+from conftest import GAP_XY_SMT2, GAP01_SMT2, QUOTED_NAMES, evaluate, point_of, render
 
 
 def term(table, coeffs, const=0):

@@ -68,9 +68,10 @@ def test_deep_terms_parse_compile_and_count(text):
 
 
 def test_parse_smt2_refuses_nesting_past_the_reader_bound():
-    """The reader refuses more than 10,000 open parentheses, so no term too
-    deep for the converters is hashed as a whole (a comparison is looked up
-    by its s-expression, and a tuple's hash recurses in C)."""
+    """The reader refuses more than 10,000 open parentheses.  That is a
+    bound on the input text alone: the parser and the converters walk on
+    explicit stacks, so no depth within it, or past it, needs the bound to
+    stay safe."""
     deep = "(+ 1 " * 200_000 + "x" + ")" * 200_000
     with pytest.raises(st.UnsupportedFeatureError, match="nested too deeply"):
         st.parse_smt2(f"(declare-const x Real)(assert (<= {deep} 0))")
