@@ -6,7 +6,9 @@ For each n, builds the chain ``A_i or A_{i+1}`` (i = 1..n-1) once, from
 the benchmark's text (``perfbench/inputs.py``, imported, not changed), then
 compiles it in lazy mode with components on and off.  A first, untimed
 compile counts the ``split_components`` calls and sums the time spent in
-them (``split_s``); the timed repeats compile, ``count`` the fresh graph
+them (``split_s``) and in ``GraphBuilder.finish`` (``finish_s``), which
+turns the builder's records into the graph's nodes; the timed repeats
+compile, ``count`` the fresh graph
 (the first query, so it builds the scopes and runs the totality gate) and
 then ``enumerate_models(cap=1000)``, without that counter.  The median
 repeat is reported with the graph's decisions, nodes and edges, and with
@@ -49,7 +51,7 @@ import time
 from pathlib import Path
 
 import smtrace as st
-from smtrace import compiler
+from smtrace import compiler, ddnnf
 
 from bench_eager import git_sha
 
@@ -86,26 +88,31 @@ def cnf(text: str):
     return st.to_cnf(prop), amap
 
 
-def split_calls(db, amap, cfg, clock: SpeedClock) -> tuple[int, float]:
-    """(calls, scaled seconds) of ``split_components`` in one compile."""
-    calls, seconds = 0, 0.0
-    original = compiler.split_components
+def split_and_finish(db, amap, cfg, clock: SpeedClock) -> tuple[int, float, float]:
+    """(calls, scaled seconds) of ``split_components`` and the scaled
+    seconds of ``GraphBuilder.finish``, in one compile."""
+    spent = {"split": [0, 0.0], "finish": [0, 0.0]}
 
-    def counting(*args, **kwargs):
-        nonlocal calls, seconds
-        calls += 1
-        t0 = time.perf_counter()
-        try:
-            return original(*args, **kwargs)
-        finally:
-            seconds += clock.scaled(t0, time.perf_counter())
+    def timed(name, original):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[name][0] += 1
+                spent[name][1] += clock.scaled(t0, time.perf_counter())
 
-    compiler.split_components = counting
+        return wrapper
+
+    split, finish = compiler.split_components, ddnnf.GraphBuilder.finish
+    compiler.split_components = timed("split", split)
+    ddnnf.GraphBuilder.finish = timed("finish", finish)
     try:
         st.compile(db, amap, cfg)
     finally:
-        compiler.split_components = original
-    return calls, seconds
+        compiler.split_components = split
+        ddnnf.GraphBuilder.finish = finish
+    return spent["split"][0], spent["split"][1], spent["finish"][1]
 
 
 def peak_rss_mb() -> float:
@@ -117,7 +124,9 @@ def measure(n: int, components: bool, repeats: int, budget: float, clock: SpeedC
     cfg = st.CompileConfig(components=components)
     row = {"n": n, "components": components}
     try:
-        row["split_calls"], row["split_s"] = capped(lambda: split_calls(db, amap, cfg, clock), budget)
+        row["split_calls"], row["split_s"], row["finish_s"] = capped(
+            lambda: split_and_finish(db, amap, cfg, clock), budget
+        )
         runs = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
@@ -234,6 +243,7 @@ def main() -> None:
                 f"{head} compile {row['compile_s_median']:.3f} s  count {row['count_s_median']:.4f} s"
                 f" (+{row['count_rss_growth_mb']:.1f} MB peak RSS)  enumerate {row['enumerate_s_median']:.4f} s"
                 f"  decisions {row['decisions']}  split calls {row['split_calls']}  split {row['split_s']:.3f} s"
+                f"  finish {row['finish_s']:.4f} s"
                 + _growth(row)
             )
     for row in real_rows:

@@ -109,7 +109,7 @@ class CompileStats:
 STAT_KEYS = tuple(f.name for f in fields(CompileStats))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Component:
     """A residual subproblem: unassigned variables plus the clauses they own.
 
@@ -125,6 +125,8 @@ class Component:
     under trail entanglement, say about the reals of its own atoms
     (``lra.project_trail``).  Its ``sources`` are those literals; it is
     ``lra.NO_PROJECTION`` when there are none.
+    A component is built once per split and never changed; the cache keys
+    on ``cache_key``, so a component itself is never hashed.
     """
 
     scope: int

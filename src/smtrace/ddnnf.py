@@ -1,6 +1,9 @@
 """The compiled target language: d-DNNF graphs and their queries.
 
-Nodes are stored in topological order (children precede parents).  Or nodes
+Nodes are stored in topological order (children precede parents).  A
+``GraphBuilder`` records each node as a plain tuple in its list ``nodes``
+(the name ``perfbench/layers.py`` reads); ``finish`` makes one ``Node`` per
+tuple the root reaches, so each node of a graph is built once.  Or nodes
 are binary decision nodes carrying the decision variable.  Literal nodes can
 be tagged as theory-implied, which drives the condensed export.  Counting and
 enumeration range over non-auxiliary atom variables only; Tseitin auxiliaries
@@ -56,8 +59,12 @@ class FormatError(DdnnfError):
     """Malformed .nnf or .atoms input."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Node:
+    """One node of a finished graph.  ``GraphBuilder.finish`` makes each
+    once, and nothing changes it afterwards; nodes are compared, never
+    hashed."""
+
     kind: str
     lit: int = 0  # signed var, for KLIT
     children: tuple[int, ...] = ()
@@ -124,11 +131,15 @@ class GraphBuilder:
 
     Literal nodes are interned per (literal, implied-tag); And/Or nodes are
     created fresh so node counts reflect the recorded trace, with sharing
-    arising through the compiler's component cache.
+    arising through the compiler's component cache.  Each node is recorded
+    in ``nodes`` as a plain tuple ``(kind, lit, children, decision,
+    implied)``, the fields of a ``Node`` in order; ``finish`` makes one
+    ``Node`` per tuple the root reaches.  The list keeps the name ``nodes``
+    because ``perfbench/layers.py`` reads its length as the nodes built.
     """
 
     def __init__(self, num_vars: int, num_atom_vars: int) -> None:
-        self.nodes: list[Node] = [Node(KTRUE), Node(KFALSE)]
+        self.nodes: list[tuple] = [(KTRUE, 0, (), 0, False), (KFALSE, 0, (), 0, False)]
         self.true_id = 0
         self.false_id = 1
         self.num_vars = num_vars
@@ -140,7 +151,7 @@ class GraphBuilder:
         nid = self._lits.get(key)
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(Node(KLIT, lit=signed, implied=implied))
+            self.nodes.append((KLIT, signed, (), 0, implied))
             self._lits[key] = nid
         return nid
 
@@ -156,7 +167,7 @@ class GraphBuilder:
         if len(kept) == 1:
             return kept[0]
         nid = len(self.nodes)
-        self.nodes.append(Node(KAND, children=tuple(kept)))
+        self.nodes.append((KAND, 0, tuple(kept), 0, False))
         return nid
 
     def or_node(self, decision: int, hi: int, lo: int) -> int:
@@ -168,34 +179,27 @@ class GraphBuilder:
         if lo == self.false_id:
             return hi
         nid = len(self.nodes)
-        self.nodes.append(Node(KOR, children=(hi, lo), decision=decision))
+        self.nodes.append((KOR, 0, (hi, lo), decision, False))
         return nid
 
     def finish(self, root: int, amap: AtomTable | None, has_tags: bool) -> DdnnfGraph:
-        """Extract the subgraph reachable from the root, renumbered."""
-        reachable = [False] * len(self.nodes)
+        """Extract the subgraph reachable from the root, renumbered, one
+        ``Node`` per reachable record in build order."""
+        built = self.nodes
+        reachable = [False] * len(built)
         stack = [root]
         while stack:
             nid = stack.pop()
             if reachable[nid]:
                 continue
             reachable[nid] = True
-            stack.extend(self.nodes[nid].children)
-        remap: dict[int, int] = {}
+            stack.extend(built[nid][2])
+        remap = [0] * len(built)
         nodes: list[Node] = []
-        for nid, node in enumerate(self.nodes):
-            if not reachable[nid]:
-                continue
-            remap[nid] = len(nodes)
-            if node.children:
-                node = Node(
-                    node.kind,
-                    lit=node.lit,
-                    children=tuple(remap[c] for c in node.children),
-                    decision=node.decision,
-                    implied=node.implied,
-                )
-            nodes.append(node)
+        for nid, (kind, lit, children, decision, implied) in enumerate(built):
+            if reachable[nid]:
+                remap[nid] = len(nodes)
+                nodes.append(Node(kind, lit, tuple(map(remap.__getitem__, children)), decision, implied))
         return DdnnfGraph(
             nodes=nodes,
             root=remap[root],

@@ -55,7 +55,7 @@ class UndeclaredSymbolError(SmtError):
 # linear terms
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LinTerm:
     """A rational linear expression (sum(c_i * x_i) + const) / den, as
     integer numerators over one positive denominator.
@@ -64,6 +64,9 @@ class LinTerm:
     increasing ids and no zero numerators, and ``den`` is the least
     denominator, which makes the representation canonical and hashable.  A
     canonical atom's term has ``den == 1``: it is its own integer row.
+    A term is never changed after it is made, so it hashes by its fields;
+    it is not frozen, since a frozen dataclass's ``__init__`` costs a
+    generic ``object.__setattr__`` per field.
     """
 
     coeffs: tuple[tuple[int, int], ...]
@@ -125,8 +128,10 @@ LEQ = "leq"  # term <= 0
 EQ = "eq"  # term = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom:
+    """An interned atom; like ``LinTerm``, never changed after it is made."""
+
     id: int
     kind: str
     name: str | None = None
@@ -137,10 +142,11 @@ class Atom:
         return self.kind in (LEQ, EQ)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Literal:
     """The leaf of a formula tree.  Past the parser a literal is the signed
-    atom id ``signed``: ``a`` for atom a, ``-a`` for its negation."""
+    atom id ``signed``: ``a`` for atom a, ``-a`` for its negation.  Like
+    ``LinTerm``, a literal is never changed after it is made."""
 
     atom: int
     positive: bool
@@ -689,7 +695,9 @@ class _Parser:
         """The node of the comparison at ``p``, kept under its tokens, which
         a repeat looks up (``term``) and does not read again."""
         args = self.args(p)
-        if len(args) != 2:
+        if len(args) < 2:
+            raise SmtSyntaxError(f"{head} expects two arguments")
+        if len(args) > 2:
             raise UnsupportedFeatureError(f"chained {head} comparison")
         if head == "=" and self.is_bool_expr(args[0]):
             raise UnsupportedFeatureError("Boolean equality")

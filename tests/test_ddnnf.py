@@ -455,6 +455,78 @@ def test_or_children_share_no_models():
 
 
 # ---------------------------------------------------------------------------
+# finish
+
+
+def random_trace(rng, b, variables):
+    """A node over exactly ``variables`` built through ``b`` as a search
+    would record it: literals with or without the implied tag, decisions
+    whose branches may be dead, And nodes over disjoint parts (with True
+    children), and subgraphs built and then dropped, which the root never
+    reaches."""
+    if rng.random() < 0.2:
+        random_trace(rng, b, variables)  # dropped, like a branch that failed later
+    if not variables:
+        return b.and_node([b.true_id] * rng.randint(0, 2))
+    if rng.random() < 0.08:
+        return b.false_id
+    if len(variables) == 1:
+        (var,) = variables
+        if rng.random() < 0.5:
+            return b.lit(rng.choice([var, -var]), implied=rng.random() < 0.3)
+    if len(variables) > 1 and rng.random() < 0.4:
+        cut = rng.randint(1, len(variables) - 1)
+        parts = [random_trace(rng, b, variables[:cut]), random_trace(rng, b, variables[cut:])]
+        return b.and_node(parts + [b.true_id] * rng.randint(0, 1))
+    var = rng.choice(variables)
+    rest = [v for v in variables if v != var]
+    hi = b.and_node([b.lit(var), random_trace(rng, b, rest)])
+    lo = b.and_node([b.lit(-var), random_trace(rng, b, rest)])
+    return b.or_node(var, hi, lo)
+
+
+def reference_finish(records, root):
+    """The nodes ``finish`` must give: the builder's records the root
+    reaches, in build order, with children renumbered."""
+    reached, todo = set(), [root]
+    while todo:
+        nid = todo.pop()
+        if nid not in reached:
+            reached.add(nid)
+            todo.extend(records[nid][2])
+    new_id = {nid: k for k, nid in enumerate(sorted(reached))}
+    nodes = []
+    for nid in sorted(reached):
+        kind, lit, children, decision, implied = records[nid]
+        nodes.append(ddnnf.Node(kind, lit, tuple(new_id[c] for c in children), decision, implied))
+    return nodes, new_id[root]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_finish_keeps_the_reachable_records_in_build_order(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    b = GraphBuilder(n, n)
+    root = random_trace(rng, b, list(range(1, n + 1)))
+    random_trace(rng, b, list(range(1, n + 1)))  # built after the root, never reached
+    nodes, ref_root = reference_finish(list(b.nodes), root)
+    g = b.finish(root, None, has_tags=True)
+    assert (g.nodes, g.root) == (nodes, ref_root)
+    assert len(g.nodes) <= len(b.nodes)
+    ref = st.DdnnfGraph(nodes=list(nodes), root=ref_root, num_vars=n, num_atom_vars=n, has_tags=True)
+    assert st.validate(g).ok
+    models = st.enumerate_models(g)
+    assert st.count(g) == st.count(ref) == len(models)
+    assert [dict(m) for m in models] == [dict(m) for m in st.enumerate_models(ref)]
+    # the builder goes on recording; the finished graph keeps its nodes
+    snapshot = [ddnnf.Node(x.kind, x.lit, x.children, x.decision, x.implied) for x in g.nodes]
+    random_trace(rng, b, list(range(1, n + 1)))
+    b.and_node([b.lit(1), b.lit(-1, implied=True)])
+    b.or_node(1, b.lit(1), b.lit(-1))
+    assert g.nodes == snapshot
+
+
+# ---------------------------------------------------------------------------
 # condensation
 
 

@@ -118,6 +118,26 @@ def test_parse_non_symbol_term_head(text):
         st.parse_smt2(text)
 
 
+@pytest.mark.parametrize(
+    "term, error, message",
+    [
+        ("(<= x)", st.SmtSyntaxError, "<= expects two arguments"),
+        ("(= x)", st.SmtSyntaxError, "= expects two arguments"),
+        ("(distinct x)", st.SmtSyntaxError, "distinct expects two arguments"),
+        ("(<)", st.SmtSyntaxError, "< expects two arguments"),
+        ("(<= x 0 1)", st.UnsupportedFeatureError, "chained <= comparison"),
+        ("(distinct x 0 1)", st.UnsupportedFeatureError, "chained distinct comparison"),
+    ],
+    ids=["leq_one", "eq_one", "distinct_one", "lt_none", "leq_chained", "distinct_chained"],
+)
+def test_comparison_arity(term, error, message):
+    """A comparison of fewer than two arguments is malformed; one of more
+    is valid SMT-LIB outside the supported subset."""
+    with pytest.raises(error, match=message) as info:
+        st.parse_smt2(f"(declare-const x Real)(assert {term})")
+    assert type(info.value) is error
+
+
 def test_parse_rational_and_decimal_literals():
     f = st.parse_smt2("(declare-const x Real)(assert (<= (* 2 x) 0.5))")
     (atom,) = st.atoms_of(f)

@@ -62,6 +62,7 @@ def test_bench_script_writes_json(script, args, tmp_path):
             before = median[row.get("components"), row["n"] // 2]
             assert row["compile_growth"] == row["compile_s_median"] / before
         assert proc.stdout.count(" growth ") == 3
+        assert all(row["finish_s"] > 0 for row in result["runs"])  # each compile ends in one finish
     if script == "bench_frontend.py":  # one record per label, each stage of each group timed
         (record,) = result["runs"].values()
         assert [record[g]["instances"] for g in ("sweep", "real-chain", "bool-chain")] == [4, 3, 3]
