@@ -34,7 +34,7 @@ compared; the JSON says so as ``"clock": "scaled"``.  Results go to a JSON
 file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 192 384 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -196,7 +196,7 @@ def _growth(row: dict) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200])
-    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96])
+    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96, 192, 384])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
     ap.add_argument("--out", default="BENCH_scaling.json")

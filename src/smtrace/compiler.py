@@ -31,21 +31,28 @@ count the mask of the variables that have it, up to date as literals are
 assigned and undone, as in Chaff.  Splits are stamped flood fills, and there
 is one kind: the root of the search is the store's component ``index.root``,
 of every variable, every input clause id and an empty context, so it is
-split as a decided component is.  A split starts from the component and
-fills only around the variables its branch assigned (at the root, which is
-not connected, also from every unassigned variable); the one part no fill
-reached is the component's masks less the fills' and the branch's variables
-and clauses.  A branch that assigned the whole scope is not split.  Each
-part's context is projected from the component's, plus the branch's
-literals over the part's reals.  The decision order is DLCS on the kept
+split as a decided component is.  A split seeds a fill at each free
+neighbour of the variables its branch assigned and grows the fills in
+lock-step, one node each in turn, merging two that meet, as Even and
+Shiloach search the sides of a deleted edge ("An On-Line Edge-Deletion
+Problem", J. ACM 1981).  Every part holds a seed, so once at most one fill
+is still growing, the finished ones are whole parts and the last is the
+rest: the component's masks less the finished fills' and the branch's
+variables and clauses.  A split thus costs about the size of its small
+parts.  The root, which is not connected, is filled one part after
+another.  A branch that assigned the whole scope is not split.  Each part's
+context is projected from the component's, plus the branch's literals over
+the part's reals.  The decision order is DLCS on the kept
 counts, except that a linear atom in none of the component's clauses that
 shares a real with the component's trail context is decided first: leaving
 it open would keep that real apart in the cache keys of otherwise equal
 subproblems.  A component that is one Boolean atom in no clause is a leaf,
 its two literals, with no branches.  A decision thus pays for the occurrence
 lists of the literals its branches assign, the small parts of their splits,
-and a few operations in C on masks as wide as the compile: the rest's cut,
-DLCS's count levels and the cache key's hash.
+the theory candidates an index of the trail's reals keeps ready, and a few
+operations in C on masks as wide as the compile and on the context: the
+rest's cut, DLCS's count levels, the cache key's hash and the copies of the
+context's sources and stages that the rest's projection keeps.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Sequence
 
 from . import lra
@@ -156,8 +162,9 @@ class WatchedClauses:
     real r, ascending; all are empty without a theory.  A split's flood
     fill treats real r as node ``real_base + r``.
     ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
-    marked: each split advances ``stamp``, so nothing is cleared between
-    splits.  ``true[ci]`` counts the true literals of clause ci and
+    marked: a node the fill it joined, a clause whether the seeding or a
+    fill read it.  Each split stamps above ``stamp`` and advances it past
+    what it used, so nothing is cleared between splits.  ``true[ci]`` counts the true literals of clause ci and
     ``counts[v]`` the unsatisfied clauses v occurs in (with multiplicity):
     DLCS's counts, kept on assign and undo as in Chaff.  ``levels[c]`` is
     the mask of the variables whose count is c; a count never rises above
@@ -303,6 +310,20 @@ def _live_view(clause, values) -> tuple[int, ...]:
     return tuple(live)
 
 
+def _merge(g, h, todo, got, ids, var_stamp, first) -> int:
+    """Join fills g and h of a split, which met, into the one that reached
+    more nodes, restamping the other's nodes; return the fill kept."""
+    if len(got[g]) > len(got[h]):
+        g, h = h, g
+    for x in got[g]:
+        var_stamp[x] = first + h
+    got[h] += got[g]
+    todo[h] += todo[g]
+    ids[h] |= ids[g]
+    got[g] = todo[g] = None
+    return h
+
+
 def split_components(
     index: WatchedClauses,
     amap: AtomTable,
@@ -332,132 +353,186 @@ def split_components(
     the clauses it occurs in, each once per split, and keeps the id of a
     clause that is not satisfied; its unassigned variables join the fill.
     A reached atom joins its reals, and a reached real joins the unassigned
-    atoms over it and the reals of the trail atoms over it.  Each part holds
-    a seed: a free neighbour of an assigned variable (a free variable of a
-    parent clause it occurs in, or a real of its atom), since the parent was
-    connected, or at the root, which is not, any unassigned variable.  The
-    seeds, in ascending order, start the fills, except the last that no
-    earlier fill reached: its part is the rest of the parent, the parent's
-    masks less the assigned variables, the fills' variables and clauses,
-    and the clauses the assignment left with no live literal; a clause it
-    only shrank keeps its id.  That costs the fills and a few operations on
-    masks as wide as the parent.  Parts are ordered by their lowest
-    variable.  Without ``components`` nothing is filled and the rest of the
-    parent is the one component.
+    atoms over it and the reals of the trail atoms over it.  Each part of a
+    decided component holds a seed: a free neighbour of an assigned variable
+    (a free variable of a parent clause it occurs in, or a real of its
+    atom), since the component was connected.
+
+    Every seed starts a fill, and the fills grow in lock-step: each takes
+    one node in turn, and two that reach each other's nodes merge into the
+    one that reached more, which restamps the other's.  A fill with nothing
+    left to visit is finished, and a finished fill is a whole part: any node
+    next to it was visited from it.  The fills stop once at most one is
+    still growing.  Its part is the rest of the parent, since every other
+    part holds a seed and so finished: the parent's masks less the assigned
+    variables, the finished fills' variables and clauses, and the clauses
+    the assignment left with no live literal; a clause it only shrank keeps
+    its id.  So the rest costs only what the small parts cost, the nodes
+    the fills took in turn with them, and a few operations on masks as wide
+    as the parent.  The root, which is not connected, is filled one part
+    after another instead: whenever no fill grows, one starts at the lowest
+    unassigned variable or seed that no fill reached and grows alone to its
+    end, and the last of them is the rest.  Parts are ordered by their
+    lowest variable.
+    Without ``components`` nothing is filled and the rest of the parent is
+    the one component.
 
     The trail literals a part can read are the parent context's ``sources``
     and ``trail``: the parent is closed under trail entanglement, so no
-    other trail literal mentions its reals.  A fill takes those over its
-    reals and the rest of the parent those over no fill's.  Each part's
-    ``polyhedron`` is projected from the parent's, which stands for its
-    ``sources`` in any order, plus the part's other literals.
+    other trail literal mentions its reals.  A finished fill takes those
+    over its reals, found through ``atoms_over``, and the rest of the parent
+    the others.  Each part's ``polyhedron`` is projected from the parent's,
+    which stands for the sources the part keeps, plus the part's branch
+    literals in trail order.  The projection keeps, of the reals of the
+    part's atoms, those that the parent's rows and the branch literals
+    mention, the only ones it can read.
     """
     values = index.values
     clauses, occurs, var_stamp, clause_stamp = index.clauses, index.occurs, index.var_stamp, index.clause_stamp
     reals, atoms_over, base = index.reals, index.atoms_over, index.real_base
-    index.stamp += 2
-    seed, reached = index.stamp - 1, index.stamp  # seed: a seed no fill reached yet
+    seen, reached = index.stamp + 1, index.stamp + 2  # clause stamps
+    first = reached + 1  # the node stamp of fill 0: fill k stamps first + k
 
     seeds = []
-    if parent is index.root:  # not connected: every unassigned variable seeds
-        seeds = [v for v in range(1, base) if values[v] is None]
-        for v in seeds:
-            var_stamp[v] = seed
     pscope, pids, context = parent.scope, parent.ids, parent.polyhedron
     gone = 0  # the assigned variables of the parent, then the fills'
-    shrunk = []  # the parent clauses they occur in
+    dead = 0  # the parent clauses they occur in that the assignment left with no live literal
     for lit in assigned:
         v = abs(lit)
         if not pscope >> v & 1:
             continue
         gone |= 1 << v
         for ci in occurs[v]:
-            if pids >> ci & 1 and clause_stamp[ci] != seed:
-                clause_stamp[ci] = seed
-                shrunk.append(ci)
+            if pids >> ci & 1 and clause_stamp[ci] != seen:
+                clause_stamp[ci] = seen
+                free = sat = False
                 for l in clauses[ci]:
                     u = abs(l)
-                    if values[u] is None and var_stamp[u] != seed:
-                        var_stamp[u] = seed
-                        seeds.append(u)
+                    if values[u] is None:
+                        free = True
+                        if var_stamp[u] < first:
+                            var_stamp[u] = first + len(seeds)
+                            seeds.append(u)
+                    elif values[u] == (l > 0):
+                        sat = True
+                if sat or not free:  # no live literal
+                    dead |= 1 << ci
         for r in reals.get(v, ()):
-            if var_stamp[base + r] != seed:
-                var_stamp[base + r] = seed
+            if var_stamp[base + r] < first:
+                var_stamp[base + r] = first + len(seeds)
                 seeds.append(base + r)
-    seeds = sorted(seeds) if components else []  # without components the rest is all
-    pending = len(seeds)  # stamped seeds no fill reached
+    pending = []  # at the root, which is not connected: every unassigned variable and seed, the lowest last
+    if parent is index.root:
+        for u in seeds:
+            var_stamp[u] = 0
+        pending, seeds = sorted({*seeds, *(v for v in range(1, base) if values[v] is None)}, reverse=True), []
+    index.stamp = first + len(seeds)
+    sources, on_branch = context.sources, set(map(abs, trail))  # the trail literals the parts read
 
-    lits = [*context.sources, *trail]  # the trail literals the parts read
-    on_trail = {abs(lit) for lit in lits}
-
-    fills = []  # (variable mask, reals, clause id mask) per fill
-    for s in seeds:
-        if var_stamp[s] == reached:
-            continue
-        if pending == 1:  # the last: its part is the rest of the parent
-            break
-        pending -= var_stamp[s] == seed
-        var_stamp[s] = reached
-        nodes, ids = [s], 0
-        for x in nodes:  # grows as the fill reaches new nodes
-            if x < base:
-                for ci in occurs[x]:
-                    if clause_stamp[ci] == reached:
-                        continue
-                    clause_stamp[ci] = reached
-                    view = clauses[ci]
-                    for l in view:
-                        if values[abs(l)] is not None:
-                            view = _live_view(view, values)
-                            break
-                    if view:
-                        ids |= 1 << ci
-                        for l in view:
-                            v = abs(l)
-                            mark = var_stamp[v]
-                            if mark != reached:
-                                pending -= mark == seed
-                                var_stamp[v] = reached
-                                nodes.append(v)
-                if x not in reals:
-                    continue
-                linked = [base + r for r in reals[x]]
-            else:
-                linked = []
-                for a in atoms_over[x - base]:
-                    if values[a] is None:
-                        linked.append(a)
-                    elif a in on_trail:
-                        linked += [base + r for r in reals[a]]
-            for y in linked:
-                mark = var_stamp[y]
-                if mark != reached:
-                    pending -= mark == seed
-                    var_stamp[y] = reached
-                    nodes.append(y)
-        # nodes are distinct, so the sum of their bits is their mask
-        fills.append((sum(1 << x for x in nodes if x < base), {x - base for x in nodes if x >= base}, ids))
-
-    def component(scope, ids, part_lits) -> Component:
+    def component(scope, ids, kept, new) -> Component:
         polyhedron = lra.NO_PROJECTION
-        if part_lits:  # never without a theory: its trail is empty
-            own = frozenset().union(*(reals[v] for v in variables_of(scope & index.linear)))
-            polyhedron = lra.project_trail(amap, part_lits, own, context)
+        if kept or new:  # never without a theory: its trail is empty
+            # of the reals of the part's atoms, those the projection can read: the context rows' and new's
+            near = {v for row in context.rows for v in row[0]}.union(*map(reals.__getitem__, map(abs, new)))
+            own = {r for r in near for a in atoms_over[r] if scope >> a & 1}
+            polyhedron = lra.project_trail(amap, new, own, context, kept)
         return Component(scope, ids, polyhedron)
 
-    comps, filled_reals, cut = [], set(), 0
-    for scope, own_reals, ids in fills:
-        gone |= scope
-        cut |= ids
-        filled_reals |= own_reals
-        if scope:  # not reals alone
-            over = [lit for lit in lits if not own_reals.isdisjoint(reals[abs(lit)])]
-            comps.append(component(scope, ids, over))
+    comps, filled_reals, taken, cut = [], set(), set(), 0
+    if components and (len(seeds) > 1 or pending):  # else the rest is all
+        # fill k: the nodes it reached and has still to visit, all it reached, and its clause ids
+        todo, got, ids = [[s] for s in seeds], [[s] for s in seeds], [0] * len(seeds)
+        growing, live = list(range(len(seeds))), len(seeds)  # the fills growing as a round starts, and how many grow
+        while live > 1 or pending:
+            if live and live < len(growing):  # one finished or merged
+                growing = [g for g in growing if todo[g]]
+            elif not live:  # at the root: fill from the lowest variable or seed no fill reached
+                v = 0
+                while pending and not v:
+                    v = pending.pop()
+                    if var_stamp[v] >= first:
+                        v = 0
+                while pending and var_stamp[pending[-1]] >= first:
+                    pending.pop()
+                if not pending:  # no such variable, or v is the last: its part is the rest
+                    break
+                var_stamp[v] = first + len(todo)
+                growing, live = [len(todo)], 1
+                todo.append([v])
+                got.append([v])
+                ids.append(0)
+            for g in growing:
+                visit = todo[g]
+                if not visit:  # finished, or merged into another fill
+                    continue
+                while True:  # one node a turn, or all while it grows alone at the root
+                    x = visit.pop()
+                    linked = ()  # its reals, or the atoms and reals a real links
+                    if x < base:
+                        for ci in occurs[x]:
+                            if clause_stamp[ci] == reached:
+                                continue
+                            clause_stamp[ci] = reached
+                            view = clauses[ci]
+                            for l in view:
+                                if values[abs(l)] is not None:
+                                    view = _live_view(view, values)
+                                    break
+                            if view:
+                                ids[g] |= 1 << ci
+                                for y in map(abs, view):
+                                    h = var_stamp[y] - first
+                                    if h < 0:
+                                        var_stamp[y] = first + g
+                                        visit.append(y)
+                                        got[g].append(y)
+                                    elif h != g:
+                                        g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
+                                        visit = todo[g]
+                        if x in reals:
+                            linked = [base + r for r in reals[x]]
+                    else:
+                        linked = []
+                        for a in atoms_over[x - base]:
+                            if values[a] is None:
+                                linked.append(a)
+                            elif a in on_branch or a in sources or -a in sources:
+                                linked += [base + r for r in reals[a]]
+                    for y in linked:
+                        h = var_stamp[y] - first
+                        if h < 0:
+                            var_stamp[y] = first + g
+                            visit.append(y)
+                            got[g].append(y)
+                        elif h != g:
+                            g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
+                            visit = todo[g]
+                    if not visit or live > 1 or not pending:
+                        break
+                live -= not visit
+                if live < 2 and not pending:
+                    break
+        index.stamp = first + len(todo)
+
+        for nodes, fill_ids, visit in zip(got, ids, todo):
+            if nodes is None or visit:  # merged into another fill, or still growing: the rest
+                continue
+            own_reals = {x - base for x in nodes if x >= base} if reals else set()
+            # nodes are distinct, so the sum of their bits is their mask
+            scope = sum(1 << x for x in nodes if x < base) if own_reals else sum(map((1).__lshift__, nodes))
+            gone |= scope
+            cut |= fill_ids
+            filled_reals |= own_reals
+            kept = sources and frozenset(lit for r in own_reals for a in atoms_over[r] for lit in (a, -a) if lit in sources)
+            taken |= kept
+            if scope:  # not reals alone
+                new = trail and [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
+                comps.append(component(scope, fill_ids, kept, new))
     rest = pscope & ~gone
     if rest:
-        cut |= sum(1 << ci for ci in shrunk if not _live_view(clauses[ci], values))
-        rest_lits = [lit for lit in lits if filled_reals.isdisjoint(reals[abs(lit)])]
-        comps.append(component(rest, pids & ~cut, rest_lits))
+        cut |= dead
+        new = [lit for lit in trail if filled_reals.isdisjoint(reals[abs(lit)])] if filled_reals else trail
+        comps.append(component(rest, pids & ~cut, sources - taken if taken else sources, new))
     if len(comps) > 1:
         comps.sort(key=lambda c: c.scope & -c.scope)  # a fill seeded at a real, or the rest, may start lower
     return comps
@@ -502,10 +577,9 @@ def decide(component: Component, index: WatchedClauses) -> int:
         raise NoUnassignedError("component has no unassigned variables")
     sources = component.polyhedron.sources
     if sources:
-        counts, reals = index.counts, index.reals
-        pinned = frozenset().union(*(reals[abs(lit)] for lit in sources))
-        for v in variables_of(scope & index.linear):
-            if not counts[v] and not pinned.isdisjoint(reals[v]):
+        reals, atoms_over = index.reals, index.atoms_over
+        for v in variables_of(scope & index.linear & index.levels[0]):  # count 0: in no clause
+            if any(a in sources or -a in sources for r in reals[v] for a in atoms_over[r]):
                 return v
     for level in reversed(index.levels):
         top = level & scope
@@ -523,7 +597,7 @@ class _Search:
         self.amap = amap
         self.cfg = cfg
         self.index = WatchedClauses(db, amap)
-        self.theory = lra.TheoryState(amap) if cfg.mode == "lazy" and amap.linear_vars() else None
+        self.theory = lra.TheoryState(amap, self.index.atoms_over) if cfg.mode == "lazy" and amap.linear_vars() else None
         self.builder = GraphBuilder(db.num_vars, db.num_atom_vars)
         self.cache: dict[tuple, int] = {}
         self.stats = CompileStats()
@@ -552,21 +626,15 @@ class _Search:
     def _theory_candidates(self, scope: int) -> list[int]:
         """Unassigned linear atoms of the scope mask that occur in an
         unsatisfied clause (``index.counts``) and all of whose reals the
-        trail mentions, ascending.
+        trail mentions (``theory.ready``), ascending.
 
         The component is closed under trail entanglement, so the trail
         literals over its reals are the context's sources and those asserted
         since.  A real the feasible trail leaves free lets an atom over it
-        take either value, so that atom is never entailed.  Without an atom
-        of the first kind the trail is not read.
+        take either value, so that atom is never entailed.
         """
-        values, reals, counts = self.index.values, self.index.reals, self.index.counts
-        atoms = [var for var in variables_of(scope & self.index.linear) if values[var] is None and counts[var]]
-        if not atoms:
-            return []
-        context, mark = self.theory.context
-        mentioned = frozenset().union(*(reals[abs(lit)] for lit in chain(context.sources, self.theory.trail[mark:])))
-        return [var for var in atoms if reals[var] <= mentioned]
+        values, counts = self.index.values, self.index.counts
+        return [var for var in variables_of(scope & self.theory.ready) if values[var] is None and counts[var]]
 
     def _fixpoint(self, scope: int, queue: list[int], implied: set[int]) -> bool:
         """Propagate ``queue``, the literals just assigned, within the scope,

@@ -169,6 +169,7 @@ class AtomTable:
         self.real_names: list[str] = []
         self._real_ids: dict[str, int] = {}
         self.theory_rows: dict = {}  # signed literal -> its rows, built once by the theory solver
+        self.theory_terms: dict = {}  # signed literal -> what its point evaluator reads, built once
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -44,9 +44,11 @@ being returned.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from .frontend import EQ, LEQ, Atom, LinTerm
@@ -82,7 +84,7 @@ class Point(Mapping):
 
     def __init__(self, nums: dict[int, int] | None = None, den: int = 1) -> None:
         nums = {} if nums is None else nums
-        g = math.gcd(den, *nums.values())
+        g = math.gcd(den, *nums.values()) if den > 1 else 1
         if g > 1:
             nums = {v: n // g for v, n in nums.items()}
             den //= g
@@ -156,14 +158,17 @@ class Projection:
     ``key``, each with its combination vector over the rows of the literals
     it was projected from (``_Row``).  ``stages`` are the Fourier-Motzkin
     stages ``(var, rows)`` that eliminated the other reals of those
-    literals, in elimination order, for back-substitution.  ``sources`` are
-    the literals projected.
+    literals, in elimination order, for back-substitution, and
+    ``mentions`` maps each real to the ascending positions of the stages
+    whose rows mention it; like the rest, it is never changed once the
+    projection is made.  ``sources`` are the literals projected.
     """
 
     key: tuple
     rows: tuple = field(default=(), compare=False)
     stages: tuple = field(default=(), compare=False)
     sources: frozenset[int] = field(default=frozenset(), compare=False)
+    mentions: dict = field(default_factory=dict, compare=False)
 
     @property
     def diseqs(self) -> tuple[int, ...]:
@@ -296,22 +301,27 @@ def _fourier_motzkin(live: list):
     return "sat", Point(*_back_substitute(stages, {}, 1))
 
 
-def _back_substitute(stages, nums: dict[int, int], den: int, moved: set[int] | None = None):
+def _back_substitute(stages, nums: dict[int, int], den: int, moved: set[int] | None = None, mentions=None):
     """Values for the eliminated variables of ``stages`` (``(var, rows)`` in
     elimination order), the last eliminated first, at the point nums / den.
 
     Each variable takes a value within the bounds its stage's rows set at
     the values fixed so far, which a feasible elimination guarantees to
     exist.  With ``moved``, the set of variables whose values differ from a
-    point that satisfied every stage row, a stage whose rows mention no
-    moved variable is skipped, a variable still within its bounds keeps its
-    value, and one given a new value joins ``moved``.  Works over ints: a
-    bound (p, q, strict) is p / q with q > 0, compared by cross-multiplying.
-    Returns the new (nums, den), updating nums in place.
+    point that satisfied every stage row, and ``mentions``, the stage
+    positions per variable (``Projection.mentions``), only the stages whose
+    rows mention a moved variable are visited, a variable still within its
+    bounds keeps its value, and one given a new value joins ``moved``.
+    Works over ints: a bound (p, q, strict) is p / q with q > 0, compared by
+    cross-multiplying.  Returns the new (nums, den), updating nums in place.
     """
-    for var, rows in reversed(stages):
-        if moved is not None and all(moved.isdisjoint(row[0]) for row in rows):
-            continue
+    if moved is None:
+        todo = list(range(len(stages)))  # stage positions, the next to visit last
+    else:
+        todo = sorted({p for v in moved for p in mentions.get(v, ())}) if mentions else []
+    while todo:
+        at = todo.pop()
+        var, rows = stages[at]
         lo = hi = None
         for coeffs, const, strict, _ in rows:
             c = coeffs[var]
@@ -334,6 +344,9 @@ def _back_substitute(stages, nums: dict[int, int], den: int, moved: set[int] | N
             ):
                 continue
             moved.add(var)
+            for p in mentions[var]:  # the earlier stages that read var
+                if p < at and p not in todo:
+                    insort(todo, p)
         if lo is None and hi is None:
             p, q = 0, 1
         elif lo is None:
@@ -408,13 +421,17 @@ def _verify_plain(table, lits, cert: Certificate, diseq: int | None) -> bool:
 
 def literal_holds(table, lit: int, point: Point) -> bool:
     """Truth of a linear literal at a point: the sign of its atom's integer
-    row there."""
-    atom = _linear_atom(table, lit)
+    row there.  The row is read once per table, into ``table.theory_terms``."""
+    entry = table.theory_terms.get(lit)
+    if entry is None:
+        atom = _linear_atom(table, lit)
+        entry = table.theory_terms[lit] = (atom.term.coeffs, atom.term.const, atom.kind == LEQ)
+    coeffs, const, leq = entry
     nums = point.nums
-    value = atom.term.const * point.den  # den * (the row at the point)
-    for v, c in atom.term.coeffs:
+    value = const * point.den  # den * (the row at the point)
+    for v, c in coeffs:
         value += c * nums.get(v, 0)
-    return (value <= 0 if atom.kind == LEQ else value == 0) == (lit > 0)
+    return (value <= 0 if leq else value == 0) == (lit > 0)
 
 
 def witness_satisfies(table, literals: Iterable[int], witness: Point) -> bool:
@@ -531,10 +548,15 @@ def _audit(table, lits, result: FeasibilityResult) -> None:
 
 
 def project_trail(
-    table, literals: Sequence[int], keep: AbstractSet[int], context: Projection = NO_PROJECTION
+    table,
+    literals: Sequence[int],
+    keep: AbstractSet[int],
+    context: Projection = NO_PROJECTION,
+    kept: frozenset[int] | None = None,
 ) -> Projection | None:
-    """The projection of ``literals`` onto the real variables in ``keep``;
-    None if the elimination finds their inequalities infeasible.  The
+    """The projection of ``literals``, with the sources of ``context`` that
+    it keeps, onto the real variables in ``keep``; None if the elimination
+    finds their inequalities infeasible.  The
     compiler passes only feasible literals.
 
     A disequality is not convex, so it stays as its literal, and the
@@ -551,20 +573,28 @@ def project_trail(
     ``literals`` plus L equally feasible.  Redundant rows are kept, so equal
     projections may still have different keys.
 
-    ``context``, a projection of some of ``literals`` (its ``sources``;
-    by default none) onto reals that include the reals of the others,
-    stands for them: its
-    rows that combine some of ``literals`` are projected with the rows of
-    the other literals, and its stages that do are kept ahead of the new
-    ones.  A row or a stage combines the literals of one entangled block,
-    which the compiler keeps or drops whole.  Projecting in two steps is
-    exact, since the first step keeps every real the second one reads.
+    ``context``, a projection of other literals (its ``sources``; by
+    default none) onto reals that include the reals of ``literals``, stands
+    for those of its sources in ``kept`` (by default all), which are
+    projected too: its rows that combine kept sources are projected with
+    the rows of ``literals``, and its stages that do are kept ahead of the
+    new ones.  A row or a stage combines the literals of one entangled
+    block, which the compiler keeps or drops whole.  Projecting in two
+    steps is exact, since the first step keeps every real the second one
+    reads.  Only ``literals`` are read one by one, in their order, which
+    fixes the order of their rows; when every source is kept, the context's
+    stages and ``mentions`` are copied whole.
     """
-    sources = frozenset(literals)
-    live, diseq_rows = _split_literals(table, [lit for lit in literals if lit not in context.sources])
-    live = [row for row in context.rows if _source(row) in sources] + live
-    diseqs = [_source(below) for below, _ in diseq_rows] + [lit for lit in context.diseqs if lit in sources]
-    stages = [stage for stage in context.stages if _source(stage[1][0]) in sources]
+    kept = context.sources if kept is None else kept
+    dropped = context.sources - kept if len(kept) < len(context.sources) else ()
+    sources = kept.union(literals)
+    live, diseq_rows = _split_literals(table, literals)
+    live = [row for row in context.rows if _source(row) not in dropped] + live
+    diseqs = [_source(below) for below, _ in diseq_rows] + [lit for lit in context.diseqs if lit not in dropped]
+    if dropped:  # the kept stages move up: index them all anew
+        stages, mentions, start = [stage for stage in context.stages if _source(stage[1][0]) not in dropped], {}, 0
+    else:
+        stages, mentions, start = [*context.stages], dict(context.mentions), len(context.stages)
     keep = set(keep).union(*(table.atom(abs(lit)).term.real_vars for lit in diseqs))
     for var in sorted({v for row in live for v in row[0]} - keep):
         uppers, lowers, live, bad = _eliminate(live, var)
@@ -572,6 +602,9 @@ def project_trail(
             return None
         if uppers or lowers:
             stages.append((var, uppers + lowers))
+    for at in range(start, len(stages)):
+        for v in set().union(*map(itemgetter(0), stages[at][1])):
+            mentions[v] = (*mentions.get(v, ()), at)
     # primitive direction -> (num, den, strict, row): the row direction + num/den REL 0
     tightest: dict[tuple[tuple[int, int], ...], tuple[int, int, bool, tuple]] = {}
     for row in live:
@@ -595,6 +628,7 @@ def project_trail(
         rows=tuple(row for _, row in projected),
         stages=tuple(stages),
         sources=sources,
+        mentions=mentions,
     )
 
 
@@ -621,17 +655,31 @@ class TheoryState:
     where every later literal lives, so the answer is the trail's.  A
     literal the trail refutes is answered with the refutation itself, its
     certificate audited against trail literals (``check_feasible``).  A
-    witness is extended to the whole trail: the top point keeps the reals the context
-    does not read, and the context's stages move the eliminated reals the
-    witness put out of bounds; the extended point is audited against the
-    trail and the literal.  Points are never mutated (entries share them),
-    so popping the trail pops the points and ``pop_to`` stays exact.
+    witness is extended to the whole trail: the top point keeps the reals
+    the context does not read, and the context's stages move the eliminated
+    reals the witness put out of bounds, visiting only the stages that read
+    a moved real (``Projection.mentions``).  The extended point is audited
+    against the literal and the trail literals over the reals where it
+    differs from the top point, found by comparing the two points and
+    looked up in the per-real lists of trail positions; a trail literal over
+    no such real reads the same coordinates at both points, and the top
+    point satisfies it, so this decides what an audit of the whole trail
+    would.  Points are never mutated (entries share them), so popping the
+    trail pops the points and ``pop_to`` stays exact.
     """
 
-    def __init__(self, table) -> None:
+    def __init__(self, table, atoms_over: Sequence[Sequence[int]] = ()) -> None:
+        """``atoms_over[r]`` lists the atoms over real r that ``ready``
+        tracks: it is the mask of those all of whose reals some trail
+        literal mentions."""
         self.table = table
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
+        self._over: dict[int, list[int]] = {}  # real -> the trail positions of the literals over it
+        self._reals: list[frozenset[int]] = []  # _reals[i]: the reals of trail[i]
+        self._atoms_over = atoms_over
+        self._unmentioned = {a: len(table.atoms[a - 1].term.real_vars) for over in atoms_over for a in over}
+        self.ready = 0
         self.context: tuple[Projection, int] = (NO_PROJECTION, 0)  # (projection, the trail size it stands for)
         self.checks = 0
         self.rows_max = 0  # the most rows one check started from
@@ -658,15 +706,23 @@ class TheoryState:
             return result
         top, local = self.point, result.witness
         den = math.lcm(top.den, local.den)
-        nums = {v: n * (den // top.den) for v, n in top.nums.items()}
+        scale = den // top.den
+        nums = {v: n * scale for v, n in top.nums.items()} if scale > 1 else dict(top.nums)
         moved = set()
         for v in local.nums.keys() | {r for l in lits for r in self.table.atom(abs(l)).term.real_vars}:
             n = local.nums.get(v, 0) * (den // local.den)
             if nums.get(v, 0) != n:
                 nums[v] = n
                 moved.add(v)
-        point = Point(*_back_substitute(context.stages, nums, den, moved))
-        if not witness_satisfies(self.table, (*self.trail, lit), point):
+        point = Point(*_back_substitute(context.stages, nums, den, moved, context.mentions))
+        # a trail literal over no real where the points differ reads the same at both, and top satisfies it
+        if point.den == top.den:
+            differ = {v for v, _ in point.nums.items() ^ top.nums.items()}  # an absent real reads 0
+        else:  # any coordinate may differ
+            differ = point.nums.keys() | top.nums.keys()
+        over = self._over
+        audited = {lit, *(self.trail[i] for v in differ if v in over for i in over[v])}
+        if not witness_satisfies(self.table, audited, point):
             raise AssertionError(f"extended witness audit failed for {lit} on {self.trail}")
         return FeasibilityResult(True, witness=point, rows=result.rows)
 
@@ -690,13 +746,34 @@ class TheoryState:
             if not result.sat:
                 return result
             point = result.witness
+        reals = self.table.atoms[abs(lit) - 1].term.real_vars  # lit is a theory literal: it held or was checked
+        atoms_over, unmentioned = self._atoms_over, self._unmentioned
+        for r in reals:
+            at = self._over.setdefault(r, [])
+            at.append(len(self.trail))
+            if len(at) == 1 and r < len(atoms_over):  # r is newly mentioned
+                for a in atoms_over[r]:
+                    unmentioned[a] -= 1
+                    if not unmentioned[a]:
+                        self.ready |= 1 << a
         self.trail.append(lit)
+        self._reals.append(reals)
         self._points.append(point)
         return None
 
     def pop_to(self, size: int) -> None:
         """Drop the trail entries after the first ``size``."""
+        atoms_over, unmentioned = self._atoms_over, self._unmentioned
+        for reals in self._reals[size:]:
+            for r in reals:
+                at = self._over[r]
+                at.pop()
+                if not at and r < len(atoms_over):  # r is no longer mentioned
+                    for a in atoms_over[r]:
+                        self.ready &= ~(1 << a)
+                        unmentioned[a] += 1
         del self.trail[size:]
+        del self._reals[size:]
         del self._points[size + 1 :]
 
     def entails(self, lit: int) -> bool:

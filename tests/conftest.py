@@ -69,6 +69,27 @@ def pipeline(formula, mode="lazy", eager_k=None, **cfg_kwargs):
     return st.compile(db, amap, cfg), db, amap
 
 
+def nested_text(depth: int) -> str:
+    """``(and B0 (or A0 (and B1 (or A1 ... A<depth>))))``: valid input whose
+    formula is nested two levels per step."""
+    decls = "".join(f"(declare-const A{i} Bool)(declare-const B{i} Bool)" for i in range(depth))
+    term = f"A{depth}"
+    for i in reversed(range(depth)):
+        term = f"(and B{i} (or A{i} {term}))"
+    return decls + f"(declare-const A{depth} Bool)(assert {term})"
+
+
+def nested_count(depth: int) -> int:
+    """Models of ``nested_text(depth)``: with T(depth) = 1 for the last
+    ``A<depth>``, level k holds when B<k> does and either A<k> does, with
+    the levels below free, or level k + 1 holds:
+    T(k) = 2^(variables below k) + T(k + 1)."""
+    count = 1
+    for k in reversed(range(depth)):
+        count += 2 ** (2 * (depth - k - 1) + 1)
+    return count
+
+
 def bool_chain(n):
     """(db, amap) of the Boolean chain ``A_i or A_{i+1}``, i = 1..n-1."""
     prop, amap = st.boolean_abstract(st.parse_smt2(bool_chain_text(n)))

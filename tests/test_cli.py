@@ -7,7 +7,7 @@ import pytest
 
 import smtrace
 from smtrace.cli import run
-from conftest import GAP_XY_SMT2, GAP01_SMT2
+from conftest import GAP_XY_SMT2, GAP01_SMT2, nested_count, nested_text
 
 
 @pytest.fixture
@@ -323,27 +323,6 @@ def test_a_declared_constant_is_a_parse_error(tmp_path, capsys):
     src.write_text("(declare-const true Bool)(assert (not true))")
     assert run(["count", str(src)]) == 2
     assert "reads as a constant" in capsys.readouterr().err
-
-
-def nested_text(depth: int) -> str:
-    """``(and B0 (or A0 (and B1 (or A1 ... A<depth>))))``: valid input whose
-    formula is nested two levels per step."""
-    decls = "".join(f"(declare-const A{i} Bool)(declare-const B{i} Bool)" for i in range(depth))
-    term = f"A{depth}"
-    for i in reversed(range(depth)):
-        term = f"(and B{i} (or A{i} {term}))"
-    return decls + f"(declare-const A{depth} Bool)(assert {term})"
-
-
-def nested_count(depth: int) -> int:
-    """Models of ``nested_text(depth)``: with T(depth) = 1 for the last
-    ``A<depth>``, level k holds when B<k> does and either A<k> does, with
-    the levels below free, or level k + 1 holds:
-    T(k) = 2^(variables below k) + T(k + 1)."""
-    count = 1
-    for k in reversed(range(depth)):
-        count += 2 ** (2 * (depth - k - 1) + 1)
-    return count
 
 
 def test_deeply_nested_valid_input_is_counted(tmp_path, capsys):

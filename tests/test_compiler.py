@@ -1,7 +1,7 @@
 import itertools
 import random
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +19,7 @@ from smtrace.compiler import (
 )
 from smtrace.ddnnf import variables_of
 from smtrace.frontend import AtomTable
-from conftest import assigned_store, bool_chain, entangled_setup, pipeline, real_chain_text, root_split
+from conftest import assigned_store, bool_chain, entangled_setup, nested_text, pipeline, real_chain_text, root_split
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,10 @@ def _mask(items):
 
 def _index(clauses, values, reals=None):
     """The stand-in for the compile's clause index that ``decide`` reads:
-    the real map and its linear atoms' mask, per variable the number of its
-    occurrences in the clauses that ``values`` (indexed by variable) leaves
-    unsatisfied, as the search keeps them, and per count the mask of the
-    variables with that count."""
+    the real map, the atoms over each real and the linear atoms' mask, per
+    variable the number of its occurrences in the clauses that ``values``
+    (indexed by variable) leaves unsatisfied, as the search keeps them, and
+    per count the mask of the variables with that count."""
     counts = [0] * len(values)
     for cl in clauses:
         if not any(values[abs(l)] == (l > 0) for l in cl):
@@ -106,7 +106,11 @@ def _index(clauses, values, reals=None):
     for v in range(1, len(counts)):
         levels[counts[v]] |= 1 << v
     reals = reals or {}
-    return SimpleNamespace(counts=counts, levels=levels, reals=reals, linear=_mask(reals))
+    atoms_over = defaultdict(list)
+    for v in sorted(reals):
+        for r in reals[v]:
+            atoms_over[r].append(v)
+    return SimpleNamespace(counts=counts, levels=levels, reals=reals, linear=_mask(reals), atoms_over=atoms_over)
 
 
 def _component(clauses, scope, sources=(), reals=None):
@@ -451,30 +455,54 @@ def test_split_from_a_parent_matches_the_reference():
     assert checked > 300
 
 
-def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
-    """Each split reads the occurrence lists only around the branch's
-    assignment, so the lookups over a whole compile of the chain grow about
-    linearly in n, not quadratically."""
+def _store_reads(monkeypatch, compiles):
+    """Per compile, the reads of the clause store's ``occurs`` and
+    ``atoms_over`` lists, the indexes a split fills through."""
     original = WatchedClauses.__init__
-    lookups = 0
+    reads = 0
 
     class Counting(list):
         def __getitem__(self, i):
-            nonlocal lookups
-            lookups += 1
+            nonlocal reads
+            reads += 1
             return super().__getitem__(i)
 
     def counting_init(self, db, amap):
         original(self, db, amap)
-        self.occurs = Counting(self.occurs)
+        self.occurs, self.atoms_over = Counting(self.occurs), Counting(self.atoms_over)
 
     monkeypatch.setattr(WatchedClauses, "__init__", counting_init)
     totals = []
-    for n in (200, 400):
-        lookups = 0
-        st.compile(*bool_chain(n))
-        totals.append(lookups)
+    for run in compiles:
+        reads = 0
+        run()
+        totals.append(reads)
+    return totals
+
+
+def test_split_work_grows_linearly_on_the_boolean_chain(monkeypatch):
+    """Each split reads the occurrence lists only around the branch's
+    assignment, so the lookups over a whole compile of the chain grow about
+    linearly in n, not quadratically."""
+    totals = _store_reads(monkeypatch, [lambda n=n: st.compile(*bool_chain(n)) for n in (200, 400)])
     assert totals[0] > 200 and totals[1] / totals[0] < 3, totals
+
+
+def test_split_work_grows_linearly_on_the_real_chain(monkeypatch):
+    """Every split of the real chain keeps one part, the rest of the chain.
+    Lock-step fills stop once the fills from the branch's seeds have met,
+    so the store's reads over a whole compile grow about linearly in n."""
+    chain = lambda n: lambda: pipeline(st.parse_smt2(real_chain_text(n)))
+    totals = _store_reads(monkeypatch, [chain(48), chain(96)])
+    assert totals[0] > 500 and totals[1] / totals[0] < 3, totals
+
+
+def test_split_work_grows_linearly_on_nested_text(monkeypatch):
+    """``nested_text`` splits off a small part above a large one, the last
+    seed's or not: the lock-step fills read about the small part only."""
+    nested = lambda d: lambda: pipeline(st.parse_smt2(nested_text(d)))
+    totals = _store_reads(monkeypatch, [nested(100), nested(200)])
+    assert totals[0] > 500 and totals[1] / totals[0] < 3, totals
 
 
 def test_search_graphs_match_the_reference_split(monkeypatch):
@@ -485,7 +513,8 @@ def test_search_graphs_match_the_reference_split(monkeypatch):
 
     def graphs():
         runs = [pipeline(f, mode=mode)[0] for f in formulas for mode in ("lazy", "eager", "agnostic")]
-        return runs + [st.compile(*bool_chain(40)), pipeline(st.parse_smt2(real_chain_text(8)))[0]]
+        chains = [pipeline(st.parse_smt2(text))[0] for text in (real_chain_text(8), nested_text(30))]
+        return runs + [st.compile(*bool_chain(40)), *chains]
 
     new = graphs()
     searches = _record_searches(monkeypatch)

@@ -417,6 +417,38 @@ def test_a_pushed_context_answers_for_the_trail_before_it(env):
     assert s.assert_literal(cmp("<=", {"z": 1}, 1)) is None
 
 
+def test_the_extended_witness_audit_finds_what_moved_by_comparing_points(env, monkeypatch):
+    """The extended witness is audited on the new literal and the trail
+    literals over the reals where it differs from the top point, found by
+    comparing the two points, not by what the extension says it moved: a
+    corrupted real that the branch did not touch still fails the audit."""
+    table, cmp = env
+    x, y = 0, 1
+    trail = [cmp(">=", {"y": 1}, 3), cmp(">=", {"x": 1})]
+    s = TheoryState(table)
+    for lit in trail:
+        assert s.assert_literal(lit) is None
+    s.context = (project_trail(table, trail, {x}), len(trail))  # y is eliminated
+    above = cmp(">=", {"x": 1}, 5)
+    assert not witness_satisfies(table, [above], s.point)  # so the query extends a witness
+    extend = lra._back_substitute
+
+    def corrupted(stages, nums, den, moved=None, mentions=None):
+        nums, den = extend(stages, nums, den, moved, mentions)
+        if moved is not None:  # the extension of a witness to the whole trail
+            assert y in nums and y not in moved
+            nums[y] = -3 * den
+        return nums, den
+
+    monkeypatch.setattr(lra, "_back_substitute", corrupted)
+    with pytest.raises(AssertionError, match="extended witness audit failed"):
+        s.assert_literal(above)
+    assert s.trail == trail
+    monkeypatch.undo()
+    assert s.assert_literal(above) is None
+    assert witness_satisfies(table, s.trail, s.point) and s.point[y] >= 3
+
+
 def _row_literal(table, row):
     """A literal that holds exactly where a projected row does."""
     coeffs, const, strict = row
