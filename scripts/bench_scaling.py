@@ -24,8 +24,9 @@ without compiling.
 For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 (i = 1..n-1), also the benchmark's text, is compiled in lazy mode with the default settings, under the
 same budget; the median repeat is reported with the graph's decisions,
-theory checks, the most rows one check started from (``theory_rows_max``)
-and edges.  A row whose n is twice the previous size's n, for the same
+theory checks, the theory queries decided at a stored audited point
+(``theory_witness_hits``), the most rows one check started from
+(``theory_rows_max``) and edges.  A row whose n is twice the previous size's n, for the same
 chain and settings, also reports ``compile_growth``: its median compile
 time over that row's, the growth per doubling.  Every time is scaled to a
 reference interpreter speed by the benchmark's clock (``perfbench/clock.py``,
@@ -34,7 +35,7 @@ compared; the JSON says so as ``"clock": "scaled"``.  Results go to a JSON
 file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 192 384 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 192 384 768 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -173,6 +174,7 @@ def measure_real(n: int, repeats: int, budget: float, clock: SpeedClock) -> dict
         compile_s_runs=runs,
         decisions=stats.decisions,
         theory_checks=stats.theory_checks,
+        theory_witness_hits=stats.theory_witness_hits,
         theory_rows_max=stats.theory_rows_max,
         edges=stats.edges,
     )
@@ -196,7 +198,7 @@ def _growth(row: dict) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200])
-    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96, 192, 384])
+    ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96, 192, 384, 768])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
     ap.add_argument("--out", default="BENCH_scaling.json")
@@ -254,6 +256,7 @@ def main() -> None:
             print(
                 f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
                 f"  theory checks {row['theory_checks']} (at most {row['theory_rows_max']} rows)"
+                f"  witness hits {row['theory_witness_hits']}"
                 f"  edges {row['edges']}" + _growth(row)
             )
 

@@ -97,7 +97,7 @@ class CompileStats:
     bool_props: int = 0
     theory_props: int = 0
     theory_checks: int = 0  # Fourier-Motzkin feasibility checks (witness hits excluded)
-    theory_witness_hits: int = 0  # theory queries decided at the trail's stored point
+    theory_witness_hits: int = 0  # decided at a stored audited point, minimisation trials included
     theory_rows_max: int = 0  # the most inequality rows one Fourier-Motzkin check started from
     conflicts: int = 0
     learned: int = 0
@@ -614,7 +614,18 @@ class _Search:
                     if self.cfg.learning:
                         # the refutation's core is audited already: its first check is the refutation
                         first = refutation.core
-                        check = lambda lits: refutation if lits == first else theory._check(lits)
+
+                        def check(trial: frozenset[int]) -> lra.FeasibilityResult:
+                            if trial == first:
+                                return refutation
+                            if lit in trial:
+                                return theory._check(trial)
+                            # a subset of the trail, which the top point satisfies
+                            if not lra.witness_satisfies(self.amap, trial, theory.point):
+                                raise AssertionError(f"top point audit failed for {sorted(trial)}")
+                            theory.witness_hits += 1
+                            return lra.FeasibilityResult(True, witness=theory.point)
+
                         core = lra.minimize_core(self.amap, first, check=check)
                         # lit is in the core, since the trail before it is feasible
                         latest = next(l for l in reversed(theory.trail) if l in core)

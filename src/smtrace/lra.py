@@ -642,11 +642,17 @@ class TheoryState:
 
     Single-owner: one search uses one state.  Next to each trail entry sits
     an audited point satisfying every literal up to and including that
-    entry.  A query is answered first at the top point: a literal that holds
-    there extends the trail with the same point, and a literal whose
-    negation holds there is not entailed.
-    Only the other queries run Fourier-Motzkin, each through ``_check``,
-    which counts them and the rows each one starts from.
+    entry.  Next to the trail sits a stack of stored witnesses: the point of
+    every feasible Fourier-Motzkin query, with the trail size it satisfies.
+    A query is answered first at the top point, then at the newest stored
+    witness, which answers if the literal and the trail literals asserted
+    since its size hold there; it keeps how far up the trail it is known to
+    hold, and where it fails, so no trail literal is read at it twice.  A
+    literal that holds at either point extends the trail with that point,
+    and a literal whose negation holds there is not entailed; each such
+    answer counts as a witness hit.  Only the other queries run
+    Fourier-Motzkin, each through ``_check``, which counts them and the
+    rows each one starts from.
 
     A query checks ``context``, a projection of the trail's first ``mark``
     literals, with the literals asserted since; the default projects
@@ -659,13 +665,13 @@ class TheoryState:
     the context does not read, and the context's stages move the eliminated
     reals the witness put out of bounds, visiting only the stages that read
     a moved real (``Projection.mentions``).  The extended point is audited
-    against the literal and the trail literals over the reals where it
-    differs from the top point, found by comparing the two points and
-    looked up in the per-real lists of trail positions; a trail literal over
-    no such real reads the same coordinates at both points, and the top
-    point satisfies it, so this decides what an audit of the whole trail
-    would.  Points are never mutated (entries share them), so popping the
-    trail pops the points and ``pop_to`` stays exact.
+    against the literal and the trail literals over the reals it moved, the
+    set ``_back_substitute`` grows, looked up in the per-real lists of trail
+    positions; a trail literal over no moved real reads the same values at
+    both points, and the top point satisfies it, so this decides what an
+    audit of the whole trail would.  Points are never mutated (entries share
+    them), so popping the trail pops the points, drops the stored witnesses
+    above the new size, and ``pop_to`` stays exact.
     """
 
     def __init__(self, table, atoms_over: Sequence[Sequence[int]] = ()) -> None:
@@ -680,6 +686,8 @@ class TheoryState:
         self._atoms_over = atoms_over
         self._unmentioned = {a: len(table.atoms[a - 1].term.real_vars) for over in atoms_over for a in over}
         self.ready = 0
+        # [point, size, upto, fails]: point satisfies trail[:upto], upto >= size, and fails trail[upto] if fails
+        self._stored: list[list] = []
         self.context: tuple[Projection, int] = (NO_PROJECTION, 0)  # (projection, the trail size it stands for)
         self.checks = 0
         self.rows_max = 0  # the most rows one check started from
@@ -698,50 +706,66 @@ class TheoryState:
 
     def _query(self, lit: int) -> FeasibilityResult:
         """Feasibility of the trail plus ``lit``, checked on ``context``; a
-        witness comes back extended to the whole trail."""
+        witness comes back extended to the whole trail, and is stored."""
         context, mark = self.context
         lits = frozenset(self.trail[mark:]).union(context.diseqs, (lit,))
         result = self._check(lits, context)
-        if not result.sat or not mark:  # a context of the empty trail projects nothing
+        if not result.sat:
             return result
-        top, local = self.point, result.witness
-        den = math.lcm(top.den, local.den)
-        scale = den // top.den
-        nums = {v: n * scale for v, n in top.nums.items()} if scale > 1 else dict(top.nums)
-        moved = set()
-        for v in local.nums.keys() | {r for l in lits for r in self.table.atom(abs(l)).term.real_vars}:
-            n = local.nums.get(v, 0) * (den // local.den)
-            if nums.get(v, 0) != n:
-                nums[v] = n
-                moved.add(v)
-        point = Point(*_back_substitute(context.stages, nums, den, moved, context.mentions))
-        # a trail literal over no real where the points differ reads the same at both, and top satisfies it
-        if point.den == top.den:
-            differ = {v for v, _ in point.nums.items() ^ top.nums.items()}  # an absent real reads 0
-        else:  # any coordinate may differ
-            differ = point.nums.keys() | top.nums.keys()
-        over = self._over
-        audited = {lit, *(self.trail[i] for v in differ if v in over for i in over[v])}
-        if not witness_satisfies(self.table, audited, point):
-            raise AssertionError(f"extended witness audit failed for {lit} on {self.trail}")
-        return FeasibilityResult(True, witness=point, rows=result.rows)
+        if mark:  # a context of the empty trail projects nothing
+            top, local = self.point, result.witness
+            den = math.lcm(top.den, local.den)
+            scale = den // top.den
+            nums = {v: n * scale for v, n in top.nums.items()} if scale > 1 else dict(top.nums)
+            moved = set()
+            for v in local.nums.keys() | {r for l in lits for r in self.table.atom(abs(l)).term.real_vars}:
+                n = local.nums.get(v, 0) * (den // local.den)
+                if nums.get(v, 0) != n:
+                    nums[v] = n
+                    moved.add(v)
+            point = Point(*_back_substitute(context.stages, nums, den, moved, context.mentions))
+            # a trail literal over no moved real reads the same values at both points, and top satisfies it
+            over = self._over
+            audited = {lit, *(self.trail[i] for v in moved if v in over for i in over[v])}
+            if not witness_satisfies(self.table, audited, point):
+                raise AssertionError(f"extended witness audit failed for {lit} on {self.trail}")
+            result = FeasibilityResult(True, witness=point, rows=result.rows)
+        size, stored = len(self.trail), self._stored
+        if stored and stored[-1][1] == size:  # popped with the new one, it would never be read again
+            stored.pop()
+        stored.append([result.witness, size, size, False])
+        return result
 
-    def _holds_at_top(self, lit: int) -> bool:
-        """Whether ``lit`` holds at the top point, which then witnesses the
-        trail extended by ``lit``."""
-        if witness_satisfies(self.table, (lit,), self.point):
+    def _witness_for(self, lit: int) -> Point | None:
+        """The top point or else the newest stored witness, if ``lit`` and
+        the trail hold there; the point then witnesses the trail extended
+        by ``lit``."""
+        table, top = self.table, self.point
+        if literal_holds(table, lit, top):
             self.witness_hits += 1
-            return True
-        return False
+            return top
+        if not self._stored:
+            return None
+        entry = self._stored[-1]
+        point, _, upto, fails = entry
+        if fails or not literal_holds(table, lit, point):
+            return None
+        trail = self.trail
+        for at in range(upto, len(trail)):
+            if not literal_holds(table, trail[at], point):
+                entry[2:] = at, True
+                return None
+        entry[2] = len(trail)
+        self.witness_hits += 1
+        return point
 
     def assert_literal(self, lit: int) -> FeasibilityResult | None:
         """Push ``lit`` onto the trail; or, if the trail plus ``lit`` is
         infeasible, leave the trail as it is and return the refutation,
         whose certificate ``check_feasible`` audited.  Its core holds
         ``lit``, since the trail before it is feasible."""
-        if self._holds_at_top(lit):
-            point = self.point
-        else:
+        point = self._witness_for(lit)
+        if point is None:
             result = self._query(lit)
             if not result.sat:
                 return result
@@ -775,9 +799,14 @@ class TheoryState:
         del self.trail[size:]
         del self._reals[size:]
         del self._points[size + 1 :]
+        stored = self._stored
+        while stored and stored[-1][1] > size:
+            stored.pop()
+        if stored and stored[-1][2] >= size:  # any literal it failed is popped
+            stored[-1][2:] = size, False
 
     def entails(self, lit: int) -> bool:
-        if self._holds_at_top(-lit):
+        if self._witness_for(-lit) is not None:
             return False
         return not self._query(-lit).sat
 
@@ -787,7 +816,15 @@ def minimize_core(
     core: Iterable[int],
     check: Callable[[frozenset[int]], FeasibilityResult] | None = None,
 ) -> frozenset[int]:
-    """Deletion-based minimization: one feasibility call per element."""
+    """Deletion-based minimization: one feasibility call per element, in
+    ``literal_key`` order, after one on the whole core.
+
+    ``check`` answers each call, by default with ``check_feasible``.  The
+    search answers the first call with the refutation being minimised, and
+    the one trial that drops the refuted literal, a subset of the feasible
+    trail, at the trail's top point, so only the other trials run
+    Fourier-Motzkin.
+    """
     if check is None:
         check = lambda fs: check_feasible(table, fs)
     current = frozenset(core)

@@ -591,6 +591,39 @@ def test_no_theory_core_is_learned_twice(monkeypatch):
     assert sum(map(len, cores)) > 200
 
 
+def test_core_minimisation_decides_the_trail_trial_at_the_top_point(monkeypatch):
+    """Of a conflict core's deletion trials, the one that drops the refuted
+    literal is a subset of the feasible trail, decided at the trail's top
+    point: minimising runs one Fourier-Motzkin check fewer than its trials
+    and keeps the core that a check of every trial keeps."""
+    minimize, check_feasible = st.lra.minimize_core, st.lra.check_feasible
+    checks, minimised = 0, 0
+
+    def counting(*args, **kwargs):
+        nonlocal checks
+        checks += 1
+        return check_feasible(*args, **kwargs)
+
+    def recording(table, core, check):
+        nonlocal minimised
+        trials = []
+        before = checks
+        got = minimize(table, core, check=lambda lits: trials.append(lits) or check(lits))
+        assert trials[0] == core  # answered by the refutation
+        assert checks - before == len(trials) - 2
+        assert got == minimize(table, core)
+        minimised += 1
+        return got
+
+    monkeypatch.setattr(st.lra, "check_feasible", counting)
+    monkeypatch.setattr(st.lra, "minimize_core", recording)
+    for seed in range(40):
+        for f in (st.random_formula(seed), st.random_nested_formula(seed)):
+            pipeline(f)
+    pipeline(st.parse_smt2(real_chain_text(6)))
+    assert minimised > 20
+
+
 # ---------------------------------------------------------------------------
 # cache keys
 

@@ -18,7 +18,7 @@ import pytest
 
 import smtrace as st
 from smtrace.frontend import FAnd, FNot, FOr, FTrue, Formula
-from conftest import pipeline
+from conftest import pipeline, real_chain_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from inputs import render  # the benchmark's SMT-LIB2 rendering of a formula
@@ -110,3 +110,48 @@ def test_the_models_of_a_formula_and_its_negation_partition_the_table(seed):
     models = [{tuple(sorted(m.items())) for m in st.enumerate_models(g, CAP)} for g in (yes, no, top)]
     assert not models[0] & models[1]
     assert models[0] | models[1] == models[2]
+
+
+def _substituted(text, formula, image):
+    """The SMT-LIB2 text with the i-th real x in its assertions replaced by
+    the term ``image(x, i)``, also SMT-LIB2 text."""
+    index = {name: i for i, name in enumerate(formula.table.real_names)}
+    return "\n".join(
+        re.sub(r"[^\s()]+", lambda m: image(m.group(), index[m.group()]) if m.group() in index else m.group(), line)
+        if line.startswith("(assert")
+        else line
+        for line in text.splitlines()
+    )
+
+
+_MAPS = {
+    "translation": lambda x, i: f"(+ {x} (- (/ {3 * i + 7} 3)))",  # x_i -> x_i - (3i + 7)/3
+    "scaling": lambda x, i: f"(* (/ {2 * i + 5} 2) {x})",  # x_i -> (2i + 5) x_i / 2
+    "both": lambda x, i: f"(+ (/ {x} {i + 3}) 4)",  # x_i -> x_i / (i + 3) + 4
+}
+
+
+@pytest.mark.parametrize("relation", sorted(_MAPS))
+def test_the_count_is_invariant_under_a_translation_or_positive_scaling_of_the_reals(relation):
+    """Substituting x + c, or k * x with k > 0, for each real x of the
+    text, with c and k chosen per real, maps the theory-consistent
+    assignments of the atoms one to one, atom by atom in the same order, so
+    the counts and the weighted counts of the two parses are equal.  The map is applied to the SMT-LIB2 text,
+    so the parser's arithmetic and normalisation are in the loop; the
+    instances include the benchmark's real chain."""
+    image = _MAPS[relation]
+    formulas = [_formula(seed) for seed in SEEDS]
+    texts = [render(st, f) for f in formulas] + [real_chain_text(6)]
+    formulas.append(st.parse_smt2(texts[-1]))
+    reals = changed = 0
+    for seed, (text, f) in enumerate(zip(texts, formulas)):
+        one, other = (st.parse_smt2(t) for t in (text, _substituted(text, f, image)))
+        assert [a.kind for a in one.table.atoms] == [a.kind for a in other.table.atoms], seed
+        changed += [a.term for a in one.table.atoms] != [a.term for a in other.table.atoms]
+        g, h = (pipeline(p)[0] for p in (one, other))
+        assert st.count(g) == st.count(h), seed
+        w = _weights(seed, g.num_atom_vars)
+        assert st.weighted_count(g, w) == st.weighted_count(h, w), seed
+        reals += len(f.table.real_names)
+    # the maps change the rows of almost every table (scaling fixes one that is only x <= 0)
+    assert reals > 2 * len(texts) and changed >= len(texts) - 1, (reals, changed)

@@ -417,18 +417,18 @@ def test_a_pushed_context_answers_for_the_trail_before_it(env):
     assert s.assert_literal(cmp("<=", {"z": 1}, 1)) is None
 
 
-def test_the_extended_witness_audit_finds_what_moved_by_comparing_points(env, monkeypatch):
+def test_the_extended_witness_audit_reads_the_literals_over_moved_reals(env, monkeypatch):
     """The extended witness is audited on the new literal and the trail
-    literals over the reals where it differs from the top point, found by
-    comparing the two points, not by what the extension says it moved: a
-    corrupted real that the branch did not touch still fails the audit."""
+    literals over the reals it moved, the set the extension grows: an
+    extension that leaves a trail literal false over a real that only the
+    back-substitution moved still fails the audit."""
     table, cmp = env
-    x, y = 0, 1
-    trail = [cmp(">=", {"y": 1}, 3), cmp(">=", {"x": 1})]
+    x, y, z = 0, 1, 2
+    trail = [cmp(">=", {"y": 1, "x": -1}), cmp(">=", {"z": 1, "y": -1}), cmp(">=", {"x": 1})]  # 0 <= x <= y <= z
     s = TheoryState(table)
     for lit in trail:
         assert s.assert_literal(lit) is None
-    s.context = (project_trail(table, trail, {x}), len(trail))  # y is eliminated
+    s.context = (project_trail(table, trail, {x}), len(trail))  # y and z are eliminated
     above = cmp(">=", {"x": 1}, 5)
     assert not witness_satisfies(table, [above], s.point)  # so the query extends a witness
     extend = lra._back_substitute
@@ -436,8 +436,8 @@ def test_the_extended_witness_audit_finds_what_moved_by_comparing_points(env, mo
     def corrupted(stages, nums, den, moved=None, mentions=None):
         nums, den = extend(stages, nums, den, moved, mentions)
         if moved is not None:  # the extension of a witness to the whole trail
-            assert y in nums and y not in moved
-            nums[y] = -3 * den
+            assert moved == {x, y, z}
+            nums[z] = nums[y] - den  # z = y - 1: only z <= y's literal fails, and x is not over z
         return nums, den
 
     monkeypatch.setattr(lra, "_back_substitute", corrupted)
@@ -446,7 +446,70 @@ def test_the_extended_witness_audit_finds_what_moved_by_comparing_points(env, mo
     assert s.trail == trail
     monkeypatch.undo()
     assert s.assert_literal(above) is None
-    assert witness_satisfies(table, s.trail, s.point) and s.point[y] >= 3
+    assert witness_satisfies(table, s.trail, s.point) and s.point[z] >= s.point[y] >= 5
+
+
+def test_a_stored_witness_answers_the_negation_an_entailment_check_found(env):
+    """entails(a) that finds -a feasible stores the witness, so asserting
+    -a on the same trail runs no check and pushes that point."""
+    table, cmp = env
+    s = TheoryState(table)
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
+    assert s.assert_literal(cmp("<=", {"y": 1, "x": -1})) is None  # y <= x
+    a = cmp("<=", {"x": 1}, 3)
+    assert witness_satisfies(table, [a], s.point)  # so -a needs a check
+    assert not s.entails(a)
+    checks, hits = s.checks, s.witness_hits
+    assert s.assert_literal(-a) is None
+    assert (s.checks, s.witness_hits) == (checks, hits + 1)
+    assert witness_satisfies(table, s.trail, s.point)
+
+
+def test_a_stored_witness_above_the_popped_size_is_dropped(env):
+    """A witness stored at a trail size that ``pop_to`` removes is never
+    read: the literal asserted in its place may fail there."""
+    table, cmp = env
+    s = TheoryState(table)
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
+    assert s.assert_literal(cmp(">=", {"y": 1}, 5)) is None
+    probe = cmp("<=", {"x": 1}, 3)
+    assert not s.entails(probe)  # stores a point with x > 3 and y >= 5
+    s.pop_to(1)
+    assert s.assert_literal(cmp("<=", {"y": 1})) is None  # y <= 0
+    checks = s.checks
+    assert s.assert_literal(-probe) is None
+    assert s.checks == checks + 1
+    assert witness_satisfies(table, s.trail, s.point)
+
+
+def test_a_stored_witness_fails_once_a_later_trail_literal_fails_there(env, monkeypatch):
+    """A stored witness answers only while the trail literals asserted
+    since hold there; one that failed is not read again until that literal
+    is popped."""
+    table, cmp = env
+    s = TheoryState(table)
+    assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
+    assert not s.entails(cmp("<=", {"x": 1}, 3))  # stores a point with x > 3
+    assert s.assert_literal(cmp("<=", {"x": 1}, 2)) is None  # holds at the top point, fails at the stored one
+    ge3 = cmp(">=", {"x": 1}, 3)  # holds at the stored point
+    checks, hits = s.checks, s.witness_hits
+    assert s.assert_literal(ge3).core == frozenset(s.trail[1:] + [ge3])
+    assert (s.checks, s.witness_hits) == (checks + 1, hits)
+
+    holds, reads = lra.literal_holds, []
+
+    def reading(table, lit, point):
+        reads.append(point)
+        return holds(table, lit, point)
+
+    monkeypatch.setattr(lra, "literal_holds", reading)
+    assert s.entails(-ge3)
+    assert reads == [s.point] and s.checks == checks + 2  # the stored point is not read again
+    monkeypatch.undo()
+    s.pop_to(1)  # pops the literal it failed
+    checks = s.checks
+    assert s.assert_literal(ge3) is None
+    assert s.checks == checks and witness_satisfies(table, s.trail, s.point)
 
 
 def _row_literal(table, row):

@@ -63,6 +63,7 @@ def test_bench_script_writes_json(script, args, tmp_path):
             assert row["compile_growth"] == row["compile_s_median"] / before
         assert proc.stdout.count(" growth ") == 3
         assert all(row["finish_s"] > 0 for row in result["runs"])  # each compile ends in one finish
+        assert all(row["theory_witness_hits"] > 0 for row in result["real_chain"])
     if script == "bench_frontend.py":  # one record per label, each stage of each group timed
         (record,) = result["runs"].values()
         assert [record[g]["instances"] for g in ("sweep", "real-chain", "bool-chain")] == [4, 3, 3]
