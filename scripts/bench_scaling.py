@@ -26,8 +26,9 @@ For each n of ``--real-sizes``, the real chain ``x_i <= x_{i+1} or x_i >= 5``
 same budget; the median repeat is reported with the graph's decisions,
 theory checks, the theory queries decided at a stored audited point
 (``theory_witness_hits``), the most rows one check started from
-(``theory_rows_max``) and edges.  A row whose n is twice the previous size's n, for the same
-chain and settings, also reports ``compile_growth``: its median compile
+(``theory_rows_max``) and edges.  A row whose n is twice the previous
+size's n, for the same chain and settings, also reports
+``compile_growth``: its median compile
 time over that row's, the growth per doubling.  Every time is scaled to a
 reference interpreter speed by the benchmark's clock (``perfbench/clock.py``,
 imported, not changed), so sizes timed at different moments can be
