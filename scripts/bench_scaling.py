@@ -10,7 +10,11 @@ them (``split_s``) and in ``GraphBuilder.finish`` (``finish_s``), which
 turns the builder's records into the graph's nodes; the timed repeats
 compile, ``count`` the fresh graph
 (the first query, so it builds the scopes and runs the totality gate) and
-then ``enumerate_models(cap=1000)``, without that counter.  The median
+then ``enumerate_models(cap=1000)``, without that counter.  Each row
+repeats until it holds at least ``--repeats`` runs and at least
+``MIN_COMPILE_S`` (0.5 s) of compiles, so that rows of small n, whose
+compiles take milliseconds, still decide a comparison; the row records
+that count as ``repeats``.  The median
 repeat is reported with the graph's decisions, nodes and edges, and with
 the growth of the process's peak RSS across the first repeat's ``count``
 (``count_rss_growth_mb``; a high-water mark, so it reads 0 while the count
@@ -36,7 +40,7 @@ compared; the JSON says so as ``"clock": "scaled"``.  Results go to a JSON
 file together with the git SHA of the checkout that holds the imported
 ``smtrace`` and the Python version.
 
-    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 --real-sizes 6 8 10 12 24 48 96 192 384 768 --repeats 3 --budget 10
+    PYTHONPATH=src python3 scripts/bench_scaling.py --sizes 100 200 400 800 1600 3200 6400 12800 --real-sizes 6 8 10 12 24 48 96 192 384 768 --repeats 3 --budget 10
 
 To measure another checkout, point PYTHONPATH at its src/ directory.
 """
@@ -62,6 +66,7 @@ from clock import SpeedClock
 from inputs import bool_chain_text, real_chain_text  # the benchmark's chains
 
 CAP = 1000
+MIN_COMPILE_S = 0.5  # scaled seconds of compiles a row holds at least
 
 
 class OverBudget(Exception):
@@ -130,7 +135,7 @@ def measure(n: int, components: bool, repeats: int, budget: float, clock: SpeedC
             lambda: split_and_finish(db, amap, cfg, clock), budget
         )
         runs = []
-        for _ in range(max(1, repeats)):
+        while len(runs) < max(1, repeats) or sum(c for c, _, _ in runs) < MIN_COMPILE_S:
             t0 = time.perf_counter()
             graph = capped(lambda: st.compile(db, amap, cfg), budget)
             rss0, t1 = peak_rss_mb(), time.perf_counter()
@@ -143,6 +148,7 @@ def measure(n: int, components: bool, repeats: int, budget: float, clock: SpeedC
         row["failure"] = f"compile took longer than {budget:g} s"
         return row
     row.update(
+        repeats=len(runs),
         compile_s_median=statistics.median(c for c, _, _ in runs),
         count_s_median=statistics.median(q for _, q, _ in runs),
         enumerate_s_median=statistics.median(e for _, _, e in runs),
@@ -162,7 +168,7 @@ def measure_real(n: int, repeats: int, budget: float, clock: SpeedClock) -> dict
     row = {"n": n}
     runs = []
     try:
-        for _ in range(max(1, repeats)):
+        while len(runs) < max(1, repeats) or sum(runs) < MIN_COMPILE_S:
             t0 = time.perf_counter()
             graph = capped(lambda: st.compile(db, amap), budget)
             runs.append(clock.scaled(t0, time.perf_counter()))
@@ -171,6 +177,7 @@ def measure_real(n: int, repeats: int, budget: float, clock: SpeedClock) -> dict
         return row
     stats = graph.stats
     row.update(
+        repeats=len(runs),
         compile_s_median=statistics.median(runs),
         compile_s_runs=runs,
         decisions=stats.decisions,
@@ -198,7 +205,7 @@ def _growth(row: dict) -> str:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200, 400, 800, 1600, 3200, 6400, 12800])
     ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 12, 24, 48, 96, 192, 384, 768])
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--budget", type=float, default=10.0, help="seconds a compile may take")
@@ -229,6 +236,7 @@ def main() -> None:
         "clock": "scaled",
         "cap": CAP,
         "repeats": max(1, args.repeats),
+        "min_compile_s": MIN_COMPILE_S,
         "budget_s": args.budget,
         "runs": rows,
         "real_chain": real_rows,
@@ -243,7 +251,7 @@ def main() -> None:
             print(f"{head} skipped: {row['skipped']}")
         else:
             print(
-                f"{head} compile {row['compile_s_median']:.3f} s  count {row['count_s_median']:.4f} s"
+                f"{head} compile {row['compile_s_median']:.3f} s ({row['repeats']} runs)  count {row['count_s_median']:.4f} s"
                 f" (+{row['count_rss_growth_mb']:.1f} MB peak RSS)  enumerate {row['enumerate_s_median']:.4f} s"
                 f"  decisions {row['decisions']}  split calls {row['split_calls']}  split {row['split_s']:.3f} s"
                 f"  finish {row['finish_s']:.4f} s"
@@ -255,7 +263,7 @@ def main() -> None:
             print(f"{head} failed: {row['failure']}")
         else:
             print(
-                f"{head} compile {row['compile_s_median']:.3f} s  decisions {row['decisions']}"
+                f"{head} compile {row['compile_s_median']:.3f} s ({row['repeats']} runs)  decisions {row['decisions']}"
                 f"  theory checks {row['theory_checks']} (at most {row['theory_rows_max']} rows)"
                 f"  witness hits {row['theory_witness_hits']}"
                 f"  edges {row['edges']}" + _growth(row)

@@ -32,15 +32,15 @@ assigned and undone, as in Chaff.  Splits are stamped flood fills, and there
 is one kind: the root of the search is the store's component ``index.root``,
 of every variable, every input clause id and an empty context, so it is
 split as a decided component is.  A split seeds a fill at each free
-neighbour of the variables its branch assigned and grows the fills in
+neighbour of the variables its branch assigned, and the root, which is not
+connected, at each of its unassigned variables too, and grows the fills in
 lock-step, one node each in turn, merging two that meet, as Even and
 Shiloach search the sides of a deleted edge ("An On-Line Edge-Deletion
 Problem", J. ACM 1981).  Every part holds a seed, so once at most one fill
 is still growing, the finished ones are whole parts and the last is the
 rest: the component's masks less the finished fills' and the branch's
 variables and clauses.  A split thus costs about the size of its small
-parts.  The root, which is not connected, is filled one part after
-another.  A branch that assigned the whole scope is not split.  Each part's
+parts.  A branch that assigned the whole scope is not split.  Each part's
 context is projected from the component's, plus the branch's literals over
 the part's reals.  The decision order is DLCS on the kept
 counts, except that a linear atom in none of the component's clauses that
@@ -356,7 +356,9 @@ def split_components(
     atoms over it and the reals of the trail atoms over it.  Each part of a
     decided component holds a seed: a free neighbour of an assigned variable
     (a free variable of a parent clause it occurs in, or a real of its
-    atom), since the component was connected.
+    atom), since the component was connected.  The root is not connected,
+    so each of its unassigned variables that no neighbour seeded is a seed
+    too.
 
     Every seed starts a fill, and the fills grow in lock-step: each takes
     one node in turn, and two that reach each other's nodes merge into the
@@ -369,11 +371,7 @@ def split_components(
     the assignment left with no live literal; a clause it only shrank keeps
     its id.  So the rest costs only what the small parts cost, the nodes
     the fills took in turn with them, and a few operations on masks as wide
-    as the parent.  The root, which is not connected, is filled one part
-    after another instead: whenever no fill grows, one starts at the lowest
-    unassigned variable or seed that no fill reached and grows alone to its
-    end, and the last of them is the rest.  Parts are ordered by their
-    lowest variable.
+    as the parent.  Parts are ordered by their lowest variable.
     Without ``components`` nothing is filled and the rest of the parent is
     the one component.
 
@@ -421,11 +419,11 @@ def split_components(
             if var_stamp[base + r] < first:
                 var_stamp[base + r] = first + len(seeds)
                 seeds.append(base + r)
-    pending = []  # at the root, which is not connected: every unassigned variable and seed, the lowest last
-    if parent is index.root:
-        for u in seeds:
-            var_stamp[u] = 0
-        pending, seeds = sorted({*seeds, *(v for v in range(1, base) if values[v] is None)}, reverse=True), []
+    if parent is index.root:  # not connected: every unassigned variable seeds a fill
+        for v in range(1, base):
+            if values[v] is None and var_stamp[v] < first:
+                var_stamp[v] = first + len(seeds)
+                seeds.append(v)
     index.stamp = first + len(seeds)
     sources, on_branch = context.sources, set(map(abs, trail))  # the trail literals the parts read
 
@@ -439,80 +437,61 @@ def split_components(
         return Component(scope, ids, polyhedron)
 
     comps, filled_reals, taken, cut = [], set(), set(), 0
-    if components and (len(seeds) > 1 or pending):  # else the rest is all
+    if components and len(seeds) > 1:  # else the rest is all
         # fill k: the nodes it reached and has still to visit, all it reached, and its clause ids
         todo, got, ids = [[s] for s in seeds], [[s] for s in seeds], [0] * len(seeds)
         growing, live = list(range(len(seeds))), len(seeds)  # the fills growing as a round starts, and how many grow
-        while live > 1 or pending:
-            if live and live < len(growing):  # one finished or merged
+        while live > 1:
+            if live < len(growing):  # one finished or merged
                 growing = [g for g in growing if todo[g]]
-            elif not live:  # at the root: fill from the lowest variable or seed no fill reached
-                v = 0
-                while pending and not v:
-                    v = pending.pop()
-                    if var_stamp[v] >= first:
-                        v = 0
-                while pending and var_stamp[pending[-1]] >= first:
-                    pending.pop()
-                if not pending:  # no such variable, or v is the last: its part is the rest
-                    break
-                var_stamp[v] = first + len(todo)
-                growing, live = [len(todo)], 1
-                todo.append([v])
-                got.append([v])
-                ids.append(0)
             for g in growing:
                 visit = todo[g]
                 if not visit:  # finished, or merged into another fill
                     continue
-                while True:  # one node a turn, or all while it grows alone at the root
-                    x = visit.pop()
-                    linked = ()  # its reals, or the atoms and reals a real links
-                    if x < base:
-                        for ci in occurs[x]:
-                            if clause_stamp[ci] == reached:
-                                continue
-                            clause_stamp[ci] = reached
-                            view = clauses[ci]
-                            for l in view:
-                                if values[abs(l)] is not None:
-                                    view = _live_view(view, values)
-                                    break
-                            if view:
-                                ids[g] |= 1 << ci
-                                for y in map(abs, view):
-                                    h = var_stamp[y] - first
-                                    if h < 0:
-                                        var_stamp[y] = first + g
-                                        visit.append(y)
-                                        got[g].append(y)
-                                    elif h != g:
-                                        g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
-                                        visit = todo[g]
-                        if x in reals:
-                            linked = [base + r for r in reals[x]]
-                    else:
-                        linked = []
-                        for a in atoms_over[x - base]:
-                            if values[a] is None:
-                                linked.append(a)
-                            elif a in on_branch or a in sources or -a in sources:
-                                linked += [base + r for r in reals[a]]
-                    for y in linked:
-                        h = var_stamp[y] - first
-                        if h < 0:
-                            var_stamp[y] = first + g
-                            visit.append(y)
-                            got[g].append(y)
-                        elif h != g:
-                            g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
-                            visit = todo[g]
-                    if not visit or live > 1 or not pending:
-                        break
+                x = visit.pop()
+                linked = ()  # its reals, or the atoms and reals a real links
+                if x < base:
+                    for ci in occurs[x]:
+                        if clause_stamp[ci] == reached:
+                            continue
+                        clause_stamp[ci] = reached
+                        view = clauses[ci]
+                        for l in view:
+                            if values[abs(l)] is not None:
+                                view = _live_view(view, values)
+                                break
+                        if view:
+                            ids[g] |= 1 << ci
+                            for y in map(abs, view):
+                                h = var_stamp[y] - first
+                                if h < 0:
+                                    var_stamp[y] = first + g
+                                    visit.append(y)
+                                    got[g].append(y)
+                                elif h != g:
+                                    g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
+                                    visit = todo[g]
+                    if x in reals:
+                        linked = [base + r for r in reals[x]]
+                else:
+                    linked = []
+                    for a in atoms_over[x - base]:
+                        if values[a] is None:
+                            linked.append(a)
+                        elif a in on_branch or a in sources or -a in sources:
+                            linked += [base + r for r in reals[a]]
+                for y in linked:
+                    h = var_stamp[y] - first
+                    if h < 0:
+                        var_stamp[y] = first + g
+                        visit.append(y)
+                        got[g].append(y)
+                    elif h != g:
+                        g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
+                        visit = todo[g]
                 live -= not visit
-                if live < 2 and not pending:
+                if live < 2:
                     break
-        index.stamp = first + len(todo)
 
         for nodes, fill_ids, visit in zip(got, ids, todo):
             if nodes is None or visit:  # merged into another fill, or still growing: the rest
@@ -540,16 +519,20 @@ def split_components(
 
 def cache_key(component: Component) -> tuple:
     """Identity of a residual subproblem: clause ids, scope and theory
-    context.
+    context, led by the scope's lowest variable.
 
     The clause id mask and the scope mask fix each clause's live view.
     The context is the key of ``component.polyhedron``: the canonical
     projection of the trail's inequalities onto the reals of the
     component's atoms and of the trail's disequalities, followed by those
     disequalities.  The scope fixes the component's reals, so equal keys
-    admit the same assignments.
+    admit the same assignments.  The lowest variable decides nothing, but
+    CPython hashes an int as its value mod 2**61 - 1, under which masks
+    that are runs of consecutive bits, as the Boolean chain's are, share
+    few hashes; with it they hash apart.
     """
-    return (component.ids, component.scope, component.polyhedron.key)
+    scope = component.scope
+    return ((scope & -scope).bit_length(), component.ids, scope, component.polyhedron.key)
 
 
 # ---------------------------------------------------------------------------

@@ -675,7 +675,7 @@ def test_cache_key_on_projection_with_disequalities(monkeypatch):
     (comp,) = root_split(db, amap, assignment, [ne, xy])
     assert (xy, ne) == (-5, -6) and comp.polyhedron.sources == {xy, ne}
     assert comp.polyhedron.key == (*st.lra.project_trail(amap, [xy], {x, y}).key, ne)
-    assert cache_key(comp) == (comp.ids, comp.scope, comp.polyhedron.key)
+    assert cache_key(comp) == ((comp.scope & -comp.scope).bit_length(), comp.ids, comp.scope, comp.polyhedron.key)
 
     # the equality x = y instead: the same clauses, a convex context
     assignment[abs(ne)] = ne < 0
@@ -701,6 +701,24 @@ def test_cache_key_on_projection_with_disequalities(monkeypatch):
 
     on, off = contexts(True), contexts(False)
     assert on <= off and any(isinstance(part, int) for key in off for part in key)
+
+
+def test_boolean_chain_cache_keys_hash_apart(monkeypatch):
+    """The Boolean chain's scopes and clause id masks are runs of
+    consecutive bits, which CPython's int hash (the value mod 2**61 - 1)
+    folds onto few values; led by the scope's lowest variable, at least
+    90 % of the chain's keys at n = 800 hash apart."""
+    keys = []
+
+    def recording(comp):
+        keys.append(cache_key(comp))
+        return keys[-1]
+
+    monkeypatch.setattr(st.compiler, "cache_key", recording)
+    st.compile(*bool_chain(800))
+    distinct = set(keys)
+    assert len(distinct) > 1000
+    assert len(set(map(hash, distinct))) >= 0.9 * len(distinct), (len(set(map(hash, distinct))), len(distinct))
 
 
 def test_every_keyed_component_is_fixed_by_its_clause_ids_and_scope(monkeypatch):

@@ -62,6 +62,9 @@ def test_bench_script_writes_json(script, args, tmp_path):
             before = median[row.get("components"), row["n"] // 2]
             assert row["compile_growth"] == row["compile_s_median"] / before
         assert proc.stdout.count(" growth ") == 3
+        for row in rows:  # at least --repeats (1) runs and 0.5 s of compiles, and no run more
+            assert row["repeats"] == len(row["compile_s_runs"]) > 1
+            assert sum(row["compile_s_runs"]) >= result["min_compile_s"] == 0.5 > sum(row["compile_s_runs"][:-1])
         assert all(row["finish_s"] > 0 for row in result["runs"])  # each compile ends in one finish
         assert all(row["theory_witness_hits"] > 0 for row in result["real_chain"])
     if script == "bench_frontend.py":  # one record per label, each stage of each group timed
