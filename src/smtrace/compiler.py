@@ -26,33 +26,11 @@ branch asserted, and a sub-component's context is projected from its
 parent's plus those literals.  One clause store per compile
 (``WatchedClauses``) holds the Boolean state: clauses, assignment, watches
 and a per-variable occurrence index, through which splitting reads the
-clauses.  It keeps each variable's count of unsatisfied clauses, and per
-count the mask of the variables that have it, up to date as literals are
-assigned and undone, as in Chaff.  Splits are stamped flood fills, and there
-is one kind: the root of the search is the store's component ``index.root``,
-of every variable, every input clause id and an empty context, so it is
-split as a decided component is.  A split seeds a fill at each free
-neighbour of the variables its branch assigned, and the root, which is not
-connected, at each of its unassigned variables too, and grows the fills in
-lock-step, one node each in turn, merging two that meet, as Even and
-Shiloach search the sides of a deleted edge ("An On-Line Edge-Deletion
-Problem", J. ACM 1981).  Every part holds a seed, so once at most one fill
-is still growing, the finished ones are whole parts and the last is the
-rest: the component's masks less the finished fills' and the branch's
-variables and clauses.  A split thus costs about the size of its small
-parts.  A branch that assigned the whole scope is not split.  Each part's
-context is projected from the component's, plus the branch's literals over
-the part's reals.  The decision order is DLCS on the kept
-counts, except that a linear atom in none of the component's clauses that
-shares a real with the component's trail context is decided first: leaving
-it open would keep that real apart in the cache keys of otherwise equal
-subproblems.  A component that is one Boolean atom in no clause is a leaf,
-its two literals, with no branches.  A decision thus pays for the occurrence
-lists of the literals its branches assign, the small parts of their splits,
-the theory candidates an index of the trail's reals keeps ready, and a few
-operations in C on masks as wide as the compile and on the context: the
-rest's cut, DLCS's count levels, the cache key's hash and the copies of the
-context's sources and stages that the rest's projection keeps.
+clauses.  It keeps each clause's count of true literals, each variable's
+count of unsatisfied clauses, and per count the mask of the variables that
+have it, up to date as literals are assigned and undone, as in Chaff:
+splitting (``split_components``) reads the first, and the decision order
+(``decide``) the others.
 """
 
 from __future__ import annotations
@@ -164,11 +142,13 @@ class WatchedClauses:
     ``var_stamp`` (per node) and ``clause_stamp`` record what a split has
     marked: a node the fill it joined, a clause whether the seeding or a
     fill read it.  Each split stamps above ``stamp`` and advances it past
-    what it used, so nothing is cleared between splits.  ``true[ci]`` counts the true literals of clause ci and
-    ``counts[v]`` the unsatisfied clauses v occurs in (with multiplicity):
-    DLCS's counts, kept on assign and undo as in Chaff.  ``levels[c]`` is
-    the mask of the variables whose count is c; a count never rises above
-    its initial ``len(occurs[v])``, so ``levels`` keeps its length.
+    what it used, so nothing is cleared between splits.  ``true[ci]``
+    counts the true literals of clause ci, which is all a split reads of
+    the clause's satisfaction, and ``counts[v]`` the unsatisfied clauses v
+    occurs in (with multiplicity): DLCS's counts.  Both are kept on assign
+    and undo, as in Chaff.  ``levels[c]`` is the mask of the variables
+    whose count is c; a count never rises above its initial
+    ``len(occurs[v])``, so ``levels`` keeps its length.
     ``root`` is the component the search starts from: every variable,
     every input clause id and the empty context ``lra.NO_PROJECTION``.
     """
@@ -298,18 +278,6 @@ class WatchedClauses:
 # component splitting
 
 
-def _live_view(clause, values) -> tuple[int, ...]:
-    """The unassigned literals of a clause, or ``()`` when it is satisfied."""
-    live = []
-    for l in clause:
-        val = values[abs(l)]
-        if val is None:
-            live.append(l)
-        elif val == (l > 0):
-            return ()
-    return tuple(live)
-
-
 def _merge(g, h, todo, got, ids, var_stamp, first) -> int:
     """Join fills g and h of a split, which met, into the one that reached
     more nodes, restamping the other's nodes; return the fill kept."""
@@ -340,7 +308,8 @@ def split_components(
     clause sets).
     Unassigned atoms outside all unsatisfied clauses still form components, so
     totality branching stays scoped.  ``index`` is the compile's clause
-    store: the split reads its assignment ``values`` and its indexes.
+    store: the split reads its assignment ``values``, its count ``true`` of
+    each clause's true literals and its indexes.
 
     ``parent`` is the component being decided, ``assigned`` the literals
     its branch asserted and ``trail`` the theory literals among them, in
@@ -349,16 +318,16 @@ def split_components(
     ``lra.NO_PROJECTION`` projects nothing, and its branch asserted the
     whole trail.
 
-    Components are flood fills over the index.  A reached variable visits
-    the clauses it occurs in, each once per split, and keeps the id of a
-    clause that is not satisfied; its unassigned variables join the fill.
-    A reached atom joins its reals, and a reached real joins the unassigned
-    atoms over it and the reals of the trail atoms over it.  Each part of a
-    decided component holds a seed: a free neighbour of an assigned variable
-    (a free variable of a parent clause it occurs in, or a real of its
-    atom), since the component was connected.  The root is not connected,
-    so each of its unassigned variables that no neighbour seeded is a seed
-    too.
+    Components are flood fills over the index, with one neighbour walk: a
+    reached variable's neighbours are the unassigned variables of the
+    clauses it occurs in that no literal satisfies (``true``), each clause
+    read once per split and its id kept, then its reals; a reached real's
+    are the unassigned atoms over it and the reals of the trail atoms over
+    it.  Each part of a decided component holds a seed: a free neighbour of
+    an assigned variable (a free variable of a parent clause it occurs in,
+    or a real of its atom), since the component was connected.  The root is
+    not connected, so each of its unassigned variables that no neighbour
+    seeded is a seed too.
 
     Every seed starts a fill, and the fills grow in lock-step: each takes
     one node in turn, and two that reach each other's nodes merge into the
@@ -368,12 +337,12 @@ def split_components(
     still growing.  Its part is the rest of the parent, since every other
     part holds a seed and so finished: the parent's masks less the assigned
     variables, the finished fills' variables and clauses, and the clauses
-    the assignment left with no live literal; a clause it only shrank keeps
-    its id.  So the rest costs only what the small parts cost, the nodes
-    the fills took in turn with them, and a few operations on masks as wide
-    as the parent.  Parts are ordered by their lowest variable.
-    Without ``components`` nothing is filled and the rest of the parent is
-    the one component.
+    the assignment satisfied or left with no free literal; a clause it only
+    shrank keeps its id.  So the rest costs only what the small parts cost,
+    the nodes the fills took in turn with them, and a few operations on
+    masks as wide as the parent.  Parts are ordered by their lowest
+    variable.  Without ``components`` nothing is filled and the rest of the
+    parent is the one component.
 
     The trail literals a part can read are the parent context's ``sources``
     and ``trail``: the parent is closed under trail entanglement, so no
@@ -385,45 +354,36 @@ def split_components(
     part's atoms, those that the parent's rows and the branch literals
     mention, the only ones it can read.
     """
-    values = index.values
+    values, true = index.values, index.true
     clauses, occurs, var_stamp, clause_stamp = index.clauses, index.occurs, index.var_stamp, index.clause_stamp
     reals, atoms_over, base = index.reals, index.atoms_over, index.real_base
     seen, reached = index.stamp + 1, index.stamp + 2  # clause stamps
     first = reached + 1  # the node stamp of fill 0: fill k stamps first + k
 
-    seeds = []
     pscope, pids, context = parent.scope, parent.ids, parent.polyhedron
     gone = 0  # the assigned variables of the parent, then the fills'
-    dead = 0  # the parent clauses they occur in that the assignment left with no live literal
+    dead = 0  # the parent clauses they occur in that are satisfied or have no free literal
+    around = []  # the free neighbours of the assigned variables, then the root's unassigned variables
     for lit in assigned:
         v = abs(lit)
-        if not pscope >> v & 1:
-            continue
         gone |= 1 << v
         for ci in occurs[v]:
             if pids >> ci & 1 and clause_stamp[ci] != seen:
                 clause_stamp[ci] = seen
-                free = sat = False
+                start = len(around)
                 for l in clauses[ci]:
-                    u = abs(l)
-                    if values[u] is None:
-                        free = True
-                        if var_stamp[u] < first:
-                            var_stamp[u] = first + len(seeds)
-                            seeds.append(u)
-                    elif values[u] == (l > 0):
-                        sat = True
-                if sat or not free:  # no live literal
+                    if values[abs(l)] is None:
+                        around.append(abs(l))
+                if true[ci] or len(around) == start:  # satisfied, or no free literal
                     dead |= 1 << ci
-        for r in reals.get(v, ()):
-            if var_stamp[base + r] < first:
-                var_stamp[base + r] = first + len(seeds)
-                seeds.append(base + r)
+        around += [base + r for r in reals.get(v, ())]
     if parent is index.root:  # not connected: every unassigned variable seeds a fill
-        for v in range(1, base):
-            if values[v] is None and var_stamp[v] < first:
-                var_stamp[v] = first + len(seeds)
-                seeds.append(v)
+        around += [v for v in range(1, base) if values[v] is None]
+    seeds = []
+    for u in around:
+        if var_stamp[u] < first:
+            var_stamp[u] = first + len(seeds)
+            seeds.append(u)
     index.stamp = first + len(seeds)
     sources, on_branch = context.sources, set(map(abs, trail))  # the trail literals the parts read
 
@@ -449,32 +409,19 @@ def split_components(
                 if not visit:  # finished, or merged into another fill
                     continue
                 x = visit.pop()
-                linked = ()  # its reals, or the atoms and reals a real links
+                linked = []  # x's neighbours
                 if x < base:
                     for ci in occurs[x]:
-                        if clause_stamp[ci] == reached:
-                            continue
-                        clause_stamp[ci] = reached
-                        view = clauses[ci]
-                        for l in view:
-                            if values[abs(l)] is not None:
-                                view = _live_view(view, values)
-                                break
-                        if view:
-                            ids[g] |= 1 << ci
-                            for y in map(abs, view):
-                                h = var_stamp[y] - first
-                                if h < 0:
-                                    var_stamp[y] = first + g
-                                    visit.append(y)
-                                    got[g].append(y)
-                                elif h != g:
-                                    g, live = _merge(g, h, todo, got, ids, var_stamp, first), live - 1
-                                    visit = todo[g]
+                        if clause_stamp[ci] != reached:
+                            clause_stamp[ci] = reached
+                            if not true[ci]:
+                                ids[g] |= 1 << ci
+                                for l in clauses[ci]:
+                                    if values[abs(l)] is None:
+                                        linked.append(abs(l))
                     if x in reals:
-                        linked = [base + r for r in reals[x]]
+                        linked += [base + r for r in reals[x]]
                 else:
-                    linked = []
                     for a in atoms_over[x - base]:
                         if values[a] is None:
                             linked.append(a)
@@ -595,21 +542,7 @@ class _Search:
                 if refutation is not None:
                     self.stats.conflicts += 1
                     if self.cfg.learning:
-                        # the refutation's core is audited already: its first check is the refutation
-                        first = refutation.core
-
-                        def check(trial: frozenset[int]) -> lra.FeasibilityResult:
-                            if trial == first:
-                                return refutation
-                            if lit in trial:
-                                return theory._check(trial)
-                            # a subset of the trail, which the top point satisfies
-                            if not lra.witness_satisfies(self.amap, trial, theory.point):
-                                raise AssertionError(f"top point audit failed for {sorted(trial)}")
-                            theory.witness_hits += 1
-                            return lra.FeasibilityResult(True, witness=theory.point)
-
-                        core = lra.minimize_core(self.amap, first, check=check)
+                        core = theory.minimal_core(lit, refutation)
                         # lit is in the core, since the trail before it is feasible
                         latest = next(l for l in reversed(theory.trail) if l in core)
                         self.index.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))

@@ -682,7 +682,6 @@ class TheoryState:
         self.trail: list[int] = []
         self._points: list[Point] = [Point()]  # _points[i] satisfies trail[:i]
         self._over: dict[int, list[int]] = {}  # real -> the trail positions of the literals over it
-        self._reals: list[frozenset[int]] = []  # _reals[i]: the reals of trail[i]
         self._atoms_over = atoms_over
         self._unmentioned = {a: len(table.atoms[a - 1].term.real_vars) for over in atoms_over for a in over}
         self.ready = 0
@@ -781,15 +780,14 @@ class TheoryState:
                     if not unmentioned[a]:
                         self.ready |= 1 << a
         self.trail.append(lit)
-        self._reals.append(reals)
         self._points.append(point)
         return None
 
     def pop_to(self, size: int) -> None:
         """Drop the trail entries after the first ``size``."""
-        atoms_over, unmentioned = self._atoms_over, self._unmentioned
-        for reals in self._reals[size:]:
-            for r in reals:
+        atoms, atoms_over, unmentioned = self.table.atoms, self._atoms_over, self._unmentioned
+        for lit in self.trail[size:]:
+            for r in atoms[abs(lit) - 1].term.real_vars:
                 at = self._over[r]
                 at.pop()
                 if not at and r < len(atoms_over):  # r is no longer mentioned
@@ -797,7 +795,6 @@ class TheoryState:
                         self.ready &= ~(1 << a)
                         unmentioned[a] += 1
         del self.trail[size:]
-        del self._reals[size:]
         del self._points[size + 1 :]
         stored = self._stored
         while stored and stored[-1][1] > size:
@@ -810,6 +807,27 @@ class TheoryState:
             return False
         return not self._query(-lit).sat
 
+    def minimal_core(self, lit: int, refutation: FeasibilityResult) -> frozenset[int]:
+        """A minimal infeasible subset of the core of ``refutation``, what
+        ``assert_literal`` returned for ``lit`` (``minimize_core``).  The
+        first trial, the core itself, is answered by the refutation, whose
+        certificate is audited already; a trial without ``lit`` is a subset
+        of the feasible trail, answered at the top point after an audit and
+        counted as a witness hit; only the others run Fourier-Motzkin."""
+        first, point = refutation.core, self.point
+
+        def check(trial: frozenset[int]) -> FeasibilityResult:
+            if trial == first:
+                return refutation
+            if lit in trial:
+                return self._check(trial)
+            if not witness_satisfies(self.table, trial, point):
+                raise AssertionError(f"top point audit failed for {sorted(trial)}")
+            self.witness_hits += 1
+            return FeasibilityResult(True, witness=point)
+
+        return minimize_core(self.table, first, check=check)
+
 
 def minimize_core(
     table,
@@ -819,11 +837,9 @@ def minimize_core(
     """Deletion-based minimization: one feasibility call per element, in
     ``literal_key`` order, after one on the whole core.
 
-    ``check`` answers each call, by default with ``check_feasible``.  The
-    search answers the first call with the refutation being minimised, and
-    the one trial that drops the refuted literal, a subset of the feasible
-    trail, at the trail's top point, so only the other trials run
-    Fourier-Motzkin.
+    ``check`` answers each call, by default with ``check_feasible``;
+    ``TheoryState.minimal_core`` passes one that needs Fourier-Motzkin for
+    fewer of them.
     """
     if check is None:
         check = lambda fs: check_feasible(table, fs)

@@ -219,10 +219,24 @@ def test_decide_with_empty_trail_matches_reference(data):
     assert decide(comp, _index(clauses, values, reals)) == reference_decide(comp, clauses, values)
 
 
+def _live_view(clause, values) -> tuple[int, ...]:
+    """The unassigned literals of a clause, or ``()`` when it is satisfied."""
+    live = []
+    for l in clause:
+        val = values[abs(l)]
+        if val is None:
+            live.append(l)
+        elif val == (l > 0):
+            return ()
+    return tuple(live)
+
+
 def test_decide_counts_match_a_recount(monkeypatch):
     """At every decision, each scope variable's maintained count is its
     number of occurrences in the live views of the component's clauses,
-    the count ``decide`` used to make afresh.  Every literal a branch
+    the count ``decide`` used to make afresh.  At every split, each clause
+    of the parent keeps in ``index.true`` its number of true literals,
+    which the split reads for satisfaction.  Every literal a branch
     assigns lies in its parent's scope, which lets a branch that assigned
     as many literals as the scope holds skip the split."""
     compiler = st.compiler
@@ -230,7 +244,9 @@ def test_decide_counts_match_a_recount(monkeypatch):
     seen = {"values": None, "decisions": 0, "splits": 0}
 
     def checked_split(index, amap, parent, assigned, trail, components=True):
-        seen["values"] = index.values  # the search's one list, assigned in place
+        values = seen["values"] = index.values  # the search's one list, assigned in place
+        for ci in variables_of(parent.ids):
+            assert index.true[ci] == sum(values[abs(l)] == (l > 0) for l in index.clauses[ci])
         if parent is not index.root:
             assert {abs(lit) for lit in assigned} <= set(variables_of(parent.scope))
             seen["splits"] += 1
@@ -238,7 +254,7 @@ def test_decide_counts_match_a_recount(monkeypatch):
 
     def checked_decide(component, index):
         values = seen["values"]
-        views = (compiler._live_view(index.clauses[ci], values) for ci in variables_of(component.ids))
+        views = (_live_view(index.clauses[ci], values) for ci in variables_of(component.ids))
         recount = Counter(abs(l) for view in views for l in view)
         scope = variables_of(component.scope)
         assert {v: index.counts[v] for v in scope} == {v: recount[v] for v in scope}

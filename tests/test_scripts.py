@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion on small arguments."""
 
+import importlib.util
 import json
 import os
 import re
@@ -30,6 +31,7 @@ def _run(script, *args, cwd):
     [
         ("sweep.py", ["--instances", "3"]),
         ("component_growth.py", ["--copies", "1"]),
+        ("mutants.py", ["--only", "split-dead-without-true", "--timeout", "60"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -128,3 +130,18 @@ def test_differential_dumps_and_compares(tmp_path):
     groups = {line.index(" lazy") + 1 for line in lines}
     counts = {re.search(r"\d+ of \d+ differ", line).start() for line in lines}
     assert groups == {len("theory_witness_hits") + 1} and len(counts) == 1, wide.stdout
+
+
+def test_every_mutant_edits_code_that_occurs_once_in_src():
+    """A refactor that moves or duplicates a mutant's code shows up here,
+    not as a mutant that no longer applies."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mutants = module.MUTANTS
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "smtrace").glob("*.py")}
+    assert len(mutants) >= 6 and len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m.old != m.new and m.tests, m.name
+        assert sources[m.path].count(m.old) == 1, m.name
+        assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
