@@ -81,6 +81,37 @@ MUTANTS = (
         SPLIT_REFERENCE,
     ),
     Mutant(
+        "split-cuts-off-atoms-in-one-clause",
+        "compiler.py",
+        "not counts[u]",
+        "counts[u] < 2",
+        ("tests/test_compiler.py::test_split_cuts_free_boolean_atoms_off_at_seeding", *SPLIT_REFERENCE),
+    ),
+    Mutant(
+        "split-cuts-off-free-linear-atoms",
+        "compiler.py",
+        " and u not in reals:",
+        ":",
+        ("tests/test_compiler.py::test_split_cuts_free_boolean_atoms_off_at_seeding", *SPLIT_REFERENCE),
+    ),
+    Mutant(
+        "cache-hit-not-counted",
+        "compiler.py",
+        "self.stats.cache_hits += 1",
+        "pass",
+        (
+            "tests/test_compiler.py::test_boolean_chain_cache_keys_hash_apart",
+            "tests/test_compiler.py::test_real_chain_hits_the_projected_cache",
+        ),
+    ),
+    Mutant(
+        "propagate-drops-the-implied-literal",
+        "compiler.py",
+        "queue.append(other)",
+        "pass",
+        ("tests/test_compiler.py::test_unit_propagate_chain", "tests/test_compiler.py"),
+    ),
+    Mutant(
         "cache-key-without-context",
         "compiler.py",
         "scope, component.polyhedron.key)",
@@ -132,6 +163,13 @@ MUTANTS = (
         "audited = {lit, *(self.trail[i] for v in moved if v in over for i in over[v])}",
         "audited = {lit}",
         ("tests/test_lra.py::test_the_extended_witness_audit_reads_the_literals_over_moved_reals",),
+    ),
+    Mutant(
+        "projection-keeps-the-looser-parallel-row",
+        "lra.py",
+        "(num * old[1], strict) > (old[0] * den, old[2])",
+        "(num * old[1], strict) < (old[0] * den, old[2])",
+        ("tests/test_lra.py::test_project_trail_tightens_parallel_rows", "tests/test_lra.py"),
     ),
     Mutant(
         "fm-strict-only-when-both-rows-are",

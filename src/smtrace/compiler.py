@@ -5,9 +5,12 @@ satisfied, remaining atoms are still branched under theory pruning, so counts
 need no smoothing).  It is one loop over an explicit stack of generator
 frames: the root is an ordinary branch that asserts the input's unit
 clauses, and each branch pops the Boolean and theory trails back to the
-sizes it found them at.  Backtracking is chronological; theory conflicts yield
-minimized cores learned as globally scoped clauses.  Residual subproblems are
-decomposed at the variable level: clauses connect through Boolean variables,
+sizes it found them at.  A branch answers in place each part of its split
+that the cache holds or that is a free Boolean atom (in no unsatisfied
+clause); only the other parts open a frame, which decides them.
+Backtracking is chronological; theory conflicts yield minimized cores
+learned as globally scoped clauses.  Residual subproblems are decomposed at
+the variable level: clauses connect through Boolean variables,
 through shared real variables, and transitively through real variables
 co-occurring in asserted trail atoms.  A component is its scope (its
 unassigned variables), the ids of its unsatisfied clauses and its theory
@@ -29,8 +32,9 @@ and a per-variable occurrence index, through which splitting reads the
 clauses.  It keeps each clause's count of true literals, each variable's
 count of unsatisfied clauses, and per count the mask of the variables that
 have it, up to date as literals are assigned and undone, as in Chaff:
-splitting (``split_components``) reads the first, and the decision order
-(``decide``) the others.
+splitting (``split_components``) reads the first two, the second to cut
+free Boolean atoms off at seeding, and the decision order (``decide``) the
+masks.
 """
 
 from __future__ import annotations
@@ -292,6 +296,20 @@ def _merge(g, h, todo, got, ids, var_stamp, first) -> int:
     return h
 
 
+def _part(index, amap, context, scope, ids, kept, new) -> Component:
+    """A part of a split whose parent has the theory context ``context``:
+    its ``kept`` sources of that context and its branch literals ``new``
+    projected onto the reals its projection can read."""
+    polyhedron = lra.NO_PROJECTION
+    if kept or new:  # never without a theory: its trail is empty
+        # of the reals of the part's atoms, those the projection can read: the context rows' and new's
+        near = {v for row in context.rows for v in row[0]}.union(*map(index.reals.__getitem__, map(abs, new)))
+        atoms_over = index.atoms_over
+        own = {r for r in near for a in atoms_over[r] if scope >> a & 1}
+        polyhedron = lra.project_trail(amap, new, own, context, kept)
+    return Component(scope, ids, polyhedron)
+
+
 def split_components(
     index: WatchedClauses,
     amap: AtomTable,
@@ -327,22 +345,27 @@ def split_components(
     an assigned variable (a free variable of a parent clause it occurs in,
     or a real of its atom), since the component was connected.  The root is
     not connected, so each of its unassigned variables that no neighbour
-    seeded is a seed too.
+    seeded is a seed too.  With ``components``, a seed that is a Boolean
+    atom in no unsatisfied clause (its ``counts`` entry, kept on assign and
+    undo, is 0) is a free atom: no fill can reach it or leave it, so it is
+    a part of its own at once, stamped so that a repeat of it is skipped,
+    and starts no fill.
 
-    Every seed starts a fill, and the fills grow in lock-step: each takes
-    one node in turn, and two that reach each other's nodes merge into the
-    one that reached more, which restamps the other's.  A fill with nothing
-    left to visit is finished, and a finished fill is a whole part: any node
-    next to it was visited from it.  The fills stop once at most one is
-    still growing.  Its part is the rest of the parent, since every other
-    part holds a seed and so finished: the parent's masks less the assigned
-    variables, the finished fills' variables and clauses, and the clauses
-    the assignment satisfied or left with no free literal; a clause it only
-    shrank keeps its id.  So the rest costs only what the small parts cost,
-    the nodes the fills took in turn with them, and a few operations on
-    masks as wide as the parent.  Parts are ordered by their lowest
-    variable.  Without ``components`` nothing is filled and the rest of the
-    parent is the one component.
+    Every other seed starts a fill, and when two or more do, they grow in
+    lock-step: each takes one node in turn, and two that reach each other's
+    nodes merge into the one that reached more, which restamps the other's.
+    A fill with nothing left to visit is finished, and a finished fill is a
+    whole part: any node next to it was visited from it.  The fills stop
+    once at most one is still growing.  Its part is the rest of the parent,
+    since every other part holds a seed and so was cut off or finished: the
+    parent's masks less the assigned variables, the free atoms, the
+    finished fills' variables and clauses, and the clauses the assignment
+    satisfied or left with no free literal; a clause it only shrank keeps
+    its id.  So the rest costs only what the small parts cost, the nodes
+    the fills took in turn with them, and a few operations on masks as wide
+    as the parent.  Parts are ordered by their lowest variable.  Without
+    ``components`` nothing is cut off or filled and the rest of the parent
+    is the one component.
 
     The trail literals a part can read are the parent context's ``sources``
     and ``trail``: the parent is closed under trail entanglement, so no
@@ -379,24 +402,20 @@ def split_components(
         around += [base + r for r in reals.get(v, ())]
     if parent is index.root:  # not connected: every unassigned variable seeds a fill
         around += [v for v in range(1, base) if values[v] is None]
-    seeds = []
+    counts, comps, seeds = index.counts, [], []
     for u in around:
         if var_stamp[u] < first:
-            var_stamp[u] = first + len(seeds)
-            seeds.append(u)
+            if components and u < base and not counts[u] and u not in reals:  # a free Boolean atom
+                var_stamp[u] = first  # no fill reaches it
+                gone |= 1 << u
+                comps.append(Component(1 << u, 0, lra.NO_PROJECTION))
+            else:
+                var_stamp[u] = first + len(seeds)
+                seeds.append(u)
     index.stamp = first + len(seeds)
-    sources, on_branch = context.sources, set(map(abs, trail))  # the trail literals the parts read
+    sources, on_branch = context.sources, {abs(lit) for lit in trail} if trail else ()  # the trail literals the parts read
 
-    def component(scope, ids, kept, new) -> Component:
-        polyhedron = lra.NO_PROJECTION
-        if kept or new:  # never without a theory: its trail is empty
-            # of the reals of the part's atoms, those the projection can read: the context rows' and new's
-            near = {v for row in context.rows for v in row[0]}.union(*map(reals.__getitem__, map(abs, new)))
-            own = {r for r in near for a in atoms_over[r] if scope >> a & 1}
-            polyhedron = lra.project_trail(amap, new, own, context, kept)
-        return Component(scope, ids, polyhedron)
-
-    comps, filled_reals, taken, cut = [], set(), set(), 0
+    filled_reals, taken, cut = set(), set(), 0
     if components and len(seeds) > 1:  # else the rest is all
         # fill k: the nodes it reached and has still to visit, all it reached, and its clause ids
         todo, got, ids = [[s] for s in seeds], [[s] for s in seeds], [0] * len(seeds)
@@ -453,12 +472,12 @@ def split_components(
             taken |= kept
             if scope:  # not reals alone
                 new = trail and [lit for lit in trail if not own_reals.isdisjoint(reals[abs(lit)])]
-                comps.append(component(scope, fill_ids, kept, new))
+                comps.append(_part(index, amap, context, scope, fill_ids, kept, new))
     rest = pscope & ~gone
     if rest:
         cut |= dead
         new = [lit for lit in trail if filled_reals.isdisjoint(reals[abs(lit)])] if filled_reals else trail
-        comps.append(component(rest, pids & ~cut, sources - taken if taken else sources, new))
+        comps.append(_part(index, amap, context, rest, pids & ~cut, sources - taken if taken else sources, new))
     if len(comps) > 1:
         comps.sort(key=lambda c: c.scope & -c.scope)  # a fill seeded at a real, or the rest, may start lower
     return comps
@@ -590,30 +609,24 @@ class _Search:
     # -- trace construction: generators that yield each sub-call to run()
 
     def _compile_component(self, comp: Component):
-        if self.cfg.cache:
-            key = cache_key(comp)
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                return hit
-            self.stats.cache_misses += 1
-        self.stats.decisions += 1
-        if not comp.ids and not comp.scope & (comp.scope - 1) and not comp.scope & self.index.linear:
-            # a free Boolean atom: either branch would assign it alone and imply nothing
-            lit = comp.scope.bit_length() - 1
-            hi, lo = self.builder.lit(lit), self.builder.lit(-lit)
-        else:
-            lit = decide(comp, self.index)
-            hi = yield self._branch((lit,), comp)
-            lo = yield self._branch((-lit,), comp)
-        node = self.builder.or_node(abs(lit), hi, lo)
-        if self.cfg.cache:
-            self.cache[key] = node
-        return node
+        """Decide a part that ``_branch`` found neither cached nor a free
+        Boolean atom, and compile both branches."""
+        lit = decide(comp, self.index)
+        hi = yield self._branch((lit,), comp)
+        lo = yield self._branch((-lit,), comp)
+        return self.builder.or_node(lit, hi, lo)
 
     def _branch(self, lits: Sequence[int], parent: Component):
         """Assert lits in the clause store, propagate within the parent's
         scope, compile what remains and undo what the branch assigned.
+
+        Each part of the split is keyed once (``cache_key``), with the cache
+        on, and counted as a hit or a miss.  A part the cache holds is
+        answered in place, and so is a free Boolean atom (no clause ids, one
+        variable, not linear): either branch would assign it alone and imply
+        nothing, so it is one decision whose node is the Or of its two
+        literals.  Only the other parts open a ``_compile_component`` frame.
+        Each missed part is stored under its key once compiled.
 
         lits is a decision ``(lit,)`` in ``parent``, or, when ``parent`` is
         the store's ``root``, the input's unit clauses, which count as
@@ -654,13 +667,31 @@ class _Search:
                 comps = split_components(index, self.amap, parent, assigned, branch_theory, self.cfg.components)
             if len(comps) > 1:
                 self.stats.components += len(comps)
+            builder, cache = self.builder, self.cache if self.cfg.cache else None
             for comp in comps:
-                child = yield self._compile_component(comp)
-                if child == self.builder.false_id:
+                key = child = None
+                if cache is not None:
+                    key = cache_key(comp)
+                    child = cache.get(key)
+                    if child is not None:
+                        self.stats.cache_hits += 1
+                    else:
+                        self.stats.cache_misses += 1
+                if child is None:
+                    self.stats.decisions += 1
+                    part = comp.scope
+                    if not comp.ids and not part & (part - 1) and not part & index.linear:  # a free Boolean atom
+                        v = part.bit_length() - 1
+                        child = builder.or_node(v, builder.lit(v), builder.lit(-v))
+                    else:
+                        child = yield self._compile_component(comp)
+                    if key is not None:
+                        cache[key] = child
+                if child == builder.false_id:
                     break
                 parts.append(child)
             else:
-                node = self.builder.and_node(parts)
+                node = builder.and_node(parts)
         index.undo_to(mark)
         if theory is not None:
             theory.pop_to(theory_mark)

@@ -326,6 +326,46 @@ def test_split_free_atom_joins_entangled_component():
     assert comps[0].scope == _mask((1, 2, 3, 4, 5))
 
 
+class _Reads(list):
+    """A list that records each index read from it, as ``_store_reads``
+    counts the reads of the store's ``occurs``."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_split_cuts_free_boolean_atoms_off_at_seeding():
+    """A Boolean atom in no unsatisfied clause (``counts`` 0) is a part of
+    its own as soon as it is seeded: no fill starts from it, so the split
+    reads no occurrence list but the assigned variable's.  A linear atom
+    in no unsatisfied clause still joins the clauses its reals touch, and
+    without components nothing is cut off."""
+    db, amap = st.ClauseDb(3, 3, [(1, 2), (2, 3)]), AtomTable()
+    index = assigned_store(db, amap, {2: True})
+    index.occurs = _Reads(index.occurs)
+    comps = split_components(index, amap, index.root, index.trail, ())
+    assert [(c.scope, c.ids) for c in comps] == [(_mask((1,)), 0), (_mask((3,)), 0)]
+    assert index.occurs.read == [2]
+    assert comps == root_split(db, amap, {2: True}, []) == reference_split(db, amap, {2: True}, [])
+    whole = root_split(db, amap, {2: True}, [], components=False)
+    assert [(c.scope, c.ids) for c in whole] == [(_mask((1, 3)), 0)]
+
+    # B or x <= 0, C or x >= 5: B true satisfies the first clause, and its
+    # linear atom x <= 0 (variable 2) still shares x with x >= 5 (variable 4)
+    text = "(declare-const x Real)(declare-const B Bool)(declare-const C Bool)(assert (or B (<= x 0)))(assert (or C (>= x 5)))"
+    prop, amap = st.boolean_abstract(st.parse_smt2(text))
+    db = st.to_cnf(prop)
+    assert db.clauses == [(1, 2), (3, 4)] and amap.is_linear_var(2) and amap.is_linear_var(4)
+    comps = root_split(db, amap, {1: True}, [])
+    assert [(c.scope, c.ids) for c in comps] == [(_mask((2, 3, 4)), _mask((1,)))]
+    assert comps == reference_split(db, amap, {1: True}, [])
+
+
 def _real_vars(amap, var):
     return amap.atom(var).term.real_vars if amap.is_linear_var(var) else frozenset()
 
@@ -723,7 +763,8 @@ def test_boolean_chain_cache_keys_hash_apart(monkeypatch):
     """The Boolean chain's scopes and clause id masks are runs of
     consecutive bits, which CPython's int hash (the value mod 2**61 - 1)
     folds onto few values; led by the scope's lowest variable, at least
-    90 % of the chain's keys at n = 800 hash apart."""
+    90 % of the chain's keys at n = 800 hash apart.  Each part is keyed
+    once and counted as a hit or a miss, and each miss is one decision."""
     keys = []
 
     def recording(comp):
@@ -731,7 +772,9 @@ def test_boolean_chain_cache_keys_hash_apart(monkeypatch):
         return keys[-1]
 
     monkeypatch.setattr(st.compiler, "cache_key", recording)
-    st.compile(*bool_chain(800))
+    stats = st.compile(*bool_chain(800)).stats
+    assert stats.cache_hits > 0 and stats.cache_hits + stats.cache_misses == len(keys)
+    assert stats.decisions == stats.cache_misses
     distinct = set(keys)
     assert len(distinct) > 1000
     assert len(set(map(hash, distinct))) >= 0.9 * len(distinct), (len(set(map(hash, distinct))), len(distinct))
