@@ -109,7 +109,7 @@ MUTANTS = (
         "compiler.py",
         "queue.append(other)",
         "pass",
-        ("tests/test_compiler.py::test_unit_propagate_chain", "tests/test_compiler.py"),
+        ("tests/test_compiler.py::test_unit_propagate_chain",),
     ),
     Mutant(
         "cache-key-without-context",

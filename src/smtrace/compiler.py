@@ -149,10 +149,11 @@ class WatchedClauses:
     what it used, so nothing is cleared between splits.  ``true[ci]``
     counts the true literals of clause ci, which is all a split reads of
     the clause's satisfaction, and ``counts[v]`` the unsatisfied clauses v
-    occurs in (with multiplicity): DLCS's counts.  Both are kept on assign
-    and undo, as in Chaff.  ``levels[c]`` is the mask of the variables
-    whose count is c; a count never rises above its initial
-    ``len(occurs[v])``, so ``levels`` keeps its length.
+    occurs in (with multiplicity): DLCS's counts, and a split's test for a
+    free atom.  Both are kept on assign and undo, as in Chaff.
+    ``levels[c]`` is the mask of the variables whose count is c; a count
+    never rises above its initial ``len(occurs[v])``, so ``levels`` keeps
+    its length.
     ``root`` is the component the search starts from: every variable,
     every input clause id and the empty context ``lra.NO_PROJECTION``.
     """

@@ -67,6 +67,9 @@ def test_added_clause_propagates_and_conflicts_like_an_initial_one(added):
 def test_unit_propagate_chain():
     db = st.ClauseDb(2, 2, [(1,), (-1, 2)])
     assert unit_propagate(db, {}) == ([1, 2], None)
+    # an implied literal propagates in turn
+    db = st.ClauseDb(3, 3, [(1,), (-1, 2), (-2, 3)])
+    assert unit_propagate(db, {}) == ([1, 2, 3], None)
 
 
 def test_unit_propagate_conflict():
