@@ -4,7 +4,8 @@
 For instance seeds start..start+instances-1 of both random generators, runs
 ``boolean_abstract`` and ``to_cnf`` once, then times ``eager_encode`` alone.
 A first, untimed pass counts the ``check_feasible`` calls the enumerator
-makes and the cores it blocks; the timed passes run without that counter and
+makes and the cores it blocks.  Each call refutes one core, to certify it,
+so the two counts are equal.  The timed passes run without that counter and
 the median pass is reported.  Times are scaled to a reference interpreter
 speed by the benchmark's clock (``perfbench/clock.py``, imported, not
 changed), so runs made at different times can be compared; the JSON says so

@@ -6,7 +6,7 @@ with mixed-denominator weights, SHA-256 hashes of the atom table
 (``atom_to_str`` in id order), of the compiled CNF (``to_dimacs``) and of
 the ``export_nnf`` text, and every ``CompileStats`` field except
 ``wall_ms``, as one JSON object keyed ``<group>/<instance>``.  The default
-set has 3409 compiles:
+set has 3699 compiles:
 
 - sweep seeds 0-204 of both generators, lazy mode under default settings,
   ``cache=False``, ``components=False`` and ``learning=False``, and agnostic
@@ -14,13 +14,15 @@ set has 3409 compiles:
 - the same seeds in lazy mode parsed back from their SMT-LIB2 text, as the
   benchmark renders it (``perfbench/inputs.py``, imported, not changed),
   so that ``parse_smt2`` is on the compared path (group ``lazy parsed``);
-- eager mode on sweep seeds 0-59 of both generators;
+- eager mode on sweep seeds 0-204 of both generators, every seed the
+  benchmark's sweep windows draw;
 - the real chain ``x_i <= x_{i+1} or x_i >= 5`` at n = 6, 8, 10, 24, 48,
   96 and the Boolean chain ``A_i or A_{i+1}`` at n = 100, 200, 400, lazy
   mode, parsed from the benchmark's text of each chain.
 
 Without the ``learning=False`` and ``lazy parsed`` groups and the real
-chain at n = 24, 48, 96, this is the 2586-compile set.
+chain at n = 24, 48, 96, and with eager seeds 0-59, this is the
+2586-compile set.
 ``--compare`` lists, field by field, the groups whose entries differ, with
 how many differ and, for numeric fields, the group's sums on both sides and
 how many entries rose and fell from A to B (``up k, down m``); it exits 1
@@ -149,7 +151,7 @@ def compare(a: dict, b: dict) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=205, help="sweep seeds 0..N-1 of each generator")
-    ap.add_argument("--eager-seeds", type=int, default=60, help="sweep seeds compiled in eager mode")
+    ap.add_argument("--eager-seeds", type=int, default=205, help="sweep seeds compiled in eager mode")
     ap.add_argument("--real-sizes", type=int, nargs="*", default=[6, 8, 10, 24, 48, 96])
     ap.add_argument("--bool-sizes", type=int, nargs="*", default=[100, 200, 400])
     ap.add_argument("--out", help="write the dump here instead of stdout")

@@ -186,6 +186,30 @@ MUTANTS = (
         ("tests/test_lra.py",),
     ),
     Mutant(
+        "eager-half-cores-stop-at-k-minus-2",
+        "eager.py",
+        "if total >= 0:",
+        "if total >= 0 and len(combo) < k:",
+        (
+            "tests/test_eager.py::test_half_cores_may_hold_all_but_the_disequality",
+            "tests/test_eager.py::test_cores_match_reference_on_equality_heavy_tables",
+        ),
+    ),
+    Mutant(
+        "eager-cores-without-strict-rows",
+        "eager.py",
+        "if total > 0 or (total == 0 and any(lit < 0 for lit in lits)):",
+        "if total > 0:",
+        ("tests/test_eager.py::test_cores_triangle", "tests/test_eager.py::test_eager_blocks_cores_in_literal_order"),
+    ),
+    Mutant(
+        "eager-one-orientation",
+        "eager.py",
+        "for y in (dep, [-d for d in dep]):",
+        "for y in (dep,):",
+        ("tests/test_eager.py::test_cores_triangle", "tests/test_eager.py::test_cores_match_reference"),
+    ),
+    Mutant(
         "parser-keeps-the-sides-of-less-than",
         "frontend.py",
         'if op in (">=", "<"):',

@@ -1,106 +1,115 @@
 """Eager strategy: block theory-infeasible literal combinations up front.
 
 Minimal infeasible cores over the linear atoms (one literal per atom, both
-polarities considered) are enumerated by increasing size, then by atom
-combination, then by polarity, with superset pruning, and negated into
-blocking clauses.  The scheme adds clauses but no variables; with k equal to
-the number of linear atoms it is complete, so a purely propositional compile
-of the result is theory-sound.
+polarities considered) of at most k literals are negated into blocking
+clauses.  The scheme adds clauses but no variables; with k equal to the
+number of linear atoms it is complete, so a purely propositional compile of
+the result is theory-sound.  The cores come in the order of trying every
+combination by size, then by atoms, then by polarity, with superset pruning.
 
-Three exact bounds skip candidates that cannot be minimal cores, so the
-cores and their order are those of trying every combination:
+Cores are read off the atoms' normals, their integer coefficient vectors
+over the reals, and no candidate is tried at a point.  As a row, the
+literal of ``t <= 0`` is ``t <= 0`` when positive and ``-t < 0`` when
+negated, and the positive literal of ``t = 0`` is one row ``t = 0``.
 
-- Connectivity.  A minimal core's atoms are connected through shared real
-  variables: parts over disjoint reals are each feasible (every proper
-  subset of a minimal core is), so their points combine into one for the
-  union.
-- Convexity.  A minimal core holds at most one negated equality.  Without
-  its disequalities the core is a proper subset, so a nonempty convex set;
-  it lies in the union of their hyperplanes, and a convex set inside
-  finitely many hyperplanes lies in one of them, so that disequality alone
-  already makes it infeasible.
-- Helly's theorem.  With d the number of reals a candidate mentions, a core
-  without a disequality is a family of convex sets in R^d, so it has at most
-  d + 1 members.  In a core ``C + {t != 0}``, C is feasible and ``C + {t > 0}``
-  is not, so by Helly at most d members of C entail ``t <= 0``; likewise
-  for ``t >= 0``, so the core has at most 2d + 1 members.
+- Circuits.  By Motzkin's transposition theorem a set of rows
+  ``a_i.x + c_i (<=, <, =) 0`` is infeasible iff multipliers y, positive on
+  its inequality rows, have ``sum y_i a_i = 0`` and ``sum y_i c_i > 0``, or
+  ``= 0`` with a strict row.  In a minimal infeasible set every y_i is
+  nonzero, and the normals have rank s - 1 for s rows: a second dependency,
+  added to y until some multiplier is zero, would keep the sum's sign and
+  certify a proper subset (Gleeson & Ryan, "Identifying Minimally
+  Infeasible Subsystems of Inequalities", ORSA J. Computing 1990).  So a
+  core's atoms form a circuit: their normals have one dependency y, up to
+  scale, with every entry nonzero, and every proper subset has independent
+  normals, so it is feasible and a core found on a circuit is minimal.  y
+  and -y each fix the polarities: an inequality atom's literal is positive
+  iff its y_i > 0, an equality's is positive, and the set is a core iff the
+  sum is > 0, or 0 with a negated inequality.
+- Disequalities.  A negated equality ``t != 0`` is no row.  A minimal core
+  holds at most one: without them the core is a feasible convex set inside
+  the union of their hyperplanes, so inside one of them, whose disequality
+  alone is infeasible with it.  In a core ``C + {t != 0}`` the set C is
+  feasible and entails ``t = 0``, so ``C + {t < 0}`` and ``C + {t > 0}`` are
+  infeasible; a minimal subset of C infeasible with one side, a half-core,
+  is found on a circuit through t with its row strict (y_t > 0 for ``<``,
+  y_t < 0 for ``>``), infeasible iff the sum is >= 0.  C is the union of
+  one half-core of each side, by minimality.  Both may hold all of C, so a
+  half-core runs to k - 1 literals.  A union that repeats an atom, has more
+  than k literals with ``t != 0``, or holds a core found before it, is none.
 
-Feasible candidates are mostly decided without Fourier-Motzkin.  Each atom
-has one bit, in sorted atom order, and every point the enumeration has
-audited is kept as a cell, the mask of the atoms true there: the origin,
-and each witness ``check_feasible`` returns.  A candidate whose atoms are
-the mask ``within`` and whose positive literals are ``pos`` holds at a cell
-``c`` exactly when ``c & within == pos``: the cell's point then satisfies
-each of its literals by exact evaluation, so a cell left by any earlier
-candidate, of any size, decides it feasible.  Every other candidate runs
-``check_feasible``, whose witness or certificate is audited there.
+Each core then runs ``check_feasible``, which refutes it and audits its
+Farkas certificate, so Fourier-Motzkin only certifies what the normals
+found; a set it did not refute would not be blocked.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations, product
-from operator import or_
+import math
+from itertools import product
 
 from .abstraction import ClauseDb, learn_theory_clause
 from .frontend import EQ, AtomTable
-from .lra import Point, check_feasible, literal_holds, literal_key
-
-
-def _connected(masks: list[int]) -> bool:
-    """Whether atoms with these real-variable bit masks are connected through
-    shared reals."""
-    reach, rest = masks[0], masks[1:]
-    while rest:
-        near = [m for m in rest if m & reach]
-        if not near:
-            return False
-        rest = [m for m in rest if not m & reach]
-        for m in near:
-            reach |= m
-    return True
+from .lra import check_feasible, literal_key
 
 
 def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[int]]:
     """All minimal theory-infeasible literal sets of size <= k over the atoms."""
     atoms = sorted(atom_ids)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
-    eqs = sum(bit[a] for a in atoms if table.atom(a).kind == EQ)
-    top = min(k, len(atoms), 2 * reduce(or_, masks.values(), 0).bit_count() + 1)
+    terms = [table.atom(a).term for a in atoms]
+    eqs = [table.atom(a).kind == EQ for a in atoms]
+    reals = sorted({v for t in terms for v, _ in t.coeffs})
+    width = len(reals)
+    # each normal, then a unit vector that tracks the normals combined into it
+    rows = [
+        [dict(t.coeffs).get(v, 0) for v in reals] + [int(i == j) for j in range(len(atoms))] for i, t in enumerate(terms)
+    ]
+    found: set[frozenset[int]] = set()
+    halves: dict[int, tuple[list, list]] = {}  # equality atom -> half-cores with t < 0, with t > 0
 
-    def cell(point: Point) -> int:
-        return sum(bit[a] for a in atoms if literal_holds(table, a, point))
+    def circuit(combo: tuple[int, ...], dep: list[int]) -> None:
+        for y in (dep, [-d for d in dep]):
+            lits = frozenset(atoms[i] if eqs[i] or yi > 0 else -atoms[i] for i, yi in zip(combo, y))
+            total = sum(yi * terms[i].const for i, yi in zip(combo, y))
+            if total > 0 or (total == 0 and any(lit < 0 for lit in lits)):
+                found.add(lits)
+            if total >= 0:
+                for i, yi in zip(combo, y):
+                    if eqs[i]:
+                        halves.setdefault(atoms[i], ([], []))[yi < 0].append(lits - {atoms[i]})
 
-    cells = [cell(Point())]  # the origin, then every witness
-    cores: list[tuple[frozenset[int], int, int]] = []  # (core, the masks of its atoms and its positive literals)
-    for size in range(1, top + 1):
-        for combo in combinations(atoms, size):
-            combo_masks = [masks[a] for a in combo]
-            d = reduce(or_, combo_masks).bit_count()
-            within = sum(bit[a] for a in combo)
-            combo_eqs = eqs & within
-            if size > 2 * d + 1 or (size > d + 1 and not combo_eqs) or not _connected(combo_masks):
-                continue
-            prior = [(core_bits, core_pos) for _, core_bits, core_pos in cores if core_bits & within == core_bits]
-            seen = {c & within for c in cells}
-            # polarities in product order, the positive literal first
-            for pos in map(sum, product(*((bit[a], 0) for a in combo))):
-                if pos in seen:
-                    continue
-                negated_eqs = (combo_eqs & ~pos).bit_count()
-                if negated_eqs > 1 or (negated_eqs == 0 and size > d + 1):
-                    continue
-                if any(pos & core_bits == core_pos for core_bits, core_pos in prior):
-                    continue
-                lits = frozenset(a if pos & bit[a] else -a for a in combo)
-                result = check_feasible(table, lits)
-                if result.sat:
-                    cells.append(cell(result.witness))
-                    seen.add(pos)
-                else:
-                    cores.append((lits, within, pos))
-    return [core for core, _, _ in cores]
+    def grow(combo: tuple[int, ...], basis: list[tuple[int, list[int]]]) -> None:
+        """Extend an independent set of normals, reduced to echelon rows
+        ``basis``, by each later atom; a set holding a dependent one is no
+        circuit, since its dependency is zero off that set."""
+        for j in range(combo[-1] + 1 if combo else 0, len(atoms)):
+            row = rows[j]
+            for pivot, b in basis:
+                if row[pivot]:
+                    f, g = b[pivot], row[pivot]
+                    row = [f * x - g * z for x, z in zip(row, b)]
+            ext = combo + (j,)
+            pivot = next((c for c in range(width) if row[c]), None)
+            if pivot is None:
+                if all(row[width + i] for i in ext):
+                    circuit(ext, [row[width + i] for i in ext])
+            elif len(ext) < k:
+                g = math.gcd(*row)
+                grow(ext, [*basis, (pivot, [x // g for x in row])])
+
+    grow((), [])
+    for t, (below, above) in halves.items():
+        for s1, s2 in product(below, above):
+            union = s1 | s2
+            if len(union) < k and not any(-lit in union for lit in union):
+                found.add(union | {-t})
+    cores: list[frozenset[int]] = []
+    # by size, atoms and polarity, the positive literal first; only a refuted
+    # set, its certificate audited, is a core
+    for lits in sorted(found, key=lambda c: (len(c), sorted(map(abs, c)), [lit < 0 for lit in sorted(c, key=abs)])):
+        if not any(core <= lits for core in cores) and not check_feasible(table, lits).sat:
+            cores.append(lits)
+    return cores
 
 
 def eager_encode(db: ClauseDb, amap: AtomTable, k: int | None = None) -> ClauseDb:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -29,6 +30,20 @@ def reference_cores(table, atom_ids, k):
     return cores
 
 
+def _connected(masks):
+    """Whether atoms with these real-variable bit masks are connected through
+    shared reals."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        near = [m for m in rest if m & reach]
+        if not near:
+            return False
+        rest = [m for m in rest if not m & reach]
+        for m in near:
+            reach |= m
+    return True
+
+
 def one_smaller_calls(table, atom_ids):
     """check_feasible calls of the enumerator, bounds and order included, if
     a candidate could be decided feasible only at the audited point of a
@@ -40,7 +55,7 @@ def one_smaller_calls(table, atom_ids):
         found = {}
         for combo in combinations(atoms, size):
             d = reduce(or_, (masks[a] for a in combo)).bit_count()
-            if size > 2 * d + 1 or not eager._connected([masks[a] for a in combo]):
+            if size > 2 * d + 1 or not _connected([masks[a] for a in combo]):
                 continue
             for pols in product((True, False), repeat=size):
                 lits = frozenset(a if p else -a for a, p in zip(combo, pols))
@@ -221,6 +236,62 @@ def test_disconnected_parts_give_separate_cores():
     atoms = [abs(l) for l in x_part + y_part]
     cores = st.enumerate_infeasible_cores(table, atoms, k=4)
     assert cores == [frozenset(x_part), frozenset(y_part)] == reference_cores(table, atoms, 4)
+
+
+
+def _equality_heavy_table(seed):
+    """1-3 reals and 2-7 atoms, most of them equalities and disequalities."""
+    rng = random.Random(seed)
+    table = AtomTable()
+    names = "xyz"[: rng.randint(1, 3)]
+    size = rng.randint(2, 7)
+    while len(table) < size:
+        coeffs = {v: rng.randint(-2, 2) for v in names}
+        if any(coeffs.values()):
+            _cmp(table, rng.choice(("=", "=", "=", "distinct", "distinct", "<=", "<")), coeffs, rng.randint(-2, 2))
+    return table
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cores_match_reference_on_equality_heavy_tables(seed):
+    table = _equality_heavy_table(seed)
+    atoms = table.linear_vars()
+    for k in (len(atoms), 3, 4):
+        assert st.enumerate_infeasible_cores(table, atoms, k) == reference_cores(table, atoms, k)
+
+
+def test_half_cores_may_hold_all_but_the_disequality():
+    # x - y = 0 and y = 0 entail x = 0 with no inequality: each half-core of
+    # x != 0 is both equalities, k - 1 literals of the core
+    table = AtomTable()
+    lits = [_cmp(table, "=", {"x": 1, "y": -1}), _cmp(table, "=", {"y": 1}), _cmp(table, "distinct", {"x": 1})]
+    atoms = [abs(l) for l in lits]
+    cores = st.enumerate_infeasible_cores(table, atoms, k=3)
+    assert frozenset(lits) in cores
+    assert cores == reference_cores(table, atoms, 3)
+    assert st.enumerate_infeasible_cores(table, atoms, k=2) == []
+
+
+def test_every_feasibility_check_refutes_a_core(monkeypatch):
+    """Fourier-Motzkin only certifies: it runs once per core, never on a
+    feasible candidate."""
+    original = eager.check_feasible
+    calls = 0
+
+    def refuting(table, lits):
+        nonlocal calls
+        calls += 1
+        result = original(table, lits)
+        assert not result.sat, sorted(lits)
+        return result
+
+    monkeypatch.setattr(eager, "check_feasible", refuting)
+    for seed in range(200):
+        for formula in (st.random_formula(seed), st.random_nested_formula(seed)):
+            amap, linear = _linear(formula)
+            calls = 0
+            cores = st.enumerate_infeasible_cores(amap, linear, len(linear))
+            assert calls == len(cores)
 
 
 def test_bounds_save_feasibility_checks(monkeypatch):
