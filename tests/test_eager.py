@@ -45,8 +45,9 @@ def _connected(masks):
 
 
 def one_smaller_calls(table, atom_ids):
-    """check_feasible calls of the enumerator, bounds and order included, if
-    a candidate could be decided feasible only at the audited point of a
+    """check_feasible calls of an enumerator that tries candidates in the
+    same order within the connectivity, Helly and convexity bounds, if a
+    candidate could be decided feasible only at the audited point of a
     feasible subset one literal smaller (the origin at size 1)."""
     atoms = sorted(atom_ids)
     masks = {a: sum(1 << r for r in table.atom(a).term.real_vars) for a in atoms}
@@ -236,7 +237,6 @@ def test_disconnected_parts_give_separate_cores():
     atoms = [abs(l) for l in x_part + y_part]
     cores = st.enumerate_infeasible_cores(table, atoms, k=4)
     assert cores == [frozenset(x_part), frozenset(y_part)] == reference_cores(table, atoms, 4)
-
 
 
 def _equality_heavy_table(seed):
