@@ -84,9 +84,9 @@ def enumerate_infeasible_cores(table, atom_ids, k: int) -> list[frozenset[int]]:
         circuit, since its dependency is zero off that set."""
         for j in range(combo[-1] + 1 if combo else 0, len(atoms)):
             row = rows[j]
-            for pivot, b in basis:
-                if row[pivot]:
-                    f, g = b[pivot], row[pivot]
+            for p, b in basis:
+                if row[p]:
+                    f, g = b[p], row[p]
                     row = [f * x - g * z for x, z in zip(row, b)]
             ext = combo + (j,)
             pivot = next((c for c in range(width) if row[c]), None)
