@@ -130,6 +130,34 @@ MUTANTS = (
         ("tests/test_compiler.py::test_decide_dlcs_occurrences", "tests/test_compiler.py::test_decide_with_empty_trail_matches_reference"),
     ),
     Mutant(
+        "learned-clause-watched-on-last-two",
+        "compiler.py",
+        "self.pairs.append([clause[0], clause[1]])\n        self.watches[clause[0]].append(ci)\n        self.watches[clause[1]].append(ci)",
+        "self.pairs.append([clause[-2], clause[-1]])\n        self.watches[clause[-2]].append(ci)\n        self.watches[clause[-1]].append(ci)",
+        ("tests/test_compiler.py::test_no_theory_core_is_learned_twice",),
+    ),
+    Mutant(
+        "learned-clause-without-latest",
+        "compiler.py",
+        "self.index.add((-lit, -latest, *learn_theory_clause(core - {lit, latest})))",
+        "self.index.add((-lit, *learn_theory_clause(core - {lit, latest})))",
+        ("tests/test_compiler.py::test_learned_clauses_join_the_watched_engine",),
+    ),
+    Mutant(
+        "check-violation-exits-0",
+        "cli.py",
+        "return 0 if report.ok else 3",
+        "return 0",
+        ("tests/test_cli.py::test_check_violation_exit_code",),
+    ),
+    Mutant(
+        "import-skips-the-edge-count",
+        "ddnnf.py",
+        "if edges != e_decl:",
+        "if False:",
+        ("tests/test_ddnnf.py",),
+    ),
+    Mutant(
         "finish-keeps-unreachable",
         "ddnnf.py",
         "            if reachable[nid]:\n                remap[nid] = len(nodes)",
@@ -163,6 +191,20 @@ MUTANTS = (
         "audited = {lit, *(self.trail[i] for v in moved if v in over for i in over[v])}",
         "audited = {lit}",
         ("tests/test_lra.py::test_the_extended_witness_audit_reads_the_literals_over_moved_reals",),
+    ),
+    Mutant(
+        "stored-witness-reads-lit-alone",
+        "lra.py",
+        "for l in trail[size:]:",
+        "for l in ():",
+        ("tests/test_lra.py::test_a_stored_witness_fails_once_a_later_trail_literal_fails_there",),
+    ),
+    Mutant(
+        "fm-back-substitutes-from-no-vars",
+        "lra.py",
+        "_back_substitute(stages, dict.fromkeys(variables, 0), 1)",
+        "_back_substitute(stages, {}, 1)",
+        ("tests/test_lra.py::test_witnesses_match_the_fraction_back_substitution",),
     ),
     Mutant(
         "projection-keeps-the-looser-parallel-row",

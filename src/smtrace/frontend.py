@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -307,24 +307,22 @@ def atom_to_str(atom: Atom, real_names: list[str]) -> str:
 # formula trees
 
 
-_set = object.__setattr__
-
-
 class FNode:
-    """A node of a formula tree: immutable and equal by structure, with its
-    hash computed once, at construction, from its children's hashes, so a
-    lookup costs the same at any depth."""
+    """A node of a formula tree: equal by structure, with its hash computed
+    once, at construction, from its children's hashes, so a lookup costs the
+    same at any depth.  A node is never changed once it is made, which the
+    stored hash relies on.
+
+    ``__reduce__`` rebuilds a node from its fields, so an unpickled node
+    computes its hash anew: type hashes differ between processes.
+    ``__repr__`` shows the fields, which is what a failed tree comparison
+    prints.
+    """
 
     __slots__ = ("_hash",)
 
     def __init__(self) -> None:  # a constant: no fields
-        _set(self, "_hash", hash(type(self)))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        self._hash = hash(type(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -357,41 +355,41 @@ class FLit(FNode):
     __slots__ = ("lit",)
 
     def __init__(self, lit: Literal) -> None:
-        _set(self, "lit", lit)
-        _set(self, "_hash", hash(lit.atom if lit.positive else -lit.atom))
+        self.lit = lit
+        self._hash = hash(lit.atom if lit.positive else -lit.atom)
 
 
 class FNot(FNode):
     __slots__ = ("child",)
 
     def __init__(self, child: FNode) -> None:
-        _set(self, "child", child)
-        _set(self, "_hash", hash((FNot, child._hash)))
+        self.child = child
+        self._hash = hash((FNot, child._hash))
 
 
 class FAnd(FNode):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[FNode, ...]) -> None:
-        _set(self, "children", children)
-        _set(self, "_hash", hash((FAnd, children)))
+        self.children = children
+        self._hash = hash((FAnd, children))
 
 
 class FOr(FNode):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple[FNode, ...]) -> None:
-        _set(self, "children", children)
-        _set(self, "_hash", hash((FOr, children)))
+        self.children = children
+        self._hash = hash((FOr, children))
 
 
 class FImplies(FNode):
     __slots__ = ("left", "right")
 
     def __init__(self, left: FNode, right: FNode) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", hash((FImplies, left._hash, right._hash)))
+        self.left = left
+        self.right = right
+        self._hash = hash((FImplies, left._hash, right._hash))
 
 
 @dataclass

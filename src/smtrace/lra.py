@@ -276,29 +276,43 @@ def _eliminate(live: list, var: int):
     return uppers, lowers, rest, None
 
 
+def _eliminate_all(live: list, variables: Iterable[int], stages: list):
+    """Eliminate ``variables`` from the rows ``live`` in the given order,
+    appending each stage ``(var, rows)`` that has rows to ``stages``.
+
+    Returns ``(rest, bad)``: the rows left and None, or None and the
+    combination vector of the first contradictory constant combination.
+    """
+    for var in variables:
+        uppers, lowers, live, bad = _eliminate(live, var)
+        if bad is not None:
+            return None, bad
+        if uppers or lowers:
+            stages.append((var, uppers + lowers))
+    return live, None
+
+
 def _fourier_motzkin(live: list):
     """Decide a pure inequality system of rows (``_Row``).
 
     Rows are eliminated over Python ints: each derived row is kept with its
     combination vector over literal rows (``_Row``) and both are divided by
-    the gcd of all their entries.  Returns ("unsat", comb) with comb mapping
-    each cited literal row's key to a positive integer multiplier, or
-    ("sat", witness) with a ``Point`` over every variable of the rows, found
-    by back-substitution.
+    the gcd of all their entries.  Returns ``(witness, bad)``, as
+    ``_eliminate_all`` does: a ``Point`` over every variable of the rows,
+    found by back-substitution (a variable that no stage bounds is 0), and
+    None; or None and the combination vector ``bad`` mapping each cited
+    literal row's key to a positive integer multiplier.
     """
     variables = sorted({v for row in live for v in row[0]})
-    stages = []
-    for var in variables:
-        uppers, lowers, live, bad = _eliminate(live, var)
-        if bad is not None:
-            return "unsat", bad
-        stages.append((var, uppers + lowers))
-
+    stages: list = []
+    live, bad = _eliminate_all(live, variables, stages)
+    if bad is not None:
+        return None, bad
     for coeffs, const, strict, comb in live:
         # everything left is constant
         if _contradictory(const, strict):
-            return "unsat", comb
-    return "sat", Point(*_back_substitute(stages, {}, 1))
+            return None, comb
+    return Point(*_back_substitute(stages, dict.fromkeys(variables, 0), 1)), None
 
 
 def _back_substitute(stages, nums: dict[int, int], den: int, moved: set[int] | None = None, mentions=None):
@@ -500,47 +514,34 @@ def check_feasible(table, literals: Iterable[int], context: Projection = NO_PROJ
     rows = [*context.rows, *rows]
 
     def refuted(cert: Certificate) -> FeasibilityResult:
-        result = FeasibilityResult(False, certificate=cert, rows=len(rows))
-        _audit(table, context.sources.union(lits), result)
-        return result
+        if not verify_certificate(table, context.sources.union(lits), cert):
+            raise AssertionError(f"certificate audit failed for {lits}")
+        return FeasibilityResult(False, certificate=cert, rows=len(rows))
 
-    status, payload = _fourier_motzkin(rows)
-    if status == "unsat":
-        return refuted(_certificate_from(table, payload))
+    witness, bad = _fourier_motzkin(rows)
+    if bad is not None:
+        return refuted(_certificate_from(table, bad))
 
-    witness: Point = payload
     side_points: list[Point] = []
     for below, above in diseqs:
-        lo_status, lo_payload = _fourier_motzkin(rows + [below])
-        if lo_status == "sat":
-            side_points.append(lo_payload)
-            continue
-        hi_status, hi_payload = _fourier_motzkin(rows + [above])
-        if hi_status == "sat":
-            side_points.append(hi_payload)
-            continue
-        return refuted(
-            Certificate(
-                diseq=_source(below),
-                below=_certificate_from(table, lo_payload),
-                above=_certificate_from(table, hi_payload),
-            )
-        )
+        side, lo_bad = _fourier_motzkin(rows + [below])
+        if lo_bad is not None:
+            side, hi_bad = _fourier_motzkin(rows + [above])
+            if hi_bad is not None:
+                return refuted(
+                    Certificate(
+                        diseq=_source(below),
+                        below=_certificate_from(table, lo_bad),
+                        above=_certificate_from(table, hi_bad),
+                    )
+                )
+        side_points.append(side)
 
     if diseqs:
         witness = _avoid_hyperplanes(table, witness, diseqs, side_points)
-    result = FeasibilityResult(True, witness=witness, rows=len(rows))
-    _audit(table, lits, result)
-    return result
-
-
-def _audit(table, lits, result: FeasibilityResult) -> None:
-    if result.sat:
-        if not witness_satisfies(table, lits, result.witness):
-            raise AssertionError(f"witness audit failed for {lits}")
-    else:
-        if not verify_certificate(table, lits, result.certificate):
-            raise AssertionError(f"certificate audit failed for {lits}")
+    if not witness_satisfies(table, lits, witness):
+        raise AssertionError(f"witness audit failed for {lits}")
+    return FeasibilityResult(True, witness=witness, rows=len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +597,9 @@ def project_trail(
     else:
         stages, mentions, start = [*context.stages], dict(context.mentions), len(context.stages)
     keep = set(keep).union(*(table.atom(abs(lit)).term.real_vars for lit in diseqs))
-    for var in sorted({v for row in live for v in row[0]} - keep):
-        uppers, lowers, live, bad = _eliminate(live, var)
-        if bad is not None:  # infeasible literals: there is nothing to project
-            return None
-        if uppers or lowers:
-            stages.append((var, uppers + lowers))
+    live, bad = _eliminate_all(live, sorted({v for row in live for v in row[0]} - keep), stages)
+    if bad is not None:  # infeasible literals: there is nothing to project
+        return None
     for at in range(start, len(stages)):
         for v in set().union(*map(itemgetter(0), stages[at][1])):
             mentions[v] = (*mentions.get(v, ()), at)
@@ -644,13 +642,12 @@ class TheoryState:
     an audited point satisfying every literal up to and including that
     entry.  Next to the trail sits a stack of stored witnesses: the point of
     every feasible Fourier-Motzkin query, with the trail size it satisfies.
-    A query is answered first at the top point, then at the newest stored
-    witness, which answers if the literal and the trail literals asserted
-    since its size hold there; it keeps how far up the trail it is known to
-    hold, and where it fails, so no trail literal is read at it twice.  A
-    literal that holds at either point extends the trail with that point,
-    and a literal whose negation holds there is not entailed; each such
-    answer counts as a witness hit.  Only the other queries run
+    A query is answered at the top point, whose size is the trail's, or
+    else at the newest stored witness, by one rule: a point of size k
+    answers if the literal and the trail literals from position k on hold
+    there.  A literal that holds at such a point extends the trail with
+    that point, and a literal whose negation holds there is not entailed;
+    each such answer counts as a witness hit.  Only the other queries run
     Fourier-Motzkin, each through ``_check``, which counts them and the
     rows each one starts from.
 
@@ -685,8 +682,7 @@ class TheoryState:
         self._atoms_over = atoms_over
         self._unmentioned = {a: len(table.atoms[a - 1].term.real_vars) for over in atoms_over for a in over}
         self.ready = 0
-        # [point, size, upto, fails]: point satisfies trail[:upto], upto >= size, and fails trail[upto] if fails
-        self._stored: list[list] = []
+        self._stored: list[tuple[Point, int]] = []  # (point, the trail size it satisfies)
         self.context: tuple[Projection, int] = (NO_PROJECTION, 0)  # (projection, the trail size it stands for)
         self.checks = 0
         self.rows_max = 0  # the most rows one check started from
@@ -732,31 +728,23 @@ class TheoryState:
         size, stored = len(self.trail), self._stored
         if stored and stored[-1][1] == size:  # popped with the new one, it would never be read again
             stored.pop()
-        stored.append([result.witness, size, size, False])
+        stored.append((result.witness, size))
         return result
 
     def _witness_for(self, lit: int) -> Point | None:
         """The top point or else the newest stored witness, if ``lit`` and
-        the trail hold there; the point then witnesses the trail extended
-        by ``lit``."""
-        table, top = self.table, self.point
-        if literal_holds(table, lit, top):
-            self.witness_hits += 1
-            return top
-        if not self._stored:
-            return None
-        entry = self._stored[-1]
-        point, _, upto, fails = entry
-        if fails or not literal_holds(table, lit, point):
-            return None
-        trail = self.trail
-        for at in range(upto, len(trail)):
-            if not literal_holds(table, trail[at], point):
-                entry[2:] = at, True
-                return None
-        entry[2] = len(trail)
-        self.witness_hits += 1
-        return point
+        the trail literals from its size on hold there; the point then
+        witnesses the trail extended by ``lit``."""
+        table, trail = self.table, self.trail
+        for point, size in [(self.point, len(trail)), *self._stored[-1:]]:
+            if literal_holds(table, lit, point):
+                for l in trail[size:]:
+                    if not literal_holds(table, l, point):
+                        break
+                else:
+                    self.witness_hits += 1
+                    return point
+        return None
 
     def assert_literal(self, lit: int) -> FeasibilityResult | None:
         """Push ``lit`` onto the trail; or, if the trail plus ``lit`` is
@@ -799,8 +787,6 @@ class TheoryState:
         stored = self._stored
         while stored and stored[-1][1] > size:
             stored.pop()
-        if stored and stored[-1][2] >= size:  # any literal it failed is popped
-            stored[-1][2:] = size, False
 
     def entails(self, lit: int) -> bool:
         if self._witness_for(-lit) is not None:

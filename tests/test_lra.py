@@ -484,8 +484,9 @@ def test_a_stored_witness_above_the_popped_size_is_dropped(env):
 
 def test_a_stored_witness_fails_once_a_later_trail_literal_fails_there(env, monkeypatch):
     """A stored witness answers only while the trail literals asserted
-    since hold there; one that failed is not read again until that literal
-    is popped."""
+    since hold there: it answers nothing while a literal it fails is on the
+    trail, and answers again once that literal is popped.  The top point is
+    read first."""
     table, cmp = env
     s = TheoryState(table)
     assert s.assert_literal(cmp(">=", {"x": 1}, 1)) is None
@@ -504,7 +505,7 @@ def test_a_stored_witness_fails_once_a_later_trail_literal_fails_there(env, monk
 
     monkeypatch.setattr(lra, "literal_holds", reading)
     assert s.entails(-ge3)
-    assert reads == [s.point] and s.checks == checks + 2  # the stored point is not read again
+    assert reads[0] is s.point and s.checks == checks + 2  # the stored point does not answer
     monkeypatch.undo()
     s.pop_to(1)  # pops the literal it failed
     checks = s.checks
@@ -628,6 +629,43 @@ def test_push_pop_differential(seed):
         for l in shadow:
             assert rebuilt.assert_literal(l) is None
         assert state.entails(probe) == rebuilt.entails(probe)
+
+
+@given(hst.integers(0, 400))
+def test_push_pop_differential_on_a_projected_context(seed):
+    """On a context projected from a trail prefix onto some reals, as the
+    compiler sets one, interleaved asserts, entailment checks and pops over
+    those reals answer as a check of the whole trail plus the literal, and
+    the top point satisfies the whole trail."""
+    rng = random.Random(seed)
+    table = AtomTable()
+    ids = [table.real_var(n) for n in ("x", "y", "z", "w")]
+    state = TheoryState(table)
+    for lit in _random_literals(rng, table, ids, 4):
+        state.assert_literal(lit)  # a refuted literal leaves the trail as it is
+    keep = {v for v in ids if rng.random() < 0.5} or {rng.choice(ids)}
+    pool = _random_literals(rng, table, sorted(keep), 8)
+    shadow, mark = list(state.trail), len(state.trail)
+    state.context = (project_trail(table, shadow, keep), mark)
+    for _ in range(12):
+        action = rng.random()
+        if action < 0.5:
+            lit = rng.choice(pool)
+            conflict = state.assert_literal(lit)
+            assert (conflict is None) == check_feasible(table, shadow + [lit]).sat
+            if conflict is None:
+                shadow.append(lit)
+            else:
+                assert verify_certificate(table, shadow + [lit], conflict.certificate)
+        elif action < 0.8:
+            probe = rng.choice(pool)
+            assert state.entails(probe) == (not check_feasible(table, shadow + [-probe]).sat)
+        else:
+            target = rng.randint(mark, len(shadow))
+            state.pop_to(target)
+            shadow = shadow[:target]
+        assert state.trail == shadow
+        assert witness_satisfies(table, state.trail, state.point)
 
 
 # ---------------------------------------------------------------------------

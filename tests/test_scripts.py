@@ -145,3 +145,31 @@ def test_every_mutant_edits_code_that_occurs_once_in_src():
         assert m.old != m.new and m.tests, m.name
         assert sources[m.path].count(m.old) == 1, m.name
         assert sum(text.count(m.old) for text in sources.values()) == 1, m.name
+
+
+def test_loc_counts_the_lines_that_hold_code(tmp_path):
+    """Blank lines, comments and docstrings do not count; a line of code
+    with a comment does, and so does each line of a string in an
+    expression."""
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""A module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # code, with a comment\n"
+        "\n"
+        "def f(x):\n"
+        '    "a function docstring"\n'
+        "    text = (\n"
+        '        """a string\n'
+        'over two lines"""\n'
+        "    )\n"
+        '    "a" "b"  # a string statement too\n'
+        "    return x\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("x = 1\n")
+    proc = _run("loc.py", str(sample), str(other), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7", str(sample), "1", str(other), "8", "total"]
